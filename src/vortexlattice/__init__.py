@@ -15,7 +15,7 @@ from .abrikosov import (BetaResult, CriticalPoint, applied_field,
 from .bifurcation import (Branch, ExpansionReport, ReductionSetup,
                           branch_by_field, build_reduction, effective_energy,
                           fit_expansion, gamma1, solve_branch, solve_w)
-from .gauge import (RawLatticeState, fix_gauge, gauge_transform,
-                    poisson_periodic, rotate_state, translate_state)
+from .gauge import (RawLatticeState, fix_gauge, gauge_transform, rotate_state,
+                    translate_state)
 
 __version__ = "0.1.0"

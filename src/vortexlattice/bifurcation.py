@@ -3,10 +3,12 @@
 The reduction splits psi = s psi0 + w along the rank-one spectral projection
 P psi = <psi0, psi> psi0 (cell-averaged inner product, <|psi0|^2> = 1, so
 P is literally the zeroth Landau coefficient).  w solves the Q-projected
-equation by a resolvent-preconditioned fixed point, the scalar bifurcation
-function gamma1(lambda, s) = <psi0, F(lambda, s psi0 + w)> / s is brought to
-zero in lambda by a bracketed root solve, and branches are continued in s
-with warm starts.
+equation by a resolvent-preconditioned fixed point.  The scalar P-equation
+gamma0 = (1 - lambda) s + <psi0, N(s psi0 + w)> = 0 gives lambda (or s)
+directly, so one iteration re-solves it after every w sweep: a branch point
+at given s, or at given field b = kappa^2 / lambda, is a single fixed point
+in (w, lambda) or (w, s).  Branches are continued in s with warm starts.
+gamma1(lambda, s) = gamma0 / s stays available as a diagnostic.
 
 Inner products and norms here are cell-averaged (plain L2 over the cell
 divided by its area); with that convention d(gamma1)/d(lambda) at (1, 0)
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .glcore import (GLParams, GLState, PeriodicVectorField, _alpha_fixed_point,
-                     energy, nonlinear_coeffs, supercurrent_grids)
+from .glcore import (GLParams, GLState, PeriodicVectorField, _psi_grids, energy,
+                     nonlinear_coeffs, supercurrent_grids)
 from .landau import (LandauBasis, QuasiPeriodicField, field_from_coeffs,
                      get_basis)
 from .lattice import LatticeShape
@@ -72,92 +74,119 @@ class WSolveResult:
     w: np.ndarray                 # (K_lev+1, 1) coefficients, zeroth entry 0
     alpha2: np.ndarray            # induced potential on the doubled grid
     ncoef: np.ndarray             # nonlinear term coefficients at the solution
-    iterations: int
+    iterations: int               # sweeps; -1 when the Krylov fallback finished
     residual: float               # |Q F(lambda, s psi0 + w)| (averaged norm)
     contraction: float
+    s: complex                    # psi0 amplitude at the solution
+    lam: float                    # spectral parameter at the solution
 
 
 def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
             tol: float = 1e-12, max_iter: int = 200,
-            warm: WSolveResult | None = None) -> WSolveResult:
+            warm: WSolveResult | None = None, *,
+            _unknown: str | None = None) -> WSolveResult:
     """Solve the Q-projected equation for w = w(lambda, s psi0).
 
     Resolvent-preconditioned fixed point with adaptive damping; switches to a
-    Krylov-Newton solve if the contraction factor degrades beyond 0.9.
+    Krylov-Newton solve if the contraction factor degrades beyond 0.9.  With
+    _unknown = "lam" or "s" that argument is only a start: after each sweep
+    the P-equation gamma1 = (1 - lambda) + Re <psi0, N> / s = 0 is re-solved
+    for it, and the result carries the branch value.
     """
     basis = setup.basis
-    grid2 = basis.grid_d
     w = np.zeros((basis.K_lev + 1, 1), dtype=complex) if warm is None else warm.w.copy()
     alpha2 = None if warm is None else warm.alpha2.copy()
     if s == 0:
         z = np.zeros_like(w)
-        a0 = np.zeros((2, grid2.N, grid2.N))
-        return WSolveResult(z, a0, z, 0, 0.0, 0.0)
+        a0 = np.zeros((2, basis.grid_d.N, basis.grid_d.N))
+        return WSolveResult(z, a0, z, 0, 0.0, 0.0, s, lam)
 
-    def sweep(wc, a_start):
+    def sweep(wc, sc, lc, a_start):
         psi_c = wc.copy()
-        psi_c[0, 0] += s
-        vals = basis.synth(psi_c, dealias=True)
-        d1 = basis.synth(basis.d1_coeffs(psi_c), dealias=True)
-        d2 = basis.synth(basis.d2_coeffs(psi_c), dealias=True)
-        j0 = supercurrent_grids(vals, d1, d2)
-        a2 = _alpha_fixed_point(grid2, j0, np.abs(vals) ** 2, a_start, tol=1e-14)
-        nl = (2j * (a2[0] * d1 + a2[1] * d2)
-              + (a2[0] ** 2 + a2[1] ** 2) * vals
-              + kappa**2 * np.abs(vals) ** 2 * vals)
-        ncoef = basis.project(nl, dealias=True)
-        w_new = -basis.resolvent_coeffs(setup.project_Q(ncoef), lam)
-        return w_new, a2, ncoef
+        psi_c[0, 0] += sc
+        ncoef, a2 = nonlinear_coeffs(basis, psi_c, kappa, alpha_start=a_start)
+        return -basis.resolvent_coeffs(setup.project_Q(ncoef), lc), a2, ncoef
+
+    def p_solve(sc, lc, ncoef):
+        """(s, lambda) with the unknown one re-solved from the P-equation."""
+        n1 = float(np.real(ncoef[0, 0] / sc))  # ~ c s^2 on the branch
+        if _unknown == "lam":
+            return sc, 1.0 + n1
+        if _unknown == "s":
+            return sc * np.sqrt((lc - 1.0) / n1), lc
+        return sc, lc
+
+    def finish(wc, sc, lc, a_start, iterations, contraction):
+        # alpha and N at the returned iterate, and the Q-residual there
+        _, a2, ncoef = sweep(wc, sc, lc, a_start)
+        if _unknown == "lam":
+            lc = p_solve(sc, lc, ncoef)[1]
+        res = basis.landau_coeffs(wc) - lc * wc + setup.project_Q(ncoef)
+        res[0, 0] = 0.0
+        return WSolveResult(wc, a2, ncoef, iterations, float(np.linalg.norm(res)),
+                            contraction, sc, lc)
 
     damping = 1.0
     last_delta = np.inf
     contraction = 0.0
-    scale = max(abs(s), 1e-6)
     for it in range(1, max_iter + 1):
-        w_new, alpha2, ncoef = sweep(w, alpha2)
-        step = w_new - w
-        delta = float(np.max(np.abs(step)))
+        w_new, alpha2, ncoef = sweep(w, s, lam, alpha2)
+        s_new, lam_new = p_solve(s, lam, ncoef)
+        delta = max(float(np.max(np.abs(w_new - w))), abs(s_new - s),
+                    abs(s) * abs(lam_new - lam))
+        if not np.isfinite(delta):
+            break
         if delta > 0 and np.isfinite(last_delta) and last_delta > 0:
             contraction = delta / last_delta
         if contraction > 1.2:
             damping = max(0.25, damping * 0.5)
-        w = w + damping * step
+        w = w + damping * (w_new - w)
+        s = s + damping * (s_new - s)
+        lam = lam + damping * (lam_new - lam)
         last_delta = delta
-        if delta < tol * scale:
-            # converged; measure the Q-residual at the final iterate
-            _, alpha2, ncoef = sweep(w, alpha2)
-            res = basis.landau_coeffs(w) - lam * w + setup.project_Q(ncoef)
-            res[0, 0] = 0.0
-            return WSolveResult(w, alpha2, ncoef, it, float(np.linalg.norm(res)),
-                                contraction)
+        if delta < tol * max(abs(s), 1e-6):
+            return finish(w, s, lam, alpha2, it, contraction)
         if it > 10 and contraction > 0.9:
-            return _solve_w_newton(lam, s, setup, kappa, tol, w, alpha2, sweep)
-    raise RuntimeError(f"w fixed point did not converge (last step {last_delta:.2e}); "
-                       "reduce s or damp")
+            break
+    else:
+        raise RuntimeError(f"w fixed point did not converge (last step {last_delta:.2e}); "
+                           "reduce s or damp")
+    w, s, lam = _solve_w_newton(lam, s, tol, w, sweep, _unknown)
+    return finish(w, s, lam, None, -1, np.nan)
 
 
-def _solve_w_newton(lam, s, setup, kappa, tol, w0, alpha2, sweep) -> WSolveResult:
-    """Krylov-Newton fallback on the packed residual w + R Q N(s psi0 + w)."""
+def _solve_w_newton(lam, s, tol, w0, sweep, unknown):
+    """Krylov-Newton fallback on the packed residual w + R Q N(s psi0 + w),
+    with the unknown scalar and Re gamma1 appended when one is unknown.
+    Returns (w, s, lambda)."""
     shape_c = w0.shape
+    m = w0.size
+
+    def unpack(x):
+        wc = (x[:m] + 1j * x[m:2 * m]).reshape(shape_c)
+        wc[0, 0] = 0.0
+        if unknown == "lam":
+            return wc, s, float(x[-1])
+        if unknown == "s":
+            return wc, float(x[-1]), lam
+        return wc, s, lam
 
     def residual(x):
-        wc = (x[: x.size // 2] + 1j * x[x.size // 2:]).reshape(shape_c)
-        wc[0, 0] = 0.0
-        w_new, _, _ = sweep(wc, None)
+        wc, sc, lc = unpack(x)
+        w_new, _, ncoef = sweep(wc, sc, lc, None)
         r = wc - w_new
-        return np.concatenate([r.real.ravel(), r.imag.ravel()])
+        parts = [r.real.ravel(), r.imag.ravel()]
+        if unknown is not None:
+            parts.append([(1.0 - lc) + np.real(ncoef[0, 0] / sc)])
+        return np.concatenate(parts)
 
-    x0 = np.concatenate([w0.real.ravel(), w0.imag.ravel()])
+    extra = {"lam": [lam], "s": [s], None: []}[unknown]
+    x0 = np.concatenate([w0.real.ravel(), w0.imag.ravel(), extra])
     sol = optimize.root(residual, x0, method="krylov",
                         options={"fatol": tol * max(abs(s), 1e-6), "maxiter": 60})
     if not sol.success:
         raise RuntimeError(f"Newton fallback failed: {sol.message}")
-    w = (sol.x[: sol.x.size // 2] + 1j * sol.x[sol.x.size // 2:]).reshape(shape_c)
-    w[0, 0] = 0.0
-    w_new, alpha2, ncoef = sweep(w, alpha2)
-    res = setup.basis.landau_coeffs(w) - lam * w + setup.project_Q(ncoef)
-    res[0, 0] = 0.0
-    return WSolveResult(w, alpha2, ncoef, -1, float(np.linalg.norm(res)), np.nan)
+    return unpack(sol.x)
 
 
 def gamma1(lam: float, s: complex, setup: ReductionSetup, kappa: float,
@@ -215,60 +244,41 @@ class Branch:
         return np.array([p.energy for p in self.points])
 
 
-def _finish_point(s, lam, wres, setup, kappa) -> BranchPoint:
+def _gl_state(s, w, alpha2, lam, setup, kappa) -> GLState:
+    """State psi = s psi0 + w with the doubled-grid alpha2 resampled to the
+    working grid."""
+    basis = setup.basis
+    psi_c = w.copy()
+    psi_c[0, 0] += s
+    down = np.stack([basis.grid_d.resample(a, basis.N) for a in alpha2])
+    return GLState(psi=field_from_coeffs(basis, psi_c),
+                   alpha=PeriodicVectorField(down, basis.grid),
+                   params=GLParams(kappa=kappa, n=1, lam=lam))
+
+
+def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     basis = setup.basis
     grid, grid2 = basis.grid, basis.grid_d
-    psi_c = wres.w.copy()
-    psi_c[0, 0] += s
-    psi = field_from_coeffs(basis, psi_c)
-    down = np.stack([grid2.resample(wres.alpha2[0], basis.N),
-                     grid2.resample(wres.alpha2[1], basis.N)])
-    alpha = PeriodicVectorField(down, grid)
-    params = GLParams(kappa=kappa, n=1, lam=lam)
-    state = GLState(psi=psi, alpha=alpha, params=params)
+    s, lam = wres.s, wres.lam
+    state = _gl_state(s, wres.w, wres.alpha2, lam, setup, kappa)
+    psi_c = state.psi.coeffs
 
     fco = basis.landau_coeffs(psi_c) - lam * psi_c + wres.ncoef
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
-    vals = basis.synth(psi_c, dealias=True)
-    d1 = basis.synth(basis.d1_coeffs(psi_c), dealias=True)
-    d2 = basis.synth(basis.d2_coeffs(psi_c), dealias=True)
+    vals, d1, d2, _ = _psi_grids(state.psi, dealias=True)
     j0 = supercurrent_grids(vals, d1, d2)
     ra = (grid2.curl_star_curl(wres.alpha2) + np.abs(vals)[None] ** 2 * wres.alpha2 - j0)
     res_alpha = float(np.sqrt(np.mean(ra[0] ** 2 + ra[1] ** 2)))
 
-    curl_a = 1.0 + grid.curl(alpha.values)
+    curl_a = 1.0 + grid.curl(state.alpha.values)
     return BranchPoint(
         s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam),
-        psi_coeffs=psi_c, alpha=alpha, energy=energy(state),
+        psi_coeffs=psi_c, alpha=state.alpha, energy=energy(state),
         residual_psi=res_psi, residual_alpha=res_alpha,
-        flux=float((1.0 + np.mean(grid.curl(alpha.values))) * grid.area),
+        flux=float(np.mean(curl_a) * grid.area),
         max_curl_a=float(np.max(curl_a)),
-        min_abs_psi=float(np.min(np.abs(basis.synth(psi_c)))),
+        min_abs_psi=float(np.min(np.abs(state.psi.values))),
     )
-
-
-def _lambda_root(s, setup, kappa, c_apriori, tol, warm):
-    """Safeguarded bracketed root of gamma1(., s) near 1 + c s^2."""
-    target = 1.0 + c_apriori * s * s
-    cache: dict[float, tuple[complex, WSolveResult]] = {}
-
-    def g(lam):
-        if lam not in cache:
-            cache[lam] = gamma1(lam, s, setup, kappa, tol=tol,
-                                warm=warm[0] if warm else None)
-            warm[0] = cache[lam][1]
-        return float(np.real(cache[lam][0]))
-
-    width = max(abs(target - 1.0), 1e-6)
-    lo, hi = target - 0.7 * width, target + 0.7 * width
-    for _ in range(12):
-        if g(lo) * g(hi) < 0:
-            break
-        lo, hi = target - 2 * (target - lo), target + 2 * (hi - target)
-    else:
-        raise RuntimeError(f"gamma1 root not bracketed at s={s}")
-    lam = optimize.brentq(g, lo, hi, xtol=1e-14, rtol=1e-15)
-    return lam, cache[min(cache, key=lambda L: abs(L - lam))][1]
 
 
 def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int = 96,
@@ -281,19 +291,23 @@ def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int = 96,
     c_apriori = (kappa**2 - 0.5) * beta + 0.5
     branch = Branch(kappa=kappa, shape=shape, N=setup.basis.N,
                     K_lev=setup.basis.K_lev, beta=beta)
-    warm = [None]
+    warm = None
     for s in np.sort(np.atleast_1d(np.asarray(s_grid, dtype=float))):
         if s == 0:
             wres = solve_w(1.0, 0.0, setup, kappa)
-            branch.points.append(_finish_point(0.0, 1.0, wres, setup, kappa))
+            branch.points.append(_finish_point(wres, setup, kappa))
             continue
         if s > S_MAX_DEFAULT:
             branch.extrapolated = True
-        lam, wres = _lambda_root(s, setup, kappa, c_apriori, tol, warm)
-        if (lam - 1.0) * c_apriori <= 0:
+        # lambda - 1 scales like s^2 along the branch
+        lam0 = (1.0 + c_apriori * s * s if warm is None
+                else 1.0 + (warm.lam - 1.0) * (s / warm.s) ** 2)
+        wres = solve_w(lam0, s, setup, kappa, tol=tol, warm=warm, _unknown="lam")
+        if (wres.lam - 1.0) * c_apriori <= 0:
             raise RuntimeError("branch emerged on the side excluded by the "
                                "sign condition; solver inconsistency")
-        branch.points.append(_finish_point(s, lam, wres, setup, kappa))
+        branch.points.append(_finish_point(wres, setup, kappa))
+        warm = wres
     return branch
 
 
@@ -307,46 +321,22 @@ def branch_by_field(b_target: float, kappa: float, shape: LatticeShape,
     c_apriori = (kappa**2 - 0.5) * beta + 0.5
     lam_t = kappa**2 / b_target
     if b_target == kappa**2:
-        wres = solve_w(1.0, 0.0, setup, kappa)
-        return _finish_point(0.0, 1.0, wres, setup, kappa)
+        return _finish_point(solve_w(1.0, 0.0, setup, kappa), setup, kappa)
     if (lam_t - 1.0) * c_apriori <= 0:
         side = "b <= kappa^2" if c_apriori >= 0 else "b > kappa^2"
         raise BranchSideError(
             f"no branch at b={b_target}: sign((kappa^2-1/2) beta + 1/2) = "
             f"{np.sign(c_apriori):+.0f} admits only {side}")
     s_est = float(np.sqrt((lam_t - 1.0) / c_apriori))
-    warm = [None]
-
-    def g(s):
-        val, wres = gamma1(lam_t, s, setup, kappa, tol=tol, warm=warm[0])
-        warm[0] = wres
-        return float(np.real(val))
-
-    lo, hi = 0.5 * s_est, 1.5 * s_est
-    for _ in range(12):
-        if g(lo) * g(hi) < 0:
-            break
-        lo, hi = 0.5 * lo, min(1.5 * hi, 2 * S_MAX_DEFAULT)
-    else:
-        raise RuntimeError(f"field target b={b_target} not reachable on s grid")
-    s_root = optimize.brentq(g, lo, hi, xtol=1e-14, rtol=1e-15)
-    _, wres = gamma1(lam_t, s_root, setup, kappa, tol=tol, warm=warm[0])
-    return _finish_point(s_root, lam_t, wres, setup, kappa)
+    wres = solve_w(lam_t, s_est, setup, kappa, tol=tol, _unknown="s")
+    return _finish_point(wres, setup, kappa)
 
 
 def effective_energy(lam: float, v: complex, setup: ReductionSetup, kappa: float,
                      tol: float = 1e-12) -> float:
     """e_lambda(v) = E_lambda(v psi0 + w(lambda, v)); gauge invariant in arg v."""
     wres = solve_w(lam, v, setup, kappa, tol=tol)
-    basis = setup.basis
-    psi_c = wres.w.copy()
-    psi_c[0, 0] += v
-    psi = field_from_coeffs(basis, psi_c)
-    grid2 = basis.grid_d
-    down = np.stack([grid2.resample(wres.alpha2[0], basis.N),
-                     grid2.resample(wres.alpha2[1], basis.N)])
-    alpha = PeriodicVectorField(down, basis.grid)
-    return energy(GLState(psi=psi, alpha=alpha, params=GLParams(kappa=kappa, n=1, lam=lam)))
+    return energy(_gl_state(v, wres.w, wres.alpha2, lam, setup, kappa))
 
 
 @dataclass

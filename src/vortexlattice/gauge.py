@@ -182,11 +182,6 @@ def rotate_state(state: RawLatticeState, angle: float) -> RawLatticeState:
 # ----------------------------------------------------------------------
 # gauge fixing
 # ----------------------------------------------------------------------
-def poisson_periodic(rhs: np.ndarray, grid: CellGrid) -> np.ndarray:
-    """Doubly-periodic zero-mean solution of Laplace(u) = rhs."""
-    return grid.poisson(rhs)
-
-
 def _row_antiderivative(f: np.ndarray, axis: int, length: float) -> np.ndarray:
     """Zero-mean periodic antiderivative along one logical axis."""
     N = f.shape[axis]
@@ -227,7 +222,7 @@ def fix_gauge(state: RawLatticeState, kappa: float = 1.0,
     P = np.stack([np.asarray(P1, dtype=float), P2])
 
     # (4) divergence-free correction via the periodic Poisson solve
-    eta2 = poisson_periodic(-grid.div(P), grid)
+    eta2 = grid.poisson(-grid.div(P))
     alpha0 = P + grid.grad(eta2)
     # (5) mean shift
     C = -alpha0.mean(axis=(1, 2))

@@ -166,17 +166,27 @@ def alpha_equation_residual(psi: QuasiPeriodicField, alpha: PeriodicVectorField)
     return float(np.sqrt(np.mean(r[0] ** 2 + r[1] ** 2)))
 
 
-def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, alpha2: np.ndarray,
-                     kappa: float) -> np.ndarray:
-    """Landau coefficients of 2i alpha . grad_{A0} psi + |alpha|^2 psi
-    + kappa^2 |psi|^2 psi, products evaluated on the doubled grid."""
+def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
+                     alpha2: np.ndarray | None = None,
+                     alpha_start: np.ndarray | None = None,
+                     alpha_tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
+    """Landau coefficients of N(psi) = 2i alpha . grad_{A0} psi + |alpha|^2 psi
+    + kappa^2 |psi|^2 psi, products evaluated on the doubled grid.
+
+    alpha2 is the potential on the doubled grid; when it is None, alpha(psi)
+    is solved there first (warm-started from alpha_start).  Returns the
+    coefficients and the alpha2 used.
+    """
     vals = basis.synth(psi_coeffs, dealias=True)
     d1 = basis.synth(basis.d1_coeffs(psi_coeffs), dealias=True)
     d2 = basis.synth(basis.d2_coeffs(psi_coeffs), dealias=True)
+    if alpha2 is None:
+        alpha2 = _alpha_fixed_point(basis.grid_d, supercurrent_grids(vals, d1, d2),
+                                    np.abs(vals) ** 2, alpha_start, alpha_tol)
     nl = (2j * (alpha2[0] * d1 + alpha2[1] * d2)
           + (alpha2[0] ** 2 + alpha2[1] ** 2) * vals
           + kappa**2 * np.abs(vals) ** 2 * vals)
-    return basis.project(nl, dealias=True)
+    return basis.project(nl, dealias=True), alpha2
 
 
 def map_F(lam: float, psi: QuasiPeriodicField, kappa: float,
@@ -185,12 +195,9 @@ def map_F(lam: float, psi: QuasiPeriodicField, kappa: float,
     if psi.coeffs is None or psi.basis is None:
         raise ValueError("map_F needs a Landau-coefficient field")
     basis = psi.basis
-    vals, d1, d2, grid2 = _psi_grids(psi, dealias=True)
-    j0 = supercurrent_grids(vals, d1, d2)
-    alpha2 = _alpha_fixed_point(grid2, j0, np.abs(vals) ** 2, None, alpha_tol)
-    ncoef = nonlinear_coeffs(basis, psi.coeffs, alpha2, kappa)
+    ncoef, alpha2 = nonlinear_coeffs(basis, psi.coeffs, kappa, alpha_tol=alpha_tol)
     lin = basis.landau_coeffs(psi.coeffs) - lam * psi.coeffs
-    return field_from_coeffs(basis, lin + ncoef), alpha2, grid2
+    return field_from_coeffs(basis, lin + ncoef), alpha2, basis.grid_d
 
 
 def residuals(state: GLState) -> tuple[QuasiPeriodicField, np.ndarray]:
@@ -202,7 +209,7 @@ def residuals(state: GLState) -> tuple[QuasiPeriodicField, np.ndarray]:
     grid2 = basis.grid_d
     a2 = np.stack([alpha.grid.resample(alpha.values[0], grid2.N),
                    alpha.grid.resample(alpha.values[1], grid2.N)])
-    ncoef = nonlinear_coeffs(basis, psi.coeffs, a2, p.kappa)
+    ncoef, _ = nonlinear_coeffs(basis, psi.coeffs, p.kappa, alpha2=a2)
     rpsi = field_from_coeffs(basis, basis.landau_coeffs(psi.coeffs)
                              - p.lam * psi.coeffs + ncoef)
     vals, d1, d2, _ = _psi_grids(psi, dealias=False)

@@ -314,15 +314,20 @@ def theta_null_basis(n: int, shape: LatticeShape, N: int,
     return out
 
 
+def _padded_coeffs(f: QuasiPeriodicField, op: str) -> tuple[LandauBasis, np.ndarray]:
+    """Basis and Landau coefficients of f, zero-padded to K_lev + 1 levels."""
+    if f.coeffs is None or f.basis is None:
+        raise ValueError(f"{op} needs a field with Landau coefficients")
+    b, d = f.basis, f.coeffs
+    if d.shape[0] < b.K_lev + 1:
+        d = np.vstack([d, np.zeros((b.K_lev + 1 - d.shape[0], d.shape[1]), dtype=complex)])
+    return b, d
+
+
 def ladder_apply(f: QuasiPeriodicField, direction: str) -> QuasiPeriodicField:
     """Annihilation ('lower', level k -> k-1, factor sqrt(2nk)) or creation
     ('raise', k -> k+1, factor sqrt(2n(k+1))) on the Landau coefficients."""
-    if f.coeffs is None or f.basis is None:
-        raise ValueError("ladder_apply needs a field with Landau coefficients")
-    b = f.basis
-    d = f.coeffs
-    if d.shape[0] < b.K_lev + 1:
-        d = np.vstack([d, np.zeros((b.K_lev + 1 - d.shape[0], d.shape[1]), dtype=complex)])
+    b, d = _padded_coeffs(f, "ladder_apply")
     if direction == "lower":
         nd = b.lower_coeffs(d)
     elif direction == "raise":
@@ -338,23 +343,13 @@ def ladder_apply(f: QuasiPeriodicField, direction: str) -> QuasiPeriodicField:
 
 def landau_apply(f: QuasiPeriodicField) -> QuasiPeriodicField:
     """L f, i.e. coefficient d[k] -> (2k+1) n d[k]."""
-    if f.coeffs is None or f.basis is None:
-        raise ValueError("landau_apply needs a field with Landau coefficients")
-    b = f.basis
-    d = f.coeffs
-    if d.shape[0] < b.K_lev + 1:
-        d = np.vstack([d, np.zeros((b.K_lev + 1 - d.shape[0], d.shape[1]), dtype=complex)])
+    b, d = _padded_coeffs(f, "landau_apply")
     return field_from_coeffs(b, b.landau_coeffs(d))
 
 
 def covariant_gradient(f: QuasiPeriodicField) -> tuple[QuasiPeriodicField, QuasiPeriodicField]:
     """(D1 f, D2 f) with D1 = (alpha - alpha*)/2, D2 = (alpha + alpha*)/(2i)."""
-    if f.coeffs is None or f.basis is None:
-        raise ValueError("covariant_gradient needs Landau coefficients")
-    b = f.basis
-    d = f.coeffs
-    if d.shape[0] < b.K_lev + 1:
-        d = np.vstack([d, np.zeros((b.K_lev + 1 - d.shape[0], d.shape[1]), dtype=complex)])
+    b, d = _padded_coeffs(f, "covariant_gradient")
     return field_from_coeffs(b, b.d1_coeffs(d)), field_from_coeffs(b, b.d2_coeffs(d))
 
 

@@ -185,14 +185,3 @@ class CellGrid:
         phase = np.exp(2j * np.pi * (k1 * dy[0] + k2 * dy[1]))
         out = np.fft.ifft2(np.fft.fft2(f) * phase)
         return out.real if np.isrealobj(f) else out
-
-    def spectral_tail_fraction(self, f: np.ndarray) -> float:
-        """Energy fraction of modes above 3/4 Nyquist; smoothness indicator."""
-        fh = np.abs(np.fft.fftshift(np.fft.fft2(f))) ** 2
-        N = self.N
-        total = fh.sum()
-        if total == 0:
-            return 0.0
-        w = N // 8
-        inner = fh[w:N - w, w:N - w].sum()
-        return float((total - inner) / total)

@@ -208,6 +208,39 @@ def test_negative_sign_regime():
         bif.branch_by_field(0.098, kappa, shape, setup=setup)
 
 
+def test_branch_points_are_gamma1_roots(branch_sq, setup_sq):
+    # the joint (w, lambda) iteration against the fixed-lambda gamma1 oracle
+    for p in branch_sq.points:
+        g, _ = bif.gamma1(p.lam, p.s, setup_sq, KAPPA)
+        assert abs(g) <= 1e-11
+
+
+def test_field_points_are_gamma1_roots(shape_tri, setup_tri):
+    # the joint (w, s) iteration against gamma1, in both sign regimes
+    pt = bif.branch_by_field(1.95, KAPPA, shape_tri, setup=setup_tri)
+    g, _ = bif.gamma1(KAPPA**2 / 1.95, pt.s, setup_tri, KAPPA)
+    assert abs(g) <= 1e-11
+    shape, _ = normalize_tau(8j)
+    setup = bif.build_reduction(shape, N=64, K_lev=40)
+    kappa = np.sqrt(0.1)
+    pt = bif.branch_by_field(0.102, kappa, shape, setup=setup)
+    g, _ = bif.gamma1(0.1 / 0.102, pt.s, setup, kappa)
+    assert abs(g) <= 1e-11
+
+
+def test_branch_by_field_far_target(shape_square, monkeypatch):
+    # b = 0.5 (s ~ 1.18) is far outside the perturbative range: the sweep
+    # stops contracting and the joint Krylov fallback finishes the point
+    calls = []
+    newton = bif._solve_w_newton
+    monkeypatch.setattr(bif, "_solve_w_newton",
+                        lambda *a: calls.append(a) or newton(*a))
+    pt = bif.branch_by_field(0.5, KAPPA, shape_square, N=64, K_lev=32)
+    assert len(calls) == 1
+    assert abs(pt.s - 1.177988) < 1e-6
+    assert pt.residual_psi < 1e-8
+
+
 # ----------------------------------------------------------------------
 # effective energy
 # ----------------------------------------------------------------------

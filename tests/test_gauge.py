@@ -4,8 +4,7 @@ import pytest
 from vortexlattice import bifurcation as bif, gauge, glcore, landau
 from vortexlattice.gauge import (FluxQuantizationError, PointGroupError,
                                  RawLatticeState, fix_gauge, gauge_transform,
-                                 poisson_periodic, raw_from_state, rotate_state,
-                                 translate_state)
+                                 raw_from_state, rotate_state, translate_state)
 from vortexlattice.landau import quasi_periodicity_residual
 from vortexlattice.lattice import normalize_tau
 
@@ -113,7 +112,7 @@ def test_rotate_rejects_non_point_group(raw_branch):
 # ----------------------------------------------------------------------
 def test_poisson_zero(raw_branch):
     grid = raw_branch.grid
-    assert np.max(np.abs(poisson_periodic(np.zeros((64, 64)), grid))) == 0.0
+    assert np.max(np.abs(grid.poisson(np.zeros((64, 64))))) == 0.0
 
 
 def test_poisson_single_mode(raw_branch):
@@ -123,7 +122,7 @@ def test_poisson_single_mode(raw_branch):
     gsq = g1[k] ** 2 + g2[k] ** 2
     y1, y2 = grid.y
     rhs = np.cos(2 * np.pi * (3 * y1 + y2))
-    u = poisson_periodic(rhs, grid)
+    u = grid.poisson(rhs)
     assert np.max(np.abs(u + rhs / gsq)) < 1e-13
 
 
@@ -133,14 +132,14 @@ def test_poisson_random_residual(raw_branch, rng):
     rhs = sum(rng.normal() * np.sin(2 * np.pi * (k1 * y1 + k2 * y2) + rng.normal())
               for k1 in range(1, 4) for k2 in range(-2, 3))
     rhs -= rhs.mean()
-    u = poisson_periodic(rhs, grid)
+    u = grid.poisson(rhs)
     assert np.max(np.abs(grid.laplacian(u) - rhs)) < 1e-10
     assert abs(u.mean()) < 1e-14
 
 
 def test_poisson_rejects_mean(raw_branch):
     with pytest.raises(ValueError):
-        poisson_periodic(np.ones((64, 64)), raw_branch.grid)
+        raw_branch.grid.poisson(np.ones((64, 64)))
 
 
 # ----------------------------------------------------------------------
