@@ -6,8 +6,7 @@ from .landau import (LandauBasis, QuasiPeriodicField, ThetaCoeffs, cell_average,
                      covariant_gradient, get_basis, ladder_apply, landau_apply,
                      quasi_periodicity_residual, theta_null_basis)
 from .glcore import (GLParams, GLState, PeriodicVectorField, energy, flux,
-                     helmholtz_project, map_F, residuals, solve_alpha,
-                     supercurrent)
+                     map_F, residuals, solve_alpha, supercurrent)
 from .abrikosov import (BetaResult, CriticalPoint, applied_field,
                         beta_lattice_sum, beta_quadrature,
                         energy_landscape_asymptotic, find_beta_critical_points,

@@ -48,7 +48,8 @@ def beta_lattice_sum(shape: LatticeShape, cutoff: int | None = None) -> BetaResu
     q = ((m * t1 + k) ** 2 + (m * t2) ** 2) / t2
     total = float(np.exp(-np.pi * q).sum())
     shell = float(np.exp(-np.pi * q[np.maximum(np.abs(m), np.abs(k)) == R]).sum())
-    assert shell < 1e-14 * total, "lattice sum cutoff too small"
+    if shell >= 1e-14 * total:
+        raise RuntimeError(f"lattice sum cutoff R={R} too small (last shell {shell:.3e})")
     return BetaResult(tau=tau, beta=total, method="lattice_sum", K=R, N=0)
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .glcore import (GLParams, GLState, PeriodicVectorField, _psi_grids, energy,
-                     nonlinear_coeffs, supercurrent_grids)
+from .glcore import (F_coeffs, GLParams, GLState, PeriodicVectorField,
+                     _coeff_samples, energy, nonlinear_coeffs)
 from .landau import (LandauBasis, QuasiPeriodicField, field_from_coeffs,
                      get_basis)
 from .lattice import LatticeShape
@@ -113,7 +113,12 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         if _unknown == "lam":
             return sc, 1.0 + n1
         if _unknown == "s":
-            return sc * np.sqrt((lc - 1.0) / n1), lc
+            ratio = (lc - 1.0) / n1
+            if not ratio > 0:
+                raise RuntimeError(f"field target b={kappa**2 / lc:.6g} not reached: "
+                                   f"P-equation ratio (lambda_t - 1)/(Re<psi0, N>/s) = "
+                                   f"{ratio:.3e} <= 0 at s={sc:.6g}, lambda_t={lc:.6g}")
+            return sc * np.sqrt(ratio), lc
         return sc, lc
 
     def finish(wc, sc, lc, a_start, iterations, contraction):
@@ -121,7 +126,7 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         _, a2, ncoef = sweep(wc, sc, lc, a_start)
         if _unknown == "lam":
             lc = p_solve(sc, lc, ncoef)[1]
-        res = basis.landau_coeffs(wc) - lc * wc + setup.project_Q(ncoef)
+        res = F_coeffs(basis, wc, lc, setup.project_Q(ncoef))
         res[0, 0] = 0.0
         return WSolveResult(wc, a2, ncoef, iterations, float(np.linalg.norm(res)),
                             contraction, sc, lc)
@@ -239,10 +244,6 @@ class Branch:
     def b(self) -> np.ndarray:
         return np.array([p.b for p in self.points])
 
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([p.energy for p in self.points])
-
 
 def _gl_state(s, w, alpha2, lam, setup, kappa) -> GLState:
     """State psi = s psi0 + w with the doubled-grid alpha2 resampled to the
@@ -250,25 +251,22 @@ def _gl_state(s, w, alpha2, lam, setup, kappa) -> GLState:
     basis = setup.basis
     psi_c = w.copy()
     psi_c[0, 0] += s
-    down = np.stack([basis.grid_d.resample(a, basis.N) for a in alpha2])
     return GLState(psi=field_from_coeffs(basis, psi_c),
-                   alpha=PeriodicVectorField(down, basis.grid),
+                   alpha=PeriodicVectorField(basis.grid_d.resample(alpha2, basis.N),
+                                             basis.grid),
                    params=GLParams(kappa=kappa, n=1, lam=lam))
 
 
 def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     basis = setup.basis
-    grid, grid2 = basis.grid, basis.grid_d
+    grid = basis.grid
     s, lam = wres.s, wres.lam
     state = _gl_state(s, wres.w, wres.alpha2, lam, setup, kappa)
     psi_c = state.psi.coeffs
 
-    fco = basis.landau_coeffs(psi_c) - lam * psi_c + wres.ncoef
+    fco = F_coeffs(basis, psi_c, lam, wres.ncoef)
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
-    vals, d1, d2, _ = _psi_grids(state.psi, dealias=True)
-    j0 = supercurrent_grids(vals, d1, d2)
-    ra = (grid2.curl_star_curl(wres.alpha2) + np.abs(vals)[None] ** 2 * wres.alpha2 - j0)
-    res_alpha = float(np.sqrt(np.mean(ra[0] ** 2 + ra[1] ** 2)))
+    res_alpha = _coeff_samples(basis, psi_c, dealias=True).alpha_residual_rms(wres.alpha2)
 
     curl_a = 1.0 + grid.curl(state.alpha.values)
     return BranchPoint(

@@ -72,14 +72,20 @@ def merged_config(args: argparse.Namespace, defaults: dict) -> dict:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             cfg[key] = val
-    for key in ("tol", "w_tol"):
-        if key in cfg and cfg[key] <= 0:
-            raise ConfigError(f"tolerance {key} must be positive")
+    if "tol" in cfg and cfg["tol"] <= 0:
+        raise ConfigError("tolerance tol must be positive")
     return cfg
 
 
+def physics_config(cfg: dict) -> dict:
+    """cfg without the execution-only keys outdir and jobs (no result depends
+    on them), as hashed and written into output headers."""
+    return {k: v for k, v in cfg.items() if k not in ("outdir", "jobs")}
+
+
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(physics_config(cfg), sort_keys=True)
+                          .encode()).hexdigest()[:16]
 
 
 def out_path(cfg: dict, name: str) -> str:
@@ -94,7 +100,7 @@ def write_csv(path: str, cfg: dict, columns: list[str], rows: np.ndarray,
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w") as fh:
-        prov = {"config": cfg, "config_hash": config_hash(cfg)}
+        prov = {"config": physics_config(cfg), "config_hash": config_hash(cfg)}
         prov.update(extra_comments or {})
         fh.write("# " + json.dumps(prov, sort_keys=True) + "\n")
         fh.write(",".join(columns) + "\n")

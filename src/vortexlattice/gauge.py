@@ -72,15 +72,18 @@ class RawLatticeState:
         return QuasiPeriodicField(n=self.n, shape=self.shape, values=self.psi,
                                   bc_const=self.bc_const)
 
-    def observables(self) -> dict[str, np.ndarray]:
-        """Gauge-invariant grids: pair density, magnetic field, current."""
+    def covariant_gradient(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d - i a) Psi for the full potential a = A0 + a_p."""
         grid = self.grid
         d1, d2 = qp_derivatives(self.qp_field(), grid=grid)
         x1, x2 = grid.x
         a1 = -0.5 * self.b * x2 + self.a_p[0]
         a2 = 0.5 * self.b * x1 + self.a_p[1]
-        cov1 = d1 - 1j * a1 * self.psi
-        cov2 = d2 - 1j * a2 * self.psi
+        return d1 - 1j * a1 * self.psi, d2 - 1j * a2 * self.psi
+
+    def observables(self) -> dict[str, np.ndarray]:
+        """Gauge-invariant grids: pair density, magnetic field, current."""
+        cov1, cov2 = self.covariant_gradient()
         return {
             "ns": np.abs(self.psi) ** 2,
             "curl_a": self.curl_a(),
@@ -90,14 +93,9 @@ class RawLatticeState:
 
     def energy_density_mean(self, kappa: float) -> float:
         """Average unscaled Ginzburg-Landau energy per unit cell area."""
-        obs = self.observables()
-        grid = self.grid
-        d1, d2 = qp_derivatives(self.qp_field(), grid=grid)
-        x1, x2 = grid.x
-        a1 = -0.5 * self.b * x2 + self.a_p[0]
-        a2 = 0.5 * self.b * x1 + self.a_p[1]
-        dens = (np.abs(d1 - 1j * a1 * self.psi) ** 2 + np.abs(d2 - 1j * a2 * self.psi) ** 2
-                + obs["curl_a"] ** 2 + 0.5 * kappa**2 * (1 - np.abs(self.psi) ** 2) ** 2)
+        cov1, cov2 = self.covariant_gradient()
+        dens = (np.abs(cov1) ** 2 + np.abs(cov2) ** 2
+                + self.curl_a() ** 2 + 0.5 * kappa**2 * (1 - np.abs(self.psi) ** 2) ** 2)
         return float(np.mean(dens))
 
 

@@ -3,22 +3,25 @@
 Working variables on the normalized cell: psi quasi-periodic with n flux
 quanta, total potential a = A0 + alpha with A0(x) = (n/2) J x and alpha
 periodic, mean-zero, divergence-free.  The potential equation
-(M + |psi|^2) alpha = Im(conj(psi) grad_{A0} psi), M = curl* curl,
+(M + |psi|^2) alpha = j0 = Im(conj(psi) grad_{A0} psi), M = curl* curl,
 is solved as a damped fixed point preconditioned by (-Laplacian)^{-1}
 on the constraint space, where M coincides with -Laplacian.
 
-Pointwise nonlinearities are evaluated on a doubled grid before projection
-back onto the Landau basis (cubic terms alias on the working grid).
+Every solve, residual and energy reads psi, D psi (D = grad_{A0}), |psi|^2,
+j0 and the potential residual (M + |psi|^2) alpha - j0 from one kernel,
+_PsiSamples.  Pointwise nonlinearities use samples on a doubled grid (cubic
+terms alias on the working grid); F = (L - lambda) psi + N is F_coeffs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .landau import (LandauBasis, QuasiPeriodicField, field_from_coeffs,
-                     inner_avg, norm_avg, qp_derivatives)
+from .landau import (LandauBasis, QuasiPeriodicField, covariant_gradient_grid,
+                     field_from_coeffs)
 from .spectral import CellGrid
 
 
@@ -52,10 +55,6 @@ class PeriodicVectorField:
     values: np.ndarray  # (2, N, N)
     grid: CellGrid
 
-    @property
-    def N(self) -> int:
-        return self.values.shape[-1]
-
     def constraint_residuals(self) -> tuple[float, float]:
         """(|mean|, |div| sup) — both vanish on the admissible space."""
         mean = float(np.max(np.abs(self.values.mean(axis=(1, 2)))))
@@ -74,12 +73,6 @@ class AlphaSolveError(RuntimeError):
     """Fixed point for the induced potential failed to contract."""
 
 
-def helmholtz_project(v: np.ndarray, grid: CellGrid) -> PeriodicVectorField:
-    """Project a periodic vector grid onto divergence-free mean-zero fields."""
-    return PeriodicVectorField(values=grid.helmholtz_project(np.asarray(v, dtype=float)),
-                               grid=grid)
-
-
 def normal_state(params: GLParams, basis: LandauBasis) -> GLState:
     coeffs = np.zeros((basis.K_lev + 1, basis.n), dtype=complex)
     psi = field_from_coeffs(basis, coeffs)
@@ -88,35 +81,52 @@ def normal_state(params: GLParams, basis: LandauBasis) -> GLState:
 
 
 # ----------------------------------------------------------------------
-# dealiased evaluations
+# the field kernel
 # ----------------------------------------------------------------------
-def _psi_grids(psi: QuasiPeriodicField, dealias: bool):
-    """(psi, D1 psi, D2 psi) sample arrays and their grid.
+@dataclass
+class _PsiSamples:
+    """psi, D1 psi and D2 psi (D = grad_{A0}) sampled on one grid."""
 
-    Coefficient-backed fields synthesize on the doubled grid when dealias is
-    requested.  Sample-only fields always evaluate on their native grid: a
-    quasi-periodic field has no global periodic quotient, so trigonometric
-    upsampling would be invalid.
-    """
+    psi: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    grid: CellGrid
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return np.abs(self.psi) ** 2
+
+    @cached_property
+    def j0(self) -> np.ndarray:
+        """Im(conj(psi) grad_{A0} psi), the source of the potential equation."""
+        return np.stack([np.imag(np.conj(self.psi) * self.d1),
+                         np.imag(np.conj(self.psi) * self.d2)])
+
+    def alpha_residual(self, alpha: np.ndarray) -> np.ndarray:
+        """(M + |psi|^2) alpha - j0 for alpha sampled on this grid."""
+        return self.grid.curl_star_curl(alpha) + self.rho[None] * alpha - self.j0
+
+    def alpha_residual_rms(self, alpha: np.ndarray) -> float:
+        r = self.alpha_residual(alpha)
+        return float(np.sqrt(np.mean(r[0] ** 2 + r[1] ** 2)))
+
+
+def _coeff_samples(basis: LandauBasis, coeffs: np.ndarray, dealias: bool) -> _PsiSamples:
+    """Samples of a coefficient field on the doubled (dealias) or working grid."""
+    return _PsiSamples(basis.synth(coeffs, dealias=dealias),
+                       basis.synth(basis.d1_coeffs(coeffs), dealias=dealias),
+                       basis.synth(basis.d2_coeffs(coeffs), dealias=dealias),
+                       basis.grid_d if dealias else basis.grid)
+
+
+def _samples(psi: QuasiPeriodicField, dealias: bool) -> _PsiSamples:
+    """Samples of any field.  Sample-only fields evaluate on their native grid:
+    a quasi-periodic field has no global periodic quotient, so trigonometric
+    upsampling would be invalid."""
     if psi.coeffs is not None and psi.basis is not None:
-        b = psi.basis
-        d = psi.coeffs
-        vals = b.synth(d, dealias=dealias)
-        d1 = b.synth(b.d1_coeffs(d), dealias=dealias)
-        d2 = b.synth(b.d2_coeffs(d), dealias=dealias)
-        grid = b.grid_d if dealias else b.grid
-        return vals, d1, d2, grid
-    g1, g2 = qp_derivatives(psi)
-    x1, x2 = psi.grid.x
-    d1 = g1 + 0.5j * psi.n * x2 * psi.values
-    d2 = g2 - 0.5j * psi.n * x1 * psi.values
-    return psi.values, d1, d2, psi.grid
-
-
-def supercurrent_grids(psi_vals, d1, d2) -> np.ndarray:
-    """Im(conj(psi) grad_{A0} psi) from sample arrays."""
-    return np.stack([np.imag(np.conj(psi_vals) * d1),
-                     np.imag(np.conj(psi_vals) * d2)])
+        return _coeff_samples(psi.basis, psi.coeffs, dealias)
+    d1, d2 = covariant_gradient_grid(psi)
+    return _PsiSamples(psi.values, d1, d2, psi.grid)
 
 
 def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
@@ -142,28 +152,17 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
 
 
 def solve_alpha(psi: QuasiPeriodicField, params: GLParams,
-                tol: float = 1e-13, return_dealiased: bool = False):
-    """Induced potential alpha(psi); mean-zero and divergence-free.
-
-    Returns the field on the working grid (or the doubled grid when
-    return_dealiased is set).
-    """
-    vals, d1, d2, grid2 = _psi_grids(psi, dealias=True)
-    j0 = supercurrent_grids(vals, d1, d2)
-    alpha2 = _alpha_fixed_point(grid2, j0, np.abs(vals) ** 2, None, tol)
-    if return_dealiased:
-        return alpha2, grid2
-    N = psi.N
-    down = np.stack([grid2.resample(alpha2[0], N), grid2.resample(alpha2[1], N)])
-    return PeriodicVectorField(values=down, grid=psi.grid)
+                tol: float = 1e-13) -> PeriodicVectorField:
+    """Induced potential alpha(psi) on the working grid; mean-zero and
+    divergence-free."""
+    ps = _samples(psi, dealias=True)
+    alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None, tol)
+    return PeriodicVectorField(values=ps.grid.resample(alpha2, psi.N), grid=psi.grid)
 
 
 def alpha_equation_residual(psi: QuasiPeriodicField, alpha: PeriodicVectorField) -> float:
     """l2 norm of (M + |psi|^2) alpha - Im(conj(psi) grad_{A0} psi)."""
-    vals, d1, d2, _ = _psi_grids(psi, dealias=False)
-    j0 = supercurrent_grids(vals, d1, d2)
-    r = alpha.grid.curl_star_curl(alpha.values) + np.abs(vals)[None] ** 2 * alpha.values - j0
-    return float(np.sqrt(np.mean(r[0] ** 2 + r[1] ** 2)))
+    return _samples(psi, dealias=False).alpha_residual_rms(alpha.values)
 
 
 def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
@@ -177,16 +176,19 @@ def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
     is solved there first (warm-started from alpha_start).  Returns the
     coefficients and the alpha2 used.
     """
-    vals = basis.synth(psi_coeffs, dealias=True)
-    d1 = basis.synth(basis.d1_coeffs(psi_coeffs), dealias=True)
-    d2 = basis.synth(basis.d2_coeffs(psi_coeffs), dealias=True)
+    ps = _coeff_samples(basis, psi_coeffs, dealias=True)
     if alpha2 is None:
-        alpha2 = _alpha_fixed_point(basis.grid_d, supercurrent_grids(vals, d1, d2),
-                                    np.abs(vals) ** 2, alpha_start, alpha_tol)
-    nl = (2j * (alpha2[0] * d1 + alpha2[1] * d2)
-          + (alpha2[0] ** 2 + alpha2[1] ** 2) * vals
-          + kappa**2 * np.abs(vals) ** 2 * vals)
+        alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, alpha_start, alpha_tol)
+    nl = (2j * (alpha2[0] * ps.d1 + alpha2[1] * ps.d2)
+          + (alpha2[0] ** 2 + alpha2[1] ** 2) * ps.psi
+          + kappa**2 * ps.rho * ps.psi)
     return basis.project(nl, dealias=True), alpha2
+
+
+def F_coeffs(basis: LandauBasis, coeffs: np.ndarray, lam: float,
+             ncoef: np.ndarray) -> np.ndarray:
+    """Landau coefficients of F = (L - lambda) psi + N, given those of N."""
+    return basis.landau_coeffs(coeffs) - lam * coeffs + ncoef
 
 
 def map_F(lam: float, psi: QuasiPeriodicField, kappa: float,
@@ -196,8 +198,8 @@ def map_F(lam: float, psi: QuasiPeriodicField, kappa: float,
         raise ValueError("map_F needs a Landau-coefficient field")
     basis = psi.basis
     ncoef, alpha2 = nonlinear_coeffs(basis, psi.coeffs, kappa, alpha_tol=alpha_tol)
-    lin = basis.landau_coeffs(psi.coeffs) - lam * psi.coeffs
-    return field_from_coeffs(basis, lin + ncoef), alpha2, basis.grid_d
+    F = F_coeffs(basis, psi.coeffs, lam, ncoef)
+    return field_from_coeffs(basis, F), alpha2, basis.grid_d
 
 
 def residuals(state: GLState) -> tuple[QuasiPeriodicField, np.ndarray]:
@@ -206,31 +208,22 @@ def residuals(state: GLState) -> tuple[QuasiPeriodicField, np.ndarray]:
     basis = psi.basis
     if basis is None or psi.coeffs is None:
         raise ValueError("residuals need a Landau-coefficient state")
-    grid2 = basis.grid_d
-    a2 = np.stack([alpha.grid.resample(alpha.values[0], grid2.N),
-                   alpha.grid.resample(alpha.values[1], grid2.N)])
+    a2 = alpha.grid.resample(alpha.values, basis.grid_d.N)
     ncoef, _ = nonlinear_coeffs(basis, psi.coeffs, p.kappa, alpha2=a2)
-    rpsi = field_from_coeffs(basis, basis.landau_coeffs(psi.coeffs)
-                             - p.lam * psi.coeffs + ncoef)
-    vals, d1, d2, _ = _psi_grids(psi, dealias=False)
-    j0 = supercurrent_grids(vals, d1, d2)
-    ralpha = (alpha.grid.curl_star_curl(alpha.values)
-              + np.abs(vals)[None] ** 2 * alpha.values - j0)
-    return rpsi, ralpha
+    rpsi = field_from_coeffs(basis, F_coeffs(basis, psi.coeffs, p.lam, ncoef))
+    return rpsi, _samples(psi, dealias=False).alpha_residual(alpha.values)
 
 
 def energy(state: GLState) -> float:
     """Average rescaled energy per cell."""
     psi, alpha, p = state.psi, state.alpha, state.params
-    vals, d1, d2, grid2 = _psi_grids(psi, dealias=True)
-    a2 = np.stack([alpha.grid.resample(alpha.values[0], grid2.N),
-                   alpha.grid.resample(alpha.values[1], grid2.N)])
-    cov1 = d1 - 1j * a2[0] * vals
-    cov2 = d2 - 1j * a2[1] * vals
-    curl_a = p.n + alpha.grid.curl(alpha.values)
-    curl2 = alpha.grid.resample(curl_a, grid2.N)
+    ps = _samples(psi, dealias=True)
+    a2 = alpha.grid.resample(alpha.values, ps.grid.N)
+    cov1 = ps.d1 - 1j * a2[0] * ps.psi
+    cov2 = ps.d2 - 1j * a2[1] * ps.psi
+    curl2 = alpha.grid.resample(p.n + alpha.grid.curl(alpha.values), ps.grid.N)
     dens = (np.abs(cov1) ** 2 + np.abs(cov2) ** 2 + curl2 ** 2
-            + 0.5 * p.kappa**2 * (np.abs(vals) ** 2 - p.lam / p.kappa**2) ** 2)
+            + 0.5 * p.kappa**2 * (ps.rho - p.lam / p.kappa**2) ** 2)
     return float(p.kappa**4 / p.lam**2 * np.mean(dens))
 
 
@@ -242,9 +235,8 @@ def flux(state: GLState) -> float:
 
 def supercurrent(state: GLState) -> np.ndarray:
     """J = Im(conj(psi) grad_a psi) on the working grid."""
-    vals, d1, d2, _ = _psi_grids(state.psi, dealias=False)
-    j0 = supercurrent_grids(vals, d1, d2)
-    return j0 - np.abs(vals)[None] ** 2 * state.alpha.values
+    ps = _samples(state.psi, dealias=False)
+    return ps.j0 - ps.rho[None] * state.alpha.values
 
 
 def gauge_transform_state(state: GLState, eta: np.ndarray) -> GLState:

@@ -135,7 +135,8 @@ class CellGeometry:
         object.__setattr__(self, "sigma", float(np.sqrt(self.n / self.b)))
         object.__setattr__(self, "r", self.sigma * self.r_tau)
         # flux quantization b * r^2 * tau2 = 2*pi*n holds by construction
-        assert abs(self.b * self.r**2 * self.shape.tau2 - 2 * np.pi * self.n) < 1e-9
+        if abs(self.b * self.r**2 * self.shape.tau2 - 2 * np.pi * self.n) >= 1e-9:
+            raise ValueError(f"cell flux is not 2*pi*{self.n} at b={self.b}")
 
     @property
     def t1(self) -> np.ndarray:
@@ -158,10 +159,6 @@ class CellGeometry:
     def m_phys(self) -> np.ndarray:
         """Unit square onto the physical (sigma-scaled) cell."""
         return self.sigma * self.m_tau
-
-    @property
-    def area_phys(self) -> float:
-        return self.sigma**2 * self.area
 
 
 def cell_geometry(shape: LatticeShape, n: int, b: float) -> CellGeometry:

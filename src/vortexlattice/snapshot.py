@@ -99,7 +99,8 @@ def load_state(path) -> GLState:
 
 def save_raw_state(path, raw, extra: dict | None = None) -> None:
     from .gauge import RawLatticeState  # local import to avoid a cycle
-    assert isinstance(raw, RawLatticeState)
+    if not isinstance(raw, RawLatticeState):
+        raise TypeError(f"save_raw_state needs a RawLatticeState, not {type(raw).__name__}")
     N = raw.N
     y1, y2 = _grid_columns(N)
     header = {"kind": "raw", "n": raw.n, "tau": [raw.shape.tau1, raw.shape.tau2],

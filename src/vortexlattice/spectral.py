@@ -163,19 +163,21 @@ class CellGrid:
     # resampling
     # ------------------------------------------------------------------
     def resample(self, f: np.ndarray, N_new: int) -> np.ndarray:
-        """Trigonometric up/down-sampling of a periodic grid function."""
+        """Trigonometric up/down-sampling of a periodic grid function; acts on
+        the last two axes, so (2, N, N) vector fields resample in one call."""
         if N_new == self.N:
             return f.copy()
-        fh = np.fft.fftshift(np.fft.fft2(f))
+        axes = (-2, -1)
+        fh = np.fft.fftshift(np.fft.fft2(f), axes=axes)
         N = self.N
         if N_new > N:
-            out = np.zeros((N_new, N_new), dtype=complex)
+            out = np.zeros((*f.shape[:-2], N_new, N_new), dtype=complex)
             lo = (N_new - N) // 2
-            out[lo:lo + N, lo:lo + N] = fh
+            out[..., lo:lo + N, lo:lo + N] = fh
         else:
             lo = (N - N_new) // 2
-            out = fh[lo:lo + N_new, lo:lo + N_new].copy()
-        out = np.fft.ifft2(np.fft.ifftshift(out)) * (N_new / N) ** 2
+            out = fh[..., lo:lo + N_new, lo:lo + N_new].copy()
+        out = np.fft.ifft2(np.fft.ifftshift(out, axes=axes)) * (N_new / N) ** 2
         return out.real if np.isrealobj(f) else out
 
     def shift(self, f: np.ndarray, dy: tuple[float, float]) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,18 @@ def test_field_points_are_gamma1_roots(shape_tri, setup_tri):
     pt = bif.branch_by_field(0.102, kappa, shape, setup=setup)
     g, _ = bif.gamma1(0.1 / 0.102, pt.s, setup, kappa)
     assert abs(g) <= 1e-11
+
+
+def test_branch_by_field_unreachable_target_is_reported():
+    # b = 0.15 lies far past the tau = 8i branch (kappa^2 = 0.1): the
+    # P-equation ratio for s turns negative, which must stop the solve with
+    # the target named, before any NaN reaches the alpha fixed point
+    shape, _ = normalize_tau(8j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeError, match=r"b=0\.15 ") as exc:
+            bif.branch_by_field(0.15, np.sqrt(0.1), shape, N=64, K_lev=40)
+    assert not isinstance(exc.value, glcore.AlphaSolveError)
 
 
 def test_branch_by_field_far_target(shape_square, monkeypatch):

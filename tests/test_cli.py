@@ -43,6 +43,8 @@ def test_beta_parallel_jobs_match(tmp_path):
     r1 = np.loadtxt((o1 / "beta_scan.csv").open(), delimiter=",", skiprows=2)
     r2 = np.loadtxt((o2 / "beta_scan.csv").open(), delimiter=",", skiprows=2)
     assert np.array_equal(r1, r2)
+    # outdir and jobs are execution-only: same header and config hash
+    assert (o1 / "beta_scan.csv").read_bytes() == (o2 / "beta_scan.csv").read_bytes()
 
 
 def test_critical_points_command(tmp_path):

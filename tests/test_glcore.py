@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from vortexlattice import bifurcation, glcore, landau
-from vortexlattice.glcore import (GLParams, GLState, alpha_equation_residual,
-                                  energy, flux, gauge_transform_state,
-                                  helmholtz_project, map_F, normal_state,
+from vortexlattice.glcore import (GLParams, GLState, PeriodicVectorField,
+                                  alpha_equation_residual, energy, flux,
+                                  gauge_transform_state, map_F, normal_state,
                                   residuals, solve_alpha, supercurrent)
 from vortexlattice.landau import field_from_coeffs, get_basis, inner_avg, norm_avg
 from vortexlattice.spectral import CellGrid
@@ -67,16 +67,16 @@ def test_branch_energy_matches_leading_order(branch_state):
 
 
 # ----------------------------------------------------------------------
-# helmholtz projection (thin wrapper; core identities in test_spectral)
+# helmholtz projection (core identities in test_spectral)
 # ----------------------------------------------------------------------
 def test_helmholtz_wrapper(basis_sq, rng):
     grid = basis_sq.grid
     y1, y2 = grid.y
     v = np.stack([np.sin(2 * np.pi * y1), np.cos(2 * np.pi * (y1 + y2))])
-    p = helmholtz_project(v, grid)
+    p = PeriodicVectorField(grid.helmholtz_project(v), grid)
     mean_r, div_r = p.constraint_residuals()
     assert mean_r < 1e-14 and div_r < 1e-11
-    p2 = helmholtz_project(p.values, grid)
+    p2 = PeriodicVectorField(grid.helmholtz_project(p.values), grid)
     assert np.max(np.abs(p2.values - p.values)) < 1e-12
 
 
@@ -209,6 +209,19 @@ def test_curlstar_curl_is_neg_laplacian_on_constraint_space(basis_sq, rng):
 
 def test_M_strictly_positive(basis_sq):
     assert basis_sq.grid.min_nonzero_gsq > 0.5
+
+
+def test_kernel_ladder_and_sample_routes_agree(branch_state):
+    # D psi from the ladder algebra (coefficient field) against the
+    # qp_derivatives grid route (the same samples without coefficients)
+    st = branch_state
+    ps = st.psi.copy_with(coeffs=None, basis=None)
+    J_ladder = supercurrent(st)
+    J_grid = supercurrent(GLState(ps, st.alpha, st.params))
+    assert np.max(np.abs(J_grid - J_ladder)) <= 1e-12
+    r_ladder = alpha_equation_residual(st.psi, st.alpha)
+    r_grid = alpha_equation_residual(ps, st.alpha)
+    assert abs(r_grid - r_ladder) <= 1e-12
 
 
 def test_gauge_invariance_of_observables(branch_state, rng):

@@ -43,6 +43,11 @@ def test_raw_state_round_trip(tmp_path, state):
     assert back.r == pytest.approx(raw.r)
 
 
+def test_save_raw_state_rejects_gl_state(tmp_path, state):
+    with pytest.raises(TypeError):
+        snapshot.save_raw_state(tmp_path / "raw.csv", state)
+
+
 def test_snapshot_headers(tmp_path, state):
     path = tmp_path / "state.csv"
     snapshot.save_state(path, state, extra={"note": 1})

@@ -90,6 +90,10 @@ def test_resample_round_trip(grid, rng):
     fine = CellGrid(grid.m, 96)
     back = fine.resample(up, 48)
     assert np.max(np.abs(back - f)) < 1e-12
+    # a (2, N, N) vector field resamples componentwise, both directions
+    v = np.stack([f, np.roll(f, 7, axis=1)])
+    for g, w, n in ((grid, v, 96), (fine, grid.resample(v, 96), 48)):
+        assert np.array_equal(g.resample(w, n), np.stack([g.resample(c, n) for c in w]))
 
 
 def test_shift_matches_analytic(grid):
