@@ -1,9 +1,10 @@
 """Vortex-lattice solutions of the 2-D Ginzburg-Landau equations."""
 
 from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, CellGeometry, LatticeShape,
-                      ModularMap, cell_geometry, normalize_tau, rescale_state)
+                      ModularMap, SolverError, cell_geometry, normalize_tau,
+                      rescale_state)
 from .landau import (LandauBasis, QuasiPeriodicField, ThetaCoeffs, cell_average,
-                     covariant_gradient, get_basis, ladder_apply, landau_apply,
+                     covariant_gradient, ladder_apply, landau_apply,
                      quasi_periodicity_residual, theta_null_basis)
 from .glcore import (GLParams, GLState, PeriodicVectorField, energy, flux,
                      map_F, residuals, solve_alpha, supercurrent)

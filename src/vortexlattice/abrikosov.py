@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landau import get_basis
-from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, LatticeShape,
+from .landau import LandauBasis
+from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, LatticeShape, SolverError,
                       fundamental_domain_grid, normalize_tau)
 
 
@@ -49,14 +49,14 @@ def beta_lattice_sum(shape: LatticeShape, cutoff: int | None = None) -> BetaResu
     total = float(np.exp(-np.pi * q).sum())
     shell = float(np.exp(-np.pi * q[np.maximum(np.abs(m), np.abs(k)) == R]).sum())
     if shell >= 1e-14 * total:
-        raise RuntimeError(f"lattice sum cutoff R={R} too small (last shell {shell:.3e})")
+        raise SolverError(f"lattice sum cutoff R={R} too small (last shell {shell:.3e})")
     return BetaResult(tau=tau, beta=total, method="lattice_sum", K=R, N=0)
 
 
 def beta_quadrature(shape: LatticeShape, N: int = 64) -> BetaResult:
     """Quartic-to-quadratic average ratio of the lowest-level theta function,
     by spectrally accurate quadrature (n = 1; scale invariant)."""
-    basis = get_basis(1, shape, N, K_lev=0)
+    basis = LandauBasis(1, shape, N, K_lev=0)
     a2 = np.abs(basis.phi[0, 0]) ** 2
     val = float(np.mean(a2**2) / np.mean(a2) ** 2)
     return BetaResult(tau=complex(shape.tau), beta=val, method="quadrature",
@@ -313,7 +313,7 @@ def minimize_Eb_numeric(kappa: float, b: float, N: int = 96, K_lev: int = 40,
     floor, so for mu >= 0.05 the returned tau is resolved to better than
     1e-8.
     """
-    from .bifurcation import branch_by_field, build_reduction
+    from .bifurcation import branch_by_field
 
     cache: dict[tuple[float, float], float] = {}
 
@@ -321,9 +321,7 @@ def minimize_Eb_numeric(kappa: float, b: float, N: int = 96, K_lev: int = 40,
         key = (round(tau.real, 12), round(tau.imag, 12))
         if key not in cache:
             shape, _ = normalize_tau(tau)
-            setup = build_reduction(shape, N, K_lev)
-            pt = branch_by_field(b, kappa, shape, N=N, K_lev=K_lev, setup=setup)
-            cache[key] = pt.energy
+            cache[key] = branch_by_field(b, kappa, shape, N=N, K_lev=K_lev).energy
         return cache[key]
 
     pts = fundamental_domain_grid(*coarse, tau2_max=tau2_max)

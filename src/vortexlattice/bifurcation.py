@@ -24,9 +24,8 @@ from scipy import optimize
 
 from .glcore import (F_coeffs, GLParams, GLState, PeriodicVectorField,
                      _coeff_samples, energy, nonlinear_coeffs)
-from .landau import (LandauBasis, QuasiPeriodicField, field_from_coeffs,
-                     get_basis)
-from .lattice import LatticeShape
+from .landau import LandauBasis, QuasiPeriodicField, field_from_coeffs
+from .lattice import LatticeShape, SolverError
 
 S_MAX_DEFAULT = 0.3
 
@@ -63,7 +62,7 @@ def build_reduction(shape: LatticeShape, N: int, K_lev: int = 40,
                     n: int = 1) -> ReductionSetup:
     if n != 1:
         raise NotImplementedError("the scalar bifurcation equation is n = 1 only")
-    basis = get_basis(1, shape, N, K_lev)
+    basis = LandauBasis(1, shape, N, K_lev)
     c = np.zeros((K_lev + 1, 1), dtype=complex)
     c[0, 0] = 1.0
     return ReductionSetup(basis=basis, psi0=field_from_coeffs(basis, c))
@@ -115,9 +114,9 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         if _unknown == "s":
             ratio = (lc - 1.0) / n1
             if not ratio > 0:
-                raise RuntimeError(f"field target b={kappa**2 / lc:.6g} not reached: "
-                                   f"P-equation ratio (lambda_t - 1)/(Re<psi0, N>/s) = "
-                                   f"{ratio:.3e} <= 0 at s={sc:.6g}, lambda_t={lc:.6g}")
+                raise SolverError(f"field target b={kappa**2 / lc:.6g} not reached: "
+                                  f"P-equation ratio (lambda_t - 1)/(Re<psi0, N>/s) = "
+                                  f"{ratio:.3e} <= 0 at s={sc:.6g}, lambda_t={lc:.6g}")
             return sc * np.sqrt(ratio), lc
         return sc, lc
 
@@ -154,8 +153,8 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         if it > 10 and contraction > 0.9:
             break
     else:
-        raise RuntimeError(f"w fixed point did not converge (last step {last_delta:.2e}); "
-                           "reduce s or damp")
+        raise SolverError(f"w fixed point did not converge (last step {last_delta:.2e}); "
+                          "reduce s or damp")
     w, s, lam = _solve_w_newton(lam, s, tol, w, sweep, _unknown)
     return finish(w, s, lam, None, -1, np.nan)
 
@@ -190,7 +189,7 @@ def _solve_w_newton(lam, s, tol, w0, sweep, unknown):
     sol = optimize.root(residual, x0, method="krylov",
                         options={"fatol": tol * max(abs(s), 1e-6), "maxiter": 60})
     if not sol.success:
-        raise RuntimeError(f"Newton fallback failed: {sol.message}")
+        raise SolverError(f"Newton fallback failed: {sol.message}")
     return unpack(sol.x)
 
 
@@ -222,12 +221,11 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    """Family (s, lambda_s, psi_s, alpha_s) emanating from the normal state."""
+    """Family (s, lambda_s, psi_s, alpha_s) emanating from the normal state,
+    with the basis it was solved on."""
 
     kappa: float
-    shape: LatticeShape
-    N: int
-    K_lev: int
+    basis: LandauBasis
     beta: float
     points: list[BranchPoint] = field(default_factory=list)
     extrapolated: bool = False
@@ -287,8 +285,7 @@ def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int = 96,
         setup = build_reduction(shape, N, K_lev)
     beta = setup.beta()
     c_apriori = (kappa**2 - 0.5) * beta + 0.5
-    branch = Branch(kappa=kappa, shape=shape, N=setup.basis.N,
-                    K_lev=setup.basis.K_lev, beta=beta)
+    branch = Branch(kappa=kappa, basis=setup.basis, beta=beta)
     warm = None
     for s in np.sort(np.atleast_1d(np.asarray(s_grid, dtype=float))):
         if s == 0:
@@ -302,8 +299,8 @@ def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int = 96,
                 else 1.0 + (warm.lam - 1.0) * (s / warm.s) ** 2)
         wres = solve_w(lam0, s, setup, kappa, tol=tol, warm=warm, _unknown="lam")
         if (wres.lam - 1.0) * c_apriori <= 0:
-            raise RuntimeError("branch emerged on the side excluded by the "
-                               "sign condition; solver inconsistency")
+            raise SolverError("branch emerged on the side excluded by the "
+                              "sign condition; solver inconsistency")
         branch.points.append(_finish_point(wres, setup, kappa))
         warm = wres
     return branch
@@ -364,9 +361,10 @@ class ExpansionReport:
         return d
 
 
-def fit_expansion(branch: Branch, kappa: float, shape: LatticeShape) -> ExpansionReport:
+def fit_expansion(branch: Branch) -> ExpansionReport:
     """Quadratic-in-s^2 fits of lambda_s and E(s) against the leading-order
     formulas; uses the 5 smallest nonzero s."""
+    kappa, basis = branch.kappa, branch.basis
     pts = [p for p in branch.points if p.s > 0]
     if len(pts) < 5:
         raise ValueError("need at least 5 nonzero branch points to fit")
@@ -386,7 +384,6 @@ def fit_expansion(branch: Branch, kappa: float, shape: LatticeShape) -> Expansio
 
     # second-order potential from the smallest-s point
     p0 = pts[0]
-    basis = get_basis(1, shape, branch.N, branch.K_lev)
     curl_a1 = basis.grid.curl(p0.alpha.values) / p0.s**2
     psi0 = basis.phi[0, 0]
     curl_err = float(np.max(np.abs(curl_a1 - 0.5 * (1.0 - np.abs(psi0) ** 2))))
@@ -406,7 +403,7 @@ def fit_expansion(branch: Branch, kappa: float, shape: LatticeShape) -> Expansio
     sl_target = 1.0 / (kappa**2 * target)
 
     return ExpansionReport(
-        kappa=kappa, tau=complex(shape.tau), N=branch.N, K_lev=branch.K_lev,
+        kappa=kappa, tau=complex(basis.shape.tau), N=basis.N, K_lev=basis.K_lev,
         beta_used=beta, g_lambda_prime0=fit_c, g_lambda_prime0_target=float(target),
         g_lambda_prime0_err=abs(fit_c - target), lambda1=fit_c,
         fit_cov=[[float(c) for c in row] for row in cov],

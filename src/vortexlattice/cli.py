@@ -8,8 +8,9 @@ provenance header (config hash and truncations) and 17-significant-digit
 CSV, so identical configs reproduce byte-identical outputs.
 
 Exit codes: 0 success (verify failures are data, not errors), 2 invalid
-configuration, 3 solver failure (partial results flushed with a failure
-marker).
+configuration, 3 solver failure or refusal (SolverError, ValueError or
+ZeroDivisionError; partial results flushed with a failure marker).  Any
+other exception is a programming error and propagates.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import abrikosov, bifurcation, gauge, landau, snapshot
-from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, fundamental_domain_grid,
-                      normalize_tau)
+from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, SolverError,
+                      fundamental_domain_grid, normalize_tau)
 
 FMT = "%.17g"
 
@@ -174,7 +175,7 @@ def cmd_branch(args) -> int:
               ["s", "lambda", "b", "energy", "residual_psi", "residual_alpha",
                "max_curl_a", "min_abs_psi"], np.array(rows),
               {"extrapolated_regime": branch.extrapolated})
-    report = bifurcation.fit_expansion(branch, kappa, shape)
+    report = bifurcation.fit_expansion(branch)
     json_path = out_path(cfg, cfg["prefix"] + "_expansion.json")
     write_json(json_path, cfg, report.to_dict())
     print(f"wrote {csv_path} and {json_path}")
@@ -317,7 +318,7 @@ def verify_asymptotics(cfg) -> list[dict]:
     s_grid = np.linspace(0.02, 0.1, 5)
     branch = bifurcation.solve_branch(s_grid, kappa, shape, N=cfg["N"],
                                       K_lev=cfg["K_lev"])
-    rep = bifurcation.fit_expansion(branch, kappa, shape)
+    rep = bifurcation.fit_expansion(branch)
     rel = rep.g_lambda_prime0_err / rep.g_lambda_prime0_target
     return [_verdict("d(lambda)/d(s^2) vs ((kappa^2-1/2) beta + 1/2)", rel, 1e-3),
             _verdict("curl a1 pointwise vs (1-|psi0|^2)/2", rep.curl_a1_sup_err, 1e-4)]
@@ -421,7 +422,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # solver failure: flush a marker and signal 3
+    except (SolverError, ValueError, ZeroDivisionError) as exc:  # flush a marker, exit 3
         marker = {"status": "failed", "command": args.command, "error": str(exc)}
         root = getattr(args, "outdir", None) or os.environ.get("VORTEXLATTICE_OUT", ".")
         try:

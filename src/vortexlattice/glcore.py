@@ -22,6 +22,7 @@ import numpy as np
 
 from .landau import (LandauBasis, QuasiPeriodicField, covariant_gradient_grid,
                      field_from_coeffs)
+from .lattice import SolverError
 from .spectral import CellGrid
 
 
@@ -69,7 +70,7 @@ class GLState:
     params: GLParams
 
 
-class AlphaSolveError(RuntimeError):
+class AlphaSolveError(SolverError):
     """Fixed point for the induced potential failed to contract."""
 
 
@@ -182,7 +183,7 @@ def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
     nl = (2j * (alpha2[0] * ps.d1 + alpha2[1] * ps.d2)
           + (alpha2[0] ** 2 + alpha2[1] ** 2) * ps.psi
           + kappa**2 * ps.rho * ps.psi)
-    return basis.project(nl, dealias=True), alpha2
+    return basis.project(nl), alpha2
 
 
 def F_coeffs(basis: LandauBasis, coeffs: np.ndarray, lam: float,

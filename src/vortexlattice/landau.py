@@ -126,9 +126,10 @@ class LadderTerm:
 class LandauBasis:
     """Orthonormal Landau-level tables on the normalized cell.
 
-    Levels 0..K_lev for each of the n lowest-level families, sampled on the
-    working N-grid and on a 2N dealiasing grid, orthonormal in the
-    cell-averaged inner product (so <|psi_0|^2> = 1 for each family).
+    Levels 0..K_lev for each of the n lowest-level families, sampled once on
+    the 2N dealiasing grid (phi_d); the working N-grid table phi is its view
+    at every other point.  Orthonormal in the cell-averaged inner product
+    (so <|psi_0|^2> = 1 for each family).
     """
 
     def __init__(self, n: int, shape: LatticeShape, N: int, K_lev: int = 32):
@@ -158,8 +159,9 @@ class LandauBasis:
         self.theta = ThetaCoeffs(c=np.ones(n, dtype=complex), K=max(abs(m_lo), m_hi),
                                  nu=self.nu, n=n, tau=complex(shape.tau))
 
-        raw = self._build_tables(self.grid)
-        raw_d = self._build_tables(self.grid_d)
+        # one table on the 2N grid; point i of the N grid is point 2i there
+        raw_d = self._evaluate_raw(*self.grid_d.x)
+        raw = raw_d[..., ::2, ::2]
 
         # orthonormalize the n seed families (cell-averaged Gram, Cholesky mix)
         gram = np.empty((n, n), dtype=complex)
@@ -168,15 +170,11 @@ class LandauBasis:
                 gram[i, j] = inner_avg(raw[0, i], raw[0, j])
         W = np.linalg.inv(np.linalg.cholesky(gram))
         self._mix = W
-        self.phi = np.einsum("ij,kjxy->kixy", W, raw)
         self.phi_d = np.einsum("ij,kjxy->kixy", W, raw_d)
+        self.phi = self.phi_d[..., ::2, ::2]
         self.levels = np.arange(self.K_lev + 1)
 
     # ------------------------------------------------------------------
-    def _build_tables(self, grid: CellGrid) -> np.ndarray:
-        x1, x2 = grid.x
-        return self._evaluate_raw(x1, x2)
-
     def _evaluate_raw(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Un-mixed tables u[k, j] at arbitrary points (stable at any level)."""
         n, nu, tau1 = self.n, self.nu, self.shape.tau1
@@ -207,9 +205,9 @@ class LandauBasis:
         tab = self.phi_d if dealias else self.phi
         return np.tensordot(coeffs, tab, axes=([0, 1], [0, 1]))
 
-    def project(self, values: np.ndarray, dealias: bool = False) -> np.ndarray:
-        tab = self.phi_d if dealias else self.phi
-        return np.einsum("kjxy,xy->kj", np.conj(tab), values) / values.size
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Landau coefficients of values sampled on the doubled grid."""
+        return np.einsum("kjxy,xy->kj", np.conj(self.phi_d), values) / values.size
 
     # ------------------------------------------------------------------
     # exact ladder actions on coefficient tables (shape (K_lev+1, n))
@@ -243,18 +241,6 @@ class LandauBasis:
 
     def d2_coeffs(self, d: np.ndarray) -> np.ndarray:
         return (self.lower_coeffs(d) + self.raise_coeffs(d)) / 2j
-
-
-_BASIS_CACHE: dict[tuple, LandauBasis] = {}
-
-
-def get_basis(n: int, shape: LatticeShape, N: int, K_lev: int = 32) -> LandauBasis:
-    key = (n, round(shape.tau1, 14), round(shape.tau2, 14), N, K_lev)
-    if key not in _BASIS_CACHE:
-        if len(_BASIS_CACHE) > 24:
-            _BASIS_CACHE.clear()
-        _BASIS_CACHE[key] = LandauBasis(n, shape, N, K_lev)
-    return _BASIS_CACHE[key]
 
 
 # ----------------------------------------------------------------------
@@ -295,16 +281,12 @@ def field_from_coeffs(basis: LandauBasis, coeffs: np.ndarray) -> QuasiPeriodicFi
                               coeffs=np.asarray(coeffs, dtype=complex), basis=basis)
 
 
-def theta_null_basis(n: int, shape: LatticeShape, N: int,
-                     K: int | None = None) -> list[QuasiPeriodicField]:
+def theta_null_basis(n: int, shape: LatticeShape, N: int) -> list[QuasiPeriodicField]:
     """The n orthonormal lowest-level fields, <|psi|^2> = 1 each.
 
-    K overrides the automatic theta truncation check (it never loosens it).
     Fields carry a small ladder headroom so creation operators act exactly.
     """
-    basis = get_basis(n, shape, N, K_lev=4)
-    if K is not None and N < 4 * K:
-        raise ValueError("N must be at least 4K")
+    basis = LandauBasis(n, shape, N, K_lev=4)
     out = []
     for j in range(n):
         c = np.zeros((basis.K_lev + 1, n), dtype=complex)
@@ -499,5 +481,7 @@ def fd_spectrum(n: int, N: int, k_eigs: int | None = None) -> np.ndarray:
     if k_eigs is None:
         k_eigs = 4 * n + 2
     L = magnetic_laplacian_fd(n, N)
-    vals = spla.eigsh(L, k=k_eigs, sigma=0.0, which="LM", return_eigenvectors=False)
+    v0 = np.random.default_rng(0).standard_normal(L.shape[0])  # fixed ARPACK start
+    vals = spla.eigsh(L, k=k_eigs, sigma=0.0, which="LM", v0=v0,
+                      return_eigenvectors=False)
     return np.sort(vals)

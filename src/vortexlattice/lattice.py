@@ -26,7 +26,11 @@ _BOUNDARY_TOL = 1e-12
 _MOVE_BUDGET = 10_000
 
 
-class LatticeReductionError(RuntimeError):
+class SolverError(RuntimeError):
+    """A numerical solve failed to converge or to reach its target (CLI exit 3)."""
+
+
+class LatticeReductionError(SolverError):
     """Gauss reduction failed to converge within the move budget."""
 
 

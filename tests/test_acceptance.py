@@ -12,7 +12,7 @@ import pytest
 from vortexlattice import abrikosov as abr
 from vortexlattice import bifurcation as bif
 from vortexlattice import gauge, glcore, landau
-from vortexlattice.landau import (field_from_coeffs, get_basis, norm_avg,
+from vortexlattice.landau import (field_from_coeffs, norm_avg,
                                   quasi_periodicity_residual, theta_null_basis)
 from vortexlattice.lattice import (TAU_TRIANGULAR, fundamental_domain_grid,
                                    normalize_tau)
@@ -122,10 +122,9 @@ def test_criterion_03_spectrum(shape_sq, shape_tr):
     assert resid < 1e-10
 
 
-def test_criterion_04_bifurcation_coefficient(branch_sq_128, branch_tr_128,
-                                              shape_sq, shape_tr):
-    rep_sq = bif.fit_expansion(branch_sq_128, KAPPA, shape_sq)
-    rep_tr = bif.fit_expansion(branch_tr_128, KAPPA, shape_tr)
+def test_criterion_04_bifurcation_coefficient(branch_sq_128, branch_tr_128):
+    rep_sq = bif.fit_expansion(branch_sq_128)
+    rep_tr = bif.fit_expansion(branch_tr_128)
     rel_sq = abs(rep_sq.g_lambda_prime0 - 2.2705109) / 2.2705109
     rel_tr = abs(rep_tr.g_lambda_prime0 - 2.2393930) / 2.2393930
     ok = rel_sq < 1e-3 and rel_tr < 1e-3

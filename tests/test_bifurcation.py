@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -281,17 +283,17 @@ def test_effective_energy_stationary_on_branch(shape_square, setup_sq):
 # ----------------------------------------------------------------------
 # expansion fits
 # ----------------------------------------------------------------------
-def test_fit_expansion_coefficient(branch_sq, shape_square):
-    rep = bif.fit_expansion(branch_sq, KAPPA, shape_square)
+def test_fit_expansion_coefficient(branch_sq):
+    rep = bif.fit_expansion(branch_sq)
     assert rep.g_lambda_prime0_target == pytest.approx(2.2705109, abs=1e-6)
     assert rep.g_lambda_prime0_err / rep.g_lambda_prime0_target < 1e-3
     assert rep.curl_a1_sup_err < 1e-4
     assert rep.energy_slope >= 5.7
 
 
-def test_three_routes_agree(branch_sq, shape_square):
+def test_three_routes_agree(branch_sq):
     # (a) lambda_s fit, (b) formula with measured beta, (c) s^2 vs mu slope
-    rep = bif.fit_expansion(branch_sq, KAPPA, shape_square)
+    rep = bif.fit_expansion(branch_sq)
     c_fit = rep.g_lambda_prime0
     c_formula = (KAPPA**2 - 0.5) * branch_sq.beta + 0.5
     c_slope = 1.0 / (KAPPA**2 * rep.eps_of_b_slope)
@@ -309,8 +311,28 @@ def test_K_lev_convergence(shape_square):
     assert np.max(np.abs(cs[0] - cs[1])) < 1e-8
 
 
-def test_expansion_report_serializable(branch_sq, shape_square):
+def test_branch_builds_and_owns_one_basis(shape_square, monkeypatch):
+    # build -> solve -> fit constructs one basis; the branch holds it and
+    # nothing keeps it alive after the branch is dropped
+    built = []
+    init = landau.LandauBasis.__init__
+    monkeypatch.setattr(landau.LandauBasis, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    setup = bif.build_reduction(shape_square, N=48, K_lev=24)
+    branch = bif.solve_branch([0.02, 0.04, 0.06, 0.08, 0.1], KAPPA, shape_square,
+                              setup=setup)
+    assert branch.basis is setup.basis
+    rep = bif.fit_expansion(branch)
+    assert len(built) == 1
+    ref = weakref.ref(setup.basis)
+    del setup, branch
+    gc.collect()
+    assert ref() is None
+    assert rep.N == 48
+
+
+def test_expansion_report_serializable(branch_sq):
     import json
-    rep = bif.fit_expansion(branch_sq, KAPPA, shape_square)
+    rep = bif.fit_expansion(branch_sq)
     text = json.dumps(rep.to_dict())
     assert "cell-averaged" in text

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vortexlattice import bifurcation as bif, cli, gauge, glcore, landau, snapshot
+from vortexlattice.lattice import LatticeReductionError
 
 
 def run(argv):
@@ -137,3 +138,23 @@ def test_solver_failure_exit_code(tmp_path):
     assert rc == 3
     marker = json.loads((tmp_path / "FAILED.json").read_text())
     assert marker["status"] == "failed"
+
+
+@pytest.mark.parametrize("exc", [glcore.AlphaSolveError, LatticeReductionError,
+                                 ZeroDivisionError])
+def test_typed_solver_failures_exit_3(tmp_path, monkeypatch, exc):
+    def fail(*a, **kw):
+        raise exc("injected")
+    monkeypatch.setattr(bif, "solve_branch", fail)
+    assert run(["branch", "--outdir", str(tmp_path)]) == 3
+    assert json.loads((tmp_path / "FAILED.json").read_text())["error"] == "injected"
+
+
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    # a bug is not a solver failure: no exit 3 and no failure marker
+    def fail(*a, **kw):
+        raise TypeError("bug")
+    monkeypatch.setattr(bif, "solve_branch", fail)
+    with pytest.raises(TypeError, match="bug"):
+        run(["branch", "--outdir", str(tmp_path)])
+    assert not (tmp_path / "FAILED.json").exists()

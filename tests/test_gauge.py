@@ -214,7 +214,7 @@ def test_fix_gauge_curl_free_difference(raw_branch, rng):
 
 def test_fix_gauge_zero_multiple_vortices(shape_square):
     # n = 2 state: flux 4 pi, quantization check passes, constraints hold
-    basis = landau.get_basis(2, shape_square, 48, K_lev=4)
+    basis = landau.LandauBasis(2, shape_square, 48, K_lev=4)
     psi0 = landau.theta_null_basis(2, shape_square, 48)[0]
     from vortexlattice.lattice import cell_geometry
     geom = cell_geometry(shape_square, 2, 2.0)

@@ -6,13 +6,13 @@ from vortexlattice.glcore import (GLParams, GLState, PeriodicVectorField,
                                   alpha_equation_residual, energy, flux,
                                   gauge_transform_state, map_F, normal_state,
                                   residuals, solve_alpha, supercurrent)
-from vortexlattice.landau import field_from_coeffs, get_basis, inner_avg, norm_avg
+from vortexlattice.landau import LandauBasis, field_from_coeffs, inner_avg, norm_avg
 from vortexlattice.spectral import CellGrid
 
 
 @pytest.fixture(scope="module")
 def basis_sq(shape_square):
-    return get_basis(1, shape_square, 64, K_lev=16)
+    return LandauBasis(1, shape_square, 64, K_lev=16)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,7 @@ def test_residuals_theta_state(basis_sq):
                  GLParams(kappa, 1, 1.0))
     rpsi, ralpha = residuals(st)
     cubic = basis_sq.project(kappa**2 * np.abs(basis_sq.phi_d[0, 0]) ** 2
-                             * basis_sq.phi_d[0, 0], dealias=True)
+                             * basis_sq.phi_d[0, 0])
     assert np.max(np.abs(rpsi.coeffs - cubic)) < 1e-12
     D1, D2 = landau.covariant_gradient(psi)
     j0 = np.stack([np.imag(np.conj(psi.values) * D1.values),
@@ -177,7 +177,7 @@ def test_flux_with_alpha(branch_state):
 
 
 def test_flux_multiquantum(shape_square):
-    basis3 = get_basis(3, shape_square, 48, K_lev=2)
+    basis3 = LandauBasis(3, shape_square, 48, K_lev=2)
     st = normal_state(GLParams(1.0, 3, 3.0), basis3)
     assert flux(st) == pytest.approx(6 * np.pi, abs=1e-12)
 

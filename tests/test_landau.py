@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexlattice import landau
-from vortexlattice.landau import (LadderTerm, cell_average, covariant_gradient,
-                                  covariant_gradient_grid, field_from_coeffs,
-                                  get_basis, inner_avg, ladder_apply,
+from vortexlattice.landau import (LadderTerm, LandauBasis, cell_average,
+                                  covariant_gradient, covariant_gradient_grid,
+                                  field_from_coeffs, inner_avg, ladder_apply,
                                   landau_apply, magnetic_shift, norm_avg,
                                   qp_derivatives, quasi_periodicity_residual,
                                   theta_null_basis)
@@ -55,7 +55,7 @@ def test_theta_basis_n2_gram(shape_square):
 
 
 def test_theta_coeff_recursion(shape_generic):
-    basis = get_basis(1, shape_generic, 64, K_lev=0)
+    basis = LandauBasis(1, shape_generic, 64, K_lev=0)
     th = basis.theta
     for k in (-3, 0, 2, 5):
         lhs = th.extended(k + th.n)
@@ -75,12 +75,12 @@ def test_grid_refinement_converged(shape_tri):
 def test_basis_rejects_extreme_shapes():
     shape, _ = normalize_tau(25j)
     with pytest.raises(ValueError):
-        get_basis(1, shape, 64, K_lev=0)
+        LandauBasis(1, shape, 64, K_lev=0)
 
 
 def test_basis_rejects_coarse_grid(shape_square):
     with pytest.raises(ValueError):
-        get_basis(1, shape_square, 8, K_lev=0)
+        LandauBasis(1, shape_square, 8, K_lev=0)
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_raise_norm_factor(shape_generic):
 
 @pytest.mark.parametrize("k", [0, 2, 7])
 def test_ladder_coefficient_identities(shape_square, k):
-    basis = get_basis(1, shape_square, 48, K_lev=12)
+    basis = LandauBasis(1, shape_square, 48, K_lev=12)
     d = np.zeros((13, 1), complex)
     d[k, 0] = 1.0
     n = 1
@@ -118,7 +118,7 @@ def test_ladder_coefficient_identities(shape_square, k):
 
 
 def test_ladder_adjointness(shape_generic, rng):
-    basis = get_basis(1, shape_generic, 64, K_lev=12)
+    basis = LandauBasis(1, shape_generic, 64, K_lev=12)
     f = random_field(basis, rng)
     g = random_field(basis, rng)
     lhs = inner_avg(basis.synth(basis.lower_coeffs(f.coeffs)), g.values)
@@ -129,7 +129,7 @@ def test_ladder_adjointness(shape_generic, rng):
 def test_explicit_raise_operator_matches_grid(shape_generic):
     # -d1 + i d2 + (n/2)(x1 - i x2) applied through independent spectral
     # derivatives reproduces the ladder action with factor sqrt(2n(k+1))
-    basis = get_basis(1, shape_generic, 64, K_lev=12)
+    basis = LandauBasis(1, shape_generic, 64, K_lev=12)
     for k in (0, 4):
         d = np.zeros((13, 1), complex)
         d[k, 0] = 1.0
@@ -143,7 +143,7 @@ def test_explicit_raise_operator_matches_grid(shape_generic):
 def test_landau_apply_spectrum(shape_square):
     psi0 = theta_null_basis(1, shape_square, N=48)[0]
     assert np.max(np.abs(landau_apply(psi0).values - psi0.values)) < 1e-12
-    basis2 = get_basis(2, shape_square, 64, K_lev=4)
+    basis2 = LandauBasis(2, shape_square, 64, K_lev=4)
     d = np.zeros((5, 2), complex)
     d[1, 0] = 1.0  # level-1 for n = 2: eigenvalue (2*1+1)*2 = 6
     f = field_from_coeffs(basis2, d)
@@ -151,7 +151,7 @@ def test_landau_apply_spectrum(shape_square):
 
 
 def test_landau_equals_raise_lower_plus_n(shape_generic, rng):
-    basis = get_basis(1, shape_generic, 64, K_lev=12)
+    basis = LandauBasis(1, shape_generic, 64, K_lev=12)
     f = random_field(basis, rng)
     via_ladder = basis.raise_coeffs(basis.lower_coeffs(f.coeffs)) + f.coeffs
     assert np.max(np.abs(basis.landau_coeffs(f.coeffs) - via_ladder)) < 1e-12
@@ -178,7 +178,7 @@ def test_current_identity(shape_tri):
 
 def test_dirichlet_form_identity(shape_generic, rng):
     # <f, L f> = |D1 f|^2 + |D2 f|^2 + n <f, f> offsets by the zero-point term
-    basis = get_basis(1, shape_generic, 64, K_lev=10)
+    basis = LandauBasis(1, shape_generic, 64, K_lev=10)
     f = random_field(basis, rng)
     D1, D2 = covariant_gradient(f)
     lhs = inner_avg(f.values, basis.synth(basis.landau_coeffs(f.coeffs)))
@@ -187,7 +187,7 @@ def test_dirichlet_form_identity(shape_generic, rng):
 
 
 def test_gradient_reconstructs_annihilator(shape_generic, rng):
-    basis = get_basis(1, shape_generic, 48, K_lev=10)
+    basis = LandauBasis(1, shape_generic, 48, K_lev=10)
     f = random_field(basis, rng)
     D1, D2 = covariant_gradient(f)
     alpha_f = basis.synth(basis.lower_coeffs(f.coeffs))
@@ -221,7 +221,7 @@ def test_qp_residual_detects_noise(shape_square, rng):
 
 
 def test_magnetic_shift_matches_closed_form(shape_generic):
-    basis = get_basis(1, shape_generic, 48, K_lev=0)
+    basis = LandauBasis(1, shape_generic, 48, K_lev=0)
     psi0 = theta_null_basis(1, shape_generic, N=48)[0]
     dy = (0.237, -0.411)
     shifted = magnetic_shift(psi0, dy)
@@ -241,7 +241,7 @@ def test_magnetic_shift_by_lattice_vector(shape_generic):
 
 
 def test_qp_derivatives_match_ladder_route(shape_generic, rng):
-    basis = get_basis(1, shape_generic, 64, K_lev=10)
+    basis = LandauBasis(1, shape_generic, 64, K_lev=10)
     f = random_field(basis, rng)
     D1c, D2c = covariant_gradient(f)
     D1g, D2g = covariant_gradient_grid(f)
@@ -252,6 +252,17 @@ def test_qp_derivatives_match_ladder_route(shape_generic, rng):
 # ----------------------------------------------------------------------
 # LadderTerm polynomial carrier
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("n, tau, N, K_lev", [(1, 1j, 32, 8), (1, 0.3 + 1.2j, 48, 12),
+                                              (2, 0.45 + 0.95j, 32, 4)])
+def test_working_table_is_the_doubled_table_at_even_points(n, tau, N, K_lev):
+    # one table on the 2N grid; its even points equal the tables evaluated
+    # directly on the N grid
+    basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
+    assert basis.phi.base is basis.phi_d
+    direct = np.einsum("ij,kjxy->kixy", basis._mix, basis._evaluate_raw(*basis.grid.x))
+    assert np.array_equal(basis.phi, direct)
+
+
 def test_ladderterm_degree_invariant():
     t = LadderTerm(0, 2, np.array([1.0 + 0j]))
     for lev in range(1, 6):
@@ -263,7 +274,7 @@ def test_ladderterm_degree_invariant():
 
 
 def test_ladderterm_matches_hermite_tables(shape_generic):
-    basis = get_basis(1, shape_generic, 48, K_lev=6)
+    basis = LandauBasis(1, shape_generic, 48, K_lev=6)
     lev = 5
     x1, x2 = basis.grid.x
     vals = np.zeros_like(x1, dtype=complex)
@@ -286,12 +297,17 @@ def test_fd_spectrum_lowest_levels():
     assert np.allclose(vals[:4], [1, 3, 5, 7], rtol=2e-3)
 
 
+def test_fd_spectrum_is_deterministic():
+    # the eigensolver starts from a fixed vector, so reruns give the same bytes
+    assert landau.fd_spectrum(1, 64).tobytes() == landau.fd_spectrum(1, 64).tobytes()
+
+
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=3))
 @settings(max_examples=30, deadline=None)
 def test_ladder_factors_property(k, n):
     # raise-then-lower on level k multiplies by 2n(k+1); reverse by 2nk
     shape, _ = normalize_tau(1j)
-    basis = get_basis(n, shape, 64, K_lev=12)
+    basis = LandauBasis(n, shape, 64, K_lev=12)
     d = np.zeros((13, n), complex)
     d[k, 0] = 1.0
     assert abs(basis.lower_coeffs(basis.raise_coeffs(d))[k, 0] - 2 * n * (k + 1)) < 1e-12

@@ -145,7 +145,7 @@ def test_rescale_energy_relation_normal_state(shape_square):
                                 shape=shape_square, r=geom.r)
     phys = raw.energy_density_mean(kappa)
     lam = kappa**2 * n / b
-    basis = landau.get_basis(n, shape_square, N, K_lev=0)
+    basis = landau.LandauBasis(n, shape_square, N, K_lev=0)
     norm = glcore.energy(glcore.normal_state(glcore.GLParams(kappa, n, lam), basis))
     assert abs(phys - 0.75) < 1e-12
     assert abs(norm - 0.75) < 1e-12
