@@ -7,7 +7,8 @@ equation by a resolvent-preconditioned fixed point.  The scalar P-equation
 gamma0 = (1 - lambda) s + <psi0, N(s psi0 + w)> = 0 gives lambda (or s)
 directly, so one iteration re-solves it after every w sweep: a branch point
 at given s, or at given field b = kappa^2 / lambda, is a single fixed point
-in (w, lambda) or (w, s).  Branches are continued in s with warm starts.
+in (w, lambda) or (w, s), accelerated by Anderson mixing, with no fallback
+solver.  Branches are continued in s with warm starts.
 gamma1(lambda, s) = gamma0 / s stays available as a diagnostic.
 
 Inner products and norms here are cell-averaged (plain L2 over the cell
@@ -20,14 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .glcore import (F_coeffs, GLParams, GLState, PeriodicVectorField,
-                     _coeff_samples, energy, nonlinear_coeffs)
+                     _coeff_samples, _energy, energy, nonlinear_coeffs)
 from .landau import LandauBasis, QuasiPeriodicField, field_from_coeffs
 from .lattice import LatticeShape, SolverError
 
 S_MAX_DEFAULT = 0.3
+# history depth of the Anderson mixing in solve_w; depths 2-5 fail on far
+# field targets (square b = 0.5, triangular b = 0.3) that depth 8 solves
+ANDERSON_DEPTH = 8
 
 
 class BranchSideError(ValueError):
@@ -73,9 +76,8 @@ class WSolveResult:
     w: np.ndarray                 # (K_lev+1, 1) coefficients, zeroth entry 0
     alpha2: np.ndarray            # induced potential on the doubled grid
     ncoef: np.ndarray             # nonlinear term coefficients at the solution
-    iterations: int               # sweeps; -1 when the Krylov fallback finished
+    iterations: int               # sweeps
     residual: float               # |Q F(lambda, s psi0 + w)| (averaged norm)
-    contraction: float
     s: complex                    # psi0 amplitude at the solution
     lam: float                    # spectral parameter at the solution
 
@@ -86,11 +88,13 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
             _unknown: str | None = None) -> WSolveResult:
     """Solve the Q-projected equation for w = w(lambda, s psi0).
 
-    Resolvent-preconditioned fixed point with adaptive damping; switches to a
-    Krylov-Newton solve if the contraction factor degrades beyond 0.9.  With
-    _unknown = "lam" or "s" that argument is only a start: after each sweep
-    the P-equation gamma1 = (1 - lambda) + Re <psi0, N> / s = 0 is re-solved
-    for it, and the result carries the branch value.
+    One sweep G maps w to -R(lambda) Q N(s psi0 + w) (R the resolvent); with
+    _unknown = "lam" or "s" that argument is only a start, and each sweep
+    also re-solves the P-equation gamma1 = (1 - lambda) + Re <psi0, N> / s = 0
+    for it, so the result carries the branch value.  The fixed point of G is
+    found by Anderson mixing (type II, Walker & Ni 2011) on the packed vector
+    x = (Re w, Im w, unknown scalar), lambda weighted by |s|; it stops when
+    max |G(x) - x| < tol max(|s|, 1e-6) and returns the mapped point G(x).
     """
     basis = setup.basis
     w = np.zeros((basis.K_lev + 1, 1), dtype=complex) if warm is None else warm.w.copy()
@@ -98,7 +102,7 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
     if s == 0:
         z = np.zeros_like(w)
         a0 = np.zeros((2, basis.grid_d.N, basis.grid_d.N))
-        return WSolveResult(z, a0, z, 0, 0.0, 0.0, s, lam)
+        return WSolveResult(z, a0, z, 0, 0.0, s, lam)
 
     def sweep(wc, sc, lc, a_start):
         psi_c = wc.copy()
@@ -120,7 +124,7 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
             return sc * np.sqrt(ratio), lc
         return sc, lc
 
-    def finish(wc, sc, lc, a_start, iterations, contraction):
+    def finish(wc, sc, lc, a_start, iterations):
         # alpha and N at the returned iterate, and the Q-residual there
         _, a2, ncoef = sweep(wc, sc, lc, a_start)
         if _unknown == "lam":
@@ -128,69 +132,39 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         res = F_coeffs(basis, wc, lc, setup.project_Q(ncoef))
         res[0, 0] = 0.0
         return WSolveResult(wc, a2, ncoef, iterations, float(np.linalg.norm(res)),
-                            contraction, sc, lc)
+                            sc, lc)
 
-    damping = 1.0
-    last_delta = np.inf
-    contraction = 0.0
-    for it in range(1, max_iter + 1):
-        w_new, alpha2, ncoef = sweep(w, s, lam, alpha2)
-        s_new, lam_new = p_solve(s, lam, ncoef)
-        delta = max(float(np.max(np.abs(w_new - w))), abs(s_new - s),
-                    abs(s) * abs(lam_new - lam))
-        if not np.isfinite(delta):
-            break
-        if delta > 0 and np.isfinite(last_delta) and last_delta > 0:
-            contraction = delta / last_delta
-        if contraction > 1.2:
-            damping = max(0.25, damping * 0.5)
-        w = w + damping * (w_new - w)
-        s = s + damping * (s_new - s)
-        lam = lam + damping * (lam_new - lam)
-        last_delta = delta
-        if delta < tol * max(abs(s), 1e-6):
-            return finish(w, s, lam, alpha2, it, contraction)
-        if it > 10 and contraction > 0.9:
-            break
-    else:
-        raise SolverError(f"w fixed point did not converge (last step {last_delta:.2e}); "
-                          "reduce s or damp")
-    w, s, lam = _solve_w_newton(lam, s, tol, w, sweep, _unknown)
-    return finish(w, s, lam, None, -1, np.nan)
+    # Anderson mixing acts on x = (Re w, Im w, unknown scalar), lambda
+    # weighted by |s| as in the stop test
+    m = 2 * w.size
 
-
-def _solve_w_newton(lam, s, tol, w0, sweep, unknown):
-    """Krylov-Newton fallback on the packed residual w + R Q N(s psi0 + w),
-    with the unknown scalar and Re gamma1 appended when one is unknown.
-    Returns (w, s, lambda)."""
-    shape_c = w0.shape
-    m = w0.size
+    def pack(wc, sc, lc):
+        extra = {"lam": [abs(s) * lc], "s": [sc], None: []}[_unknown]
+        return np.append(wc.ravel().view(float), extra)
 
     def unpack(x):
-        wc = (x[:m] + 1j * x[m:2 * m]).reshape(shape_c)
-        wc[0, 0] = 0.0
-        if unknown == "lam":
-            return wc, s, float(x[-1])
-        if unknown == "s":
-            return wc, float(x[-1]), lam
-        return wc, s, lam
+        wc = x[:m].view(complex).reshape(w.shape)
+        if _unknown == "lam":
+            return wc, s, x[m] / abs(s)
+        return (wc, x[m], lam) if _unknown == "s" else (wc, s, lam)
 
-    def residual(x):
+    x, fs, gs, step = pack(w, s, lam), [], [], np.inf
+    for it in range(1, max_iter + 1):
         wc, sc, lc = unpack(x)
-        w_new, _, ncoef = sweep(wc, sc, lc, None)
-        r = wc - w_new
-        parts = [r.real.ravel(), r.imag.ravel()]
-        if unknown is not None:
-            parts.append([(1.0 - lc) + np.real(ncoef[0, 0] / sc)])
-        return np.concatenate(parts)
-
-    extra = {"lam": [lam], "s": [s], None: []}[unknown]
-    x0 = np.concatenate([w0.real.ravel(), w0.imag.ravel(), extra])
-    sol = optimize.root(residual, x0, method="krylov",
-                        options={"fatol": tol * max(abs(s), 1e-6), "maxiter": 60})
-    if not sol.success:
-        raise SolverError(f"Newton fallback failed: {sol.message}")
-    return unpack(sol.x)
+        w_new, alpha2, ncoef = sweep(wc, sc, lc, alpha2)
+        s_new, lam_new = p_solve(sc, lc, ncoef)
+        g = pack(w_new, s_new, lam_new)
+        step = float(np.max(np.abs(g - x)))
+        if not np.isfinite(step):
+            break
+        if step < tol * max(abs(s_new), 1e-6):
+            return finish(w_new, s_new, lam_new, alpha2, it)
+        # type II update from the last ANDERSON_DEPTH differences
+        fs, gs = fs[-ANDERSON_DEPTH:] + [g - x], gs[-ANDERSON_DEPTH:] + [g]
+        gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, fs[-1], rcond=None)[0]
+        x = g - np.diff(gs, axis=0).T @ gamma
+    raise SolverError(f"w fixed point did not converge in {it} sweeps "
+                      f"(last step {step:.2e})")
 
 
 def gamma1(lam: float, s: complex, setup: ReductionSetup, kappa: float,
@@ -264,13 +238,13 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
 
     fco = F_coeffs(basis, psi_c, lam, wres.ncoef)
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
-    res_alpha = _coeff_samples(basis, psi_c, dealias=True).alpha_residual_rms(wres.alpha2)
+    ps = _coeff_samples(basis, psi_c, dealias=True)  # shared with the energy
 
     curl_a = 1.0 + grid.curl(state.alpha.values)
     return BranchPoint(
         s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam),
-        psi_coeffs=psi_c, alpha=state.alpha, energy=energy(state),
-        residual_psi=res_psi, residual_alpha=res_alpha,
+        psi_coeffs=psi_c, alpha=state.alpha, energy=_energy(ps, state.alpha, state.params),
+        residual_psi=res_psi, residual_alpha=ps.alpha_residual_rms(wres.alpha2),
         flux=float(np.mean(curl_a) * grid.area),
         max_curl_a=float(np.max(curl_a)),
         min_abs_psi=float(np.min(np.abs(state.psi.values))),

@@ -73,8 +73,11 @@ def merged_config(args: argparse.Namespace, defaults: dict) -> dict:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             cfg[key] = val
-    if "tol" in cfg and cfg["tol"] <= 0:
-        raise ConfigError("tolerance tol must be positive")
+    for key in ("tol", "kappa2", "b", "s_max"):
+        if key in cfg and not cfg[key] > 0:
+            raise ConfigError(f"{key} must be positive")
+    if "s_points" in cfg and cfg["s_points"] < 5:
+        raise ConfigError("s_points must be at least 5 (the expansion fit needs 5 points)")
     return cfg
 
 

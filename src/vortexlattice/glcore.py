@@ -217,8 +217,11 @@ def residuals(state: GLState) -> tuple[QuasiPeriodicField, np.ndarray]:
 
 def energy(state: GLState) -> float:
     """Average rescaled energy per cell."""
-    psi, alpha, p = state.psi, state.alpha, state.params
-    ps = _samples(psi, dealias=True)
+    return _energy(_samples(state.psi, dealias=True), state.alpha, state.params)
+
+
+def _energy(ps: _PsiSamples, alpha: PeriodicVectorField, p: GLParams) -> float:
+    """energy() from the doubled-grid samples of psi, for callers that hold them."""
     a2 = alpha.grid.resample(alpha.values, ps.grid.N)
     cov1 = ps.d1 - 1j * a2[0] * ps.psi
     cov2 = ps.d2 - 1j * a2[1] * ps.psi

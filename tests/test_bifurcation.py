@@ -7,7 +7,7 @@ import pytest
 
 from vortexlattice import abrikosov, bifurcation as bif, glcore, landau
 from vortexlattice.landau import field_from_coeffs, inner_avg, norm_avg
-from vortexlattice.lattice import normalize_tau
+from vortexlattice.lattice import SolverError, normalize_tau
 
 KAPPA = np.sqrt(2.0)
 
@@ -244,17 +244,55 @@ def test_branch_by_field_unreachable_target_is_reported():
     assert not isinstance(exc.value, glcore.AlphaSolveError)
 
 
-def test_branch_by_field_far_target(shape_square, monkeypatch):
-    # b = 0.5 (s ~ 1.18) is far outside the perturbative range: the sweep
-    # stops contracting and the joint Krylov fallback finishes the point
-    calls = []
-    newton = bif._solve_w_newton
-    monkeypatch.setattr(bif, "_solve_w_newton",
-                        lambda *a: calls.append(a) or newton(*a))
+def test_branch_by_field_far_target(shape_square):
+    # b = 0.5 (s ~ 1.18) is far outside the perturbative range, where the
+    # plain sweep stops contracting
     pt = bif.branch_by_field(0.5, KAPPA, shape_square, N=64, K_lev=32)
-    assert len(calls) == 1
     assert abs(pt.s - 1.177988) < 1e-6
     assert pt.residual_psi < 1e-8
+
+
+def test_branch_by_field_farther_target(shape_square):
+    # b = 0.3 (s ~ 1.63): the mixed sweep still converges, to a gamma1 root
+    setup = bif.build_reduction(shape_square, N=64, K_lev=32)
+    pt = bif.branch_by_field(0.3, KAPPA, shape_square, setup=setup)
+    assert abs(pt.s - 1.631236087) < 1e-8
+    assert pt.residual_psi < 1e-8
+    g, _ = bif.gamma1(KAPPA**2 / 0.3, pt.s, setup, KAPPA)
+    assert abs(g) <= 1e-11
+
+
+@pytest.mark.parametrize("tau, kappa2, b, N, K_lev",
+                         [(8j, 0.1, 0.102, 64, 40), (1j, 2.0, 0.5, 64, 32)])
+def test_field_points_count_their_sweeps(monkeypatch, tau, kappa2, b, N, K_lev):
+    # every field point is the one mixed sweep, which reports its count
+    results = []
+    solve_w = bif.solve_w
+    monkeypatch.setattr(bif, "solve_w",
+                        lambda *a, **kw: results.append(solve_w(*a, **kw)) or results[-1])
+    shape, _ = normalize_tau(tau)
+    bif.branch_by_field(b, np.sqrt(kappa2), shape, N=N, K_lev=K_lev)
+    assert len(results) == 1 and results[0].iterations > 0
+
+
+def test_finish_point_synthesizes_each_field_once(setup_sq, monkeypatch):
+    # psi on the working grid, then psi, D1 psi, D2 psi on the doubled grid,
+    # shared by the alpha residual and the energy
+    wres = bif.solve_w(1.01, 0.05, setup_sq, KAPPA)
+    calls = []
+    synth = landau.LandauBasis.synth
+    monkeypatch.setattr(landau.LandauBasis, "synth",
+                        lambda self, *a, **kw: calls.append(1) or synth(self, *a, **kw))
+    pt = bif._finish_point(wres, setup_sq, KAPPA)
+    assert len(calls) == 4
+    monkeypatch.undo()
+    state = bif._gl_state(wres.s, wres.w, wres.alpha2, wres.lam, setup_sq, KAPPA)
+    assert pt.energy == glcore.energy(state)
+
+
+def test_w_solve_out_of_sweeps_is_reported(setup_sq):
+    with pytest.raises(SolverError, match="did not converge in 2 sweeps"):
+        bif.solve_w(1.02, 0.08, setup_sq, KAPPA, max_iter=2)
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,17 @@ def test_invalid_config_exit_code(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"unknown_key": 1}')
     assert run(["beta", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+    # nonsense physics is refused before any solve or output; the expansion
+    # fit needs 5 branch points
+    out = tmp_path / "out"
+    for argv in (["field-landscape", "--kappa2", "-1", "--tau-grid", "square"],
+                 ["field-landscape", "--b", "0", "--tau-grid", "square"],
+                 ["branch", "--kappa2", "-1"],
+                 ["branch", "--s-max", "0"],
+                 ["branch", "--s-points", "0"],
+                 ["branch", "--s-points", "3"]):
+        assert run(argv + ["--outdir", str(out)]) == 2, argv
+    assert not out.exists()
 
 
 def test_solver_failure_exit_code(tmp_path):
