@@ -4,8 +4,8 @@ Working variables on the normalized cell: psi quasi-periodic with n flux
 quanta, total potential a = A0 + alpha with A0(x) = (n/2) J x and alpha
 periodic, mean-zero, divergence-free.  The potential equation
 (M + |psi|^2) alpha = j0 = Im(conj(psi) grad_{A0} psi), M = curl* curl,
-is solved as a damped fixed point preconditioned by (-Laplacian)^{-1}
-on the constraint space, where M coincides with -Laplacian.
+is solved for the stream function phi of alpha = curl* phi by conjugate
+gradients, preconditioned by the constant-|psi|^2 part of the operator.
 
 Every solve, residual and energy reads psi, D psi (D = grad_{A0}), |psi|^2,
 j0 and the potential residual (M + |psi|^2) alpha - j0 from one kernel,
@@ -24,6 +24,9 @@ from .landau import (LandauBasis, QuasiPeriodicField, covariant_gradient_grid,
                      field_from_coeffs)
 from .lattice import SolverError
 from .spectral import CellGrid
+
+ALPHA_TOL = 1e-14       # stop at the first alpha step below this (sup norm)
+ALPHA_MAX_ITER = 400    # conjugate-gradient iterations before AlphaSolveError
 
 
 @dataclass(frozen=True)
@@ -71,14 +74,7 @@ class GLState:
 
 
 class AlphaSolveError(SolverError):
-    """Fixed point for the induced potential failed to contract."""
-
-
-def normal_state(params: GLParams, basis: LandauBasis) -> GLState:
-    coeffs = np.zeros((basis.K_lev + 1, basis.n), dtype=complex)
-    psi = field_from_coeffs(basis, coeffs)
-    alpha = PeriodicVectorField(np.zeros((2, basis.N, basis.N)), basis.grid)
-    return GLState(psi=psi, alpha=alpha, params=params)
+    """Conjugate gradients for the induced potential did not converge."""
 
 
 # ----------------------------------------------------------------------
@@ -131,33 +127,57 @@ def _samples(psi: QuasiPeriodicField, dealias: bool) -> _PsiSamples:
 
 
 def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
-                       alpha0: np.ndarray | None, tol: float,
-                       max_iter: int = 400) -> np.ndarray:
-    """Solve P[(M + |psi|^2) alpha - j0] = 0 on div-free mean-zero fields."""
-    alpha = np.zeros_like(j0) if alpha0 is None else alpha0.copy()
-    damping = 1.0
-    last = np.inf
-    for _ in range(max_iter):
-        rhs = j0 - abspsi2[None] * alpha
-        new = grid.inv_neg_laplacian(grid.helmholtz_project(rhs))
-        step = new - alpha
-        delta = float(np.max(np.abs(step)))
-        if delta > last and damping > 0.25:
-            damping *= 0.5
-        alpha = alpha + damping * step
-        last = delta
-        if delta < tol:
-            return alpha
-    raise AlphaSolveError(f"alpha fixed point stalled at step {last:.3e} "
-                          "(psi outside the perturbative regime)")
+                       alpha0: np.ndarray | None) -> np.ndarray:
+    """Solve P[(M + |psi|^2) alpha - j0] = 0 on div-free mean-zero fields:
+    with alpha = curl* phi, A phi = curl (M + |psi|^2) curl* phi = Delta^2 phi
+    - div(|psi|^2 grad phi) = curl j0 is solved by conjugate gradients on the
+    Fourier modes of phi, preconditioned by |g|^4 + <|psi|^2> |g|^2 and
+    started from the stream function of alpha0 if one is given."""
+    ig = 1j * np.stack(grid.wavevectors)
+    dead, gsq = grid.gsq_divisor
+    precond = np.where(dead, np.inf, gsq * (gsq + np.mean(abspsi2)))
+
+    def curl_star(fh):
+        d = np.fft.ifft2(ig * fh).real
+        return np.stack([d[1], -d[0]])
+
+    def curl_hat(v):
+        vh = np.fft.fft2(v)
+        return ig[0] * vh[1] - ig[1] * vh[0]
+
+    alpha, r = np.zeros_like(j0), 0.0           # r = curl j0 - A phi
+    if alpha0 is not None:
+        phi = np.where(dead, 0.0, curl_hat(alpha0) / gsq)
+        alpha, r = curl_star(phi), -gsq * gsq * phi
+    r = r + curl_hat(j0 - abspsi2 * alpha)
+    z = r / precond
+    p, rz, step = z, np.vdot(r, z).real, np.inf
+    for _ in range(ALPHA_MAX_ITER):
+        if rz == 0.0:
+            break
+        u = curl_star(p)
+        Ap = gsq * gsq * p + curl_hat(abspsi2 * u)
+        a = rz / np.vdot(p, Ap).real
+        alpha += a * u
+        step = abs(a) * np.max(np.abs(u))
+        if step < ALPHA_TOL:
+            break
+        r -= a * Ap
+        z = r / precond
+        rz, rz_old = np.vdot(r, z).real, rz
+        p = z + (rz / rz_old) * p
+    else:
+        raise AlphaSolveError(
+            f"alpha PCG stalled after {ALPHA_MAX_ITER} iterations: last step "
+            f"{step:.3e}, preconditioned residual {np.sqrt(rz):.3e}")
+    return alpha
 
 
-def solve_alpha(psi: QuasiPeriodicField, params: GLParams,
-                tol: float = 1e-13) -> PeriodicVectorField:
+def solve_alpha(psi: QuasiPeriodicField, params: GLParams) -> PeriodicVectorField:
     """Induced potential alpha(psi) on the working grid; mean-zero and
     divergence-free."""
     ps = _samples(psi, dealias=True)
-    alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None, tol)
+    alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
     return PeriodicVectorField(values=ps.grid.resample(alpha2, psi.N), grid=psi.grid)
 
 
@@ -168,8 +188,7 @@ def alpha_equation_residual(psi: QuasiPeriodicField, alpha: PeriodicVectorField)
 
 def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
                      alpha2: np.ndarray | None = None,
-                     alpha_start: np.ndarray | None = None,
-                     alpha_tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
+                     alpha_start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Landau coefficients of N(psi) = 2i alpha . grad_{A0} psi + |alpha|^2 psi
     + kappa^2 |psi|^2 psi, products evaluated on the doubled grid.
 
@@ -179,7 +198,7 @@ def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
     """
     ps = _coeff_samples(basis, psi_coeffs, dealias=True)
     if alpha2 is None:
-        alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, alpha_start, alpha_tol)
+        alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, alpha_start)
     nl = (2j * (alpha2[0] * ps.d1 + alpha2[1] * ps.d2)
           + (alpha2[0] ** 2 + alpha2[1] ** 2) * ps.psi
           + kappa**2 * ps.rho * ps.psi)
@@ -192,13 +211,12 @@ def F_coeffs(basis: LandauBasis, coeffs: np.ndarray, lam: float,
     return basis.landau_coeffs(coeffs) - lam * coeffs + ncoef
 
 
-def map_F(lam: float, psi: QuasiPeriodicField, kappa: float,
-          alpha_tol: float = 1e-13):
+def map_F(lam: float, psi: QuasiPeriodicField, kappa: float):
     """F(lambda, psi) with alpha = alpha(psi); returns (F field, alpha2, grid2)."""
     if psi.coeffs is None or psi.basis is None:
         raise ValueError("map_F needs a Landau-coefficient field")
     basis = psi.basis
-    ncoef, alpha2 = nonlinear_coeffs(basis, psi.coeffs, kappa, alpha_tol=alpha_tol)
+    ncoef, alpha2 = nonlinear_coeffs(basis, psi.coeffs, kappa)
     F = F_coeffs(basis, psi.coeffs, lam, ncoef)
     return field_from_coeffs(basis, F), alpha2, basis.grid_d
 
@@ -241,11 +259,3 @@ def supercurrent(state: GLState) -> np.ndarray:
     """J = Im(conj(psi) grad_a psi) on the working grid."""
     ps = _samples(state.psi, dealias=False)
     return ps.j0 - ps.rho[None] * state.alpha.values
-
-
-def gauge_transform_state(state: GLState, eta: np.ndarray) -> GLState:
-    """(psi, alpha) -> (e^{i eta} psi, alpha + grad eta) for periodic eta."""
-    grid = state.alpha.grid
-    psi2 = state.psi.copy_with(values=np.exp(1j * eta) * state.psi.values, coeffs=None)
-    alpha2 = PeriodicVectorField(state.alpha.values + grid.grad(eta), grid)
-    return GLState(psi=psi2, alpha=alpha2, params=state.params)

@@ -63,11 +63,11 @@ class CellGrid:
         g1, g2 = self.wavevectors
         return g1 * g1 + g2 * g2
 
-    @property
-    def min_nonzero_gsq(self) -> float:
-        """Smallest nonzero Fourier eigenvalue of -Laplacian on this cell."""
-        gsq = np.where(self.gsq == 0, np.inf, self.gsq)
-        return float(gsq.min())
+    @cached_property
+    def gsq_divisor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dead, divisor): the g = 0 modes, and gsq with 1 on them to divide by."""
+        dead = self.gsq == 0
+        return dead, np.where(dead, 1.0, self.gsq)
 
     # ------------------------------------------------------------------
     # scalar operations (input periodic on the cell)
@@ -96,8 +96,8 @@ class CellGrid:
         if mean > mean_tol * scale:
             raise ValueError(f"poisson rhs has nonzero mean {mean:.3e}")
         fh = np.fft.fft2(rhs)
-        dead = self.gsq == 0
-        uh = -fh / np.where(dead, 1.0, self.gsq)
+        dead, gsq = self.gsq_divisor
+        uh = -fh / gsq
         uh[dead] = 0.0
         out = np.fft.ifft2(uh)
         return out.real if np.isrealobj(rhs) else out
@@ -124,25 +124,14 @@ class CellGrid:
         g1, g2 = self.wavevectors
         v1h = np.fft.fft2(v[0])
         v2h = np.fft.fft2(v[1])
-        dead = self.gsq == 0
-        gv = (g1 * v1h + g2 * v2h) / np.where(dead, 1.0, self.gsq)
+        dead, gsq = self.gsq_divisor
+        gv = (g1 * v1h + g2 * v2h) / gsq
         v1h -= g1 * gv
         v2h -= g2 * gv
         v1h[dead] = 0.0
         v2h[dead] = 0.0
         out = np.stack([np.fft.ifft2(v1h), np.fft.ifft2(v2h)])
         return out.real if np.isrealobj(v) else out
-
-    def inv_neg_laplacian(self, v: np.ndarray) -> np.ndarray:
-        """(-Laplacian)^{-1} componentwise on mean-zero fields."""
-        dead = self.gsq == 0
-        out = []
-        for comp in v:
-            fh = np.fft.fft2(comp) / np.where(dead, 1.0, self.gsq)
-            fh[dead] = 0.0
-            out.append(np.fft.ifft2(fh))
-        res = np.stack(out)
-        return res.real if np.isrealobj(v) else res
 
     def antiderivative(self, v: np.ndarray) -> np.ndarray:
         """Periodic potential p with grad(p) = v - <v>, <p> = 0.
@@ -153,8 +142,8 @@ class CellGrid:
         g1, g2 = self.wavevectors
         v1h = np.fft.fft2(v[0])
         v2h = np.fft.fft2(v[1])
-        dead = self.gsq == 0
-        ph = (g1 * v1h + g2 * v2h) / (1j * np.where(dead, 1.0, self.gsq))
+        dead, gsq = self.gsq_divisor
+        ph = (g1 * v1h + g2 * v2h) / (1j * gsq)
         ph[dead] = 0.0
         out = np.fft.ifft2(ph)
         return out.real if np.isrealobj(v) else out

