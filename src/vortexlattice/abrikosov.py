@@ -57,7 +57,7 @@ def beta_quadrature(shape: LatticeShape, N: int = 64) -> BetaResult:
     """Quartic-to-quadratic average ratio of the lowest-level theta function,
     by spectrally accurate quadrature (n = 1; scale invariant)."""
     basis = LandauBasis(1, shape, N, K_lev=0)
-    a2 = np.abs(basis.phi[0, 0]) ** 2
+    a2 = np.abs(basis.synth(np.ones((1, 1), dtype=complex))) ** 2
     val = float(np.mean(a2**2) / np.mean(a2) ** 2)
     return BetaResult(tau=complex(shape.tau), beta=val, method="quadrature",
                       K=basis.theta.K, N=N)

@@ -191,6 +191,7 @@ class BranchPoint:
     flux: float
     max_curl_a: float
     min_abs_psi: float
+    coeff_tail: float             # max_j |c_{K_lev, j}| / max |c|: truncation tail
 
 
 @dataclass
@@ -248,6 +249,7 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
         flux=float(np.mean(curl_a) * grid.area),
         max_curl_a=float(np.max(curl_a)),
         min_abs_psi=float(np.min(np.abs(state.psi.values))),
+        coeff_tail=float(np.max(np.abs(psi_c[-1])) / max(np.max(np.abs(psi_c)), 1e-300)),
     )
 
 
@@ -359,7 +361,9 @@ def fit_expansion(branch: Branch) -> ExpansionReport:
     # second-order potential from the smallest-s point
     p0 = pts[0]
     curl_a1 = basis.grid.curl(p0.alpha.values) / p0.s**2
-    psi0 = basis.phi[0, 0]
+    c0 = np.zeros((basis.K_lev + 1, 1), dtype=complex)
+    c0[0, 0] = 1.0
+    psi0 = basis.synth(c0)
     curl_err = float(np.max(np.abs(curl_a1 - 0.5 * (1.0 - np.abs(psi0) ** 2))))
 
     # energy defect slope against the quartic prediction

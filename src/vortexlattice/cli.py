@@ -172,11 +172,11 @@ def cmd_branch(args) -> int:
     branch = bifurcation.solve_branch(s_grid, kappa, shape, N=cfg["N"],
                                       K_lev=cfg["K_lev"], tol=cfg["tol"])
     rows = [[p.s, p.lam, p.b, p.energy, p.residual_psi, p.residual_alpha,
-             p.max_curl_a, p.min_abs_psi] for p in branch.points]
+             p.max_curl_a, p.min_abs_psi, p.coeff_tail] for p in branch.points]
     csv_path = out_path(cfg, cfg["prefix"] + ".csv")
     write_csv(csv_path, cfg,
               ["s", "lambda", "b", "energy", "residual_psi", "residual_alpha",
-               "max_curl_a", "min_abs_psi"], np.array(rows),
+               "max_curl_a", "min_abs_psi", "coeff_tail"], np.array(rows),
               {"extrapolated_regime": branch.extrapolated})
     report = bifurcation.fit_expansion(branch)
     json_path = out_path(cfg, cfg["prefix"] + "_expansion.json")
@@ -196,7 +196,7 @@ def cmd_field_landscape(args) -> int:
     taus = parse_tau_grid(cfg["tau_grid"])
     cols = ["tau_re", "tau_im", "beta", "kappa_c", "E_b_asymptotic"]
     if cfg["numeric"]:
-        cols.append("E_b_numeric")
+        cols += ["E_b_numeric", "residual_alpha", "coeff_tail"]
     rows = []
     for tau in taus:
         shape, _ = normalize_tau(tau)
@@ -207,7 +207,7 @@ def cmd_field_landscape(args) -> int:
         if cfg["numeric"]:
             pt = bifurcation.branch_by_field(cfg["b"], kappa, shape,
                                              N=cfg["N"], K_lev=cfg["K_lev"])
-            row.append(pt.energy)
+            row += [pt.energy, pt.residual_alpha, pt.coeff_tail]
         rows.append(row)
     path = out_path(cfg, cfg["output"])
     write_csv(path, cfg, cols, np.array(rows))

@@ -22,6 +22,18 @@ unit scale: level k of the j-th family is
 with h_k the orthonormal Hermite functions.  Successive levels are exact
 ladder images of each other, so raising/lowering/L act diagonally on
 coefficient tables.
+
+On the logical grid x1 = r_tau (y1 + tau1 y2), x2 = r_tau tau2 y2, and
+nu r_tau = 2 pi, so e^{i m nu x1} = e^{2 pi i m y1} e^{2 pi i m tau1 y2}
+and each u_kj separates into the 2-D carrier e^{i n x1 x2 / 2}, the
+Fourier mode e^{2 pi i m y1} and a y2-only profile
+
+    p_mk(y2) = (-i)^k e^{i pi tau1 (n q^2 + 2 j q)} e^{2 pi i m tau1 y2}
+               h_k(sqrt(n) (x2 + m nu / n)).
+
+Synthesis on a G x G grid contracts the profiles with the coefficients over
+k, adds each term m into the Fourier bin m mod G, runs one inverse FFT along
+y1 and multiplies by the carrier; projection is its exact adjoint.
 """
 
 from __future__ import annotations
@@ -79,57 +91,15 @@ class ThetaCoeffs:
     n: int
     tau: complex
 
-    def extended(self, k: int) -> complex:
-        """Coefficient c_k from the recursion c_{k+n} = e^{i n pi tau} e^{2 i k pi tau} c_k."""
-        j = k % self.n
-        q = (k - j) // self.n
-        phase = 1j * np.pi * self.tau * (self.n * q * q + 2 * j * q)
-        return complex(self.c[j] * np.exp(phase))
-
-
-@dataclass
-class LadderTerm:
-    """Closed-form carrier for one theta term under repeated creation.
-
-    Represents P(w) * exp(i m nu z) * exp(i n x2 z / 2) with w = conj(z) - z;
-    the creation operator acts as P -> 2 P' - 2 i m nu P + n w P, raising the
-    polynomial degree by one per level.
-    """
-
-    level: int
-    m: int
-    poly: np.ndarray  # complex coefficients, increasing degree, len == level + 1
-
-    def __post_init__(self):
-        self.poly = np.asarray(self.poly, dtype=complex)
-        if len(self.poly) != self.level + 1:
-            raise ValueError("polynomial degree must equal the level index")
-
-    def raised(self, n: int, nu: float) -> "LadderTerm":
-        P = self.poly
-        dP = P[1:] * np.arange(1, len(P))
-        new = np.zeros(len(P) + 1, dtype=complex)
-        new[: len(dP)] += 2 * dP
-        new[: len(P)] += -2j * self.m * nu * P
-        new[1:] += n * P
-        return LadderTerm(self.level + 1, self.m, new)
-
-    def evaluate(self, n: int, nu: float, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        z = x1 + 1j * x2
-        w = -2j * x2
-        val = np.zeros_like(z)
-        for c in self.poly[::-1]:
-            val = val * w + c
-        return val * np.exp(1j * self.m * nu * z) * np.exp(0.5j * n * x2 * z)
-
 
 class LandauBasis:
-    """Orthonormal Landau-level tables on the normalized cell.
+    """Orthonormal Landau levels on the normalized cell, as a separable transform.
 
-    Levels 0..K_lev for each of the n lowest-level families, sampled once on
-    the 2N dealiasing grid (phi_d); the working N-grid table phi is its view
-    at every other point.  Orthonormal in the cell-averaged inner product
-    (so <|psi_0|^2> = 1 for each family).
+    Levels 0..K_lev for each of the n lowest-level families, orthonormal in
+    the cell-averaged inner product (so <|psi_0|^2> = 1 for each family).
+    The basis stores the (M, K_lev+1, 2N) y2 profiles of the terms m of the
+    theta series, the carrier on the 2N dealiasing grid and the Cholesky mix
+    of the seed families; the working N grid is every other point of it.
     """
 
     def __init__(self, n: int, shape: LatticeShape, N: int, K_lev: int = 32):
@@ -143,6 +113,7 @@ class LandauBasis:
         self.grid = CellGrid(self.geom.m_tau, N)
         self.grid_d = CellGrid(self.geom.m_tau, 2 * N)
         self.nu = float(np.sqrt(2 * np.pi * shape.tau2))
+        self.levels = np.arange(self.K_lev + 1)
 
         # theta truncation: seed tail below 1e-14 plus Hermite support reach
         self.K_rule = int(np.ceil(np.sqrt(14 * np.log(10.0) * n / (np.pi * shape.tau2))))
@@ -159,24 +130,37 @@ class LandauBasis:
         self.theta = ThetaCoeffs(c=np.ones(n, dtype=complex), K=max(abs(m_lo), m_hi),
                                  nu=self.nu, n=n, tau=complex(shape.tau))
 
-        # one table on the 2N grid; point i of the N grid is point 2i there
-        raw_d = self._evaluate_raw(*self.grid_d.x)
-        raw = raw_d[..., ::2, ::2]
+        # y2 profiles of the theta terms m that reach the cell, on the 2N grid
+        m_tau = self.geom.m_tau
+        y = np.arange(2 * N) / (2 * N)
+        x2 = m_tau[1, 1] * y
+        m = np.arange(m_lo, m_hi + 1)
+        t = np.sqrt(n) * (x2[None, :] + m[:, None] * self.nu / n)
+        keep = np.min(np.abs(t), axis=1) <= np.sqrt(2 * self.K_lev + 1) + 8.5
+        m, t = m[keep], t[keep]
+        j, q = m % n, m // n
+        tilt = np.exp(1j * np.pi * shape.tau1 * (n * q * q + 2 * j * q)[:, None]
+                      + 2j * np.pi * shape.tau1 * m[:, None] * y[None, :])
+        kphase = (-1j) ** self.levels
+        h = _hermite_functions(t, self.K_lev).transpose(1, 0, 2)
+        self._m, self._family = m, j
+        self._profiles = kphase[None, :, None] * h * tilt[:, None, :]
+        x1 = m_tau[0, 0] * y[:, None] + m_tau[0, 1] * y[None, :]
+        self._carrier = np.exp(0.5j * n * x1 * x2[None, :])
 
         # orthonormalize the n seed families (cell-averaged Gram, Cholesky mix)
-        gram = np.empty((n, n), dtype=complex)
+        seeds = []
         for i in range(n):
-            for j in range(n):
-                gram[i, j] = inner_avg(raw[0, i], raw[0, j])
-        W = np.linalg.inv(np.linalg.cholesky(gram))
-        self._mix = W
-        self.phi_d = np.einsum("ij,kjxy->kixy", W, raw_d)
-        self.phi = self.phi_d[..., ::2, ::2]
-        self.levels = np.arange(self.K_lev + 1)
+            d = np.zeros((self.K_lev + 1, n), dtype=complex)
+            d[0, i] = 1.0
+            seeds.append(self._raw_values(d, self.N))
+        gram = np.array([[inner_avg(a, b) for b in seeds] for a in seeds])
+        self._mix = np.linalg.inv(np.linalg.cholesky(gram))
 
     # ------------------------------------------------------------------
     def _evaluate_raw(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Un-mixed tables u[k, j] at arbitrary points (stable at any level)."""
+        """Un-mixed tables u[k, j] at arbitrary points, by direct summation
+        over the theta terms (the reference for the separable transform)."""
         n, nu, tau1 = self.n, self.nu, self.shape.tau1
         out = np.zeros((self.K_lev + 1, n, *x1.shape), dtype=complex)
         carrier = np.exp(0.5j * n * x1 * x2)
@@ -193,21 +177,33 @@ class LandauBasis:
             out[:, j] += kphase[:, None, None] * h * term[None]
         return out
 
-    def evaluate(self, k: int, j: int, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Basis function phi_{k,j} at arbitrary points."""
-        raw = self._evaluate_raw(np.asarray(x1, float), np.asarray(x2, float))
-        return np.einsum("i,ixy->xy", self._mix[j], raw[k])
+    def _raw_values(self, d: np.ndarray, G: int) -> np.ndarray:
+        """Samples on the G x G grid (G = N or 2N) of sum_kj d[k, j] u_kj."""
+        step = 2 * self.N // G
+        prof = (d[:, self._family].T[:, None, :] @ self._profiles)[:, 0, ::step]
+        # exp(2 pi i m y1) depends on m mod G only: fold the terms into bins
+        bins = np.zeros((G, G), dtype=complex)
+        for c in range(0, len(self._m), G):
+            bins[self._m[c:c + G] % G] += prof[c:c + G]
+        return np.fft.ifft(bins, axis=0, norm="forward") * self._carrier[::step, ::step]
 
     # ------------------------------------------------------------------
     # coefficient <-> grid
     # ------------------------------------------------------------------
     def synth(self, coeffs: np.ndarray, dealias: bool = False) -> np.ndarray:
-        tab = self.phi_d if dealias else self.phi
-        return np.tensordot(coeffs, tab, axes=([0, 1], [0, 1]))
+        return self._raw_values(coeffs @ self._mix, 2 * self.N if dealias else self.N)
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """Landau coefficients of values sampled on the doubled grid."""
-        return np.einsum("kjxy,xy->kj", np.conj(self.phi_d), values) / values.size
+        """Landau coefficients of values sampled on the doubled grid (the exact
+        adjoint of synth(., dealias=True) in the cell-averaged inner product)."""
+        G = 2 * self.N
+        spec = np.fft.fft(values * np.conj(self._carrier), axis=0)
+        # conj(profiles) . spec, without a conjugated copy of the table
+        dm = np.conj(self._profiles @ np.conj(spec[self._m % G])[:, :, None])[:, :, 0]
+        d = np.zeros((self.K_lev + 1, self.n), dtype=complex)
+        for j in range(self.n):
+            d[:, j] = dm[self._family == j].sum(axis=0)
+        return d @ np.conj(self._mix).T / values.size
 
     # ------------------------------------------------------------------
     # exact ladder actions on coefficient tables (shape (K_lev+1, n))
@@ -291,8 +287,7 @@ def theta_null_basis(n: int, shape: LatticeShape, N: int) -> list[QuasiPeriodicF
     for j in range(n):
         c = np.zeros((basis.K_lev + 1, n), dtype=complex)
         c[0, j] = 1.0
-        out.append(QuasiPeriodicField(n=n, shape=shape, values=basis.phi[0, j].copy(),
-                                      coeffs=c, basis=basis))
+        out.append(field_from_coeffs(basis, c))
     return out
 
 
@@ -436,13 +431,6 @@ def magnetic_shift_values(values: np.ndarray, n: int, bc_const: tuple[float, flo
         vals = q * np.exp(1j * (y2 + dy[1]) * th2)
         C1 = C1 + n * np.pi * dy[1]
     return vals, (C1, C2)
-
-
-def magnetic_shift(f: QuasiPeriodicField, dy: tuple[float, float]) -> QuasiPeriodicField:
-    """Translation by dy1*t1 + dy2*t2 through the boundary phases."""
-    vals, bc = magnetic_shift_values(f.values, f.n, f.bc_const, dy)
-    return QuasiPeriodicField(n=f.n, shape=f.shape, values=vals, coeffs=None,
-                              basis=f.basis, bc_const=bc)
 
 
 # ----------------------------------------------------------------------

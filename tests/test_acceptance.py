@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from reference import unit_field
 from vortexlattice import abrikosov as abr
 from vortexlattice import bifurcation as bif
 from vortexlattice import gauge, glcore, landau
@@ -140,7 +141,7 @@ def test_criterion_05_leading_order_fields(branch_sq_128, shape_sq, setup_sq_128
     assert p0.s == pytest.approx(0.02)
     basis = setup_sq_128.basis
     curl_a1 = basis.grid.curl(p0.alpha.values) / p0.s**2
-    psi0 = basis.phi[0, 0]
+    psi0 = unit_field(basis, 0, 0)
     sup_err = float(np.max(np.abs(curl_a1 - 0.5 * (1.0 - np.abs(psi0) ** 2))))
     D1, D2 = landau.covariant_gradient(setup_sq_128.psi0)
     J = np.stack([np.imag(np.conj(psi0) * D1.values),

@@ -8,7 +8,7 @@ import pytest
 from reference import alpha_damped_fixed_point
 from vortexlattice import abrikosov, bifurcation as bif, glcore, landau
 from vortexlattice.landau import field_from_coeffs, inner_avg, norm_avg
-from vortexlattice.lattice import SolverError, normalize_tau
+from vortexlattice.lattice import TAU_TRIANGULAR, SolverError, normalize_tau
 
 KAPPA = np.sqrt(2.0)
 
@@ -312,6 +312,20 @@ def test_finish_point_synthesizes_each_field_once(setup_sq, monkeypatch):
     monkeypatch.undo()
     state = bif._gl_state(wres.s, wres.w, wres.alpha2, wres.lam, setup_sq, KAPPA)
     assert pt.energy == glcore.energy(state)
+
+
+def test_coeff_tail_flags_an_unresolved_target():
+    # K_lev = 32 is too small for b = 0.7 at tau = 0.3+1.2i (residual_alpha
+    # ~1e-4); the top Landau level keeps a visible share of the coefficients
+    shape, _ = normalize_tau(0.3 + 1.2j)
+    pt = bif.branch_by_field(0.7, KAPPA, shape, N=64, K_lev=32)
+    assert pt.coeff_tail > 1e-6
+
+
+@pytest.mark.parametrize("tau", [1j, TAU_TRIANGULAR])
+def test_coeff_tail_small_at_the_landscape_default(tau):
+    pt = bif.branch_by_field(1.9, KAPPA, normalize_tau(tau)[0], N=96, K_lev=40)
+    assert pt.coeff_tail < 1e-8
 
 
 def test_w_solve_out_of_sweeps_is_reported(setup_sq):

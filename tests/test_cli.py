@@ -64,7 +64,10 @@ def test_branch_command(tmp_path):
                 "--s-max", "0.1", "--s-points", "5", "--N", "64",
                 "--outdir", str(tmp_path)]) == 0
     rows = np.loadtxt((tmp_path / "branch.csv").open(), delimiter=",", skiprows=2)
-    assert rows.shape == (5, 8)
+    assert rows.shape == (5, 9)
+    header = (tmp_path / "branch.csv").read_text().splitlines()[1].split(",")
+    assert header[-1] == "coeff_tail"
+    assert np.all(rows[:, -1] < 1e-8)
     rep = json.loads((tmp_path / "branch_expansion.json").read_text())
     assert rep["g_lambda_prime0"] == pytest.approx(2.2393930, rel=1e-3)
 
@@ -76,6 +79,18 @@ def test_field_landscape_command(tmp_path):
                       skiprows=2)
     # triangular beats square
     assert rows[1, 4] < rows[0, 4]
+
+
+def test_field_landscape_numeric_reports_truncation(tmp_path):
+    # the numeric columns carry the alpha residual and the Landau tail
+    assert run(["field-landscape", "--kappa2", "2", "--b", "1.9", "--numeric",
+                "--tau-grid", "square", "--N", "64", "--outdir", str(tmp_path)]) == 0
+    lines = (tmp_path / "field_landscape.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    assert header[-3:] == ["E_b_numeric", "residual_alpha", "coeff_tail"]
+    row = dict(zip(header, map(float, lines[2].split(","))))
+    assert row["residual_alpha"] < 1e-9
+    assert row["coeff_tail"] < 1e-8
 
 
 def test_gauge_fix_command(tmp_path, shape_generic):

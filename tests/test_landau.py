@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import (LadderTerm, basis_evaluate, dense_tables, magnetic_shift,
+                       theta_extended, unit_field)
 from vortexlattice import landau
-from vortexlattice.landau import (LadderTerm, LandauBasis, cell_average,
-                                  covariant_gradient, covariant_gradient_grid,
-                                  field_from_coeffs, inner_avg, ladder_apply,
-                                  landau_apply, magnetic_shift, norm_avg,
+from vortexlattice.landau import (LandauBasis, cell_average, covariant_gradient,
+                                  covariant_gradient_grid, field_from_coeffs,
+                                  inner_avg, ladder_apply, landau_apply, norm_avg,
                                   qp_derivatives, quasi_periodicity_residual,
                                   theta_null_basis)
 from vortexlattice.lattice import normalize_tau
@@ -58,12 +59,12 @@ def test_theta_coeff_recursion(shape_generic):
     basis = LandauBasis(1, shape_generic, 64, K_lev=0)
     th = basis.theta
     for k in (-3, 0, 2, 5):
-        lhs = th.extended(k + th.n)
+        lhs = theta_extended(th, k + th.n)
         rhs = np.exp(1j * th.n * np.pi * th.tau) * np.exp(2j * k * np.pi * th.tau) \
-            * th.extended(k)
+            * theta_extended(th, k)
         assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1e-30)
     # tail below 1e-14 of the maximum at the retained truncation
-    assert abs(th.extended(th.K + 1)) < 1e-14 * abs(th.extended(0))
+    assert abs(theta_extended(th, th.K + 1)) < 1e-14 * abs(theta_extended(th, 0))
 
 
 def test_grid_refinement_converged(shape_tri):
@@ -136,7 +137,7 @@ def test_explicit_raise_operator_matches_grid(shape_generic):
         f = field_from_coeffs(basis, d)
         D1, D2 = covariant_gradient_grid(f)
         raised = -(D1 - 1j * D2)
-        target = np.sqrt(2.0 * (k + 1)) * basis.phi[k + 1, 0]
+        target = np.sqrt(2.0 * (k + 1)) * unit_field(basis, k + 1, 0)
         assert np.max(np.abs(raised - target)) < 1e-11
 
 
@@ -229,7 +230,7 @@ def test_magnetic_shift_matches_closed_form(shape_generic):
     m = basis.geom.m_tau
     x1 = m[0, 0] * (y1 + dy[0]) + m[0, 1] * (y2 + dy[1])
     x2 = m[1, 0] * (y1 + dy[0]) + m[1, 1] * (y2 + dy[1])
-    direct = basis.evaluate(0, 0, x1, x2)
+    direct = basis_evaluate(basis, 0, 0, x1, x2)
     assert np.max(np.abs(shifted.values - direct)) < 1e-11
 
 
@@ -250,19 +251,60 @@ def test_qp_derivatives_match_ladder_route(shape_generic, rng):
 
 
 # ----------------------------------------------------------------------
-# LadderTerm polynomial carrier
+# separable transform against the dense tables
 # ----------------------------------------------------------------------
+# the last case folds 34 theta terms into the 24 bins of the working grid,
+# with the terms that share a bin both visible on the cell at high levels
+TRANSFORM_CASES = [(1, 1j, 32, 8), (1, 0.3 + 1.2j, 48, 12), (2, 0.45 + 0.95j, 32, 4),
+                   (3, 1j, 24, 100)]
+
+
+@pytest.mark.parametrize("n, tau, N, K_lev", TRANSFORM_CASES)
+def test_transform_matches_dense_tables(n, tau, N, K_lev, rng):
+    # synth on both grids and project against the term-by-term tables
+    basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
+    phi = dense_tables(basis, *basis.grid.x)
+    phi_d = dense_tables(basis, *basis.grid_d.x)
+    c = rng.standard_normal((K_lev + 1, n)) + 1j * rng.standard_normal((K_lev + 1, n))
+    v = rng.standard_normal((2 * N, 2 * N)) + 1j * rng.standard_normal((2 * N, 2 * N))
+    for got, ref in ((basis.synth(c), np.tensordot(c, phi, axes=([0, 1], [0, 1]))),
+                     (basis.synth(c, dealias=True),
+                      np.tensordot(c, phi_d, axes=([0, 1], [0, 1]))),
+                     (basis.project(v),
+                      np.einsum("kjxy,xy->kj", np.conj(phi_d), v) / v.size)):
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n, tau, N, K_lev", TRANSFORM_CASES)
+def test_project_is_the_adjoint_of_synth(n, tau, N, K_lev, rng):
+    basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
+    c = rng.standard_normal((K_lev + 1, n)) + 1j * rng.standard_normal((K_lev + 1, n))
+    v = rng.standard_normal((2 * N, 2 * N)) + 1j * rng.standard_normal((2 * N, 2 * N))
+    lhs = inner_avg(basis.synth(c, dealias=True), v)
+    rhs = np.vdot(c, basis.project(v))
+    assert abs(lhs - rhs) < 1e-14 * abs(lhs)
+
+
 @pytest.mark.parametrize("n, tau, N, K_lev", [(1, 1j, 32, 8), (1, 0.3 + 1.2j, 48, 12),
                                               (2, 0.45 + 0.95j, 32, 4)])
-def test_working_table_is_the_doubled_table_at_even_points(n, tau, N, K_lev):
-    # one table on the 2N grid; its even points equal the tables evaluated
-    # directly on the N grid
+def test_working_grid_synth_is_doubled_synth_at_even_points(n, tau, N, K_lev, rng):
     basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
-    assert basis.phi.base is basis.phi_d
-    direct = np.einsum("ij,kjxy->kixy", basis._mix, basis._evaluate_raw(*basis.grid.x))
-    assert np.array_equal(basis.phi, direct)
+    c = rng.standard_normal((K_lev + 1, n)) + 1j * rng.standard_normal((K_lev + 1, n))
+    even = basis.synth(c, dealias=True)[::2, ::2]
+    assert np.max(np.abs(basis.synth(c) - even)) < 1e-14 * np.max(np.abs(even))
 
 
+def test_basis_memory_is_bounded(shape_generic):
+    # profiles, carrier and mix at N=128, K_lev=40; the dense (K_lev+1, n, 2N, 2N)
+    # table they replace held 43 MB
+    basis = LandauBasis(1, shape_generic, 128, K_lev=40)
+    held = sum(v.nbytes for v in vars(basis).values() if isinstance(v, np.ndarray))
+    assert held <= 6e6
+
+
+# ----------------------------------------------------------------------
+# LadderTerm polynomial carrier
+# ----------------------------------------------------------------------
 def test_ladderterm_degree_invariant():
     t = LadderTerm(0, 2, np.array([1.0 + 0j]))
     for lev in range(1, 6):
@@ -279,12 +321,12 @@ def test_ladderterm_matches_hermite_tables(shape_generic):
     x1, x2 = basis.grid.x
     vals = np.zeros_like(x1, dtype=complex)
     for m in range(-basis.theta.K, basis.theta.K + 1):
-        term = LadderTerm(0, m, np.array([basis.theta.extended(m)]))
+        term = LadderTerm(0, m, np.array([theta_extended(basis.theta, m)]))
         for _ in range(lev):
             term = term.raised(1, basis.nu)
         vals += term.evaluate(1, basis.nu, x1, x2)
     vals /= math.sqrt(2.0**lev * math.factorial(lev))
-    ref = basis.phi[lev, 0]
+    ref = unit_field(basis, lev, 0)
     scale = norm_avg(vals) / norm_avg(ref)
     assert np.max(np.abs(vals / scale - ref)) < 1e-11
 
