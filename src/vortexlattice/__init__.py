@@ -13,8 +13,8 @@ from .abrikosov import (BetaResult, CriticalPoint, applied_field,
                         energy_landscape_asymptotic, find_beta_critical_points,
                         kappa_c, minimize_Eb_numeric)
 from .bifurcation import (Branch, ExpansionReport, ReductionSetup,
-                          branch_by_field, build_reduction, effective_energy,
-                          fit_expansion, gamma1, solve_branch, solve_w)
+                          branch_by_field, build_reduction, fit_expansion,
+                          gamma1, solve_branch, solve_w)
 from .gauge import (RawLatticeState, fix_gauge, gauge_transform, rotate_state,
                     translate_state)
 

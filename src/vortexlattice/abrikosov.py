@@ -19,6 +19,8 @@ from .landau import LandauBasis
 from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, LatticeShape, SolverError,
                       fundamental_domain_grid, normalize_tau)
 
+CRITICAL_GRAD_TOL = 1e-8   # |grad beta| at which a Newton start has converged
+
 
 @dataclass(frozen=True)
 class BetaResult:
@@ -160,22 +162,21 @@ def _classify(tau: complex, hess: np.ndarray) -> str:
     return "saddle"
 
 
-def find_beta_critical_points(tolerance: float = 1e-8,
-                              n_starts: int = 12) -> list[CriticalPoint]:
+def find_beta_critical_points() -> list[CriticalPoint]:
     """Newton search for the zeros of grad beta over the fundamental domain.
 
     Moves that exit the domain are reduced back by T/S before evaluating;
     converged points are deduplicated modulo the modular identifications.
     """
-    starts = fundamental_domain_grid(4, 3, tau2_max=1.6)
-    starts = starts[: max(n_starts, 1)] + [TAU_SQUARE, complex(TAU_TRIANGULAR)]
+    starts = (fundamental_domain_grid(4, 3, tau2_max=1.6)
+              + [TAU_SQUARE, complex(TAU_TRIANGULAR)])
     found: list[complex] = []
     for tau0 in starts:
         tau = complex(tau0)
         ok = False
         for _ in range(60):
             g = beta_gradient(tau)
-            if np.linalg.norm(g) < tolerance:
+            if np.linalg.norm(g) < CRITICAL_GRAD_TOL:
                 ok = True
                 break
             H = beta_hessian(tau)
@@ -204,47 +205,6 @@ def find_beta_critical_points(tolerance: float = 1e-8,
                                  gradient_norm=float(np.linalg.norm(g)),
                                  hessian_eigenvalues=(float(eigs[0]), float(eigs[1]))))
     return out
-
-
-def descend_beta(tau0: complex, step0: float = 0.1, tol: float = 1e-10,
-                 max_iter: int = 500) -> complex:
-    """Gradient descent with backtracking, folded into the fundamental domain."""
-    tau = complex(normalize_tau(tau0)[0].tau)
-    val = beta_of(tau)
-    step = step0
-    for _ in range(max_iter):
-        g = beta_gradient(tau)
-        gn = np.linalg.norm(g)
-        if gn < tol:
-            break
-        while step > 1e-12:
-            cand = tau - step * (g[0] + 1j * g[1])
-            if cand.imag > 0.05:
-                cand = complex(normalize_tau(cand)[0].tau)
-                cval = beta_of(cand)
-                if cval < val:
-                    tau, val = cand, cval
-                    step = min(step * 1.5, 0.5)
-                    break
-            step *= 0.5
-        else:
-            break
-    # Newton polish once inside the attraction basin
-    for _ in range(20):
-        g = beta_gradient(tau)
-        if np.linalg.norm(g) < tol:
-            break
-        try:
-            d = np.linalg.solve(beta_hessian(tau), -g)
-        except np.linalg.LinAlgError:
-            break
-        if np.linalg.norm(d) > 0.1:
-            d *= 0.1 / np.linalg.norm(d)
-        cand = complex(tau + d[0] + 1j * d[1])
-        if cand.imag < 0.05:
-            break
-        tau = complex(normalize_tau(cand)[0].tau)
-    return canonical_tau(tau)
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .glcore import (F_coeffs, GLParams, GLState, PeriodicVectorField,
-                     _coeff_samples, _energy, energy, nonlinear_coeffs)
+from .glcore import (F_coeffs, GLParams, PeriodicVectorField, _coeff_samples,
+                     _energy, _nonlinear, _PsiSamples)
 from .landau import LandauBasis, QuasiPeriodicField, field_from_coeffs
 from .lattice import LatticeShape, SolverError
 
@@ -31,6 +31,8 @@ S_MAX_DEFAULT = 0.3
 # history depth of the Anderson mixing in solve_w; depths 2-5 fail on far
 # field targets (square b = 0.5, triangular b = 0.3) that depth 8 solves
 ANDERSON_DEPTH = 8
+W_TOL = 1e-12          # solve_w stops at max |G(x) - x| < W_TOL max(|s|, 1e-6)
+W_MAX_SWEEPS = 200     # sweeps before solve_w raises SolverError
 
 
 class BranchSideError(ValueError):
@@ -76,6 +78,7 @@ class WSolveResult:
     w: np.ndarray                 # (K_lev+1, 1) coefficients, zeroth entry 0
     alpha2: np.ndarray            # induced potential on the doubled grid
     ncoef: np.ndarray             # nonlinear term coefficients at the solution
+    samples: _PsiSamples | None   # s psi0 + w and its derivatives on the doubled grid
     iterations: int               # sweeps
     residual: float               # |Q F(lambda, s psi0 + w)| (averaged norm)
     s: complex                    # psi0 amplitude at the solution
@@ -83,7 +86,6 @@ class WSolveResult:
 
 
 def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
-            tol: float = 1e-12, max_iter: int = 200,
             warm: WSolveResult | None = None, *,
             _unknown: str | None = None) -> WSolveResult:
     """Solve the Q-projected equation for w = w(lambda, s psi0).
@@ -94,7 +96,7 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
     for it, so the result carries the branch value.  The fixed point of G is
     found by Anderson mixing (type II, Walker & Ni 2011) on the packed vector
     x = (Re w, Im w, unknown scalar), lambda weighted by |s|; it stops when
-    max |G(x) - x| < tol max(|s|, 1e-6) and returns the mapped point G(x).
+    max |G(x) - x| < W_TOL max(|s|, 1e-6) and returns the mapped point G(x).
     """
     basis = setup.basis
     w = np.zeros((basis.K_lev + 1, 1), dtype=complex) if warm is None else warm.w.copy()
@@ -102,13 +104,15 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
     if s == 0:
         z = np.zeros_like(w)
         a0 = np.zeros((2, basis.grid_d.N, basis.grid_d.N))
-        return WSolveResult(z, a0, z, 0, 0.0, s, lam)
+        return WSolveResult(z, a0, z, _coeff_samples(basis, z, dealias=True), 0, 0.0,
+                            s, lam)
 
     def sweep(wc, sc, lc, a_start):
         psi_c = wc.copy()
         psi_c[0, 0] += sc
-        ncoef, a2 = nonlinear_coeffs(basis, psi_c, kappa, alpha_start=a_start)
-        return -basis.resolvent_coeffs(setup.project_Q(ncoef), lc), a2, ncoef
+        ps = _coeff_samples(basis, psi_c, dealias=True)
+        ncoef, a2 = _nonlinear(basis, ps, kappa, alpha_start=a_start)
+        return -basis.resolvent_coeffs(setup.project_Q(ncoef), lc), a2, ncoef, ps
 
     def p_solve(sc, lc, ncoef):
         """(s, lambda) with the unknown one re-solved from the P-equation."""
@@ -125,13 +129,13 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         return sc, lc
 
     def finish(wc, sc, lc, a_start, iterations):
-        # alpha and N at the returned iterate, and the Q-residual there
-        _, a2, ncoef = sweep(wc, sc, lc, a_start)
+        # samples, alpha and N at the returned iterate, and the Q-residual there
+        _, a2, ncoef, ps = sweep(wc, sc, lc, a_start)
         if _unknown == "lam":
             lc = p_solve(sc, lc, ncoef)[1]
         res = F_coeffs(basis, wc, lc, setup.project_Q(ncoef))
         res[0, 0] = 0.0
-        return WSolveResult(wc, a2, ncoef, iterations, float(np.linalg.norm(res)),
+        return WSolveResult(wc, a2, ncoef, ps, iterations, float(np.linalg.norm(res)),
                             sc, lc)
 
     # Anderson mixing acts on x = (Re w, Im w, unknown scalar), lambda
@@ -149,15 +153,15 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         return (wc, x[m], lam) if _unknown == "s" else (wc, s, lam)
 
     x, fs, gs, step = pack(w, s, lam), [], [], np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, W_MAX_SWEEPS + 1):
         wc, sc, lc = unpack(x)
-        w_new, alpha2, ncoef = sweep(wc, sc, lc, alpha2)
+        w_new, alpha2, ncoef = sweep(wc, sc, lc, alpha2)[:3]
         s_new, lam_new = p_solve(sc, lc, ncoef)
         g = pack(w_new, s_new, lam_new)
         step = float(np.max(np.abs(g - x)))
         if not np.isfinite(step):
             break
-        if step < tol * max(abs(s_new), 1e-6):
+        if step < W_TOL * max(abs(s_new), 1e-6):
             return finish(w_new, s_new, lam_new, alpha2, it)
         # type II update from the last ANDERSON_DEPTH differences
         fs, gs = fs[-ANDERSON_DEPTH:] + [g - x], gs[-ANDERSON_DEPTH:] + [g]
@@ -167,13 +171,12 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
                       f"(last step {step:.2e})")
 
 
-def gamma1(lam: float, s: complex, setup: ReductionSetup, kappa: float,
-           tol: float = 1e-12, warm: WSolveResult | None = None
+def gamma1(lam: float, s: complex, setup: ReductionSetup, kappa: float
            ) -> tuple[complex, WSolveResult]:
     """gamma1(lambda, s) = <psi0, F(lambda, s psi0 + w)> / s (limit 1-lambda at 0)."""
     if s == 0:
         return (1.0 - lam), solve_w(lam, 0.0, setup, kappa)
-    wres = solve_w(lam, s, setup, kappa, tol=tol, warm=warm)
+    wres = solve_w(lam, s, setup, kappa)
     gamma0 = (1.0 - lam) * s + wres.ncoef[0, 0]
     return gamma0 / s, wres
 
@@ -218,44 +221,33 @@ class Branch:
         return np.array([p.b for p in self.points])
 
 
-def _gl_state(s, w, alpha2, lam, setup, kappa) -> GLState:
-    """State psi = s psi0 + w with the doubled-grid alpha2 resampled to the
-    working grid."""
-    basis = setup.basis
-    psi_c = w.copy()
-    psi_c[0, 0] += s
-    return GLState(psi=field_from_coeffs(basis, psi_c),
-                   alpha=PeriodicVectorField(basis.grid_d.resample(alpha2, basis.N),
-                                             basis.grid),
-                   params=GLParams(kappa=kappa, n=1, lam=lam))
-
-
 def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
+    """The branch point psi = s psi0 + w, read from the w solve's final
+    doubled-grid samples (shared by the alpha residual and the energy)."""
     basis = setup.basis
     grid = basis.grid
-    s, lam = wres.s, wres.lam
-    state = _gl_state(s, wres.w, wres.alpha2, lam, setup, kappa)
-    psi_c = state.psi.coeffs
+    s, lam, ps = wres.s, wres.lam, wres.samples
+    psi_c = wres.w.copy()
+    psi_c[0, 0] += s
+    alpha = PeriodicVectorField(basis.grid_d.resample(wres.alpha2, basis.N), grid)
 
     fco = F_coeffs(basis, psi_c, lam, wres.ncoef)
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
-    ps = _coeff_samples(basis, psi_c, dealias=True)  # shared with the energy
 
-    curl_a = 1.0 + grid.curl(state.alpha.values)
+    curl_a = 1.0 + grid.curl(alpha.values)
     return BranchPoint(
-        s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam),
-        psi_coeffs=psi_c, alpha=state.alpha, energy=_energy(ps, state.alpha, state.params),
+        s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam), psi_coeffs=psi_c,
+        alpha=alpha, energy=_energy(ps, alpha, GLParams(kappa=kappa, n=1, lam=lam)),
         residual_psi=res_psi, residual_alpha=ps.alpha_residual_rms(wres.alpha2),
         flux=float(np.mean(curl_a) * grid.area),
         max_curl_a=float(np.max(curl_a)),
-        min_abs_psi=float(np.min(np.abs(state.psi.values))),
+        min_abs_psi=float(np.min(np.abs(basis.synth(psi_c)))),
         coeff_tail=float(np.max(np.abs(psi_c[-1])) / max(np.max(np.abs(psi_c)), 1e-300)),
     )
 
 
 def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int = 96,
-                 K_lev: int = 40, tol: float = 1e-12,
-                 setup: ReductionSetup | None = None) -> Branch:
+                 K_lev: int = 40, setup: ReductionSetup | None = None) -> Branch:
     """Continue the bifurcating branch over the given s grid (ascending)."""
     if setup is None:
         setup = build_reduction(shape, N, K_lev)
@@ -273,17 +265,18 @@ def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int = 96,
         # lambda - 1 scales like s^2 along the branch
         lam0 = (1.0 + c_apriori * s * s if warm is None
                 else 1.0 + (warm.lam - 1.0) * (s / warm.s) ** 2)
-        wres = solve_w(lam0, s, setup, kappa, tol=tol, warm=warm, _unknown="lam")
+        wres = solve_w(lam0, s, setup, kappa, warm=warm, _unknown="lam")
         if (wres.lam - 1.0) * c_apriori <= 0:
             raise SolverError("branch emerged on the side excluded by the "
                               "sign condition; solver inconsistency")
         branch.points.append(_finish_point(wres, setup, kappa))
+        wres.samples = None  # a warm start reads w and alpha2 only; free the rest
         warm = wres
     return branch
 
 
 def branch_by_field(b_target: float, kappa: float, shape: LatticeShape,
-                    N: int = 96, K_lev: int = 40, tol: float = 1e-12,
+                    N: int = 96, K_lev: int = 40,
                     setup: ReductionSetup | None = None) -> BranchPoint:
     """Branch point with prescribed average field b = kappa^2 / lambda_s."""
     if setup is None:
@@ -299,15 +292,8 @@ def branch_by_field(b_target: float, kappa: float, shape: LatticeShape,
             f"no branch at b={b_target}: sign((kappa^2-1/2) beta + 1/2) = "
             f"{np.sign(c_apriori):+.0f} admits only {side}")
     s_est = float(np.sqrt((lam_t - 1.0) / c_apriori))
-    wres = solve_w(lam_t, s_est, setup, kappa, tol=tol, _unknown="s")
+    wres = solve_w(lam_t, s_est, setup, kappa, _unknown="s")
     return _finish_point(wres, setup, kappa)
-
-
-def effective_energy(lam: float, v: complex, setup: ReductionSetup, kappa: float,
-                     tol: float = 1e-12) -> float:
-    """e_lambda(v) = E_lambda(v psi0 + w(lambda, v)); gauge invariant in arg v."""
-    wres = solve_w(lam, v, setup, kappa, tol=tol)
-    return energy(_gl_state(v, wres.w, wres.alpha2, lam, setup, kappa))
 
 
 @dataclass

@@ -1,11 +1,17 @@
 """Command-line front end.
 
 Commands: beta, critical-points, branch, field-landscape, gauge-fix, verify.
-Configuration comes from an optional JSON file (--config) with flag
-overrides (flags win).  tau is accepted as "re,im" or the names "square"
-(i) and "triangular" (e^{i pi/3}).  Output files carry a '#'-prefixed JSON
-provenance header (config hash and truncations) and 17-significant-digit
-CSV, so identical configs reproduce byte-identical outputs.
+COMMANDS declares each command once: its handler, help line and config keys
+with their defaults.  The parser is derived from it: key k is the flag --k
+with _ written -, typed by its default (str when the default is None, a
+bare switch when it is a bool); only the verify suite is positional.  An
+optional JSON file (--config) supplies values and flags override them; both
+are checked by one rule, the default's type (an int passes for a float) and
+the key's CHOICES.  tau is accepted as "re,im" with Im tau > 0, or the names
+"square" (i) and "triangular" (e^{i pi/3}).  Output files carry a
+'#'-prefixed JSON provenance header (config hash and truncations) and
+17-significant-digit CSV, so identical configs reproduce byte-identical
+outputs.
 
 Exit codes: 0 success (verify failures are data, not errors), 2 invalid
 configuration, 3 solver failure or refusal (SolverError, ValueError or
@@ -28,8 +34,6 @@ from . import abrikosov, bifurcation, gauge, landau, snapshot
 from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, SolverError,
                       fundamental_domain_grid, normalize_tau)
 
-FMT = "%.17g"
-
 
 class ConfigError(ValueError):
     pass
@@ -45,6 +49,8 @@ def parse_tau(text: str) -> complex:
     except Exception as exc:
         raise ConfigError(f"cannot parse tau {text!r}: use 're,im', 'square' or "
                           "'triangular'") from exc
+    if not (np.isfinite(re) and np.isfinite(im) and im > 0):
+        raise ConfigError(f"tau {text!r} must be finite with Im tau > 0")
     return complex(re, im)
 
 
@@ -60,20 +66,34 @@ def parse_tau_grid(text: str) -> list[complex]:
     return [parse_tau(part) for part in text.split(";")]
 
 
-def merged_config(args: argparse.Namespace, defaults: dict) -> dict:
+def _kind(default):
+    """The type a config value must have: that of its default, str for None."""
+    return str if default is None else type(default)
+
+
+def merged_config(args: argparse.Namespace) -> dict:
+    defaults = COMMANDS[args.command][2]
     cfg = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("a config file holds one JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
     for key in defaults:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    for key in ("tol", "kappa2", "b", "s_max"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    for key, val in cfg.items():
+        want = _kind(defaults[key])
+        if not (type(val) is want or (val is None and defaults[key] is None)
+                or (want is float and type(val) is int)):
+            raise ConfigError(f"{key} must be a {want.__name__}, not {val!r}")
+        if key in CHOICES and val not in CHOICES[key]:
+            raise ConfigError(f"{key} must be one of {list(CHOICES[key])}, not {val!r}")
+    for key in ("kappa2", "b", "s_max"):
         if key in cfg and not cfg[key] > 0:
             raise ConfigError(f"{key} must be positive")
     if "s_points" in cfg and cfg["s_points"] < 5:
@@ -103,12 +123,9 @@ def write_csv(path: str, cfg: dict, columns: list[str], rows: np.ndarray,
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        prov = {"config": physics_config(cfg), "config_hash": config_hash(cfg)}
-        prov.update(extra_comments or {})
-        fh.write("# " + json.dumps(prov, sort_keys=True) + "\n")
-        fh.write(",".join(columns) + "\n")
-        np.savetxt(fh, np.atleast_2d(rows), fmt=FMT, delimiter=",")
+    prov = {"config": physics_config(cfg), "config_hash": config_hash(cfg)}
+    prov.update(extra_comments or {})
+    snapshot.write_table(path, prov, columns, list(np.atleast_2d(rows).T))
 
 
 def write_json(path: str, cfg: dict, payload: dict) -> None:
@@ -129,10 +146,7 @@ def _beta_row(args):
     return [tau.real, tau.imag, beta, kc]
 
 
-def cmd_beta(args) -> int:
-    defaults = {"tau_grid": "fundamental:20x20", "method": "lattice_sum",
-                "N": 64, "jobs": 1, "outdir": None, "output": "beta_scan.csv"}
-    cfg = merged_config(args, defaults)
+def cmd_beta(cfg: dict) -> int:
     taus = parse_tau_grid(cfg["tau_grid"])
     n_quad = cfg["N"] if cfg["method"] == "quadrature" else 0
     work = [(tau, n_quad) for tau in taus]
@@ -147,10 +161,8 @@ def cmd_beta(args) -> int:
     return 0
 
 
-def cmd_critical_points(args) -> int:
-    defaults = {"tolerance": 1e-8, "outdir": None, "output": "critical_points.json"}
-    cfg = merged_config(args, defaults)
-    pts = abrikosov.find_beta_critical_points(tolerance=cfg["tolerance"])
+def cmd_critical_points(cfg: dict) -> int:
+    pts = abrikosov.find_beta_critical_points()
     payload = {"critical_points": [
         {"tau": [p.tau.real, p.tau.imag], "kind": p.kind,
          "gradient_norm": p.gradient_norm,
@@ -161,16 +173,12 @@ def cmd_critical_points(args) -> int:
     return 0
 
 
-def cmd_branch(args) -> int:
-    defaults = {"kappa2": 2.0, "tau": "square", "s_max": 0.1, "s_points": 5,
-                "N": 128, "K_lev": 40, "tol": 1e-12, "outdir": None,
-                "prefix": "branch"}
-    cfg = merged_config(args, defaults)
+def cmd_branch(cfg: dict) -> int:
     kappa = float(np.sqrt(cfg["kappa2"]))
     shape, _ = normalize_tau(parse_tau(cfg["tau"]))
     s_grid = np.linspace(cfg["s_max"] / cfg["s_points"], cfg["s_max"], cfg["s_points"])
     branch = bifurcation.solve_branch(s_grid, kappa, shape, N=cfg["N"],
-                                      K_lev=cfg["K_lev"], tol=cfg["tol"])
+                                      K_lev=cfg["K_lev"])
     rows = [[p.s, p.lam, p.b, p.energy, p.residual_psi, p.residual_alpha,
              p.max_curl_a, p.min_abs_psi, p.coeff_tail] for p in branch.points]
     csv_path = out_path(cfg, cfg["prefix"] + ".csv")
@@ -187,11 +195,7 @@ def cmd_branch(args) -> int:
     return 0
 
 
-def cmd_field_landscape(args) -> int:
-    defaults = {"kappa2": 2.0, "b": 1.9, "tau_grid": "fundamental:8x6",
-                "numeric": False, "N": 96, "K_lev": 40, "outdir": None,
-                "output": "field_landscape.csv"}
-    cfg = merged_config(args, defaults)
+def cmd_field_landscape(cfg: dict) -> int:
     kappa = float(np.sqrt(cfg["kappa2"]))
     taus = parse_tau_grid(cfg["tau_grid"])
     cols = ["tau_re", "tau_im", "beta", "kappa_c", "E_b_asymptotic"]
@@ -215,9 +219,7 @@ def cmd_field_landscape(args) -> int:
     return 0
 
 
-def cmd_gauge_fix(args) -> int:
-    defaults = {"input": None, "kappa2": 1.0, "outdir": None, "output": "fixed_state.csv"}
-    cfg = merged_config(args, defaults)
+def cmd_gauge_fix(cfg: dict) -> int:
     if not cfg["input"]:
         raise ConfigError("gauge-fix needs --input snapshot")
     raw = snapshot.load_raw_state(cfg["input"])
@@ -327,17 +329,9 @@ def verify_asymptotics(cfg) -> list[dict]:
             _verdict("curl a1 pointwise vs (1-|psi0|^2)/2", rep.curl_a1_sup_err, 1e-4)]
 
 
-def cmd_verify(args) -> int:
-    defaults = {"suite": None, "kappa2": 2.0, "tau": "square", "N": 96,
-                "K_lev": 40, "N_fd": 64, "trials": 5, "seed": 0,
-                "outdir": None, "output": None}
-    cfg = merged_config(args, defaults)
-    suites = {"spectrum": verify_spectrum, "gauge": verify_gauge,
-              "symmetry": verify_symmetry, "asymptotics": verify_asymptotics}
-    if cfg["suite"] not in suites:
-        raise ConfigError(f"unknown suite {cfg['suite']!r}; pick from {sorted(suites)}")
+def cmd_verify(cfg: dict) -> int:
     print(f"verify {cfg['suite']}:")
-    checks = suites[cfg["suite"]](cfg)
+    checks = SUITES[cfg["suite"]](cfg)
     payload = {"suite": cfg["suite"], "checks": checks,
                "all_pass": all(c["pass"] for c in checks)}
     path = out_path(cfg, cfg["output"] or f"verify_{cfg['suite']}.json")
@@ -346,88 +340,67 @@ def cmd_verify(args) -> int:
     return 0
 
 
+SUITES = {"spectrum": verify_spectrum, "gauge": verify_gauge,
+          "symmetry": verify_symmetry, "asymptotics": verify_asymptotics}
+
+
 # ----------------------------------------------------------------------
+# command table: name -> (handler, help line, {config key: default})
+# ----------------------------------------------------------------------
+COMMANDS = {
+    "beta": (cmd_beta, "beta(tau) scan",
+             {"tau_grid": "fundamental:20x20", "method": "lattice_sum", "N": 64,
+              "jobs": 1, "outdir": None, "output": "beta_scan.csv"}),
+    "critical-points": (cmd_critical_points, "critical points of beta",
+                        {"outdir": None, "output": "critical_points.json"}),
+    "branch": (cmd_branch, "bifurcation branch and expansion report",
+               {"kappa2": 2.0, "tau": "square", "s_max": 0.1, "s_points": 5,
+                "N": 128, "K_lev": 40, "outdir": None, "prefix": "branch"}),
+    "field-landscape": (cmd_field_landscape, "E_b(tau) asymptotic and numeric",
+                        {"kappa2": 2.0, "b": 1.9, "tau_grid": "fundamental:8x6",
+                         "numeric": False, "N": 96, "K_lev": 40, "outdir": None,
+                         "output": "field_landscape.csv"}),
+    "gauge-fix": (cmd_gauge_fix, "fix the gauge of a raw state snapshot",
+                  {"input": None, "kappa2": 1.0, "outdir": None,
+                   "output": "fixed_state.csv"}),
+    "verify": (cmd_verify, "run an invariant suite",
+               {"suite": None, "kappa2": 2.0, "tau": "square", "N": 96, "K_lev": 40,
+                "N_fd": 64, "trials": 5, "seed": 0, "outdir": None, "output": None}),
+}
+CHOICES = {"method": ("lattice_sum", "quadrature"), "suite": tuple(SUITES)}
+HELP = {"outdir": "output directory (default $VORTEXLATTICE_OUT or '.')"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="vortexlattice",
                                  description="Vortex-lattice solutions of the "
                                  "2-D Ginzburg-Landau equations")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, help_line, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="JSON config file; flags override")
-        p.add_argument("--outdir", help="output directory "
-                       "(default $VORTEXLATTICE_OUT or '.')")
-
-    p = sub.add_parser("beta", help="beta(tau) scan")
-    add_common(p)
-    p.add_argument("--tau-grid", dest="tau_grid")
-    p.add_argument("--method", choices=["lattice_sum", "quadrature"])
-    p.add_argument("--N", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_beta)
-
-    p = sub.add_parser("critical-points", help="critical points of beta")
-    add_common(p)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_critical_points)
-
-    p = sub.add_parser("branch", help="bifurcation branch and expansion report")
-    add_common(p)
-    p.add_argument("--kappa2", type=float)
-    p.add_argument("--tau")
-    p.add_argument("--s-max", dest="s_max", type=float)
-    p.add_argument("--s-points", dest="s_points", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--K-lev", dest="K_lev", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--prefix")
-    p.set_defaults(func=cmd_branch)
-
-    p = sub.add_parser("field-landscape", help="E_b(tau) asymptotic and numeric")
-    add_common(p)
-    p.add_argument("--kappa2", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--tau-grid", dest="tau_grid")
-    p.add_argument("--numeric", action="store_const", const=True)
-    p.add_argument("--N", type=int)
-    p.add_argument("--K-lev", dest="K_lev", type=int)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_field_landscape)
-
-    p = sub.add_parser("gauge-fix", help="fix the gauge of a raw state snapshot")
-    add_common(p)
-    p.add_argument("--input")
-    p.add_argument("--kappa2", type=float)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_gauge_fix)
-
-    p = sub.add_parser("verify", help="run an invariant suite")
-    add_common(p)
-    p.add_argument("suite", nargs="?")
-    p.add_argument("--kappa2", type=float)
-    p.add_argument("--tau")
-    p.add_argument("--N", type=int)
-    p.add_argument("--K-lev", dest="K_lev", type=int)
-    p.add_argument("--N-fd", dest="N_fd", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_verify)
+        for key, default in defaults.items():
+            flag = "--" + key.replace("_", "-")
+            if key == "suite":
+                p.add_argument(key, nargs="?")
+            elif isinstance(default, bool):
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=_kind(default), choices=CHOICES.get(key),
+                               help=HELP.get(key))
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](merged_config(args))
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except (SolverError, ValueError, ZeroDivisionError) as exc:  # flush a marker, exit 3
         marker = {"status": "failed", "command": args.command, "error": str(exc)}
-        root = getattr(args, "outdir", None) or os.environ.get("VORTEXLATTICE_OUT", ".")
+        root = args.outdir or os.environ.get("VORTEXLATTICE_OUT", ".")
         try:
             os.makedirs(root, exist_ok=True)
             with open(os.path.join(root, "FAILED.json"), "w") as fh:

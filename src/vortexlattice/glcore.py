@@ -196,7 +196,14 @@ def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
     is solved there first (warm-started from alpha_start).  Returns the
     coefficients and the alpha2 used.
     """
-    ps = _coeff_samples(basis, psi_coeffs, dealias=True)
+    return _nonlinear(basis, _coeff_samples(basis, psi_coeffs, dealias=True), kappa,
+                      alpha2, alpha_start)
+
+
+def _nonlinear(basis: LandauBasis, ps: _PsiSamples, kappa: float,
+               alpha2: np.ndarray | None = None,
+               alpha_start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """nonlinear_coeffs() from the doubled-grid samples of psi."""
     if alpha2 is None:
         alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, alpha_start)
     nl = (2j * (alpha2[0] * ps.d1 + alpha2[1] * ps.d2)

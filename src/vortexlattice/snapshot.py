@@ -26,7 +26,9 @@ def _grid_columns(N: int) -> tuple[np.ndarray, np.ndarray]:
     return y1.ravel(), y2.ravel()
 
 
-def _write(path, header: dict, columns: list[str], arrays: list[np.ndarray]) -> None:
+def write_table(path, header: dict, columns: list[str], arrays: list[np.ndarray]) -> None:
+    """The '#'-header CSV of snapshots and CLI tables: '# <sorted JSON>', the
+    column names, then one FMT row per sample of the column arrays."""
     data = np.column_stack(arrays)
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
@@ -55,8 +57,8 @@ def save_field(path, f: QuasiPeriodicField, extra: dict | None = None) -> None:
         header["K"] = f.basis.theta.K
         header["K_lev"] = f.basis.K_lev
     header.update(extra or {})
-    _write(path, header, ["y1", "y2", "re_psi", "im_psi"],
-           [y1, y2, f.values.real.ravel(), f.values.imag.ravel()])
+    write_table(path, header, ["y1", "y2", "re_psi", "im_psi"],
+                [y1, y2, f.values.real.ravel(), f.values.imag.ravel()])
 
 
 def load_field(path) -> QuasiPeriodicField:
@@ -77,10 +79,10 @@ def save_state(path, state: GLState, extra: dict | None = None) -> None:
               "N": N, "kappa": p.kappa, "lambda": p.lam, "b": p.b,
               "bc_const": list(psi.bc_const)}
     header.update(extra or {})
-    _write(path, header,
-           ["y1", "y2", "re_psi", "im_psi", "alpha1", "alpha2", "curl_a"],
-           [y1, y2, psi.values.real.ravel(), psi.values.imag.ravel(),
-            alpha.values[0].ravel(), alpha.values[1].ravel(), curl_a.ravel()])
+    write_table(path, header,
+                ["y1", "y2", "re_psi", "im_psi", "alpha1", "alpha2", "curl_a"],
+                [y1, y2, psi.values.real.ravel(), psi.values.imag.ravel(),
+                 alpha.values[0].ravel(), alpha.values[1].ravel(), curl_a.ravel()])
 
 
 def load_state(path) -> GLState:
@@ -106,9 +108,9 @@ def save_raw_state(path, raw, extra: dict | None = None) -> None:
     header = {"kind": "raw", "n": raw.n, "tau": [raw.shape.tau1, raw.shape.tau2],
               "N": N, "r": raw.r, "bc_const": list(raw.bc_const)}
     header.update(extra or {})
-    _write(path, header, ["y1", "y2", "re_psi", "im_psi", "ap1", "ap2"],
-           [y1, y2, raw.psi.real.ravel(), raw.psi.imag.ravel(),
-            raw.a_p[0].ravel(), raw.a_p[1].ravel()])
+    write_table(path, header, ["y1", "y2", "re_psi", "im_psi", "ap1", "ap2"],
+                [y1, y2, raw.psi.real.ravel(), raw.psi.imag.ravel(),
+                 raw.a_p[0].ravel(), raw.a_p[1].ravel()])
 
 
 def load_raw_state(path):

@@ -119,20 +119,6 @@ class CellGrid:
     def curl_star_curl(self, v: np.ndarray) -> np.ndarray:
         return self.curl_star(self.curl(v))
 
-    def helmholtz_project(self, v: np.ndarray) -> np.ndarray:
-        """Project onto divergence-free, mean-zero vector fields."""
-        g1, g2 = self.wavevectors
-        v1h = np.fft.fft2(v[0])
-        v2h = np.fft.fft2(v[1])
-        dead, gsq = self.gsq_divisor
-        gv = (g1 * v1h + g2 * v2h) / gsq
-        v1h -= g1 * gv
-        v2h -= g2 * gv
-        v1h[dead] = 0.0
-        v2h[dead] = 0.0
-        out = np.stack([np.fft.ifft2(v1h), np.fft.ifft2(v2h)])
-        return out.real if np.isrealobj(v) else out
-
     def antiderivative(self, v: np.ndarray) -> np.ndarray:
         """Periodic potential p with grad(p) = v - <v>, <p> = 0.
 

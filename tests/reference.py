@@ -1,20 +1,42 @@
 """Reference implementations and constructions that only the tests use.
 
-The damped vector fixed point for the induced potential is the second
-oracle for the stream-function conjugate gradients of
-glcore._alpha_fixed_point.  The dense Landau tables summed term by term
+The damped vector fixed point for the induced potential, with its Helmholtz
+projection, is the second oracle for the stream-function conjugate gradients
+of glcore._alpha_fixed_point.  The dense Landau tables summed term by term
 (LandauBasis._evaluate_raw) are the second oracle for the separable
 transform behind LandauBasis.synth/project, and the polynomial ladder
-carrier LadderTerm a third route to the higher levels.
+carrier LadderTerm a third route to the higher levels.  Gradient descent on
+beta is the second route to its minimum, and the effective energy
+e_lambda(v) checks the reduction's variational structure.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from vortexlattice.glcore import AlphaSolveError, GLState, PeriodicVectorField
+from vortexlattice.abrikosov import (beta_gradient, beta_hessian, beta_of,
+                                     canonical_tau)
+from vortexlattice.bifurcation import solve_w
+from vortexlattice.glcore import (AlphaSolveError, GLParams, GLState,
+                                  PeriodicVectorField, energy)
 from vortexlattice.landau import (QuasiPeriodicField, field_from_coeffs,
                                   magnetic_shift_values)
+from vortexlattice.lattice import normalize_tau
+
+
+def helmholtz_project(grid, v):
+    """Project onto divergence-free, mean-zero vector fields."""
+    g1, g2 = grid.wavevectors
+    v1h = np.fft.fft2(v[0])
+    v2h = np.fft.fft2(v[1])
+    dead, gsq = grid.gsq_divisor
+    gv = (g1 * v1h + g2 * v2h) / gsq
+    v1h -= g1 * gv
+    v2h -= g2 * gv
+    v1h[dead] = 0.0
+    v2h[dead] = 0.0
+    out = np.stack([np.fft.ifft2(v1h), np.fft.ifft2(v2h)])
+    return out.real if np.isrealobj(v) else out
 
 
 def alpha_damped_fixed_point(grid, j0, abspsi2, tol=1e-14, max_iter=400):
@@ -22,7 +44,7 @@ def alpha_damped_fixed_point(grid, j0, abspsi2, tol=1e-14, max_iter=400):
     alpha = np.zeros_like(j0)
     damping, last = 1.0, np.inf
     for _ in range(max_iter):
-        rhs = grid.helmholtz_project(j0 - abspsi2[None] * alpha)
+        rhs = helmholtz_project(grid, j0 - abspsi2[None] * alpha)
         step = -np.stack([grid.poisson(c) for c in rhs]) - alpha
         delta = float(np.max(np.abs(step)))
         if delta > last and damping > 0.25:
@@ -53,6 +75,67 @@ def gauge_transform_state(state, eta):
 def min_nonzero_gsq(grid):
     """Smallest nonzero Fourier eigenvalue of -Laplacian on the cell."""
     return float(grid.gsq[grid.gsq > 0].min())
+
+
+# ----------------------------------------------------------------------
+# beta and the reduction
+# ----------------------------------------------------------------------
+def descend_beta(tau0: complex, step0: float = 0.1, tol: float = 1e-10,
+                 max_iter: int = 500) -> complex:
+    """Gradient descent with backtracking, folded into the fundamental domain."""
+    tau = complex(normalize_tau(tau0)[0].tau)
+    val = beta_of(tau)
+    step = step0
+    for _ in range(max_iter):
+        g = beta_gradient(tau)
+        gn = np.linalg.norm(g)
+        if gn < tol:
+            break
+        while step > 1e-12:
+            cand = tau - step * (g[0] + 1j * g[1])
+            if cand.imag > 0.05:
+                cand = complex(normalize_tau(cand)[0].tau)
+                cval = beta_of(cand)
+                if cval < val:
+                    tau, val = cand, cval
+                    step = min(step * 1.5, 0.5)
+                    break
+            step *= 0.5
+        else:
+            break
+    # Newton polish once inside the attraction basin
+    for _ in range(20):
+        g = beta_gradient(tau)
+        if np.linalg.norm(g) < tol:
+            break
+        try:
+            d = np.linalg.solve(beta_hessian(tau), -g)
+        except np.linalg.LinAlgError:
+            break
+        if np.linalg.norm(d) > 0.1:
+            d *= 0.1 / np.linalg.norm(d)
+        cand = complex(tau + d[0] + 1j * d[1])
+        if cand.imag < 0.05:
+            break
+        tau = complex(normalize_tau(cand)[0].tau)
+    return canonical_tau(tau)
+
+
+def w_state(wres, setup, kappa):
+    """GLState psi = s psi0 + w of a w solve, with the doubled-grid alpha2
+    resampled to the working grid."""
+    basis = setup.basis
+    psi_c = wres.w.copy()
+    psi_c[0, 0] += wres.s
+    return GLState(psi=field_from_coeffs(basis, psi_c),
+                   alpha=PeriodicVectorField(basis.grid_d.resample(wres.alpha2, basis.N),
+                                             basis.grid),
+                   params=GLParams(kappa=kappa, n=1, lam=wres.lam))
+
+
+def effective_energy(lam, v, setup, kappa):
+    """e_lambda(v) = E_lambda(v psi0 + w(lambda, v)); gauge invariant in arg v."""
+    return energy(w_state(solve_w(lam, v, setup, kappa), setup, kappa))
 
 
 # ----------------------------------------------------------------------

