@@ -6,12 +6,12 @@ with their defaults.  The parser is derived from it: key k is the flag --k
 with _ written -, typed by its default (str when the default is None, a
 bare switch when it is a bool); only the verify suite is positional.  An
 optional JSON file (--config) supplies values and flags override them; both
-are checked by one rule, the default's type (an int passes for a float) and
-the key's CHOICES.  tau is accepted as "re,im" with Im tau > 0, or the names
-"square" (i) and "triangular" (e^{i pi/3}).  Output files carry a
-'#'-prefixed JSON provenance header (config hash and truncations) and
-17-significant-digit CSV, so identical configs reproduce byte-identical
-outputs.
+are checked by one rule, the default's type (an int passes for a float), the
+key's CHOICES and, for the integer sizes, their MINIMUM.  tau is accepted as
+"re,im" with Im tau > 0, or the names "square" (i) and "triangular"
+(e^{i pi/3}).  Output files carry a '#'-prefixed JSON provenance header
+(config hash and truncations) and 17-significant-digit CSV, so identical
+configs reproduce byte-identical outputs.
 
 Exit codes: 0 success (verify failures are data, not errors), 2 invalid
 configuration, 3 solver failure or refusal (SolverError, ValueError or
@@ -96,8 +96,9 @@ def merged_config(args: argparse.Namespace) -> dict:
     for key in ("kappa2", "b", "s_max"):
         if key in cfg and not cfg[key] > 0:
             raise ConfigError(f"{key} must be positive")
-    if "s_points" in cfg and cfg["s_points"] < 5:
-        raise ConfigError("s_points must be at least 5 (the expansion fit needs 5 points)")
+    for key, least in MINIMUM.items():
+        if key in cfg and cfg[key] < least:
+            raise ConfigError(f"{key} must be at least {least}, not {cfg[key]}")
     return cfg
 
 
@@ -368,6 +369,9 @@ COMMANDS = {
                 "N_fd": 64, "trials": 5, "seed": 0, "outdir": None, "output": None}),
 }
 CHOICES = {"method": ("lattice_sum", "quadrature"), "suite": tuple(SUITES)}
+# the smallest value of each integer size: a CellGrid needs N >= 4, fd_spectrum
+# returns 6 eigenvalues of an N_fd^2 matrix, the expansion fit needs 5 points
+MINIMUM = {"N": 4, "K_lev": 1, "N_fd": 3, "trials": 1, "jobs": 1, "s_points": 5}
 HELP = {"outdir": "output directory (default $VORTEXLATTICE_OUT or '.')"}
 
 

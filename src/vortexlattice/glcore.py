@@ -6,6 +6,9 @@ periodic, mean-zero, divergence-free.  The potential equation
 (M + |psi|^2) alpha = j0 = Im(conj(psi) grad_{A0} psi), M = curl* curl,
 is solved for the stream function phi of alpha = curl* phi by conjugate
 gradients, preconditioned by the constant-|psi|^2 part of the operator.
+phi is real, so the iteration runs on its rfft2 half spectrum, with inner
+products weighted 1 on column 0 and an even grid's Nyquist column and 2 on
+the others, which stand for their conjugate mirrors.
 
 Every solve, residual and energy reads psi, D psi (D = grad_{A0}), |psi|^2,
 j0 and the potential residual (M + |psi|^2) alpha - j0 from one kernel,
@@ -132,40 +135,60 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
     with alpha = curl* phi, A phi = curl (M + |psi|^2) curl* phi = Delta^2 phi
     - div(|psi|^2 grad phi) = curl j0 is solved by conjugate gradients on the
     Fourier modes of phi, preconditioned by |g|^4 + <|psi|^2> |g|^2 and
-    started from the stream function of alpha0 if one is given."""
-    ig = 1j * np.stack(grid.wavevectors)
-    dead, gsq = grid.gsq_divisor
+    started from the stream function of alpha0 if one is given.
+
+    phi is real, so its spectrum is Hermitian and the iteration runs on the
+    rfft2 half spectrum (N, N//2 + 1) of grid.half_spectrum: curl* is one
+    irfft2 and curl one rfft2 of the stacked pair, and inner products weight
+    column 0 and an even grid's Nyquist column by 1, the others by 2, which
+    gives np.vdot of the full spectra.  alpha, r and p are updated in place.
+    """
+    ig, dead, gsq, weights = grid.half_spectrum
+    shape = (grid.N, grid.N)
     precond = np.where(dead, np.inf, gsq * (gsq + np.mean(abspsi2)))
+    g4 = gsq * gsq
+    spec = np.empty(ig.shape, complex)      # (i g2, i g1) phi for curl*
+    tmp = np.empty(gsq.shape, complex)      # |g|^4 p, and w b in dot
+    rho_u = np.empty_like(j0)               # |psi|^2 curl* p
 
     def curl_star(fh):
-        d = np.fft.ifft2(ig * fh).real
-        return np.stack([d[1], -d[0]])
+        d = np.fft.irfft2(np.multiply(ig[::-1], fh, out=spec), s=shape)
+        d[1] *= -1.0                         # (d2 phi, -d1 phi)
+        return d
 
     def curl_hat(v):
-        vh = np.fft.fft2(v)
-        return ig[0] * vh[1] - ig[1] * vh[0]
+        vh = np.fft.rfft2(v)
+        vh *= ig[::-1]
+        return vh[1] - vh[0]                 # i g1 v2 - i g2 v1
+
+    def dot(a, b):
+        return np.vdot(a, np.multiply(weights, b, out=tmp)).real
 
     alpha, r = np.zeros_like(j0), 0.0           # r = curl j0 - A phi
     if alpha0 is not None:
         phi = np.where(dead, 0.0, curl_hat(alpha0) / gsq)
-        alpha, r = curl_star(phi), -gsq * gsq * phi
+        alpha, r = curl_star(phi), -g4 * phi
     r = r + curl_hat(j0 - abspsi2 * alpha)
     z = r / precond
-    p, rz, step = z, np.vdot(r, z).real, np.inf
+    p, rz, step = z.copy(), dot(r, z), np.inf
     for _ in range(ALPHA_MAX_ITER):
         if rz == 0.0:
             break
         u = curl_star(p)
-        Ap = gsq * gsq * p + curl_hat(abspsi2 * u)
-        a = rz / np.vdot(p, Ap).real
-        alpha += a * u
-        step = abs(a) * np.max(np.abs(u))
+        Ap = curl_hat(np.multiply(abspsi2, u, out=rho_u))
+        Ap += np.multiply(g4, p, out=tmp)
+        a = rz / dot(p, Ap)
+        step = abs(a) * max(u.max(), -u.min())
+        u *= a
+        alpha += u
         if step < ALPHA_TOL:
             break
-        r -= a * Ap
-        z = r / precond
-        rz, rz_old = np.vdot(r, z).real, rz
-        p = z + (rz / rz_old) * p
+        Ap *= a
+        r -= Ap
+        np.divide(r, precond, out=z)
+        rz, rz_old = dot(r, z), rz
+        p *= rz / rz_old
+        p += z
     else:
         raise AlphaSolveError(
             f"alpha PCG stalled after {ALPHA_MAX_ITER} iterations: last step "

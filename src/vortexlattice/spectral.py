@@ -10,8 +10,18 @@ transpose of m.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+
+
+class HalfSpectrum(NamedTuple):
+    """Operators on the rfft2 half spectrum, shape (N, N//2 + 1), of real fields."""
+
+    ig: np.ndarray       # (2, N, N//2 + 1): i g
+    dead: np.ndarray     # the g = 0 modes
+    gsq: np.ndarray      # |g|^2 with 1 on the dead modes, to divide by
+    weights: np.ndarray  # (N//2 + 1,): column weights of the inner product
 
 
 class CellGrid:
@@ -68,6 +78,25 @@ class CellGrid:
         """(dead, divisor): the g = 0 modes, and gsq with 1 on them to divide by."""
         dead = self.gsq == 0
         return dead, np.where(dead, 1.0, self.gsq)
+
+    @cached_property
+    def half_spectrum(self) -> HalfSpectrum:
+        """i g, the dead modes and the gsq divisor on the columns 0..N//2 that
+        rfft2 keeps, sliced from the full spectrum, and the weights w of the
+        inner product sum w Re(conj(a) b) of two half spectra.  For real
+        fields it equals np.vdot of their full fft2 spectra: w = 2 counts
+        each column's conjugate mirror, which the half spectrum leaves out;
+        column 0 and, for even N, the Nyquist column N/2 hold their own
+        mirrors and get w = 1."""
+        half = np.s_[..., : self.N // 2 + 1]
+        dead, gsq = self.gsq_divisor
+        weights = np.full(self.N // 2 + 1, 2.0)
+        weights[0] = 1.0
+        if self.N % 2 == 0:
+            weights[-1] = 1.0
+        return HalfSpectrum(1j * np.stack(self.wavevectors)[half],
+                            np.ascontiguousarray(dead[half]),
+                            np.ascontiguousarray(gsq[half]), weights)
 
     # ------------------------------------------------------------------
     # scalar operations (input periodic on the cell)

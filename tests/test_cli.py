@@ -147,7 +147,7 @@ def test_invalid_config_exit_code(tmp_path):
     cfg.write_text('["N"]')
     assert run(["beta", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
     # nonsense physics is refused before any solve or output; the expansion
-    # fit needs 5 branch points
+    # fit needs 5 branch points, and each integer size has its minimum
     out = tmp_path / "out"
     for argv in (["field-landscape", "--kappa2", "-1", "--tau-grid", "square"],
                  ["field-landscape", "--b", "0", "--tau-grid", "square"],
@@ -156,9 +156,28 @@ def test_invalid_config_exit_code(tmp_path):
                  ["branch", "--s-points", "0"],
                  ["branch", "--s-points", "3"],
                  ["branch", "--tau", "0,-1"],
-                 ["beta", "--tau-grid", "0.2,nan"]):
+                 ["beta", "--tau-grid", "0.2,nan"],
+                 ["beta", "--tau-grid", "0.3,1.2", "--method", "quadrature", "--N", "0"],
+                 ["beta", "--jobs", "0"],
+                 ["verify", "spectrum", "--N-fd", "0"],
+                 ["verify", "spectrum", "--N-fd", "2"],
+                 ["verify", "gauge", "--trials", "0"],
+                 ["branch", "--N", "0"],
+                 ["branch", "--N", "3"],
+                 ["field-landscape", "--numeric", "--K-lev", "0"]):
         assert run(argv + ["--outdir", str(out)]) == 2, argv
     assert not out.exists()
+
+
+def test_smallest_sizes_run(tmp_path):
+    # the minimum of each size is a working value, not an error
+    assert run(["verify", "spectrum", "--N-fd", "3", "--N", "16",
+                "--outdir", str(tmp_path)]) == 0
+    assert run(["field-landscape", "--numeric", "--K-lev", "1", "--N", "16",
+                "--tau-grid", "square", "--outdir", str(tmp_path)]) == 0
+    rows = np.loadtxt((tmp_path / "field_landscape.csv").open(), delimiter=",",
+                      skiprows=2)
+    assert np.isfinite(rows).all()
 
 
 # every flag of the parser; the config keys are these without the leading

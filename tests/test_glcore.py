@@ -126,6 +126,21 @@ def test_alpha_pcg_matches_damped_fixed_point(branch_state, scale):
     assert np.max(np.abs(alpha - ref)) <= 1e-14
 
 
+@pytest.mark.parametrize("scale", [1.0, 6.0])
+def test_alpha_pcg_on_an_odd_grid(branch_state, scale):
+    # a sample-only field is solved on its own grid, which may be odd: its
+    # half spectrum has no Nyquist column, and every column but the first
+    # stands for itself and its mirror
+    basis = LandauBasis(1, branch_state.psi.shape, 45, K_lev=branch_state.psi.basis.K_lev)
+    psi = field_from_coeffs(basis, scale * branch_state.psi.coeffs)
+    psi = psi.copy_with(coeffs=None, basis=None)
+    ps = glcore._samples(psi, dealias=False)
+    assert ps.grid.N == 45
+    alpha = solve_alpha(psi, branch_state.params).values
+    ref = alpha_damped_fixed_point(ps.grid, ps.j0, ps.rho)
+    assert np.max(np.abs(alpha - ref)) <= 1e-14
+
+
 def test_alpha_pcg_warm_start(branch_state):
     # started from a perturbed solution through its stream function, and
     # from a nonzero alpha0 on a zero source, PCG returns the cold solution

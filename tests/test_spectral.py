@@ -106,5 +106,41 @@ def test_shift_matches_analytic(grid):
     assert np.max(np.abs(shifted - target)) < 1e-12
 
 
+def half_dot(weights, a, b):
+    """The weighted inner product of two rfft2 half spectra."""
+    return float(np.sum(weights * (np.conj(a) * b).real))
+
+
+@pytest.mark.parametrize("N", [16, 15])
+def test_half_spectrum_inner_product_is_the_full_vdot(grid, rng, N):
+    # two oracles: real fields' inner product on the full fft2 spectra and on
+    # the rfft2 half spectrum with the grid's column weights
+    weights = CellGrid(grid.m, N).half_spectrum.weights
+    a, b = rng.standard_normal((2, N, N))
+    ah, bh = np.fft.rfft2(a), np.fft.rfft2(b)
+    fa, fb = np.fft.fft2(a), np.fft.fft2(b)
+    scale = np.linalg.norm(fa) * np.linalg.norm(fb)
+    for x, y, fx, fy in ((ah, ah, fa, fa), (bh, bh, fb, fb), (ah, bh, fa, fb)):
+        assert abs(half_dot(weights, x, y) - np.vdot(fx, fy).real) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("N", [16, 15])
+def test_stream_function_operator_is_symmetric(grid, rng, N):
+    # A phi = |g|^4 phi + curl(rho curl* phi), the operator of the alpha PCG,
+    # built from the half-spectrum i g, is symmetric under the weighted product
+    g = CellGrid(grid.m, N)
+    ig, dead, gsq, weights = g.half_spectrum
+
+    def A(ph):
+        d = np.fft.irfft2(ig * ph, s=(N, N))
+        vh = np.fft.rfft2(rho * np.stack([d[1], -d[0]]))
+        return gsq * gsq * ph + ig[0] * vh[1] - ig[1] * vh[0]
+    rho = 1.0 + rng.random((N, N))
+    p, q = np.fft.rfft2(rng.standard_normal((2, N, N)))
+    p[dead] = q[dead] = 0.0
+    lhs, rhs = half_dot(weights, p, A(q)), half_dot(weights, A(p), q)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
 def test_min_nonzero_gsq_positive(grid):
     assert min_nonzero_gsq(grid) > 0
