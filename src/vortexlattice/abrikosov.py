@@ -257,7 +257,8 @@ def minimize_Eb_numeric(kappa: float, b: float, N: int = 96, K_lev: int = 40,
 
     Coarse fundamental-domain scan followed by Newton refinement (step
     refine_h, identical path for every b so different mu values are
-    comparable).  Returns (tau_b, E_b(tau_b)).
+    comparable).  Returns (tau_b, E_b(tau_b)).  E_b is computed on each
+    shape's solve grid, so neither depends on N.
 
     The gradient is Richardson-refined, (4 g(h/2) - g(h)) / 3, so its
     truncation remainder is O(h^4).  A plain central difference would leave
@@ -267,7 +268,7 @@ def minimize_Eb_numeric(kappa: float, b: float, N: int = 96, K_lev: int = 40,
     3 eps |E_b| / (h lambda_min), where lambda_min is the smallest Hessian
     eigenvalue of E_b.  Since the Hessian scales as mu^2 = (kappa^2 - b)^2,
     the floor grows like 1/mu^2: about 1e-10 at mu = 0.2 and 2e-9 at
-    mu = 0.05 for N = 96, K_lev = 40, times up to 3 from the Richardson
+    mu = 0.05 for K_lev = 40, times up to 3 from the Richardson
     combination.  Newton stops after a step shorter than 1e-5 refine_h
     (2e-8 by default); quadratic convergence then leaves tau_b at that
     floor, so for mu >= 0.05 the returned tau is resolved to better than

@@ -59,7 +59,7 @@ class ReductionSetup:
         return out
 
     def beta(self) -> float:
-        a2 = np.abs(self.psi0.values) ** 2
+        a2 = np.abs(self.basis.synth(self.psi0.coeffs, solve=True)) ** 2
         return float(np.mean(a2**2) / np.mean(a2) ** 2)
 
 
@@ -76,9 +76,9 @@ def build_reduction(shape: LatticeShape, N: int, K_lev: int = 40,
 @dataclass
 class WSolveResult:
     w: np.ndarray                 # (K_lev+1, 1) coefficients, zeroth entry 0
-    alpha2: np.ndarray            # induced potential on the doubled grid
+    alpha2: np.ndarray            # induced potential on the solve grid
     ncoef: np.ndarray             # nonlinear term coefficients at the solution
-    samples: _PsiSamples | None   # s psi0 + w and its derivatives on the doubled grid
+    samples: _PsiSamples | None   # s psi0 + w and its derivatives on the solve grid
     iterations: int               # sweeps
     residual: float               # |Q F(lambda, s psi0 + w)| (averaged norm)
     s: complex                    # psi0 amplitude at the solution
@@ -103,14 +103,14 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
     alpha2 = None if warm is None else warm.alpha2.copy()
     if s == 0:
         z = np.zeros_like(w)
-        a0 = np.zeros((2, basis.grid_d.N, basis.grid_d.N))
-        return WSolveResult(z, a0, z, _coeff_samples(basis, z, dealias=True), 0, 0.0,
+        a0 = np.zeros((2, basis.solve_N, basis.solve_N))
+        return WSolveResult(z, a0, z, _coeff_samples(basis, z, solve=True), 0, 0.0,
                             s, lam)
 
     def sweep(wc, sc, lc, a_start):
         psi_c = wc.copy()
         psi_c[0, 0] += sc
-        ps = _coeff_samples(basis, psi_c, dealias=True)
+        ps = _coeff_samples(basis, psi_c, solve=True)
         ncoef, a2 = _nonlinear(basis, ps, kappa, alpha_start=a_start)
         return -basis.resolvent_coeffs(setup.project_Q(ncoef), lc), a2, ncoef, ps
 
@@ -195,6 +195,7 @@ class BranchPoint:
     max_curl_a: float
     min_abs_psi: float
     coeff_tail: float             # max_j |c_{K_lev, j}| / max |c|: truncation tail
+    grid_tail: float              # outer-ring |psi|^2 Fourier share on the solve grid
 
 
 @dataclass
@@ -222,14 +223,15 @@ class Branch:
 
 
 def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
-    """The branch point psi = s psi0 + w, read from the w solve's final
-    doubled-grid samples (shared by the alpha residual and the energy)."""
+    """The branch point psi = s psi0 + w.  Its scalars are read from the w
+    solve's final solve-grid samples and alpha; alpha is resampled to the
+    output grid only for the reported fields."""
     basis = setup.basis
     grid = basis.grid
     s, lam, ps = wres.s, wres.lam, wres.samples
     psi_c = wres.w.copy()
     psi_c[0, 0] += s
-    alpha = PeriodicVectorField(basis.grid_d.resample(wres.alpha2, basis.N), grid)
+    alpha = PeriodicVectorField(basis.solve_grid.resample(wres.alpha2, basis.N), grid)
 
     fco = F_coeffs(basis, psi_c, lam, wres.ncoef)
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
@@ -237,12 +239,13 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     curl_a = 1.0 + grid.curl(alpha.values)
     return BranchPoint(
         s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam), psi_coeffs=psi_c,
-        alpha=alpha, energy=_energy(ps, alpha, GLParams(kappa=kappa, n=1, lam=lam)),
+        alpha=alpha, energy=_energy(ps, wres.alpha2, GLParams(kappa=kappa, n=1, lam=lam)),
         residual_psi=res_psi, residual_alpha=ps.alpha_residual_rms(wres.alpha2),
-        flux=float(np.mean(curl_a) * grid.area),
+        flux=grid.flux(curl_a),
         max_curl_a=float(np.max(curl_a)),
         min_abs_psi=float(np.min(np.abs(basis.synth(psi_c)))),
         coeff_tail=float(np.max(np.abs(psi_c[-1])) / max(np.max(np.abs(psi_c)), 1e-300)),
+        grid_tail=ps.grid_tail(),
     )
 
 
@@ -303,6 +306,7 @@ class ExpansionReport:
     kappa: float
     tau: complex
     N: int
+    solve_N: int
     K_lev: int
     beta_used: float
     g_lambda_prime0: float          # fitted d lambda / d s^2 at 0
@@ -367,7 +371,8 @@ def fit_expansion(branch: Branch) -> ExpansionReport:
     sl_target = 1.0 / (kappa**2 * target)
 
     return ExpansionReport(
-        kappa=kappa, tau=complex(basis.shape.tau), N=basis.N, K_lev=basis.K_lev,
+        kappa=kappa, tau=complex(basis.shape.tau), N=basis.N, solve_N=basis.solve_N,
+        K_lev=basis.K_lev,
         beta_used=beta, g_lambda_prime0=fit_c, g_lambda_prime0_target=float(target),
         g_lambda_prime0_err=abs(fit_c - target), lambda1=fit_c,
         fit_cov=[[float(c) for c in row] for row in cov],

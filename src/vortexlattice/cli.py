@@ -181,12 +181,14 @@ def cmd_branch(cfg: dict) -> int:
     branch = bifurcation.solve_branch(s_grid, kappa, shape, N=cfg["N"],
                                       K_lev=cfg["K_lev"])
     rows = [[p.s, p.lam, p.b, p.energy, p.residual_psi, p.residual_alpha,
-             p.max_curl_a, p.min_abs_psi, p.coeff_tail] for p in branch.points]
+             p.max_curl_a, p.min_abs_psi, p.coeff_tail, p.grid_tail]
+            for p in branch.points]
     csv_path = out_path(cfg, cfg["prefix"] + ".csv")
     write_csv(csv_path, cfg,
               ["s", "lambda", "b", "energy", "residual_psi", "residual_alpha",
-               "max_curl_a", "min_abs_psi", "coeff_tail"], np.array(rows),
-              {"extrapolated_regime": branch.extrapolated})
+               "max_curl_a", "min_abs_psi", "coeff_tail", "grid_tail"], np.array(rows),
+              {"extrapolated_regime": branch.extrapolated,
+               "solve_N": branch.basis.solve_N})
     report = bifurcation.fit_expansion(branch)
     json_path = out_path(cfg, cfg["prefix"] + "_expansion.json")
     write_json(json_path, cfg, report.to_dict())
@@ -201,8 +203,8 @@ def cmd_field_landscape(cfg: dict) -> int:
     taus = parse_tau_grid(cfg["tau_grid"])
     cols = ["tau_re", "tau_im", "beta", "kappa_c", "E_b_asymptotic"]
     if cfg["numeric"]:
-        cols += ["E_b_numeric", "residual_alpha", "coeff_tail"]
-    rows = []
+        cols += ["E_b_numeric", "residual_alpha", "coeff_tail", "grid_tail"]
+    rows, solve_N = [], set()
     for tau in taus:
         shape, _ = normalize_tau(tau)
         beta = abrikosov.beta_lattice_sum(shape).beta
@@ -210,12 +212,14 @@ def cmd_field_landscape(cfg: dict) -> int:
         row = [tau.real, tau.imag, beta, kc,
                abrikosov.energy_landscape_asymptotic(shape, kappa, cfg["b"])]
         if cfg["numeric"]:
-            pt = bifurcation.branch_by_field(cfg["b"], kappa, shape,
-                                             N=cfg["N"], K_lev=cfg["K_lev"])
-            row += [pt.energy, pt.residual_alpha, pt.coeff_tail]
+            setup = bifurcation.build_reduction(shape, cfg["N"], cfg["K_lev"])
+            pt = bifurcation.branch_by_field(cfg["b"], kappa, shape, setup=setup)
+            row += [pt.energy, pt.residual_alpha, pt.coeff_tail, pt.grid_tail]
+            solve_N.add(setup.basis.solve_N)
         rows.append(row)
     path = out_path(cfg, cfg["output"])
-    write_csv(path, cfg, cols, np.array(rows))
+    write_csv(path, cfg, cols, np.array(rows),
+              {"solve_N": sorted(solve_N)} if cfg["numeric"] else None)
     print(f"wrote {path} ({len(rows)} shapes)")
     return 0
 

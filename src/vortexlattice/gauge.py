@@ -66,7 +66,7 @@ class RawLatticeState:
         return self.b + self.grid.curl(self.a_p)
 
     def flux(self) -> float:
-        return float(np.mean(self.curl_a()) * self.area)
+        return self.grid.flux(self.curl_a())
 
     def qp_field(self) -> QuasiPeriodicField:
         return QuasiPeriodicField(n=self.n, shape=self.shape, values=self.psi,
@@ -207,7 +207,7 @@ def fix_gauge(state: RawLatticeState, kappa: float = 1.0,
     grid = state.grid
     b = state.b
     curl_a = state.curl_a()
-    flux = float(np.mean(curl_a) * state.area)
+    flux = grid.flux(curl_a)
     n_meas = flux / (2 * np.pi)
     if abs(n_meas - round(n_meas)) > flux_tol or round(n_meas) != state.n:
         raise FluxQuantizationError(f"flux per cell {flux:.6e} is not 2*pi*{state.n}")

@@ -12,8 +12,10 @@ the others, which stand for their conjugate mirrors.
 
 Every solve, residual and energy reads psi, D psi (D = grad_{A0}), |psi|^2,
 j0 and the potential residual (M + |psi|^2) alpha - j0 from one kernel,
-_PsiSamples.  Pointwise nonlinearities use samples on a doubled grid (cubic
-terms alias on the working grid); F = (L - lambda) psi + N is F_coeffs.
+_PsiSamples.  Pointwise nonlinearities, the alpha solve and the energy use
+samples on the basis's solve grid, which is sized to resolve them; the
+output grid N only samples reported fields.  F = (L - lambda) psi + N is
+F_coeffs.
 """
 
 from __future__ import annotations
@@ -110,21 +112,30 @@ class _PsiSamples:
         r = self.alpha_residual(alpha)
         return float(np.sqrt(np.mean(r[0] ** 2 + r[1] ** 2)))
 
+    def grid_tail(self) -> float:
+        """Largest Fourier coefficient of |psi|^2 on the outer ring of the grid
+        (|k1| or |k2| within one of the largest |k|) over the largest one: how
+        much of |psi|^2 the grid leaves unresolved."""
+        spec = np.abs(np.fft.fft2(self.rho))
+        k = np.abs(np.fft.fftfreq(self.grid.N, 1.0 / self.grid.N))
+        ring = k >= k.max() - 1
+        return float(max(spec[ring].max(), spec[:, ring].max()) / max(spec.max(), 1e-300))
 
-def _coeff_samples(basis: LandauBasis, coeffs: np.ndarray, dealias: bool) -> _PsiSamples:
-    """Samples of a coefficient field on the doubled (dealias) or working grid."""
-    return _PsiSamples(basis.synth(coeffs, dealias=dealias),
-                       basis.synth(basis.d1_coeffs(coeffs), dealias=dealias),
-                       basis.synth(basis.d2_coeffs(coeffs), dealias=dealias),
-                       basis.grid_d if dealias else basis.grid)
+
+def _coeff_samples(basis: LandauBasis, coeffs: np.ndarray, solve: bool) -> _PsiSamples:
+    """Samples of a coefficient field on the solve grid or the output grid."""
+    return _PsiSamples(basis.synth(coeffs, solve=solve),
+                       basis.synth(basis.d1_coeffs(coeffs), solve=solve),
+                       basis.synth(basis.d2_coeffs(coeffs), solve=solve),
+                       basis.solve_grid if solve else basis.grid)
 
 
-def _samples(psi: QuasiPeriodicField, dealias: bool) -> _PsiSamples:
+def _samples(psi: QuasiPeriodicField, solve: bool) -> _PsiSamples:
     """Samples of any field.  Sample-only fields evaluate on their native grid:
     a quasi-periodic field has no global periodic quotient, so trigonometric
-    upsampling would be invalid."""
+    resampling would be invalid."""
     if psi.coeffs is not None and psi.basis is not None:
-        return _coeff_samples(psi.basis, psi.coeffs, dealias)
+        return _coeff_samples(psi.basis, psi.coeffs, solve)
     d1, d2 = covariant_gradient_grid(psi)
     return _PsiSamples(psi.values, d1, d2, psi.grid)
 
@@ -197,36 +208,36 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
 
 
 def solve_alpha(psi: QuasiPeriodicField, params: GLParams) -> PeriodicVectorField:
-    """Induced potential alpha(psi) on the working grid; mean-zero and
-    divergence-free."""
-    ps = _samples(psi, dealias=True)
+    """Induced potential alpha(psi), solved on the solve grid and sampled on
+    the grid of psi; mean-zero and divergence-free."""
+    ps = _samples(psi, solve=True)
     alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
     return PeriodicVectorField(values=ps.grid.resample(alpha2, psi.N), grid=psi.grid)
 
 
 def alpha_equation_residual(psi: QuasiPeriodicField, alpha: PeriodicVectorField) -> float:
     """l2 norm of (M + |psi|^2) alpha - Im(conj(psi) grad_{A0} psi)."""
-    return _samples(psi, dealias=False).alpha_residual_rms(alpha.values)
+    return _samples(psi, solve=False).alpha_residual_rms(alpha.values)
 
 
 def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
                      alpha2: np.ndarray | None = None,
                      alpha_start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Landau coefficients of N(psi) = 2i alpha . grad_{A0} psi + |alpha|^2 psi
-    + kappa^2 |psi|^2 psi, products evaluated on the doubled grid.
+    + kappa^2 |psi|^2 psi, products evaluated on the solve grid.
 
-    alpha2 is the potential on the doubled grid; when it is None, alpha(psi)
+    alpha2 is the potential on the solve grid; when it is None, alpha(psi)
     is solved there first (warm-started from alpha_start).  Returns the
     coefficients and the alpha2 used.
     """
-    return _nonlinear(basis, _coeff_samples(basis, psi_coeffs, dealias=True), kappa,
+    return _nonlinear(basis, _coeff_samples(basis, psi_coeffs, solve=True), kappa,
                       alpha2, alpha_start)
 
 
 def _nonlinear(basis: LandauBasis, ps: _PsiSamples, kappa: float,
                alpha2: np.ndarray | None = None,
                alpha_start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """nonlinear_coeffs() from the doubled-grid samples of psi."""
+    """nonlinear_coeffs() from the solve-grid samples of psi."""
     if alpha2 is None:
         alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, alpha_start)
     nl = (2j * (alpha2[0] * ps.d1 + alpha2[1] * ps.d2)
@@ -248,7 +259,7 @@ def map_F(lam: float, psi: QuasiPeriodicField, kappa: float):
     basis = psi.basis
     ncoef, alpha2 = nonlinear_coeffs(basis, psi.coeffs, kappa)
     F = F_coeffs(basis, psi.coeffs, lam, ncoef)
-    return field_from_coeffs(basis, F), alpha2, basis.grid_d
+    return field_from_coeffs(basis, F), alpha2, basis.solve_grid
 
 
 def residuals(state: GLState) -> tuple[QuasiPeriodicField, np.ndarray]:
@@ -257,35 +268,37 @@ def residuals(state: GLState) -> tuple[QuasiPeriodicField, np.ndarray]:
     basis = psi.basis
     if basis is None or psi.coeffs is None:
         raise ValueError("residuals need a Landau-coefficient state")
-    a2 = alpha.grid.resample(alpha.values, basis.grid_d.N)
+    a2 = alpha.grid.resample(alpha.values, basis.solve_N)
     ncoef, _ = nonlinear_coeffs(basis, psi.coeffs, p.kappa, alpha2=a2)
     rpsi = field_from_coeffs(basis, F_coeffs(basis, psi.coeffs, p.lam, ncoef))
-    return rpsi, _samples(psi, dealias=False).alpha_residual(alpha.values)
+    return rpsi, _samples(psi, solve=False).alpha_residual(alpha.values)
 
 
 def energy(state: GLState) -> float:
     """Average rescaled energy per cell."""
-    return _energy(_samples(state.psi, dealias=True), state.alpha, state.params)
+    ps = _samples(state.psi, solve=True)
+    alpha = state.alpha.grid.resample(state.alpha.values, ps.grid.N)
+    return _energy(ps, alpha, state.params)
 
 
-def _energy(ps: _PsiSamples, alpha: PeriodicVectorField, p: GLParams) -> float:
-    """energy() from the doubled-grid samples of psi, for callers that hold them."""
-    a2 = alpha.grid.resample(alpha.values, ps.grid.N)
-    cov1 = ps.d1 - 1j * a2[0] * ps.psi
-    cov2 = ps.d2 - 1j * a2[1] * ps.psi
-    curl2 = alpha.grid.resample(p.n + alpha.grid.curl(alpha.values), ps.grid.N)
-    dens = (np.abs(cov1) ** 2 + np.abs(cov2) ** 2 + curl2 ** 2
+def _energy(ps: _PsiSamples, alpha: np.ndarray, p: GLParams) -> float:
+    """energy() from samples of psi and alpha on one grid, for callers that
+    hold them."""
+    cov1 = ps.d1 - 1j * alpha[0] * ps.psi
+    cov2 = ps.d2 - 1j * alpha[1] * ps.psi
+    curl = p.n + ps.grid.curl(alpha)
+    dens = (np.abs(cov1) ** 2 + np.abs(cov2) ** 2 + curl ** 2
             + 0.5 * p.kappa**2 * (ps.rho - p.lam / p.kappa**2) ** 2)
     return float(p.kappa**4 / p.lam**2 * np.mean(dens))
 
 
 def flux(state: GLState) -> float:
     """Quadrature of curl a over the cell; 2 pi n for any admissible state."""
-    curl_alpha = state.alpha.grid.curl(state.alpha.values)
-    return float((state.params.n + np.mean(curl_alpha)) * state.alpha.grid.area)
+    grid = state.alpha.grid
+    return grid.flux(state.params.n + grid.curl(state.alpha.values))
 
 
 def supercurrent(state: GLState) -> np.ndarray:
-    """J = Im(conj(psi) grad_a psi) on the working grid."""
-    ps = _samples(state.psi, dealias=False)
+    """J = Im(conj(psi) grad_a psi) on the output grid."""
+    ps = _samples(state.psi, solve=False)
     return ps.j0 - ps.rho[None] * state.alpha.values

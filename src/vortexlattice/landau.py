@@ -33,12 +33,19 @@ Fourier mode e^{2 pi i m y1} and a y2-only profile
 
 Synthesis on a G x G grid contracts the profiles with the coefficients over
 k, adds each term m into the Fourier bin m mod G, runs one inverse FFT along
-y1 and multiplies by the carrier; projection is its exact adjoint.
+y1 and multiplies by the carrier; projection is its exact adjoint.  The fold
+is exact on any grid, so a basis keeps two: the output grid N, on which
+reported fields are sampled, and the solve grid, on which products are
+formed and projected.  The solve grid never reads N: its side is set from
+(n, tau2) by _solve_grid_size, because on the lowest level the Fourier
+coefficient of |psi0|^2 at a reciprocal vector g is exp(-|g|^2 / (4n)), and
+on the logical grid the slowest direction has |g|^2 ~ 2 pi k^2 / tau2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +55,9 @@ from .lattice import LatticeShape, cell_geometry
 from .spectral import CellGrid
 
 TAU2_BAND = (0.2, 20.0)
+# _solve_grid_size keeps the outer-ring share of |psi|^2 on the solve grid
+# (BranchPoint.grid_tail) below this at every branch point measured
+GRID_TAIL_TOL = 1e-10
 
 
 def inner_avg(f: np.ndarray, g: np.ndarray) -> complex:
@@ -92,14 +102,32 @@ class ThetaCoeffs:
     tau: complex
 
 
+def _solve_grid_size(n: int, tau2: float) -> int:
+    """Side of the solve grid: the even number at or above 16 sqrt(n tau2),
+    and at least 32.
+
+    |psi|^2 has Gaussian Fourier decay on the logical grid, with exponent
+    about pi |k|^2 / (2 n tau2) on the lowest level, so the side grows like
+    sqrt(n tau2).  K_lev does not enter: levels a solution does not occupy
+    carry too little to move the tail.  Calibrated on grid_tail (kappa^2 = 2,
+    tau up to 20i, b from 1.9 down to 0.3, K_lev up to 80): energies sit at
+    roundoff, against a forced 256 grid, wherever grid_tail <= 1e-8; keeping
+    it below GRID_TAIL_TOL needs a factor 11-15 on sqrt(tau2) at tau2 >= 4,
+    and a side of 21-24 on far targets (b = 0.5) near tau2 = 1, which the
+    floor covers.
+    """
+    return max(32, 2 * int(np.ceil(8.0 * np.sqrt(n * tau2))))
+
+
 class LandauBasis:
     """Orthonormal Landau levels on the normalized cell, as a separable transform.
 
     Levels 0..K_lev for each of the n lowest-level families, orthonormal in
     the cell-averaged inner product (so <|psi_0|^2> = 1 for each family).
-    The basis stores the (M, K_lev+1, 2N) y2 profiles of the terms m of the
-    theta series, the carrier on the 2N dealiasing grid and the Cholesky mix
-    of the seed families; the working N grid is every other point of it.
+    The basis stores the (M, K_lev+1, solve_N) y2 profiles of the terms m of
+    the theta series, the carrier on the solve grid and the Cholesky mix of
+    the seed families, all independent of N.  The profiles and carrier of the
+    output N grid are built on the first synth there.
     """
 
     def __init__(self, n: int, shape: LatticeShape, N: int, K_lev: int = 32):
@@ -109,55 +137,64 @@ class LandauBasis:
         self.shape = shape
         self.N = int(N)
         self.K_lev = int(K_lev)
+        self.solve_N = _solve_grid_size(self.n, shape.tau2)
         self.geom = cell_geometry(shape, n, b=float(n))  # sigma = 1
         self.grid = CellGrid(self.geom.m_tau, N)
-        self.grid_d = CellGrid(self.geom.m_tau, 2 * N)
+        self.solve_grid = CellGrid(self.geom.m_tau, self.solve_N)
         self.nu = float(np.sqrt(2 * np.pi * shape.tau2))
         self.levels = np.arange(self.K_lev + 1)
 
         # theta truncation: seed tail below 1e-14 plus Hermite support reach
-        self.K_rule = int(np.ceil(np.sqrt(14 * np.log(10.0) * n / (np.pi * shape.tau2))))
-        if N < 4 * self.K_rule:
-            raise ValueError(f"grid N={N} too coarse for theta truncation K={self.K_rule}")
+        K_rule = int(np.ceil(np.sqrt(14 * np.log(10.0) * n / (np.pi * shape.tau2))))
         reach = (np.sqrt(2 * self.K_lev + 1) + 8.0) / np.sqrt(n)
         x2max = self.nu  # cell spans x2 in [0, r_tau tau2) = [0, nu)
         m_lo = int(np.floor(-(x2max + reach) * n / self.nu)) - 1
         m_hi = int(np.ceil(reach * n / self.nu)) + 1
-        m_lo = min(m_lo, -self.K_rule)
-        m_hi = max(m_hi, self.K_rule)
-        self._m_range = (m_lo, m_hi)
-
-        self.theta = ThetaCoeffs(c=np.ones(n, dtype=complex), K=max(abs(m_lo), m_hi),
+        self._m_range = (min(m_lo, -K_rule), max(m_hi, K_rule))
+        self.theta = ThetaCoeffs(c=np.ones(n, dtype=complex),
+                                 K=max(-self._m_range[0], self._m_range[1]),
                                  nu=self.nu, n=n, tau=complex(shape.tau))
 
-        # y2 profiles of the theta terms m that reach the cell, on the 2N grid
-        m_tau = self.geom.m_tau
-        y = np.arange(2 * N) / (2 * N)
-        x2 = m_tau[1, 1] * y
-        m = np.arange(m_lo, m_hi + 1)
-        t = np.sqrt(n) * (x2[None, :] + m[:, None] * self.nu / n)
-        keep = np.min(np.abs(t), axis=1) <= np.sqrt(2 * self.K_lev + 1) + 8.5
-        m, t = m[keep], t[keep]
-        j, q = m % n, m // n
-        tilt = np.exp(1j * np.pi * shape.tau1 * (n * q * q + 2 * j * q)[:, None]
-                      + 2j * np.pi * shape.tau1 * m[:, None] * y[None, :])
-        kphase = (-1j) ** self.levels
-        h = _hermite_functions(t, self.K_lev).transpose(1, 0, 2)
-        self._m, self._family = m, j
-        self._profiles = kphase[None, :, None] * h * tilt[:, None, :]
-        x1 = m_tau[0, 0] * y[:, None] + m_tau[0, 1] * y[None, :]
-        self._carrier = np.exp(0.5j * n * x1 * x2[None, :])
-
+        self._m, self._family, self._profiles, self._carrier = self._table(self.solve_N)
         # orthonormalize the n seed families (cell-averaged Gram, Cholesky mix)
         seeds = []
         for i in range(n):
             d = np.zeros((self.K_lev + 1, n), dtype=complex)
             d[0, i] = 1.0
-            seeds.append(self._raw_values(d, self.N))
+            seeds.append(self._raw_values(d, *self._solve_table))
         gram = np.array([[inner_avg(a, b) for b in seeds] for a in seeds])
         self._mix = np.linalg.inv(np.linalg.cholesky(gram))
 
     # ------------------------------------------------------------------
+    def _table(self, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Terms m that reach the cell, their families m mod n, their
+        (M, K_lev+1, G) y2 profiles and the G x G carrier, on the G grid."""
+        n, tau1 = self.n, self.shape.tau1
+        m_tau = self.geom.m_tau
+        y = np.arange(G) / G
+        x2 = m_tau[1, 1] * y
+        m = np.arange(self._m_range[0], self._m_range[1] + 1)
+        t = np.sqrt(n) * (x2[None, :] + m[:, None] * self.nu / n)
+        keep = np.min(np.abs(t), axis=1) <= np.sqrt(2 * self.K_lev + 1) + 8.5
+        m, t = m[keep], t[keep]
+        j, q = m % n, m // n
+        tilt = np.exp(1j * np.pi * tau1 * (n * q * q + 2 * j * q)[:, None]
+                      + 2j * np.pi * tau1 * m[:, None] * y[None, :])
+        kphase = (-1j) ** self.levels
+        h = _hermite_functions(t, self.K_lev).transpose(1, 0, 2)
+        x1 = m_tau[0, 0] * y[:, None] + m_tau[0, 1] * y[None, :]
+        profiles = kphase[None, :, None] * h * tilt[:, None, :]
+        return m, j, profiles, np.exp(0.5j * n * x1 * x2[None, :])
+
+    @property
+    def _solve_table(self):
+        return self._m, self._family, self._profiles, self._carrier
+
+    @cached_property
+    def _output_table(self):
+        """The transform table of the output N grid, built on first use."""
+        return self._solve_table if self.N == self.solve_N else self._table(self.N)
+
     def _evaluate_raw(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """Un-mixed tables u[k, j] at arbitrary points, by direct summation
         over the theta terms (the reference for the separable transform)."""
@@ -177,29 +214,32 @@ class LandauBasis:
             out[:, j] += kphase[:, None, None] * h * term[None]
         return out
 
-    def _raw_values(self, d: np.ndarray, G: int) -> np.ndarray:
-        """Samples on the G x G grid (G = N or 2N) of sum_kj d[k, j] u_kj."""
-        step = 2 * self.N // G
-        prof = (d[:, self._family].T[:, None, :] @ self._profiles)[:, 0, ::step]
+    @staticmethod
+    def _raw_values(d: np.ndarray, m: np.ndarray, family: np.ndarray,
+                    profiles: np.ndarray, carrier: np.ndarray) -> np.ndarray:
+        """Samples of sum_kj d[k, j] u_kj on the grid of the given table."""
+        G = carrier.shape[0]
+        prof = (d[:, family].T[:, None, :] @ profiles)[:, 0]
         # exp(2 pi i m y1) depends on m mod G only: fold the terms into bins
         bins = np.zeros((G, G), dtype=complex)
-        for c in range(0, len(self._m), G):
-            bins[self._m[c:c + G] % G] += prof[c:c + G]
-        return np.fft.ifft(bins, axis=0, norm="forward") * self._carrier[::step, ::step]
+        for c in range(0, len(m), G):
+            bins[m[c:c + G] % G] += prof[c:c + G]
+        return np.fft.ifft(bins, axis=0, norm="forward") * carrier
 
     # ------------------------------------------------------------------
     # coefficient <-> grid
     # ------------------------------------------------------------------
-    def synth(self, coeffs: np.ndarray, dealias: bool = False) -> np.ndarray:
-        return self._raw_values(coeffs @ self._mix, 2 * self.N if dealias else self.N)
+    def synth(self, coeffs: np.ndarray, solve: bool = False) -> np.ndarray:
+        """Samples on the output N grid, or on the solve grid if solve."""
+        table = self._solve_table if solve else self._output_table
+        return self._raw_values(coeffs @ self._mix, *table)
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """Landau coefficients of values sampled on the doubled grid (the exact
-        adjoint of synth(., dealias=True) in the cell-averaged inner product)."""
-        G = 2 * self.N
+        """Landau coefficients of values sampled on the solve grid (the exact
+        adjoint of synth(., solve=True) in the cell-averaged inner product)."""
         spec = np.fft.fft(values * np.conj(self._carrier), axis=0)
         # conj(profiles) . spec, without a conjugated copy of the table
-        dm = np.conj(self._profiles @ np.conj(spec[self._m % G])[:, :, None])[:, :, 0]
+        dm = np.conj(self._profiles @ np.conj(spec[self._m % self.solve_N])[:, :, None])[:, :, 0]
         d = np.zeros((self.K_lev + 1, self.n), dtype=complex)
         for j in range(self.n):
             d[:, j] = dm[self._family == j].sum(axis=0)

@@ -131,6 +131,11 @@ class CellGrid:
         out = np.fft.ifft2(uh)
         return out.real if np.isrealobj(rhs) else out
 
+    def flux(self, curl_a: np.ndarray) -> float:
+        """Flux of the magnetic field curl_a through the cell: its cell
+        average times the area."""
+        return float(np.mean(curl_a) * self.area)
+
     # ------------------------------------------------------------------
     # vector operations (v has shape (2, N, N))
     # ------------------------------------------------------------------

@@ -122,14 +122,13 @@ def descend_beta(tau0: complex, step0: float = 0.1, tol: float = 1e-10,
 
 
 def w_state(wres, setup, kappa):
-    """GLState psi = s psi0 + w of a w solve, with the doubled-grid alpha2
-    resampled to the working grid."""
+    """GLState psi = s psi0 + w of a w solve, with alpha2 left on the solve
+    grid."""
     basis = setup.basis
     psi_c = wres.w.copy()
     psi_c[0, 0] += wres.s
     return GLState(psi=field_from_coeffs(basis, psi_c),
-                   alpha=PeriodicVectorField(basis.grid_d.resample(wres.alpha2, basis.N),
-                                             basis.grid),
+                   alpha=PeriodicVectorField(wres.alpha2, basis.solve_grid),
                    params=GLParams(kappa=kappa, n=1, lam=wres.lam))
 
 
@@ -141,11 +140,11 @@ def effective_energy(lam, v, setup, kappa):
 # ----------------------------------------------------------------------
 # Landau basis
 # ----------------------------------------------------------------------
-def unit_field(basis, k, j, dealias=False):
-    """Basis function phi_kj on the working (or doubled) grid, through synth."""
+def unit_field(basis, k, j, solve=False):
+    """Basis function phi_kj on the output (or solve) grid, through synth."""
     c = np.zeros((basis.K_lev + 1, basis.n), dtype=complex)
     c[k, j] = 1.0
-    return basis.synth(c, dealias=dealias)
+    return basis.synth(c, solve=solve)
 
 
 def dense_tables(basis, x1, x2):

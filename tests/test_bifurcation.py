@@ -279,7 +279,7 @@ def test_alpha_solves_the_second_sweep_of_a_far_target():
     ncoef, alpha1 = glcore.nonlinear_coeffs(basis, psi_c, KAPPA)
     psi_c = -basis.resolvent_coeffs(setup.project_Q(ncoef), lam_t)
     psi_c[0, 0] += s * np.sqrt((lam_t - 1) / np.real(ncoef[0, 0] / s))
-    ps = glcore._coeff_samples(basis, psi_c, dealias=True)
+    ps = glcore._coeff_samples(basis, psi_c, solve=True)
     assert ps.rho.max() > 10
     alpha = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, alpha1)
     assert np.max(np.abs(helmholtz_project(ps.grid, ps.alpha_residual(alpha)))) <= 1e-10
@@ -301,7 +301,7 @@ def test_field_points_count_their_sweeps(monkeypatch, tau, kappa2, b, N, K_lev):
 
 
 def test_finish_point_synthesizes_each_field_once(setup_sq, monkeypatch):
-    # psi on the working grid only: psi, D1 psi, D2 psi on the doubled grid,
+    # psi on the output grid only: psi, D1 psi, D2 psi on the solve grid,
     # shared by the alpha residual and the energy, are the w solve's own
     wres = bif.solve_w(1.01, 0.05, setup_sq, KAPPA)
     calls = []
@@ -326,6 +326,35 @@ def test_coeff_tail_flags_an_unresolved_target():
 def test_coeff_tail_small_at_the_landscape_default(tau):
     pt = bif.branch_by_field(1.9, KAPPA, normalize_tau(tau)[0], N=96, K_lev=40)
     assert pt.coeff_tail < 1e-8
+
+
+@pytest.mark.parametrize("tau, b, K_lev", [(1j, 1.9, 40), (0.3 + 1.2j, 1.0, 80),
+                                          (TAU_TRIANGULAR, 1.5, 64), (4j, 1.0, 40),
+                                          (8j, 1.0, 80), (12j, 1.0, 64), (20j, 1.5, 40)])
+def test_sized_solve_grid_matches_a_fine_grid(monkeypatch, tau, b, K_lev):
+    # the solve grid the rule sizes from (n, tau2) gives the branch point of a
+    # forced 256 grid, and resolves |psi|^2 to the rule's threshold
+    shape = normalize_tau(tau)[0]
+    pt = bif.branch_by_field(b, KAPPA, shape, N=32, K_lev=K_lev)
+    assert pt.grid_tail < landau.GRID_TAIL_TOL
+    monkeypatch.setattr(landau, "_solve_grid_size", lambda n, tau2: 256)
+    ref = bif.branch_by_field(b, KAPPA, shape, N=32, K_lev=K_lev)
+    for got, want in ((pt.lam, ref.lam), (pt.s, ref.s), (pt.energy, ref.energy)):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_point_scalars_do_not_depend_on_N():
+    # N only samples the reported fields: every scalar of a branch point is
+    # computed on the solve grid, bit for bit the same at any N
+    shape = normalize_tau(0.3 + 1.2j)[0]
+    keys = ("lam", "s", "energy", "residual_psi", "residual_alpha", "coeff_tail",
+            "grid_tail")
+    seen = set()
+    for N in (16, 96, 128):
+        pt = bif.branch_by_field(1.0, KAPPA, shape, N=N, K_lev=40)
+        assert pt.alpha.values.shape == (2, N, N)
+        seen.add(tuple(getattr(pt, k) for k in keys))
+    assert len(seen) == 1
 
 
 def test_w_solve_out_of_sweeps_is_reported(setup_sq, monkeypatch):

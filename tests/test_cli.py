@@ -64,11 +64,16 @@ def test_branch_command(tmp_path):
                 "--s-max", "0.1", "--s-points", "5", "--N", "64",
                 "--outdir", str(tmp_path)]) == 0
     rows = np.loadtxt((tmp_path / "branch.csv").open(), delimiter=",", skiprows=2)
-    assert rows.shape == (5, 9)
-    header = (tmp_path / "branch.csv").read_text().splitlines()[1].split(",")
-    assert header[-1] == "coeff_tail"
-    assert np.all(rows[:, -1] < 1e-8)
+    assert rows.shape == (5, 10)
+    lines = (tmp_path / "branch.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    assert header[-2:] == ["coeff_tail", "grid_tail"]
+    assert np.all(rows[:, -2] < 1e-8)
+    # the solve grid is the basis's own, named in the header, and resolves |psi|^2
+    assert json.loads(lines[0][2:])["solve_N"] == 32
+    assert np.all(rows[:, -1] < 1e-14)
     rep = json.loads((tmp_path / "branch_expansion.json").read_text())
+    assert rep["solve_N"] == 32
     assert rep["g_lambda_prime0"] == pytest.approx(2.2393930, rel=1e-3)
 
 
@@ -87,10 +92,12 @@ def test_field_landscape_numeric_reports_truncation(tmp_path):
                 "--tau-grid", "square", "--N", "64", "--outdir", str(tmp_path)]) == 0
     lines = (tmp_path / "field_landscape.csv").read_text().splitlines()
     header = lines[1].split(",")
-    assert header[-3:] == ["E_b_numeric", "residual_alpha", "coeff_tail"]
+    assert header[-4:] == ["E_b_numeric", "residual_alpha", "coeff_tail", "grid_tail"]
     row = dict(zip(header, map(float, lines[2].split(","))))
     assert row["residual_alpha"] < 1e-9
     assert row["coeff_tail"] < 1e-8
+    assert row["grid_tail"] < 1e-14
+    assert json.loads(lines[0][2:])["solve_N"] == [32]
 
 
 def test_gauge_fix_command(tmp_path, shape_generic):

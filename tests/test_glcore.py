@@ -117,9 +117,9 @@ def test_alpha_residual_on_branch(branch_state):
 
 @pytest.mark.parametrize("scale", [1.0, 6.0, 20.0])
 def test_alpha_pcg_matches_damped_fixed_point(branch_state, scale):
-    # two oracles on the doubled-grid samples of a real branch state; scaling
+    # two oracles on the solve-grid samples of a real branch state; scaling
     # psi raises max |psi|^2, where the damped vector fixed point slows down
-    ps = glcore._samples(branch_state.psi, dealias=True)
+    ps = glcore._samples(branch_state.psi, solve=True)
     j0, rho = scale**2 * ps.j0, scale**2 * ps.rho
     alpha = glcore._alpha_fixed_point(ps.grid, j0, rho, None)
     ref = alpha_damped_fixed_point(ps.grid, j0, rho)
@@ -134,7 +134,7 @@ def test_alpha_pcg_on_an_odd_grid(branch_state, scale):
     basis = LandauBasis(1, branch_state.psi.shape, 45, K_lev=branch_state.psi.basis.K_lev)
     psi = field_from_coeffs(basis, scale * branch_state.psi.coeffs)
     psi = psi.copy_with(coeffs=None, basis=None)
-    ps = glcore._samples(psi, dealias=False)
+    ps = glcore._samples(psi, solve=False)
     assert ps.grid.N == 45
     alpha = solve_alpha(psi, branch_state.params).values
     ref = alpha_damped_fixed_point(ps.grid, ps.j0, ps.rho)
@@ -144,7 +144,7 @@ def test_alpha_pcg_on_an_odd_grid(branch_state, scale):
 def test_alpha_pcg_warm_start(branch_state):
     # started from a perturbed solution through its stream function, and
     # from a nonzero alpha0 on a zero source, PCG returns the cold solution
-    ps = glcore._samples(branch_state.psi, dealias=True)
+    ps = glcore._samples(branch_state.psi, solve=True)
     cold = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
     start = 1.1 * cold
     warm = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, start)
@@ -154,7 +154,7 @@ def test_alpha_pcg_warm_start(branch_state):
 
 
 def test_alpha_stall_is_reported(branch_state, monkeypatch):
-    ps = glcore._samples(branch_state.psi, dealias=True)
+    ps = glcore._samples(branch_state.psi, solve=True)
     monkeypatch.setattr(glcore, "ALPHA_MAX_ITER", 1)
     with pytest.raises(glcore.AlphaSolveError,
                        match=r"after 1 iterations: last step \S+, preconditioned "
@@ -183,7 +183,7 @@ def test_residuals_theta_state(basis_sq):
     st = GLState(psi, glcore.PeriodicVectorField(np.zeros((2, 64, 64)), basis_sq.grid),
                  GLParams(kappa, 1, 1.0))
     rpsi, ralpha = residuals(st)
-    psi0_d = unit_field(basis_sq, 0, 0, dealias=True)
+    psi0_d = unit_field(basis_sq, 0, 0, solve=True)
     cubic = basis_sq.project(kappa**2 * np.abs(psi0_d) ** 2 * psi0_d)
     assert np.max(np.abs(rpsi.coeffs - cubic)) < 1e-12
     D1, D2 = landau.covariant_gradient(psi)

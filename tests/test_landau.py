@@ -79,9 +79,12 @@ def test_basis_rejects_extreme_shapes():
         LandauBasis(1, shape, 64, K_lev=0)
 
 
-def test_basis_rejects_coarse_grid(shape_square):
-    with pytest.raises(ValueError):
-        LandauBasis(1, shape_square, 8, K_lev=0)
+def test_coarse_output_grid_matches_dense_tables(shape_square):
+    # terms fold exactly into the bins of any output grid, so an N = 8 grid
+    # (coarser than four times the theta truncation) samples the basis exactly
+    basis = LandauBasis(1, shape_square, 8, K_lev=0)
+    ref = dense_tables(basis, *basis.grid.x)[0, 0]
+    assert np.max(np.abs(basis.synth(np.ones((1, 1))) - ref)) < 1e-14
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +256,9 @@ def test_qp_derivatives_match_ladder_route(shape_generic, rng):
 # ----------------------------------------------------------------------
 # separable transform against the dense tables
 # ----------------------------------------------------------------------
-# the last case folds 34 theta terms into the 24 bins of the working grid,
-# with the terms that share a bin both visible on the cell at high levels
+# the last case folds 34 theta terms into the 24 bins of the output grid and
+# the 32 of the solve grid, with the terms that share a bin both visible on
+# the cell at high levels
 TRANSFORM_CASES = [(1, 1j, 32, 8), (1, 0.3 + 1.2j, 48, 12), (2, 0.45 + 0.95j, 32, 4),
                    (3, 1j, 24, 100)]
 
@@ -263,42 +267,49 @@ TRANSFORM_CASES = [(1, 1j, 32, 8), (1, 0.3 + 1.2j, 48, 12), (2, 0.45 + 0.95j, 32
 def test_transform_matches_dense_tables(n, tau, N, K_lev, rng):
     # synth on both grids and project against the term-by-term tables
     basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
+    G = basis.solve_N
     phi = dense_tables(basis, *basis.grid.x)
-    phi_d = dense_tables(basis, *basis.grid_d.x)
+    phi_s = dense_tables(basis, *basis.solve_grid.x)
     c = rng.standard_normal((K_lev + 1, n)) + 1j * rng.standard_normal((K_lev + 1, n))
-    v = rng.standard_normal((2 * N, 2 * N)) + 1j * rng.standard_normal((2 * N, 2 * N))
+    v = rng.standard_normal((G, G)) + 1j * rng.standard_normal((G, G))
     for got, ref in ((basis.synth(c), np.tensordot(c, phi, axes=([0, 1], [0, 1]))),
-                     (basis.synth(c, dealias=True),
-                      np.tensordot(c, phi_d, axes=([0, 1], [0, 1]))),
+                     (basis.synth(c, solve=True),
+                      np.tensordot(c, phi_s, axes=([0, 1], [0, 1]))),
                      (basis.project(v),
-                      np.einsum("kjxy,xy->kj", np.conj(phi_d), v) / v.size)):
+                      np.einsum("kjxy,xy->kj", np.conj(phi_s), v) / v.size)):
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n, tau, N, K_lev", TRANSFORM_CASES)
 def test_project_is_the_adjoint_of_synth(n, tau, N, K_lev, rng):
     basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
+    G = basis.solve_N
     c = rng.standard_normal((K_lev + 1, n)) + 1j * rng.standard_normal((K_lev + 1, n))
-    v = rng.standard_normal((2 * N, 2 * N)) + 1j * rng.standard_normal((2 * N, 2 * N))
-    lhs = inner_avg(basis.synth(c, dealias=True), v)
+    v = rng.standard_normal((G, G)) + 1j * rng.standard_normal((G, G))
+    lhs = inner_avg(basis.synth(c, solve=True), v)
     rhs = np.vdot(c, basis.project(v))
     assert abs(lhs - rhs) < 1e-14 * abs(lhs)
 
 
 @pytest.mark.parametrize("n, tau, N, K_lev", [(1, 1j, 32, 8), (1, 0.3 + 1.2j, 48, 12),
                                               (2, 0.45 + 0.95j, 32, 4)])
-def test_working_grid_synth_is_doubled_synth_at_even_points(n, tau, N, K_lev, rng):
+def test_output_and_solve_grid_synth_match_dense_tables(n, tau, N, K_lev, rng):
+    # the output grid N and the solve grid are sampled by separate tables
     basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
     c = rng.standard_normal((K_lev + 1, n)) + 1j * rng.standard_normal((K_lev + 1, n))
-    even = basis.synth(c, dealias=True)[::2, ::2]
-    assert np.max(np.abs(basis.synth(c) - even)) < 1e-14 * np.max(np.abs(even))
+    for got, grid in ((basis.synth(c), basis.grid),
+                      (basis.synth(c, solve=True), basis.solve_grid)):
+        ref = np.tensordot(c, dense_tables(basis, *grid.x), axes=([0, 1], [0, 1]))
+        assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 def test_basis_memory_is_bounded(shape_generic):
-    # profiles, carrier and mix at N=128, K_lev=40; the dense (K_lev+1, n, 2N, 2N)
-    # table they replace held 43 MB
+    # profiles, carriers and mix of the solve grid and the N=128 output grid at
+    # K_lev=40; the dense (K_lev+1, n, 2N, 2N) table they replace held 43 MB
     basis = LandauBasis(1, shape_generic, 128, K_lev=40)
+    basis.synth(np.zeros((41, 1), complex))
     held = sum(v.nbytes for v in vars(basis).values() if isinstance(v, np.ndarray))
+    held += sum(a.nbytes for a in basis._output_table)
     assert held <= 6e6
 
 
