@@ -55,14 +55,15 @@ def beta_lattice_sum(shape: LatticeShape, cutoff: int | None = None) -> BetaResu
     return BetaResult(tau=tau, beta=total, method="lattice_sum", K=R, N=0)
 
 
-def beta_quadrature(shape: LatticeShape, N: int = 64) -> BetaResult:
+def beta_quadrature(shape: LatticeShape) -> BetaResult:
     """Quartic-to-quadratic average ratio of the lowest-level theta function,
-    by spectrally accurate quadrature (n = 1; scale invariant)."""
-    basis = LandauBasis(1, shape, N, K_lev=0)
-    a2 = np.abs(basis.synth(np.ones((1, 1), dtype=complex))) ** 2
+    by spectrally accurate quadrature on the solve grid (n = 1; scale
+    invariant)."""
+    basis = LandauBasis(1, shape, K_lev=0)
+    a2 = np.abs(basis.synth(np.ones((1, 1), dtype=complex), solve=True)) ** 2
     val = float(np.mean(a2**2) / np.mean(a2) ** 2)
     return BetaResult(tau=complex(shape.tau), beta=val, method="quadrature",
-                      K=basis.theta.K, N=N)
+                      K=basis.theta.K, N=basis.solve_N)
 
 
 def beta_of(tau: complex) -> float:
@@ -250,7 +251,7 @@ def _newton_refine(f, tau: complex, h: float, max_steps: int) -> complex:
     return tau
 
 
-def minimize_Eb_numeric(kappa: float, b: float, N: int = 96, K_lev: int = 40,
+def minimize_Eb_numeric(kappa: float, b: float, K_lev: int = 40,
                         coarse: tuple[int, int] = (5, 4), tau2_max: float = 1.4,
                         refine_h: float = 2e-3, newton_steps: int = 12):
     """Minimizer tau_b of the numerically computed branch energy E_b(tau).
@@ -258,7 +259,7 @@ def minimize_Eb_numeric(kappa: float, b: float, N: int = 96, K_lev: int = 40,
     Coarse fundamental-domain scan followed by Newton refinement (step
     refine_h, identical path for every b so different mu values are
     comparable).  Returns (tau_b, E_b(tau_b)).  E_b is computed on each
-    shape's solve grid, so neither depends on N.
+    shape's solve grid, and no field is sampled on any other grid.
 
     The gradient is Richardson-refined, (4 g(h/2) - g(h)) / 3, so its
     truncation remainder is O(h^4).  A plain central difference would leave
@@ -282,7 +283,7 @@ def minimize_Eb_numeric(kappa: float, b: float, N: int = 96, K_lev: int = 40,
         key = (round(tau.real, 12), round(tau.imag, 12))
         if key not in cache:
             shape, _ = normalize_tau(tau)
-            cache[key] = branch_by_field(b, kappa, shape, N=N, K_lev=K_lev).energy
+            cache[key] = branch_by_field(b, kappa, shape, K_lev=K_lev).energy
         return cache[key]
 
     pts = fundamental_domain_grid(*coarse, tau2_max=tau2_max)

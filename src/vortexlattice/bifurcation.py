@@ -63,8 +63,10 @@ class ReductionSetup:
         return float(np.mean(a2**2) / np.mean(a2) ** 2)
 
 
-def build_reduction(shape: LatticeShape, N: int, K_lev: int = 40,
+def build_reduction(shape: LatticeShape, N: int | None = None, K_lev: int = 40,
                     n: int = 1) -> ReductionSetup:
+    """Reduction on a basis whose reported fields are sampled at N, or on the
+    solve grid when N is None."""
     if n != 1:
         raise NotImplementedError("the scalar bifurcation equation is n = 1 only")
     basis = LandauBasis(1, shape, N, K_lev)
@@ -249,7 +251,7 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     )
 
 
-def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int = 96,
+def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int | None = None,
                  K_lev: int = 40, setup: ReductionSetup | None = None) -> Branch:
     """Continue the bifurcating branch over the given s grid (ascending)."""
     if setup is None:
@@ -279,11 +281,11 @@ def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int = 96,
 
 
 def branch_by_field(b_target: float, kappa: float, shape: LatticeShape,
-                    N: int = 96, K_lev: int = 40,
-                    setup: ReductionSetup | None = None) -> BranchPoint:
-    """Branch point with prescribed average field b = kappa^2 / lambda_s."""
+                    K_lev: int = 40, setup: ReductionSetup | None = None) -> BranchPoint:
+    """Branch point with prescribed average field b = kappa^2 / lambda_s;
+    its fields are sampled on the solve grid unless setup has an N."""
     if setup is None:
-        setup = build_reduction(shape, N, K_lev)
+        setup = build_reduction(shape, K_lev=K_lev)
     beta = setup.beta()
     c_apriori = (kappa**2 - 0.5) * beta + 0.5
     lam_t = kappa**2 / b_target

@@ -137,20 +137,17 @@ def write_json(path: str, cfg: dict, payload: dict) -> None:
 
 
 def _beta_row(args):
-    tau, n_quad = args
+    tau, method = args
     shape, _ = normalize_tau(tau)
-    res = abrikosov.beta_lattice_sum(shape)
-    beta = res.beta
-    if n_quad:
-        beta = abrikosov.beta_quadrature(shape, N=n_quad).beta
+    beta = (abrikosov.beta_quadrature(shape) if method == "quadrature"
+            else abrikosov.beta_lattice_sum(shape)).beta
     kc = float(np.sqrt(0.5 * (1 - 1 / beta)))
     return [tau.real, tau.imag, beta, kc]
 
 
 def cmd_beta(cfg: dict) -> int:
     taus = parse_tau_grid(cfg["tau_grid"])
-    n_quad = cfg["N"] if cfg["method"] == "quadrature" else 0
-    work = [(tau, n_quad) for tau in taus]
+    work = [(tau, cfg["method"]) for tau in taus]
     if cfg["jobs"] > 1:
         with Pool(cfg["jobs"]) as pool:
             rows = pool.map(_beta_row, work)
@@ -212,7 +209,7 @@ def cmd_field_landscape(cfg: dict) -> int:
         row = [tau.real, tau.imag, beta, kc,
                abrikosov.energy_landscape_asymptotic(shape, kappa, cfg["b"])]
         if cfg["numeric"]:
-            setup = bifurcation.build_reduction(shape, cfg["N"], cfg["K_lev"])
+            setup = bifurcation.build_reduction(shape, K_lev=cfg["K_lev"])
             pt = bifurcation.branch_by_field(cfg["b"], kappa, shape, setup=setup)
             row += [pt.energy, pt.residual_alpha, pt.coeff_tail, pt.grid_tail]
             solve_N.add(setup.basis.solve_N)
@@ -304,9 +301,9 @@ def verify_symmetry(cfg) -> list[dict]:
     d = np.zeros((basis.K_lev + 1, 1), complex)
     d[:8, 0] = 0.05 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
     psi = landau.field_from_coeffs(basis, d)
-    F, _, _ = map_F(1.05, psi, kappa)
+    F = map_F(1.05, psi, kappa)
     delta = 0.7
-    F_rot, _, _ = map_F(1.05, landau.field_from_coeffs(basis, np.exp(1j * delta) * d), kappa)
+    F_rot = map_F(1.05, landau.field_from_coeffs(basis, np.exp(1j * delta) * d), kappa)
     equiv = float(np.max(np.abs(F_rot.values - np.exp(1j * delta) * F.values)))
     realness = abs(complex(landau.inner_avg(psi.values, F.values)).imag)
     s = 0.06
@@ -354,8 +351,8 @@ SUITES = {"spectrum": verify_spectrum, "gauge": verify_gauge,
 # ----------------------------------------------------------------------
 COMMANDS = {
     "beta": (cmd_beta, "beta(tau) scan",
-             {"tau_grid": "fundamental:20x20", "method": "lattice_sum", "N": 64,
-              "jobs": 1, "outdir": None, "output": "beta_scan.csv"}),
+             {"tau_grid": "fundamental:20x20", "method": "lattice_sum", "jobs": 1,
+              "outdir": None, "output": "beta_scan.csv"}),
     "critical-points": (cmd_critical_points, "critical points of beta",
                         {"outdir": None, "output": "critical_points.json"}),
     "branch": (cmd_branch, "bifurcation branch and expansion report",
@@ -363,7 +360,7 @@ COMMANDS = {
                 "N": 128, "K_lev": 40, "outdir": None, "prefix": "branch"}),
     "field-landscape": (cmd_field_landscape, "E_b(tau) asymptotic and numeric",
                         {"kappa2": 2.0, "b": 1.9, "tau_grid": "fundamental:8x6",
-                         "numeric": False, "N": 96, "K_lev": 40, "outdir": None,
+                         "numeric": False, "K_lev": 40, "outdir": None,
                          "output": "field_landscape.csv"}),
     "gauge-fix": (cmd_gauge_fix, "fix the gauge of a raw state snapshot",
                   {"input": None, "kappa2": 1.0, "outdir": None,

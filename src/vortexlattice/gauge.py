@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .glcore import GLParams, GLState, PeriodicVectorField
-from .landau import QuasiPeriodicField, magnetic_shift_values, qp_derivatives
+from .landau import (QuasiPeriodicField, covariant_gradient_grid,
+                     magnetic_shift_values)
 from .lattice import J, LatticeShape, cell_geometry
 from .spectral import CellGrid
 
@@ -73,13 +74,10 @@ class RawLatticeState:
                                   bc_const=self.bc_const)
 
     def covariant_gradient(self) -> tuple[np.ndarray, np.ndarray]:
-        """(d - i a) Psi for the full potential a = A0 + a_p."""
-        grid = self.grid
-        d1, d2 = qp_derivatives(self.qp_field(), grid=grid)
-        x1, x2 = grid.x
-        a1 = -0.5 * self.b * x2 + self.a_p[0]
-        a2 = 0.5 * self.b * x1 + self.a_p[1]
-        return d1 - 1j * a1 * self.psi, d2 - 1j * a2 * self.psi
+        """(d - i a) Psi for the full potential a = A0 + a_p: the normalized
+        cell's (d - i A0) Psi, scaled by 1/sigma, minus i a_p Psi."""
+        D = np.stack(covariant_gradient_grid(self.qp_field()))
+        return tuple(D / np.sqrt(self.n / self.b) - 1j * self.a_p * self.psi)
 
     def observables(self) -> dict[str, np.ndarray]:
         """Gauge-invariant grids: pair density, magnetic field, current."""

@@ -252,14 +252,13 @@ def F_coeffs(basis: LandauBasis, coeffs: np.ndarray, lam: float,
     return basis.landau_coeffs(coeffs) - lam * coeffs + ncoef
 
 
-def map_F(lam: float, psi: QuasiPeriodicField, kappa: float):
-    """F(lambda, psi) with alpha = alpha(psi); returns (F field, alpha2, grid2)."""
+def map_F(lam: float, psi: QuasiPeriodicField, kappa: float) -> QuasiPeriodicField:
+    """F(lambda, psi) with alpha = alpha(psi)."""
     if psi.coeffs is None or psi.basis is None:
         raise ValueError("map_F needs a Landau-coefficient field")
     basis = psi.basis
-    ncoef, alpha2 = nonlinear_coeffs(basis, psi.coeffs, kappa)
-    F = F_coeffs(basis, psi.coeffs, lam, ncoef)
-    return field_from_coeffs(basis, F), alpha2, basis.solve_grid
+    ncoef, _ = nonlinear_coeffs(basis, psi.coeffs, kappa)
+    return field_from_coeffs(basis, F_coeffs(basis, psi.coeffs, lam, ncoef))
 
 
 def residuals(state: GLState) -> tuple[QuasiPeriodicField, np.ndarray]:

@@ -34,12 +34,12 @@ Fourier mode e^{2 pi i m y1} and a y2-only profile
 Synthesis on a G x G grid contracts the profiles with the coefficients over
 k, adds each term m into the Fourier bin m mod G, runs one inverse FFT along
 y1 and multiplies by the carrier; projection is its exact adjoint.  The fold
-is exact on any grid, so a basis keeps two: the output grid N, on which
-reported fields are sampled, and the solve grid, on which products are
-formed and projected.  The solve grid never reads N: its side is set from
-(n, tau2) by _solve_grid_size, because on the lowest level the Fourier
-coefficient of |psi0|^2 at a reciprocal vector g is exp(-|g|^2 / (4n)), and
-on the logical grid the slowest direction has |g|^2 ~ 2 pi k^2 / tau2.
+is exact on any grid.  Products are formed and projected on the solve grid,
+whose side is set from (n, tau2) by _solve_grid_size, because on the lowest
+level the Fourier coefficient of |psi0|^2 at a reciprocal vector g is
+exp(-|g|^2 / (4n)), and on the logical grid the slowest direction has
+|g|^2 ~ 2 pi k^2 / tau2.  Reported fields are sampled on the output grid,
+which is the solve grid unless a caller that writes fields asks for an N.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import scipy.sparse.linalg as spla
 from .lattice import LatticeShape, cell_geometry
 from .spectral import CellGrid
 
-TAU2_BAND = (0.2, 20.0)
+TAU2_MAX = 20.0         # the fundamental domain keeps tau2 >= sqrt(3)/2
 # _solve_grid_size keeps the outer-ring share of |psi|^2 on the solve grid
 # (BranchPoint.grid_tail) below this at every branch point measured
 GRID_TAIL_TOL = 1e-10
@@ -126,20 +126,22 @@ class LandauBasis:
     the cell-averaged inner product (so <|psi_0|^2> = 1 for each family).
     The basis stores the (M, K_lev+1, solve_N) y2 profiles of the terms m of
     the theta series, the carrier on the solve grid and the Cholesky mix of
-    the seed families, all independent of N.  The profiles and carrier of the
-    output N grid are built on the first synth there.
+    the seed families, all independent of N.  Without N the output grid is
+    the solve grid; with one, the profiles and carrier of the N grid are
+    built on the first synth there.
     """
 
-    def __init__(self, n: int, shape: LatticeShape, N: int, K_lev: int = 32):
-        if not TAU2_BAND[0] <= shape.tau2 <= TAU2_BAND[1]:
-            raise ValueError(f"tau2={shape.tau2:.3g} outside supported band {TAU2_BAND}")
+    def __init__(self, n: int, shape: LatticeShape, N: int | None = None,
+                 K_lev: int = 32):
+        if shape.tau2 > TAU2_MAX:
+            raise ValueError(f"tau2={shape.tau2:.3g} above the supported {TAU2_MAX}")
         self.n = int(n)
         self.shape = shape
-        self.N = int(N)
         self.K_lev = int(K_lev)
         self.solve_N = _solve_grid_size(self.n, shape.tau2)
+        self.N = self.solve_N if N is None else int(N)
         self.geom = cell_geometry(shape, n, b=float(n))  # sigma = 1
-        self.grid = CellGrid(self.geom.m_tau, N)
+        self.grid = CellGrid(self.geom.m_tau, self.N)
         self.solve_grid = CellGrid(self.geom.m_tau, self.solve_N)
         self.nu = float(np.sqrt(2 * np.pi * shape.tau2))
         self.levels = np.arange(self.K_lev + 1)
@@ -380,15 +382,14 @@ def _wrap_exponents(f: QuasiPeriodicField, grid: CellGrid) -> tuple[np.ndarray, 
     return th1, th2
 
 
-def qp_derivatives(f: QuasiPeriodicField, grid: CellGrid | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def qp_derivatives(f: QuasiPeriodicField) -> tuple[np.ndarray, np.ndarray]:
     """Cartesian (d1 psi, d2 psi) by spectral differentiation of the periodic
     quotients along the two lattice directions.
 
     Independent of the Landau-coefficient representation; exact for fields
-    band-limited on the grid.  Pass a grid to use a non-normalized cell scale.
+    band-limited on the grid.
     """
-    grid = f.grid if grid is None else grid
+    grid = f.grid
     y1, y2 = grid.y
     th1, th2 = _wrap_exponents(f, grid)
     N = f.N

@@ -45,7 +45,7 @@ def test_lattice_sum_translation_invariant(shape_square):
 def test_quadrature_matches_sum_on_grid():
     for tau in fundamental_domain_grid(6, 6):
         shape, _ = normalize_tau(tau)
-        q = abr.beta_quadrature(shape, N=64).beta
+        q = abr.beta_quadrature(shape).beta
         s = abr.beta_lattice_sum(shape).beta
         assert abs(q - s) < 1e-10
 
@@ -54,9 +54,9 @@ def test_quadrature_invariant_under_inversion():
     # same lattice reached through -1/tau reduces to the same shape and the
     # same quadrature beta
     tau = 0.3 + 1.3j
-    b1 = abr.beta_quadrature(normalize_tau(tau)[0], N=64).beta
-    b2 = abr.beta_quadrature(normalize_tau(-1 / tau)[0], N=64).beta
-    b3 = abr.beta_quadrature(normalize_tau(tau + 1)[0], N=64).beta
+    b1 = abr.beta_quadrature(normalize_tau(tau)[0]).beta
+    b2 = abr.beta_quadrature(normalize_tau(-1 / tau)[0]).beta
+    b3 = abr.beta_quadrature(normalize_tau(tau + 1)[0]).beta
     assert abs(b1 - b2) < 1e-10
     assert abs(b1 - b3) < 1e-10
 

@@ -60,7 +60,7 @@ def test_criterion_01_beta_oracle_agreement():
     worst = 0.0
     for tau in fundamental_domain_grid(20, 20):
         shape, _ = normalize_tau(tau)
-        worst = max(worst, abs(abr.beta_quadrature(shape, N=64).beta
+        worst = max(worst, abs(abr.beta_quadrature(shape).beta
                                - abr.beta_lattice_sum(shape).beta))
     b_sq = abr.beta_lattice_sum(normalize_tau(1j)[0]).beta
     b_tr = abr.beta_lattice_sum(normalize_tau(TRI)[0]).beta
@@ -189,7 +189,7 @@ def test_criterion_07_branch_residuals_and_side(branch_sq_128, branch_tr_128,
     sides_ok = all(p.lam > 1 for br in (branch_sq_128, branch_tr_128)
                    for p in br.points)
     with pytest.raises(bif.BranchSideError):
-        bif.branch_by_field(KAPPA2 + 0.05, KAPPA, shape_tr, N=64, K_lev=32)
+        bif.branch_by_field(KAPPA2 + 0.05, KAPPA, shape_tr, K_lev=32)
     # negative sign regime: (kappa^2 - 1/2) beta + 1/2 < 0 admits only b > kappa^2
     shape8, _ = normalize_tau(8j)
     setup8 = bif.build_reduction(shape8, N=64, K_lev=40)
@@ -254,8 +254,8 @@ def test_criterion_09_symmetry_suite(shape_sq, rng):
         d[:8, 0] = 0.05 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
         psi = field_from_coeffs(basis, d)
         delta = rng.uniform(0.2, 2 * np.pi - 0.2)
-        F, _, _ = glcore.map_F(1.05, psi, KAPPA)
-        F_rot, _, _ = glcore.map_F(
+        F = glcore.map_F(1.05, psi, KAPPA)
+        F_rot = glcore.map_F(
             1.05, field_from_coeffs(basis, np.exp(1j * delta) * d), KAPPA)
         worst = max(worst, float(np.max(np.abs(
             F_rot.values - np.exp(1j * delta) * F.values))))
@@ -281,7 +281,7 @@ def test_criterion_10_triangular_minimum_numeric():
     t0 = time.time()
     dists = {}
     for mu in (0.2, 0.1, 0.05):
-        tau_b, _ = abr.minimize_Eb_numeric(KAPPA, KAPPA2 - mu, N=96, K_lev=40)
+        tau_b, _ = abr.minimize_Eb_numeric(KAPPA, KAPPA2 - mu, K_lev=40)
         dists[mu] = abr.modular_distance(tau_b, TRI)
     runtime = time.time() - t0
     # Richardson extrapolation of tau_b(mu) toward mu = 0 (linear model in mu

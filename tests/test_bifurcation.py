@@ -242,14 +242,14 @@ def test_branch_by_field_unreachable_target_is_reported():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeError, match=r"b=0\.15 ") as exc:
-            bif.branch_by_field(0.15, np.sqrt(0.1), shape, N=64, K_lev=40)
+            bif.branch_by_field(0.15, np.sqrt(0.1), shape, K_lev=40)
     assert not isinstance(exc.value, glcore.AlphaSolveError)
 
 
 def test_branch_by_field_far_target(shape_square):
     # b = 0.5 (s ~ 1.18) is far outside the perturbative range, where the
     # plain sweep stops contracting
-    pt = bif.branch_by_field(0.5, KAPPA, shape_square, N=64, K_lev=32)
+    pt = bif.branch_by_field(0.5, KAPPA, shape_square, K_lev=32)
     assert abs(pt.s - 1.177988) < 1e-6
     assert pt.residual_psi < 1e-8
 
@@ -296,7 +296,8 @@ def test_field_points_count_their_sweeps(monkeypatch, tau, kappa2, b, N, K_lev):
     monkeypatch.setattr(bif, "solve_w",
                         lambda *a, **kw: results.append(solve_w(*a, **kw)) or results[-1])
     shape, _ = normalize_tau(tau)
-    bif.branch_by_field(b, np.sqrt(kappa2), shape, N=N, K_lev=K_lev)
+    bif.branch_by_field(b, np.sqrt(kappa2), shape,
+                        setup=bif.build_reduction(shape, N, K_lev))
     assert len(results) == 1 and results[0].iterations > 0
 
 
@@ -318,13 +319,13 @@ def test_coeff_tail_flags_an_unresolved_target():
     # K_lev = 32 is too small for b = 0.7 at tau = 0.3+1.2i (residual_alpha
     # ~1e-4); the top Landau level keeps a visible share of the coefficients
     shape, _ = normalize_tau(0.3 + 1.2j)
-    pt = bif.branch_by_field(0.7, KAPPA, shape, N=64, K_lev=32)
+    pt = bif.branch_by_field(0.7, KAPPA, shape, K_lev=32)
     assert pt.coeff_tail > 1e-6
 
 
 @pytest.mark.parametrize("tau", [1j, TAU_TRIANGULAR])
 def test_coeff_tail_small_at_the_landscape_default(tau):
-    pt = bif.branch_by_field(1.9, KAPPA, normalize_tau(tau)[0], N=96, K_lev=40)
+    pt = bif.branch_by_field(1.9, KAPPA, normalize_tau(tau)[0], K_lev=40)
     assert pt.coeff_tail < 1e-8
 
 
@@ -335,23 +336,38 @@ def test_sized_solve_grid_matches_a_fine_grid(monkeypatch, tau, b, K_lev):
     # the solve grid the rule sizes from (n, tau2) gives the branch point of a
     # forced 256 grid, and resolves |psi|^2 to the rule's threshold
     shape = normalize_tau(tau)[0]
-    pt = bif.branch_by_field(b, KAPPA, shape, N=32, K_lev=K_lev)
+    pt = bif.branch_by_field(b, KAPPA, shape, K_lev=K_lev)
     assert pt.grid_tail < landau.GRID_TAIL_TOL
     monkeypatch.setattr(landau, "_solve_grid_size", lambda n, tau2: 256)
-    ref = bif.branch_by_field(b, KAPPA, shape, N=32, K_lev=K_lev)
+    ref = bif.branch_by_field(b, KAPPA, shape, K_lev=K_lev)
     for got, want in ((pt.lam, ref.lam), (pt.s, ref.s), (pt.energy, ref.energy)):
         assert abs(got - want) <= 1e-14 * abs(want)
 
 
+def test_field_point_builds_one_transform_table(monkeypatch):
+    # without an output N a field point samples its fields on the solve grid,
+    # so the basis builds the solve grid's table and no other
+    tables = []
+    table = landau.LandauBasis._table
+    monkeypatch.setattr(landau.LandauBasis, "_table",
+                        lambda self, G: tables.append(G) or table(self, G))
+    shape = normalize_tau(0.3 + 1.2j)[0]
+    pt = bif.branch_by_field(1.9, KAPPA, shape)
+    assert len(tables) == 1
+    assert pt.alpha.values.shape == (2, tables[0], tables[0])
+
+
 def test_point_scalars_do_not_depend_on_N():
-    # N only samples the reported fields: every scalar of a branch point is
-    # computed on the solve grid, bit for bit the same at any N
+    # an N given to build_reduction only samples the reported fields: every
+    # scalar of a branch point is computed on the solve grid, bit for bit the
+    # same at any N
     shape = normalize_tau(0.3 + 1.2j)[0]
     keys = ("lam", "s", "energy", "residual_psi", "residual_alpha", "coeff_tail",
             "grid_tail")
     seen = set()
     for N in (16, 96, 128):
-        pt = bif.branch_by_field(1.0, KAPPA, shape, N=N, K_lev=40)
+        pt = bif.branch_by_field(1.0, KAPPA, shape,
+                                 setup=bif.build_reduction(shape, N, K_lev=40))
         assert pt.alpha.values.shape == (2, N, N)
         seen.add(tuple(getattr(pt, k) for k in keys))
     assert len(seen) == 1

@@ -89,7 +89,7 @@ def test_field_landscape_command(tmp_path):
 def test_field_landscape_numeric_reports_truncation(tmp_path):
     # the numeric columns carry the alpha residual and the Landau tail
     assert run(["field-landscape", "--kappa2", "2", "--b", "1.9", "--numeric",
-                "--tau-grid", "square", "--N", "64", "--outdir", str(tmp_path)]) == 0
+                "--tau-grid", "square", "--outdir", str(tmp_path)]) == 0
     lines = (tmp_path / "field_landscape.csv").read_text().splitlines()
     header = lines[1].split(",")
     assert header[-4:] == ["E_b_numeric", "residual_alpha", "coeff_tail", "grid_tail"]
@@ -151,6 +151,10 @@ def test_invalid_config_exit_code(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"unknown_key": 1}')
     assert run(["beta", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+    # only the commands that write sampled fields have an output grid N
+    cfg.write_text('{"N": 64}')
+    for command in ("beta", "field-landscape"):
+        assert run([command, "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
     cfg.write_text('["N"]')
     assert run(["beta", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
     # nonsense physics is refused before any solve or output; the expansion
@@ -164,7 +168,6 @@ def test_invalid_config_exit_code(tmp_path):
                  ["branch", "--s-points", "3"],
                  ["branch", "--tau", "0,-1"],
                  ["beta", "--tau-grid", "0.2,nan"],
-                 ["beta", "--tau-grid", "0.3,1.2", "--method", "quadrature", "--N", "0"],
                  ["beta", "--jobs", "0"],
                  ["verify", "spectrum", "--N-fd", "0"],
                  ["verify", "spectrum", "--N-fd", "2"],
@@ -180,7 +183,7 @@ def test_smallest_sizes_run(tmp_path):
     # the minimum of each size is a working value, not an error
     assert run(["verify", "spectrum", "--N-fd", "3", "--N", "16",
                 "--outdir", str(tmp_path)]) == 0
-    assert run(["field-landscape", "--numeric", "--K-lev", "1", "--N", "16",
+    assert run(["field-landscape", "--numeric", "--K-lev", "1",
                 "--tau-grid", "square", "--outdir", str(tmp_path)]) == 0
     rows = np.loadtxt((tmp_path / "field_landscape.csv").open(), delimiter=",",
                       skiprows=2)
@@ -190,13 +193,12 @@ def test_smallest_sizes_run(tmp_path):
 # every flag of the parser; the config keys are these without the leading
 # "--" and with "-" read as "_", plus verify's positional suite
 FLAGS = {
-    "beta": {"--N", "--config", "--jobs", "--method", "--outdir", "--output",
-             "--tau-grid"},
+    "beta": {"--config", "--jobs", "--method", "--outdir", "--output", "--tau-grid"},
     "critical-points": {"--config", "--outdir", "--output"},
     "branch": {"--K-lev", "--N", "--config", "--kappa2", "--outdir", "--prefix",
                "--s-max", "--s-points", "--tau"},
-    "field-landscape": {"--K-lev", "--N", "--b", "--config", "--kappa2",
-                        "--numeric", "--outdir", "--output", "--tau-grid"},
+    "field-landscape": {"--K-lev", "--b", "--config", "--kappa2", "--numeric",
+                        "--outdir", "--output", "--tau-grid"},
     "gauge-fix": {"--config", "--input", "--kappa2", "--outdir", "--output"},
     "verify": {"--K-lev", "--N", "--N-fd", "--config", "--kappa2", "--outdir",
                "--output", "--seed", "--tau", "--trials"},
@@ -216,7 +218,7 @@ def test_flag_sets_are_pinned():
 @pytest.mark.parametrize("argv, values", [
     (["beta", "--tau-grid", "square"], {"method": "quad"}),
     (["field-landscape", "--tau-grid", "square"], {"kappa2": "2"}),
-    (["field-landscape", "--numeric", "--tau-grid", "square"], {"N": 64.5}),
+    (["branch"], {"N": 64.5}),
     (["field-landscape", "--tau-grid", "square"], {"numeric": 1}),
     (["verify"], {"suite": "bogus"}),
 ], ids=["method-choice", "kappa2-str", "N-float", "numeric-int", "suite-choice"])
@@ -233,10 +235,12 @@ def test_config_values_are_checked_like_flags(tmp_path, argv, values):
 def test_config_file_values_reach_the_command(tmp_path):
     # an int passes for a float, and flags win over the file
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tau_grid": "square", "method": "quadrature", "N": 32}))
-    assert run(["beta", "--config", str(cfg), "--N", "48", "--outdir", str(tmp_path)]) == 0
+    cfg.write_text(json.dumps({"tau_grid": "square", "method": "lattice_sum"}))
+    assert run(["beta", "--config", str(cfg), "--method", "quadrature",
+                "--outdir", str(tmp_path)]) == 0
     header = json.loads((tmp_path / "beta_scan.csv").read_text().splitlines()[0][2:])
-    assert header["config"]["method"] == "quadrature" and header["config"]["N"] == 48
+    assert header["config"] == {"method": "quadrature", "output": "beta_scan.csv",
+                                "tau_grid": "square"}
     cfg.write_text(json.dumps({"kappa2": 2, "tau_grid": "square"}))
     assert run(["field-landscape", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
 
@@ -244,7 +248,7 @@ def test_config_file_values_reach_the_command(tmp_path):
 def test_solver_failure_exit_code(tmp_path):
     # b on the excluded side of kappa^2 triggers a refusal -> exit 3 + marker
     rc = run(["field-landscape", "--kappa2", "2", "--b", "2.1", "--numeric",
-              "--tau-grid", "square", "--N", "48", "--outdir", str(tmp_path)])
+              "--tau-grid", "square", "--outdir", str(tmp_path)])
     assert rc == 3
     marker = json.loads((tmp_path / "FAILED.json").read_text())
     assert marker["status"] == "failed"

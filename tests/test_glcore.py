@@ -199,18 +199,18 @@ def test_branch_point_residuals_small(branch_state):
 
 
 def test_map_F_zero_and_realness(basis_sq, rng):
-    F0, _, _ = map_F(1.1, normal_state(GLParams(1.0, 1, 1.0), basis_sq).psi, 1.0)
+    F0 = map_F(1.1, normal_state(GLParams(1.0, 1, 1.0), basis_sq).psi, 1.0)
     assert norm_avg(F0.values) == 0.0
     psi = random_psi(basis_sq, rng)
-    F, _, _ = map_F(1.05, psi, 1.3)
+    F = map_F(1.05, psi, 1.3)
     assert abs(complex(inner_avg(psi.values, F.values)).imag) < 1e-10
 
 
 def test_map_F_gauge_equivariance(basis_sq, rng):
     psi = random_psi(basis_sq, rng)
     delta = 0.7
-    F, _, _ = map_F(1.05, psi, 1.3)
-    F_rot, _, _ = map_F(1.05, field_from_coeffs(basis_sq, np.exp(1j * delta) * psi.coeffs), 1.3)
+    F = map_F(1.05, psi, 1.3)
+    F_rot = map_F(1.05, field_from_coeffs(basis_sq, np.exp(1j * delta) * psi.coeffs), 1.3)
     assert np.max(np.abs(F_rot.values - np.exp(1j * delta) * F.values)) < 1e-10
 
 

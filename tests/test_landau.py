@@ -75,8 +75,8 @@ def test_grid_refinement_converged(shape_tri):
 
 def test_basis_rejects_extreme_shapes():
     shape, _ = normalize_tau(25j)
-    with pytest.raises(ValueError):
-        LandauBasis(1, shape, 64, K_lev=0)
+    with pytest.raises(ValueError, match="tau2=25 above the supported 20"):
+        LandauBasis(1, shape, K_lev=0)
 
 
 def test_coarse_output_grid_matches_dense_tables(shape_square):
