@@ -1,21 +1,18 @@
 """Vortex-lattice solutions of the 2-D Ginzburg-Landau equations."""
 
 from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, CellGeometry, LatticeShape,
-                      ModularMap, SolverError, cell_geometry, normalize_tau,
-                      rescale_state)
-from .landau import (LandauBasis, QuasiPeriodicField, ThetaCoeffs, cell_average,
-                     covariant_gradient, ladder_apply, landau_apply,
-                     quasi_periodicity_residual, theta_null_basis)
-from .glcore import (GLParams, GLState, PeriodicVectorField, energy, flux,
-                     map_F, residuals, solve_alpha, supercurrent)
-from .abrikosov import (BetaResult, CriticalPoint, applied_field,
-                        beta_lattice_sum, beta_quadrature,
-                        energy_landscape_asymptotic, find_beta_critical_points,
-                        kappa_c, minimize_Eb_numeric)
+                      ModularMap, SolverError, cell_geometry, normalize_tau)
+from .landau import (LandauBasis, QuasiPeriodicField, ThetaCoeffs,
+                     covariant_gradient, quasi_periodicity_residual,
+                     theta_null_basis)
+from .glcore import (GLParams, GLState, PeriodicVectorField, energy, map_F,
+                     residuals)
+from .abrikosov import (BetaResult, CriticalPoint, beta_lattice_sum,
+                        beta_quadrature, energy_landscape_asymptotic,
+                        find_beta_critical_points, kappa_c, minimize_Eb_numeric)
 from .bifurcation import (Branch, ExpansionReport, ReductionSetup,
                           branch_by_field, build_reduction, fit_expansion,
                           gamma1, solve_branch, solve_w)
-from .gauge import (RawLatticeState, fix_gauge, gauge_transform, rotate_state,
-                    translate_state)
+from .gauge import RawLatticeState, fix_gauge, gauge_transform, translate_state
 
 __version__ = "0.1.0"

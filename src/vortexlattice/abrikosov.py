@@ -46,7 +46,7 @@ def beta_lattice_sum(shape: LatticeShape, cutoff: int | None = None) -> BetaResu
     R = int(np.ceil(np.sqrt(34.5 / (np.pi * max(lam_min, 1e-12))))) + 1
     if cutoff is not None:
         R = max(R, int(cutoff))
-    m, k = np.meshgrid(np.arange(-R, R + 1), np.arange(-R, R + 1), indexing="ij")
+    m, k = np.arange(-R, R + 1)[:, None], np.arange(-R, R + 1)[None, :]
     q = ((m * t1 + k) ** 2 + (m * t2) ** 2) / t2
     total = float(np.exp(-np.pi * q).sum())
     shell = float(np.exp(-np.pi * q[np.maximum(np.abs(m), np.abs(k)) == R]).sum())
@@ -219,16 +219,6 @@ def energy_landscape_asymptotic(shape: LatticeShape, kappa: float, b: float) -> 
     if abs(denom) < 1e-12:
         raise ZeroDivisionError("degenerate denominator: outside asymptotic validity")
     return float(kappa**2 / 2 + b**2 - (kappa**2 - b) ** 2 / denom)
-
-
-def applied_field(shape: LatticeShape, kappa: float, b: float) -> float:
-    """h0 = b + (kappa^2 - b)/((2 kappa^2 - 1) beta + 1), the half b-derivative
-    of the asymptotic landscape."""
-    beta = beta_lattice_sum(shape).beta
-    denom = (2 * kappa**2 - 1) * beta + 1
-    if abs(denom) < 1e-12:
-        raise ZeroDivisionError("degenerate denominator: outside asymptotic validity")
-    return float(b + (kappa**2 - b) / denom)
 
 
 def _newton_refine(f, tau: complex, h: float, max_steps: int) -> complex:

@@ -26,7 +26,6 @@ import hashlib
 import json
 import os
 import sys
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -149,6 +148,7 @@ def cmd_beta(cfg: dict) -> int:
     taus = parse_tau_grid(cfg["tau_grid"])
     work = [(tau, cfg["method"]) for tau in taus]
     if cfg["jobs"] > 1:
+        from multiprocessing import Pool
         with Pool(cfg["jobs"]) as pool:
             rows = pool.map(_beta_row, work)
     else:

@@ -89,13 +89,6 @@ class RawLatticeState:
                                  np.imag(np.conj(self.psi) * cov2)]),
         }
 
-    def energy_density_mean(self, kappa: float) -> float:
-        """Average unscaled Ginzburg-Landau energy per unit cell area."""
-        cov1, cov2 = self.covariant_gradient()
-        dens = (np.abs(cov1) ** 2 + np.abs(cov2) ** 2
-                + self.curl_a() ** 2 + 0.5 * kappa**2 * (1 - np.abs(self.psi) ** 2) ** 2)
-        return float(np.mean(dens))
-
 
 def raw_from_state(state: GLState) -> RawLatticeState:
     """Physical-cell raw state from a normalized fixed-gauge state."""
@@ -134,45 +127,6 @@ def translate_state(state: RawLatticeState, t: np.ndarray) -> RawLatticeState:
     a_p = np.stack([grid.shift(state.a_p[0], dy), grid.shift(state.a_p[1], dy)])
     a_p = a_p + 0.5 * state.b * (J @ np.asarray(t, dtype=float))[:, None, None]
     return replace(state, psi=vals, a_p=a_p, bc_const=bc)
-
-
-class PointGroupError(ValueError):
-    """Rotation does not map the lattice to itself (different-lattice state)."""
-
-
-def rotate_state(state: RawLatticeState, angle: float) -> RawLatticeState:
-    """State rotated by a lattice point-group rotation.
-
-    The rotation must map the lattice onto itself (angle pi always; +-pi/2 for
-    the square lattice, multiples of pi/3 for the triangular one); otherwise
-    the result would be periodic over a different lattice and is refused.
-    """
-    R = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-    m = state.m
-    C = np.linalg.solve(m, R.T @ m)  # R^{-1} t_d in lattice coordinates
-    Ci = np.rint(C).astype(int)
-    if np.max(np.abs(C - Ci)) > 1e-9 or round(np.linalg.det(Ci)) != 1:
-        raise PointGroupError(f"rotation by {angle} is not in the point group of "
-                              f"tau={state.shape.tau}")
-    N = state.N
-    i, j = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    ip = Ci[0, 0] * i + Ci[0, 1] * j
-    jp = Ci[1, 0] * i + Ci[1, 1] * j
-    ir, jr = ip % N, jp % N
-    p, q = (ip - ir) // N, (jp - jr) // N
-    n = state.n
-    C1, C2 = state.bc_const
-    # Psi(y'' + (p, q)) = exp(i [q th2(y1'') + p th1(y2'' + q)]) Psi(y'')
-    y1r, y2r = ir / N, jr / N
-    phase = q * (-n * np.pi * y1r + C2) + p * (n * np.pi * (y2r + q) + C1)
-    psi = np.exp(1j * phase) * state.psi[ir, jr]
-    a_rot = np.einsum("ab,bxy->axy", R, state.a_p[:, ir, jr])
-    # boundary constants of the image state (canonical-cocycle composition)
-    bc = []
-    for col in range(2):
-        pp, qq = Ci[0, col], Ci[1, col]
-        bc.append(n * np.pi * pp * qq + pp * C1 + qq * C2)
-    return replace(state, psi=psi, a_p=a_rot, bc_const=(float(bc[0]), float(bc[1])))
 
 
 # ----------------------------------------------------------------------

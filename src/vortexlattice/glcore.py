@@ -207,19 +207,6 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
     return alpha
 
 
-def solve_alpha(psi: QuasiPeriodicField, params: GLParams) -> PeriodicVectorField:
-    """Induced potential alpha(psi), solved on the solve grid and sampled on
-    the grid of psi; mean-zero and divergence-free."""
-    ps = _samples(psi, solve=True)
-    alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
-    return PeriodicVectorField(values=ps.grid.resample(alpha2, psi.N), grid=psi.grid)
-
-
-def alpha_equation_residual(psi: QuasiPeriodicField, alpha: PeriodicVectorField) -> float:
-    """l2 norm of (M + |psi|^2) alpha - Im(conj(psi) grad_{A0} psi)."""
-    return _samples(psi, solve=False).alpha_residual_rms(alpha.values)
-
-
 def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
                      alpha2: np.ndarray | None = None,
                      alpha_start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -289,15 +276,3 @@ def _energy(ps: _PsiSamples, alpha: np.ndarray, p: GLParams) -> float:
     dens = (np.abs(cov1) ** 2 + np.abs(cov2) ** 2 + curl ** 2
             + 0.5 * p.kappa**2 * (ps.rho - p.lam / p.kappa**2) ** 2)
     return float(p.kappa**4 / p.lam**2 * np.mean(dens))
-
-
-def flux(state: GLState) -> float:
-    """Quadrature of curl a over the cell; 2 pi n for any admissible state."""
-    grid = state.alpha.grid
-    return grid.flux(state.params.n + grid.curl(state.alpha.values))
-
-
-def supercurrent(state: GLState) -> np.ndarray:
-    """J = Im(conj(psi) grad_a psi) on the output grid."""
-    ps = _samples(state.psi, solve=False)
-    return ps.j0 - ps.rho[None] * state.alpha.values

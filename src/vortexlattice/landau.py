@@ -48,8 +48,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import LatticeShape, cell_geometry
 from .spectral import CellGrid
@@ -67,16 +65,6 @@ def inner_avg(f: np.ndarray, g: np.ndarray) -> complex:
 
 def norm_avg(f: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(f) ** 2)))
-
-
-def cell_average(g: np.ndarray) -> float | complex:
-    """Rectangle-rule mean over the cell; spectrally accurate for smooth
-    periodic integrands (|psi|^2, |psi|^4, curl a, ... qualify)."""
-    if isinstance(g, QuasiPeriodicField):
-        raise TypeError("cell_average needs a periodic integrand, not a "
-                        "quasi-periodic field; pass |psi|^2 etc.")
-    val = np.mean(g)
-    return float(val.real) if abs(val.imag) < 1e-13 * (abs(val) + 1) else complex(val)
 
 
 def _hermite_functions(t: np.ndarray, kmax: int) -> np.ndarray:
@@ -343,29 +331,6 @@ def _padded_coeffs(f: QuasiPeriodicField, op: str) -> tuple[LandauBasis, np.ndar
     return b, d
 
 
-def ladder_apply(f: QuasiPeriodicField, direction: str) -> QuasiPeriodicField:
-    """Annihilation ('lower', level k -> k-1, factor sqrt(2nk)) or creation
-    ('raise', k -> k+1, factor sqrt(2n(k+1))) on the Landau coefficients."""
-    b, d = _padded_coeffs(f, "ladder_apply")
-    if direction == "lower":
-        nd = b.lower_coeffs(d)
-    elif direction == "raise":
-        top = float(np.max(np.abs(d[-1])))
-        if top > 1e-12 * max(float(np.max(np.abs(d))), 1e-300):
-            raise ValueError("raising would truncate top-level content; "
-                             "rebuild the basis with a larger K_lev")
-        nd = b.raise_coeffs(d)
-    else:
-        raise ValueError("direction must be 'lower' or 'raise'")
-    return field_from_coeffs(b, nd)
-
-
-def landau_apply(f: QuasiPeriodicField) -> QuasiPeriodicField:
-    """L f, i.e. coefficient d[k] -> (2k+1) n d[k]."""
-    b, d = _padded_coeffs(f, "landau_apply")
-    return field_from_coeffs(b, b.landau_coeffs(d))
-
-
 def covariant_gradient(f: QuasiPeriodicField) -> tuple[QuasiPeriodicField, QuasiPeriodicField]:
     """(D1 f, D2 f) with D1 = (alpha - alpha*)/2, D2 = (alpha + alpha*)/(2i)."""
     b, d = _padded_coeffs(f, "covariant_gradient")
@@ -477,10 +442,11 @@ def magnetic_shift_values(values: np.ndarray, n: int, bc_const: tuple[float, flo
 # ----------------------------------------------------------------------
 # finite-difference validation backend (square cell)
 # ----------------------------------------------------------------------
-def magnetic_laplacian_fd(n: int, N: int) -> sp.csr_matrix:
+def magnetic_laplacian_fd(n: int, N: int):
     """Link-variable discretization of L = -Laplacian_{A0} on the square cell
-    (tau = i) with the magnetic boundary phases; used only to cross-validate
-    the spectrum {(2k+1) n} with multiplicity n."""
+    (tau = i) with the magnetic boundary phases, as a scipy CSR matrix; used
+    only to cross-validate the spectrum {(2k+1) n} with multiplicity n."""
+    import scipy.sparse as sp  # imported here so that no other command loads scipy
     r = np.sqrt(2 * np.pi)
     h = r / N
     idx = lambda i, j: (i % N) * N + (j % N)
@@ -507,6 +473,7 @@ def magnetic_laplacian_fd(n: int, N: int) -> sp.csr_matrix:
 
 def fd_spectrum(n: int, N: int, k_eigs: int | None = None) -> np.ndarray:
     """Lowest eigenvalues of the discretized operator, ascending."""
+    import scipy.sparse.linalg as spla
     if k_eigs is None:
         k_eigs = 4 * n + 2
     L = magnetic_laplacian_fd(n, N)

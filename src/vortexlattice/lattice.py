@@ -1,4 +1,4 @@
-"""Lattice shape normalization, cell geometry and rescaling.
+"""Lattice shape normalization and cell geometry.
 
 Shapes are reduced to the modular fundamental domain
 |tau| >= 1, Im tau > 0, -1/2 < Re tau <= 1/2 (Re tau >= 0 on |tau| = 1)
@@ -167,30 +167,6 @@ class CellGeometry:
 
 def cell_geometry(shape: LatticeShape, n: int, b: float) -> CellGeometry:
     return CellGeometry(shape=shape, n=n, b=b)
-
-
-def rescale_state(psi: np.ndarray, a: np.ndarray, geometry: CellGeometry,
-                  direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale field samples between physical and normalized variables.
-
-    Both cells share the same logical grid y, so (psi, a) -> (sigma*Psi, sigma*A)
-    is a pure sample scaling; no interpolation enters and the round trip is
-    exact.  'to_normalized' maps physical samples to normalized ones,
-    'to_physical' inverts.
-    """
-    psi = np.asarray(psi)
-    a = np.asarray(a)
-    if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
-        raise ValueError("psi samples must be a square N x N grid")
-    if a.shape != (2, *psi.shape):
-        raise ValueError("potential samples must have shape (2, N, N) matching psi")
-    if direction == "to_normalized":
-        s = geometry.sigma
-    elif direction == "to_physical":
-        s = 1.0 / geometry.sigma
-    else:
-        raise ValueError("direction must be 'to_normalized' or 'to_physical'")
-    return s * psi, s * a
 
 
 def fundamental_domain_grid(n1: int, n2: int, tau2_max: float = 2.0,

@@ -7,20 +7,25 @@ of glcore._alpha_fixed_point.  The dense Landau tables summed term by term
 transform behind LandauBasis.synth/project, and the polynomial ladder
 carrier LadderTerm a third route to the higher levels.  Gradient descent on
 beta is the second route to its minimum, and the effective energy
-e_lambda(v) checks the reduction's variational structure.
+e_lambda(v) checks the reduction's variational structure.  The field
+operations at the end (the alpha solve on a field, flux, supercurrent,
+ladder actions on fields, the applied field h0, point-group rotation,
+the physical energy density and sample rescaling) have no caller in the
+package and are kept here with their checks.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from vortexlattice.abrikosov import (beta_gradient, beta_hessian, beta_of,
-                                     canonical_tau)
+from vortexlattice.abrikosov import (beta_gradient, beta_hessian, beta_lattice_sum,
+                                     beta_of, canonical_tau)
 from vortexlattice.bifurcation import solve_w
 from vortexlattice.glcore import (AlphaSolveError, GLParams, GLState,
-                                  PeriodicVectorField, energy)
-from vortexlattice.landau import (QuasiPeriodicField, field_from_coeffs,
-                                  magnetic_shift_values)
+                                  PeriodicVectorField, _alpha_fixed_point,
+                                  _samples, energy)
+from vortexlattice.landau import (QuasiPeriodicField, _padded_coeffs,
+                                  field_from_coeffs, magnetic_shift_values)
 from vortexlattice.lattice import normalize_tau
 
 
@@ -207,3 +212,144 @@ class LadderTerm:
         for c in self.poly[::-1]:
             val = val * w + c
         return val * np.exp(1j * self.m * nu * z) * np.exp(0.5j * n * x2 * z)
+
+
+# ----------------------------------------------------------------------
+# field operations without a caller in the package
+# ----------------------------------------------------------------------
+def solve_alpha(psi, params):
+    """Induced potential alpha(psi), solved on the solve grid and sampled on
+    the grid of psi; mean-zero and divergence-free."""
+    ps = _samples(psi, solve=True)
+    alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
+    return PeriodicVectorField(values=ps.grid.resample(alpha2, psi.N), grid=psi.grid)
+
+
+def alpha_equation_residual(psi, alpha):
+    """l2 norm of (M + |psi|^2) alpha - Im(conj(psi) grad_{A0} psi)."""
+    return _samples(psi, solve=False).alpha_residual_rms(alpha.values)
+
+
+def flux(state):
+    """Quadrature of curl a over the cell; 2 pi n for any admissible state."""
+    grid = state.alpha.grid
+    return grid.flux(state.params.n + grid.curl(state.alpha.values))
+
+
+def supercurrent(state):
+    """J = Im(conj(psi) grad_a psi) on the output grid."""
+    ps = _samples(state.psi, solve=False)
+    return ps.j0 - ps.rho[None] * state.alpha.values
+
+
+def cell_average(g):
+    """Rectangle-rule mean over the cell; spectrally accurate for smooth
+    periodic integrands (|psi|^2, |psi|^4, curl a, ... qualify)."""
+    if isinstance(g, QuasiPeriodicField):
+        raise TypeError("cell_average needs a periodic integrand, not a "
+                        "quasi-periodic field; pass |psi|^2 etc.")
+    val = np.mean(g)
+    return float(val.real) if abs(val.imag) < 1e-13 * (abs(val) + 1) else complex(val)
+
+
+def ladder_apply(f, direction):
+    """Annihilation ('lower', level k -> k-1, factor sqrt(2nk)) or creation
+    ('raise', k -> k+1, factor sqrt(2n(k+1))) on the Landau coefficients."""
+    b, d = _padded_coeffs(f, "ladder_apply")
+    if direction == "lower":
+        nd = b.lower_coeffs(d)
+    elif direction == "raise":
+        top = float(np.max(np.abs(d[-1])))
+        if top > 1e-12 * max(float(np.max(np.abs(d))), 1e-300):
+            raise ValueError("raising would truncate top-level content; "
+                             "rebuild the basis with a larger K_lev")
+        nd = b.raise_coeffs(d)
+    else:
+        raise ValueError("direction must be 'lower' or 'raise'")
+    return field_from_coeffs(b, nd)
+
+
+def landau_apply(f):
+    """L f, i.e. coefficient d[k] -> (2k+1) n d[k]."""
+    b, d = _padded_coeffs(f, "landau_apply")
+    return field_from_coeffs(b, b.landau_coeffs(d))
+
+
+def applied_field(shape, kappa, b):
+    """h0 = b + (kappa^2 - b)/((2 kappa^2 - 1) beta + 1), the half b-derivative
+    of the asymptotic landscape."""
+    beta = beta_lattice_sum(shape).beta
+    denom = (2 * kappa**2 - 1) * beta + 1
+    if abs(denom) < 1e-12:
+        raise ZeroDivisionError("degenerate denominator: outside asymptotic validity")
+    return float(b + (kappa**2 - b) / denom)
+
+
+class PointGroupError(ValueError):
+    """Rotation does not map the lattice to itself (different-lattice state)."""
+
+
+def rotate_state(state, angle):
+    """Raw state rotated by a lattice point-group rotation.
+
+    The rotation must map the lattice onto itself (angle pi always; +-pi/2 for
+    the square lattice, multiples of pi/3 for the triangular one); otherwise
+    the result would be periodic over a different lattice and is refused.
+    """
+    R = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    m = state.m
+    C = np.linalg.solve(m, R.T @ m)  # R^{-1} t_d in lattice coordinates
+    Ci = np.rint(C).astype(int)
+    if np.max(np.abs(C - Ci)) > 1e-9 or round(np.linalg.det(Ci)) != 1:
+        raise PointGroupError(f"rotation by {angle} is not in the point group of "
+                              f"tau={state.shape.tau}")
+    N = state.N
+    i, j = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    ip = Ci[0, 0] * i + Ci[0, 1] * j
+    jp = Ci[1, 0] * i + Ci[1, 1] * j
+    ir, jr = ip % N, jp % N
+    p, q = (ip - ir) // N, (jp - jr) // N
+    n = state.n
+    C1, C2 = state.bc_const
+    # Psi(y'' + (p, q)) = exp(i [q th2(y1'') + p th1(y2'' + q)]) Psi(y'')
+    y1r, y2r = ir / N, jr / N
+    phase = q * (-n * np.pi * y1r + C2) + p * (n * np.pi * (y2r + q) + C1)
+    psi = np.exp(1j * phase) * state.psi[ir, jr]
+    a_rot = np.einsum("ab,bxy->axy", R, state.a_p[:, ir, jr])
+    # boundary constants of the image state (canonical-cocycle composition)
+    bc = []
+    for col in range(2):
+        pp, qq = Ci[0, col], Ci[1, col]
+        bc.append(n * np.pi * pp * qq + pp * C1 + qq * C2)
+    return replace(state, psi=psi, a_p=a_rot, bc_const=(float(bc[0]), float(bc[1])))
+
+
+def energy_density_mean(raw, kappa):
+    """Average unscaled Ginzburg-Landau energy per unit cell area of a raw state."""
+    cov1, cov2 = raw.covariant_gradient()
+    dens = (np.abs(cov1) ** 2 + np.abs(cov2) ** 2
+            + raw.curl_a() ** 2 + 0.5 * kappa**2 * (1 - np.abs(raw.psi) ** 2) ** 2)
+    return float(np.mean(dens))
+
+
+def rescale_state(psi, a, geometry, direction):
+    """Rescale field samples between physical and normalized variables.
+
+    Both cells share the same logical grid y, so (psi, a) -> (sigma*Psi, sigma*A)
+    is a pure sample scaling; no interpolation enters and the round trip is
+    exact.  'to_normalized' maps physical samples to normalized ones,
+    'to_physical' inverts.
+    """
+    psi = np.asarray(psi)
+    a = np.asarray(a)
+    if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
+        raise ValueError("psi samples must be a square N x N grid")
+    if a.shape != (2, *psi.shape):
+        raise ValueError("potential samples must have shape (2, N, N) matching psi")
+    if direction == "to_normalized":
+        s = geometry.sigma
+    elif direction == "to_physical":
+        s = 1.0 / geometry.sigma
+    else:
+        raise ValueError("direction must be 'to_normalized' or 'to_physical'")
+    return s * psi, s * a

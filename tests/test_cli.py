@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +118,39 @@ def test_gauge_fix_command(tmp_path, shape_generic):
                 "--outdir", str(tmp_path)]) == 0
     fixed = snapshot.load_state(tmp_path / "fixed_state.csv")
     assert landau.quasi_periodicity_residual(fixed.psi) < 1e-8
+
+
+# Runs in a fresh interpreter, where no other test's imports can hide a module:
+# argv is the directory holding the package, the raw snapshot and the outdir.
+IMPORT_GUARD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from vortexlattice import cli, landau
+assert cli.main(["beta", "--tau-grid", "square;triangular", "--outdir", sys.argv[3]]) == 0
+assert cli.main(["gauge-fix", "--input", sys.argv[2], "--outdir", sys.argv[3]]) == 0
+print(json.dumps(sorted(m for m in ("scipy", "multiprocessing") if m in sys.modules)))
+print(json.dumps(landau.fd_spectrum(1, 16)[:4].tolist()))
+"""
+
+
+def test_commands_start_without_scipy(tmp_path, shape_generic):
+    psi = landau.theta_null_basis(1, shape_generic, 16)[0]
+    alpha = glcore.PeriodicVectorField(np.zeros((2, 16, 16)), psi.grid)
+    raw = gauge.raw_from_state(glcore.GLState(psi, alpha, glcore.GLParams(1.0, 1, 1.0)))
+    y1, _ = raw.grid.y
+    raw = gauge.gauge_transform(raw, 0.3 * np.sin(2 * np.pi * y1), (0.1, 0.0))
+    inp = tmp_path / "raw.csv"
+    snapshot.save_raw_state(inp, raw)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", IMPORT_GUARD, src, str(inp),
+                          str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=300, check=True)
+    loaded, vals = (json.loads(ln) for ln in out.stdout.splitlines()[-2:])
+    assert loaded == []
+    # fd_spectrum loads scipy itself; its eigenvalues meet the relative
+    # tolerance of the verify spectrum suite
+    target = np.array([1.0, 3.0, 5.0, 7.0])
+    assert np.max(np.abs(np.array(vals) - target) / target) < 0.02
 
 
 def test_verify_spectrum(tmp_path):

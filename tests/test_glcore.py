@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from reference import (alpha_damped_fixed_point, gauge_transform_state,
-                       helmholtz_project, min_nonzero_gsq, normal_state,
+from reference import (alpha_damped_fixed_point, alpha_equation_residual,
+                       flux, gauge_transform_state, helmholtz_project,
+                       min_nonzero_gsq, normal_state, solve_alpha, supercurrent,
                        unit_field)
 from vortexlattice import bifurcation, glcore, landau
 from vortexlattice.glcore import (GLParams, GLState, PeriodicVectorField,
-                                  alpha_equation_residual, energy, flux, map_F,
-                                  residuals, solve_alpha, supercurrent)
+                                  energy, map_F, residuals)
 from vortexlattice.landau import LandauBasis, field_from_coeffs, inner_avg, norm_avg
 from vortexlattice.spectral import CellGrid
 

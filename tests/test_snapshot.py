@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,18 @@ def test_deterministic_bytes(tmp_path, state):
     snapshot.save_state(p1, state)
     snapshot.save_state(p2, state)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("data", [
+    np.array([[-0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e300]]),
+    np.array([[0.1, -2.5, 3.0, 1e-17]]),
+    np.random.default_rng(7).standard_normal((3 * 4096 + 5, 3)),
+], ids=["special_values", "one_row", "several_blocks"])
+def test_write_table_matches_savetxt(tmp_path, data):
+    path = tmp_path / "table.csv"
+    names = [f"c{i}" for i in range(data.shape[1])]
+    snapshot.write_table(path, {"kind": "t"}, names, list(data.T))
+    buf = io.StringIO()
+    np.savetxt(buf, data, fmt="%.17g", delimiter=",")
+    expected = '# {"kind": "t"}\n' + ",".join(names) + "\n" + buf.getvalue()
+    assert path.read_bytes() == expected.encode()
