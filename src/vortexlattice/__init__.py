@@ -3,8 +3,7 @@
 from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, CellGeometry, LatticeShape,
                       ModularMap, SolverError, cell_geometry, normalize_tau)
 from .landau import (LandauBasis, QuasiPeriodicField, ThetaCoeffs,
-                     covariant_gradient, quasi_periodicity_residual,
-                     theta_null_basis)
+                     quasi_periodicity_residual, theta_null_basis)
 from .glcore import (GLParams, GLState, PeriodicVectorField, energy, map_F,
                      residuals)
 from .abrikosov import (BetaResult, CriticalPoint, beta_lattice_sum,

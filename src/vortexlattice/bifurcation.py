@@ -226,19 +226,20 @@ class Branch:
 
 def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     """The branch point psi = s psi0 + w.  Its scalars are read from the w
-    solve's final solve-grid samples and alpha; alpha is resampled to the
-    output grid only for the reported fields."""
+    solve's final solve-grid samples and alpha; alpha and curl a, taken on
+    the solve grid, are resampled to the output grid only for the reported
+    fields."""
     basis = setup.basis
-    grid = basis.grid
+    grid, solve_grid = basis.grid, basis.solve_grid
     s, lam, ps = wres.s, wres.lam, wres.samples
     psi_c = wres.w.copy()
     psi_c[0, 0] += s
-    alpha = PeriodicVectorField(basis.solve_grid.resample(wres.alpha2, basis.N), grid)
+    alpha = PeriodicVectorField(solve_grid.resample(wres.alpha2, basis.N), grid)
 
     fco = F_coeffs(basis, psi_c, lam, wres.ncoef)
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
 
-    curl_a = 1.0 + grid.curl(alpha.values)
+    curl_a = 1.0 + solve_grid.resample(solve_grid.curl(wres.alpha2), basis.N)
     return BranchPoint(
         s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam), psi_coeffs=psi_c,
         alpha=alpha, energy=_energy(ps, wres.alpha2, GLParams(kappa=kappa, n=1, lam=lam)),

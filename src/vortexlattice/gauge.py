@@ -124,7 +124,7 @@ def translate_state(state: RawLatticeState, t: np.ndarray) -> RawLatticeState:
     vals, bc = magnetic_shift_values(state.psi, state.n, state.bc_const,
                                      (float(dy[0]), float(dy[1])))
     grid = state.grid
-    a_p = np.stack([grid.shift(state.a_p[0], dy), grid.shift(state.a_p[1], dy)])
+    a_p = grid.shift(state.a_p, dy)
     a_p = a_p + 0.5 * state.b * (J @ np.asarray(t, dtype=float))[:, None, None]
     return replace(state, psi=vals, a_p=a_p, bc_const=bc)
 
@@ -133,16 +133,15 @@ def translate_state(state: RawLatticeState, t: np.ndarray) -> RawLatticeState:
 # gauge fixing
 # ----------------------------------------------------------------------
 def _row_antiderivative(f: np.ndarray, axis: int, length: float) -> np.ndarray:
-    """Zero-mean periodic antiderivative along one logical axis."""
+    """Zero-mean periodic antiderivative of a real f along one logical axis,
+    on its rfft half spectrum (the Nyquist term of an even N comes out
+    imaginary, and irfft drops it)."""
     N = f.shape[axis]
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    fh = np.fft.fft(f, axis=axis)
     shape = [1] * f.ndim
-    shape[axis] = N
-    kk = (2j * np.pi / length) * k.reshape(shape)
+    shape[axis] = -1
+    kk = (2j * np.pi / length) * np.fft.rfftfreq(N, d=1.0 / N).reshape(shape)
     kk[kk == 0] = np.inf
-    out = np.fft.ifft(fh / kk, axis=axis)
-    return out.real if np.isrealobj(f) else out
+    return np.fft.irfft(np.fft.rfft(f, axis=axis) / kk, n=N, axis=axis)
 
 
 def fix_gauge(state: RawLatticeState, kappa: float = 1.0,
@@ -197,7 +196,7 @@ def fix_gauge(state: RawLatticeState, kappa: float = 1.0,
     dy = np.linalg.solve(state.m, l)
     vals, bc = magnetic_shift_values(psi, state.n, (C1, C2), (float(dy[0]), float(dy[1])))
     vals = vals * np.exp(0.5j * b * (x1 * l[1] - x2 * l[0]))  # zeta = (b/2) x ^ l
-    alpha = np.stack([grid.shift(alpha[0], dy), grid.shift(alpha[1], dy)])
+    alpha = grid.shift(alpha, dy)
 
     # residual global phase: pin the origin sample when it carries weight
     if abs(vals[0, 0]) > 1e-8 * np.max(np.abs(vals)):

@@ -123,11 +123,11 @@ class _PsiSamples:
 
 
 def _coeff_samples(basis: LandauBasis, coeffs: np.ndarray, solve: bool) -> _PsiSamples:
-    """Samples of a coefficient field on the solve grid or the output grid."""
-    return _PsiSamples(basis.synth(coeffs, solve=solve),
-                       basis.synth(basis.d1_coeffs(coeffs), solve=solve),
-                       basis.synth(basis.d2_coeffs(coeffs), solve=solve),
-                       basis.solve_grid if solve else basis.grid)
+    """Samples of a coefficient field on the solve grid or the output grid,
+    psi, D1 psi and D2 psi from one synthesis of the stacked tables."""
+    psi, d1, d2 = basis.synth(np.stack([coeffs, basis.d1_coeffs(coeffs),
+                                        basis.d2_coeffs(coeffs)]), solve=solve)
+    return _PsiSamples(psi, d1, d2, basis.solve_grid if solve else basis.grid)
 
 
 def _samples(psi: QuasiPeriodicField, solve: bool) -> _PsiSamples:

@@ -147,11 +147,9 @@ class LandauBasis:
 
         self._m, self._family, self._profiles, self._carrier = self._table(self.solve_N)
         # orthonormalize the n seed families (cell-averaged Gram, Cholesky mix)
-        seeds = []
-        for i in range(n):
-            d = np.zeros((self.K_lev + 1, n), dtype=complex)
-            d[0, i] = 1.0
-            seeds.append(self._raw_values(d, *self._solve_table))
+        d = np.zeros((n, self.K_lev + 1, n), dtype=complex)
+        d[np.arange(n), 0, np.arange(n)] = 1.0
+        seeds = self._raw_values(d, *self._solve_table)
         gram = np.array([[inner_avg(a, b) for b in seeds] for a in seeds])
         self._mix = np.linalg.inv(np.linalg.cholesky(gram))
 
@@ -207,20 +205,22 @@ class LandauBasis:
     @staticmethod
     def _raw_values(d: np.ndarray, m: np.ndarray, family: np.ndarray,
                     profiles: np.ndarray, carrier: np.ndarray) -> np.ndarray:
-        """Samples of sum_kj d[k, j] u_kj on the grid of the given table."""
+        """Samples of sum_kj d[k, j] u_kj on the grid of the given table, for
+        each table d[..., k, j] of a stack."""
         G = carrier.shape[0]
-        prof = (d[:, family].T[:, None, :] @ profiles)[:, 0]
+        prof = (np.swapaxes(d[..., family], -1, -2)[..., None, :] @ profiles)[..., 0, :]
         # exp(2 pi i m y1) depends on m mod G only: fold the terms into bins
-        bins = np.zeros((G, G), dtype=complex)
+        bins = np.zeros((*d.shape[:-2], G, G), dtype=complex)
         for c in range(0, len(m), G):
-            bins[m[c:c + G] % G] += prof[c:c + G]
-        return np.fft.ifft(bins, axis=0, norm="forward") * carrier
+            bins[..., m[c:c + G] % G, :] += prof[..., c:c + G, :]
+        return np.fft.ifft(bins, axis=-2, norm="forward") * carrier
 
     # ------------------------------------------------------------------
     # coefficient <-> grid
     # ------------------------------------------------------------------
     def synth(self, coeffs: np.ndarray, solve: bool = False) -> np.ndarray:
-        """Samples on the output N grid, or on the solve grid if solve."""
+        """Samples on the output N grid, or on the solve grid if solve; a stack
+        of coefficient tables (..., K_lev+1, n) gives a stack of fields."""
         table = self._solve_table if solve else self._output_table
         return self._raw_values(coeffs @ self._mix, *table)
 
@@ -319,22 +319,6 @@ def theta_null_basis(n: int, shape: LatticeShape, N: int) -> list[QuasiPeriodicF
         c[0, j] = 1.0
         out.append(field_from_coeffs(basis, c))
     return out
-
-
-def _padded_coeffs(f: QuasiPeriodicField, op: str) -> tuple[LandauBasis, np.ndarray]:
-    """Basis and Landau coefficients of f, zero-padded to K_lev + 1 levels."""
-    if f.coeffs is None or f.basis is None:
-        raise ValueError(f"{op} needs a field with Landau coefficients")
-    b, d = f.basis, f.coeffs
-    if d.shape[0] < b.K_lev + 1:
-        d = np.vstack([d, np.zeros((b.K_lev + 1 - d.shape[0], d.shape[1]), dtype=complex)])
-    return b, d
-
-
-def covariant_gradient(f: QuasiPeriodicField) -> tuple[QuasiPeriodicField, QuasiPeriodicField]:
-    """(D1 f, D2 f) with D1 = (alpha - alpha*)/2, D2 = (alpha + alpha*)/(2i)."""
-    b, d = _padded_coeffs(f, "covariant_gradient")
-    return field_from_coeffs(b, b.d1_coeffs(d)), field_from_coeffs(b, b.d2_coeffs(d))
 
 
 # ----------------------------------------------------------------------

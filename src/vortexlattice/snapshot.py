@@ -2,8 +2,9 @@
 
 Scalar fields use columns (y1, y2, re_psi, im_psi); full states append
 (alpha1, alpha2, curl_a).  Raw states use (y1, y2, re_psi, im_psi, ap1, ap2).
-All floats are written with 17 significant digits so re-runs reproduce
-byte-identical files.
+Loaders parse only the columns they return, found by name; load_state skips
+curl_a, which follows from alpha.  All floats are written with 17
+significant digits so re-runs reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -40,15 +41,17 @@ def write_table(path, header: dict, columns: list[str], arrays: list[np.ndarray]
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _read(path) -> tuple[dict, np.ndarray]:
+def _read(path, columns: tuple[str, ...]) -> tuple[dict, dict[str, np.ndarray]]:
+    """The JSON header and the named columns of a snapshot, the only ones
+    parsed; a missing name raises ValueError."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ValueError("snapshot missing JSON header line")
         header = json.loads(first[1:].strip())
-        fh.readline()  # column names
-        data = np.loadtxt(fh, delimiter=",")
-    return header, data
+        names = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", usecols=[names.index(c) for c in columns])
+    return header, dict(zip(columns, data.T))
 
 
 def save_field(path, f: QuasiPeriodicField, extra: dict | None = None) -> None:
@@ -66,9 +69,9 @@ def save_field(path, f: QuasiPeriodicField, extra: dict | None = None) -> None:
 
 
 def load_field(path) -> QuasiPeriodicField:
-    header, data = _read(path)
+    header, col = _read(path, ("re_psi", "im_psi"))
     N = int(header["N"])
-    vals = (data[:, 2] + 1j * data[:, 3]).reshape(N, N)
+    vals = (col["re_psi"] + 1j * col["im_psi"]).reshape(N, N)
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
     return QuasiPeriodicField(n=int(header["n"]), shape=shape, values=vals,
                               bc_const=tuple(header.get("bc_const", (0.0, 0.0))))
@@ -90,14 +93,14 @@ def save_state(path, state: GLState, extra: dict | None = None) -> None:
 
 
 def load_state(path) -> GLState:
-    header, data = _read(path)
+    header, col = _read(path, ("re_psi", "im_psi", "alpha1", "alpha2"))
     N = int(header["N"])
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
     n = int(header["n"])
     psi = QuasiPeriodicField(n=n, shape=shape,
-                             values=(data[:, 2] + 1j * data[:, 3]).reshape(N, N),
+                             values=(col["re_psi"] + 1j * col["im_psi"]).reshape(N, N),
                              bc_const=tuple(header.get("bc_const", (0.0, 0.0))))
-    alpha_vals = np.stack([data[:, 4].reshape(N, N), data[:, 5].reshape(N, N)])
+    alpha_vals = np.stack([col["alpha1"].reshape(N, N), col["alpha2"].reshape(N, N)])
     grid = CellGrid(cell_geometry(shape, n, b=float(n)).m_tau, N)
     params = GLParams(kappa=float(header["kappa"]), n=n, lam=float(header["lambda"]))
     return GLState(psi=psi, alpha=PeriodicVectorField(alpha_vals, grid), params=params)
@@ -119,11 +122,11 @@ def save_raw_state(path, raw, extra: dict | None = None) -> None:
 
 def load_raw_state(path):
     from .gauge import RawLatticeState
-    header, data = _read(path)
+    header, col = _read(path, ("re_psi", "im_psi", "ap1", "ap2"))
     N = int(header["N"])
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
     return RawLatticeState(
-        psi=(data[:, 2] + 1j * data[:, 3]).reshape(N, N),
-        a_p=np.stack([data[:, 4].reshape(N, N), data[:, 5].reshape(N, N)]),
+        psi=(col["re_psi"] + 1j * col["im_psi"]).reshape(N, N),
+        a_p=np.stack([col["ap1"].reshape(N, N), col["ap2"].reshape(N, N)]),
         n=int(header["n"]), shape=shape, r=float(header["r"]),
         bc_const=tuple(header.get("bc_const", (0.0, 0.0))))

@@ -4,7 +4,9 @@ All fields live on an N x N grid of logical coordinates y in [0,1)^2,
 mapped to the cell by x = m @ y where the columns of m are the cell basis
 vectors.  Periodic scalar/vector fields are differentiated spectrally;
 cartesian derivatives are obtained from the logical ones with the inverse
-transpose of m.
+transpose of m.  The fields are real: every operator works on their rfft2
+half spectrum (N, N//2 + 1), a vector field's two components in one stacked
+transform, and a complex field raises TypeError.
 """
 
 from __future__ import annotations
@@ -22,6 +24,14 @@ class HalfSpectrum(NamedTuple):
     dead: np.ndarray     # the g = 0 modes
     gsq: np.ndarray      # |g|^2 with 1 on the dead modes, to divide by
     weights: np.ndarray  # (N//2 + 1,): column weights of the inner product
+
+
+def _bin_labels(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed frequencies k of the FFT bins of an N grid, and -k of each bin's
+    conjugate mirror: they differ only at the Nyquist bin of an even N,
+    labelled -N/2 with the mirror +N/2."""
+    k = (np.arange(N) + N // 2) % N - N // 2
+    return k, -k[-np.arange(N)]
 
 
 class CellGrid:
@@ -53,70 +63,56 @@ class CellGrid:
         return x1, x2
 
     @cached_property
-    def wavevectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cartesian wavevectors g = 2*pi*m^{-T} k for FFT-ordered integer modes.
-
-        The unpaired Nyquist modes of an even grid are dropped (set to zero),
-        which keeps every first-derivative operator skew-adjoint and the
-        vector identities exact on the representable band.
-        """
-        k = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        if self.N % 2 == 0:
-            k[self.N // 2] = 0.0
-        k1, k2 = np.meshgrid(k, k, indexing="ij")
-        g1 = 2 * np.pi * (self.minv_t[0, 0] * k1 + self.minv_t[0, 1] * k2)
-        g2 = 2 * np.pi * (self.minv_t[1, 0] * k1 + self.minv_t[1, 1] * k2)
-        return g1, g2
-
-    @cached_property
-    def gsq(self) -> np.ndarray:
-        g1, g2 = self.wavevectors
-        return g1 * g1 + g2 * g2
-
-    @cached_property
-    def gsq_divisor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dead, divisor): the g = 0 modes, and gsq with 1 on them to divide by."""
-        dead = self.gsq == 0
-        return dead, np.where(dead, 1.0, self.gsq)
-
-    @cached_property
     def half_spectrum(self) -> HalfSpectrum:
-        """i g, the dead modes and the gsq divisor on the columns 0..N//2 that
-        rfft2 keeps, sliced from the full spectrum, and the weights w of the
-        inner product sum w Re(conj(a) b) of two half spectra.  For real
-        fields it equals np.vdot of their full fft2 spectra: w = 2 counts
+        """i g for the cartesian wavevectors g = 2*pi*m^{-T} k of the modes
+        k1 in FFT order and 0 <= k2 <= N//2 that rfft2 keeps, the dead modes
+        g = 0, the |g|^2 divisor, and the weights w of the inner product
+        sum w Re(conj(a) b) of two half spectra.
+
+        The unpaired Nyquist modes of an even grid get k = 0, which keeps
+        every first-derivative operator skew-adjoint and the vector
+        identities exact on the representable band.  For real fields the
+        inner product equals np.vdot of their full fft2 spectra: w = 2 counts
         each column's conjugate mirror, which the half spectrum leaves out;
         column 0 and, for even N, the Nyquist column N/2 hold their own
         mirrors and get w = 1."""
-        half = np.s_[..., : self.N // 2 + 1]
-        dead, gsq = self.gsq_divisor
-        weights = np.full(self.N // 2 + 1, 2.0)
-        weights[0] = 1.0
-        if self.N % 2 == 0:
-            weights[-1] = 1.0
-        return HalfSpectrum(1j * np.stack(self.wavevectors)[half],
-                            np.ascontiguousarray(dead[half]),
-                            np.ascontiguousarray(gsq[half]), weights)
+        N = self.N
+        k = np.fft.fftfreq(N, d=1.0 / N)
+        if N % 2 == 0:
+            k[N // 2] = 0.0
+        k1, k2 = np.meshgrid(k, k[: N // 2 + 1], indexing="ij")
+        mt = self.minv_t
+        g = 2 * np.pi * np.stack([mt[0, 0] * k1 + mt[0, 1] * k2,
+                                  mt[1, 0] * k1 + mt[1, 1] * k2])
+        gsq = g[0] * g[0] + g[1] * g[1]
+        dead = gsq == 0
+        weights = np.where(2 * np.arange(N // 2 + 1) % N == 0, 1.0, 2.0)
+        return HalfSpectrum(1j * g, dead, np.where(dead, 1.0, gsq), weights)
+
+    def _spectrum(self, f: np.ndarray) -> np.ndarray:
+        """rfft2 of a real field over its last two axes."""
+        if np.iscomplexobj(f):
+            raise TypeError("CellGrid operators take real fields; transform the "
+                            "real and imaginary parts separately")
+        return np.fft.rfft2(f)
+
+    def _field(self, fh: np.ndarray) -> np.ndarray:
+        """The real field on this grid of a half spectrum."""
+        return np.fft.irfft2(fh, s=(self.N, self.N))
 
     # ------------------------------------------------------------------
     # scalar operations (input periodic on the cell)
     # ------------------------------------------------------------------
     def grad(self, f: np.ndarray) -> np.ndarray:
-        fh = np.fft.fft2(f)
-        g1, g2 = self.wavevectors
-        d1 = np.fft.ifft2(1j * g1 * fh)
-        d2 = np.fft.ifft2(1j * g2 * fh)
-        out = np.stack([d1, d2])
-        return out.real if np.isrealobj(f) else out
+        return self._field(self.half_spectrum.ig * self._spectrum(f))
 
     def curl_star(self, f: np.ndarray) -> np.ndarray:
         """curl* f = (d2 f, -d1 f) for scalar f."""
-        d = self.grad(f)
-        return np.stack([d[1], -d[0]])
+        return self._curl_star_of(self._spectrum(f))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft2(-self.gsq * np.fft.fft2(f))
-        return out.real if np.isrealobj(f) else out
+        _, dead, gsq, _ = self.half_spectrum
+        return self._field(np.where(dead, 0.0, -gsq) * self._spectrum(f))
 
     def poisson(self, rhs: np.ndarray, mean_tol: float = 1e-10) -> np.ndarray:
         """Solve Laplace(u) = rhs with <u> = 0 for mean-zero periodic rhs."""
@@ -124,12 +120,8 @@ class CellGrid:
         scale = max(np.max(np.abs(rhs)), 1.0)
         if mean > mean_tol * scale:
             raise ValueError(f"poisson rhs has nonzero mean {mean:.3e}")
-        fh = np.fft.fft2(rhs)
-        dead, gsq = self.gsq_divisor
-        uh = -fh / gsq
-        uh[dead] = 0.0
-        out = np.fft.ifft2(uh)
-        return out.real if np.isrealobj(rhs) else out
+        _, dead, gsq, _ = self.half_spectrum
+        return self._field(np.where(dead, 0.0, -1.0 / gsq) * self._spectrum(rhs))
 
     def flux(self, curl_a: np.ndarray) -> float:
         """Flux of the magnetic field curl_a through the cell: its cell
@@ -140,18 +132,14 @@ class CellGrid:
     # vector operations (v has shape (2, N, N))
     # ------------------------------------------------------------------
     def div(self, v: np.ndarray) -> np.ndarray:
-        g1, g2 = self.wavevectors
-        out = np.fft.ifft2(1j * g1 * np.fft.fft2(v[0]) + 1j * g2 * np.fft.fft2(v[1]))
-        return out.real if np.isrealobj(v) else out
+        return self._field((self.half_spectrum.ig * self._spectrum(v)).sum(axis=0))
 
     def curl(self, v: np.ndarray) -> np.ndarray:
         """Scalar curl d1 v2 - d2 v1."""
-        g1, g2 = self.wavevectors
-        out = np.fft.ifft2(1j * g1 * np.fft.fft2(v[1]) - 1j * g2 * np.fft.fft2(v[0]))
-        return out.real if np.isrealobj(v) else out
+        return self._field(self._curl_hat(v))
 
     def curl_star_curl(self, v: np.ndarray) -> np.ndarray:
-        return self.curl_star(self.curl(v))
+        return self._curl_star_of(self._curl_hat(v))
 
     def antiderivative(self, v: np.ndarray) -> np.ndarray:
         """Periodic potential p with grad(p) = v - <v>, <p> = 0.
@@ -159,40 +147,65 @@ class CellGrid:
         Requires v curl-free up to spectral tolerance; uses the g-weighted
         least-squares inversion which is exact for gradients.
         """
-        g1, g2 = self.wavevectors
-        v1h = np.fft.fft2(v[0])
-        v2h = np.fft.fft2(v[1])
-        dead, gsq = self.gsq_divisor
-        ph = (g1 * v1h + g2 * v2h) / (1j * gsq)
-        ph[dead] = 0.0
-        out = np.fft.ifft2(ph)
-        return out.real if np.isrealobj(v) else out
+        ig, dead, gsq, _ = self.half_spectrum
+        return self._field(np.where(dead, 0.0, -1.0 / gsq)
+                           * (ig * self._spectrum(v)).sum(axis=0))
+
+    def _curl_hat(self, v: np.ndarray) -> np.ndarray:
+        """Half spectrum of curl v = d1 v2 - d2 v1."""
+        ig = self.half_spectrum.ig
+        vh = self._spectrum(v)
+        return ig[0] * vh[1] - ig[1] * vh[0]
+
+    def _curl_star_of(self, fh: np.ndarray) -> np.ndarray:
+        """curl* f = (d2 f, -d1 f) from the half spectrum of f."""
+        d = self._field(self.half_spectrum.ig[::-1] * fh)
+        d[1] *= -1.0
+        return d
 
     # ------------------------------------------------------------------
     # resampling
     # ------------------------------------------------------------------
     def resample(self, f: np.ndarray, N_new: int) -> np.ndarray:
         """Trigonometric up/down-sampling of a periodic grid function; acts on
-        the last two axes, so (2, N, N) vector fields resample in one call."""
+        the last two axes, so (2, N, N) vector fields resample in one call.
+
+        Each bin keeps its signed frequency: the new spectrum is the
+        Hermitian part of the old one placed by signed frequency, zero-padded
+        or truncated.  That splits the unpaired -N/2 bin of an even N evenly
+        between +-N/2, and gives the Nyquist bin of an even N_new the mean of
+        the +-N_new/2 bins.
+        """
         if N_new == self.N:
             return f.copy()
-        axes = (-2, -1)
-        fh = np.fft.fftshift(np.fft.fft2(f), axes=axes)
-        N = self.N
-        if N_new > N:
-            out = np.zeros((*f.shape[:-2], N_new, N_new), dtype=complex)
-            lo = (N_new - N) // 2
-            out[..., lo:lo + N, lo:lo + N] = fh
-        else:
-            lo = (N - N_new) // 2
-            out = fh[..., lo:lo + N_new, lo:lo + N_new].copy()
-        out = np.fft.ifft2(np.fft.ifftshift(out, axes=axes)) * (N_new / N) ** 2
-        return out.real if np.isrealobj(f) else out
+        N, C = self.N, min(self.N, N_new) // 2 + 1   # the columns the band reaches
+        fh = self._spectrum(f) * (N_new / N) ** 2
+        k, mirror = _bin_labels(N_new)
+        lo, hi = -(N // 2), (N - 1) // 2         # the signed band of the N grid
+        half = np.zeros((*f.shape[:-2], N_new, C), complex)
+        # the Hermitian part (Y[k] + conj(Y[-k])) / 2 of the placed spectrum Y:
+        # Y[k] is old bin k if k is in the band, and conj(Y[-k]) is, f being
+        # real, old bin m = mirror(k) if -m is; a negative column label reads
+        # the conjugate of the bin at minus both labels
+        for rows, cols, band in ((k, k[:C], (lo, hi)), (mirror, mirror[:C], (-hi, -lo))):
+            r = np.flatnonzero((band[0] <= rows) & (rows <= band[1]))
+            c = np.flatnonzero((band[0] <= cols) & (cols <= band[1]))
+            a, b = rows[r], cols[c]
+            block = fh[..., a % N, :][..., np.abs(b)]
+            block[..., b < 0] = np.conj(fh[..., -a % N, :][..., -b[b < 0]])
+            half[..., r[:, None], c] += 0.5 * block
+        # irfft2, the ifft along y1 on the band's columns alone (irfft pads)
+        return np.fft.irfft(np.fft.ifft(half, axis=-2), n=N_new, axis=-1)
 
     def shift(self, f: np.ndarray, dy: tuple[float, float]) -> np.ndarray:
-        """Evaluate periodic f at y + dy via Fourier translation."""
-        k = np.fft.fftfreq(self.N, d=1.0 / self.N)
-        k1, k2 = np.meshgrid(k, k, indexing="ij")
-        phase = np.exp(2j * np.pi * (k1 * dy[0] + k2 * dy[1]))
-        out = np.fft.ifft2(np.fft.fft2(f) * phase)
-        return out.real if np.isrealobj(f) else out
+        """Evaluate periodic f at y + dy via Fourier translation; acts on the
+        last two axes.  The Nyquist bin of an even N, one bin for +-N/2,
+        takes the mean of the two phases."""
+        k, mirror = _bin_labels(self.N)
+        C = self.N // 2 + 1
+
+        def phase(labels):
+            return (np.exp(2j * np.pi * dy[0] * labels)[:, None]
+                    * np.exp(2j * np.pi * dy[1] * labels[:C]))
+
+        return self._field(self._spectrum(f) * (0.5 * (phase(k) + phase(mirror))))

@@ -7,14 +7,17 @@ of glcore._alpha_fixed_point.  The dense Landau tables summed term by term
 transform behind LandauBasis.synth/project, and the polynomial ladder
 carrier LadderTerm a third route to the higher levels.  Gradient descent on
 beta is the second route to its minimum, and the effective energy
-e_lambda(v) checks the reduction's variational structure.  The field
-operations at the end (the alpha solve on a field, flux, supercurrent,
-ladder actions on fields, the applied field h0, point-group rotation,
-the physical energy density and sample rescaling) have no caller in the
-package and are kept here with their checks.
+e_lambda(v) checks the reduction's variational structure.  FullSpectrumGrid
+keeps the CellGrid operators on the full fft2 spectrum, the oracle of the
+half-spectrum ones.  The field operations at the end (the alpha solve on a
+field, flux, supercurrent, the ladder-route covariant gradient and ladder
+actions on fields, the applied field h0, point-group rotation, the physical
+energy density and sample rescaling) have no caller in the package and are
+kept here with their checks.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,17 +27,123 @@ from vortexlattice.bifurcation import solve_w
 from vortexlattice.glcore import (AlphaSolveError, GLParams, GLState,
                                   PeriodicVectorField, _alpha_fixed_point,
                                   _samples, energy)
-from vortexlattice.landau import (QuasiPeriodicField, _padded_coeffs,
-                                  field_from_coeffs, magnetic_shift_values)
+from vortexlattice.landau import (QuasiPeriodicField, field_from_coeffs,
+                                  magnetic_shift_values)
 from vortexlattice.lattice import normalize_tau
+from vortexlattice.spectral import CellGrid
+
+
+class FullSpectrumGrid(CellGrid):
+    """The CellGrid operators on the full fft2 spectrum, which also take
+    complex fields.  resample places the shifted spectrum at (N_new - N) // 2,
+    one bin off for odd -> even upsampling and even -> odd downsampling."""
+
+    @cached_property
+    def wavevectors(self):
+        """Cartesian wavevectors g = 2*pi*m^{-T} k for FFT-ordered integer
+        modes, the unpaired Nyquist modes of an even grid set to zero."""
+        k = np.fft.fftfreq(self.N, d=1.0 / self.N)
+        if self.N % 2 == 0:
+            k[self.N // 2] = 0.0
+        k1, k2 = np.meshgrid(k, k, indexing="ij")
+        g1 = 2 * np.pi * (self.minv_t[0, 0] * k1 + self.minv_t[0, 1] * k2)
+        g2 = 2 * np.pi * (self.minv_t[1, 0] * k1 + self.minv_t[1, 1] * k2)
+        return g1, g2
+
+    @cached_property
+    def gsq(self):
+        g1, g2 = self.wavevectors
+        return g1 * g1 + g2 * g2
+
+    @cached_property
+    def gsq_divisor(self):
+        """(dead, divisor): the g = 0 modes, and gsq with 1 on them to divide by."""
+        dead = self.gsq == 0
+        return dead, np.where(dead, 1.0, self.gsq)
+
+    def grad(self, f):
+        fh = np.fft.fft2(f)
+        g1, g2 = self.wavevectors
+        d1 = np.fft.ifft2(1j * g1 * fh)
+        d2 = np.fft.ifft2(1j * g2 * fh)
+        out = np.stack([d1, d2])
+        return out.real if np.isrealobj(f) else out
+
+    def curl_star(self, f):
+        d = self.grad(f)
+        return np.stack([d[1], -d[0]])
+
+    def laplacian(self, f):
+        out = np.fft.ifft2(-self.gsq * np.fft.fft2(f))
+        return out.real if np.isrealobj(f) else out
+
+    def poisson(self, rhs, mean_tol=1e-10):
+        mean = abs(np.mean(rhs))
+        scale = max(np.max(np.abs(rhs)), 1.0)
+        if mean > mean_tol * scale:
+            raise ValueError(f"poisson rhs has nonzero mean {mean:.3e}")
+        fh = np.fft.fft2(rhs)
+        dead, gsq = self.gsq_divisor
+        uh = -fh / gsq
+        uh[dead] = 0.0
+        out = np.fft.ifft2(uh)
+        return out.real if np.isrealobj(rhs) else out
+
+    def div(self, v):
+        g1, g2 = self.wavevectors
+        out = np.fft.ifft2(1j * g1 * np.fft.fft2(v[0]) + 1j * g2 * np.fft.fft2(v[1]))
+        return out.real if np.isrealobj(v) else out
+
+    def curl(self, v):
+        g1, g2 = self.wavevectors
+        out = np.fft.ifft2(1j * g1 * np.fft.fft2(v[1]) - 1j * g2 * np.fft.fft2(v[0]))
+        return out.real if np.isrealobj(v) else out
+
+    def curl_star_curl(self, v):
+        return self.curl_star(self.curl(v))
+
+    def antiderivative(self, v):
+        g1, g2 = self.wavevectors
+        v1h = np.fft.fft2(v[0])
+        v2h = np.fft.fft2(v[1])
+        dead, gsq = self.gsq_divisor
+        ph = (g1 * v1h + g2 * v2h) / (1j * gsq)
+        ph[dead] = 0.0
+        out = np.fft.ifft2(ph)
+        return out.real if np.isrealobj(v) else out
+
+    def resample(self, f, N_new):
+        if N_new == self.N:
+            return f.copy()
+        axes = (-2, -1)
+        fh = np.fft.fftshift(np.fft.fft2(f), axes=axes)
+        N = self.N
+        if N_new > N:
+            out = np.zeros((*f.shape[:-2], N_new, N_new), dtype=complex)
+            lo = (N_new - N) // 2
+            out[..., lo:lo + N, lo:lo + N] = fh
+        else:
+            lo = (N - N_new) // 2
+            out = fh[..., lo:lo + N_new, lo:lo + N_new].copy()
+        out = np.fft.ifft2(np.fft.ifftshift(out, axes=axes)) * (N_new / N) ** 2
+        return out.real if np.isrealobj(f) else out
+
+    def shift(self, f, dy):
+        k = np.fft.fftfreq(self.N, d=1.0 / self.N)
+        k1, k2 = np.meshgrid(k, k, indexing="ij")
+        phase = np.exp(2j * np.pi * (k1 * dy[0] + k2 * dy[1]))
+        out = np.fft.ifft2(np.fft.fft2(f) * phase)
+        return out.real if np.isrealobj(f) else out
 
 
 def helmholtz_project(grid, v):
-    """Project onto divergence-free, mean-zero vector fields."""
-    g1, g2 = grid.wavevectors
+    """Project onto divergence-free, mean-zero vector fields, on the full
+    spectrum."""
+    full = FullSpectrumGrid(grid.m, grid.N)
+    g1, g2 = full.wavevectors
     v1h = np.fft.fft2(v[0])
     v2h = np.fft.fft2(v[1])
-    dead, gsq = grid.gsq_divisor
+    dead, gsq = full.gsq_divisor
     gv = (g1 * v1h + g2 * v2h) / gsq
     v1h -= g1 * gv
     v2h -= g2 * gv
@@ -79,7 +188,8 @@ def gauge_transform_state(state, eta):
 
 def min_nonzero_gsq(grid):
     """Smallest nonzero Fourier eigenvalue of -Laplacian on the cell."""
-    return float(grid.gsq[grid.gsq > 0].min())
+    _, dead, gsq, _ = grid.half_spectrum
+    return float(gsq[~dead].min())
 
 
 # ----------------------------------------------------------------------
@@ -252,10 +362,27 @@ def cell_average(g):
     return float(val.real) if abs(val.imag) < 1e-13 * (abs(val) + 1) else complex(val)
 
 
+def padded_coeffs(f, op):
+    """Basis and Landau coefficients of f, zero-padded to K_lev + 1 levels."""
+    if f.coeffs is None or f.basis is None:
+        raise ValueError(f"{op} needs a field with Landau coefficients")
+    b, d = f.basis, f.coeffs
+    if d.shape[0] < b.K_lev + 1:
+        d = np.vstack([d, np.zeros((b.K_lev + 1 - d.shape[0], d.shape[1]), dtype=complex)])
+    return b, d
+
+
+def covariant_gradient(f):
+    """(D1 f, D2 f) with D1 = (alpha - alpha*)/2, D2 = (alpha + alpha*)/(2i),
+    the ladder route."""
+    b, d = padded_coeffs(f, "covariant_gradient")
+    return field_from_coeffs(b, b.d1_coeffs(d)), field_from_coeffs(b, b.d2_coeffs(d))
+
+
 def ladder_apply(f, direction):
     """Annihilation ('lower', level k -> k-1, factor sqrt(2nk)) or creation
     ('raise', k -> k+1, factor sqrt(2n(k+1))) on the Landau coefficients."""
-    b, d = _padded_coeffs(f, "ladder_apply")
+    b, d = padded_coeffs(f, "ladder_apply")
     if direction == "lower":
         nd = b.lower_coeffs(d)
     elif direction == "raise":
@@ -271,7 +398,7 @@ def ladder_apply(f, direction):
 
 def landau_apply(f):
     """L f, i.e. coefficient d[k] -> (2k+1) n d[k]."""
-    b, d = _padded_coeffs(f, "landau_apply")
+    b, d = padded_coeffs(f, "landau_apply")
     return field_from_coeffs(b, b.landau_coeffs(d))
 
 

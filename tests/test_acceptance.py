@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from reference import descend_beta, unit_field
+from reference import covariant_gradient, descend_beta, unit_field
 from vortexlattice import abrikosov as abr
 from vortexlattice import bifurcation as bif
 from vortexlattice import gauge, glcore, landau
@@ -143,7 +143,7 @@ def test_criterion_05_leading_order_fields(branch_sq_128, shape_sq, setup_sq_128
     curl_a1 = basis.grid.curl(p0.alpha.values) / p0.s**2
     psi0 = unit_field(basis, 0, 0)
     sup_err = float(np.max(np.abs(curl_a1 - 0.5 * (1.0 - np.abs(psi0) ** 2))))
-    D1, D2 = landau.covariant_gradient(setup_sq_128.psi0)
+    D1, D2 = covariant_gradient(setup_sq_128.psi0)
     J = np.stack([np.imag(np.conj(psi0) * D1.values),
                   np.imag(np.conj(psi0) * D2.values)])
     current_resid = float(np.max(np.abs(

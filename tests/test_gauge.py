@@ -118,9 +118,7 @@ def test_poisson_zero(raw_branch):
 
 def test_poisson_single_mode(raw_branch):
     grid = raw_branch.grid
-    g1, g2 = grid.wavevectors
-    k = (3, 1)
-    gsq = g1[k] ** 2 + g2[k] ** 2
+    gsq = grid.half_spectrum.gsq[3, 1]
     y1, y2 = grid.y
     rhs = np.cos(2 * np.pi * (3 * y1 + y2))
     u = grid.poisson(rhs)

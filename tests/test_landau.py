@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import (LadderTerm, basis_evaluate, cell_average, dense_tables,
-                       ladder_apply, landau_apply, magnetic_shift, theta_extended,
-                       unit_field)
+from reference import (LadderTerm, basis_evaluate, cell_average,
+                       covariant_gradient, dense_tables, ladder_apply,
+                       landau_apply, magnetic_shift, theta_extended, unit_field)
 from vortexlattice import landau
-from vortexlattice.landau import (LandauBasis, covariant_gradient,
-                                  covariant_gradient_grid, field_from_coeffs,
-                                  inner_avg, norm_avg, qp_derivatives,
-                                  quasi_periodicity_residual, theta_null_basis)
+from vortexlattice.landau import (LandauBasis, covariant_gradient_grid,
+                                  field_from_coeffs, inner_avg, norm_avg,
+                                  qp_derivatives, quasi_periodicity_residual,
+                                  theta_null_basis)
 from vortexlattice.lattice import normalize_tau
 
 # frozen oracle values from the independent lattice sum (test_abrikosov
@@ -289,6 +289,17 @@ def test_project_is_the_adjoint_of_synth(n, tau, N, K_lev, rng):
     lhs = inner_avg(basis.synth(c, solve=True), v)
     rhs = np.vdot(c, basis.project(v))
     assert abs(lhs - rhs) < 1e-14 * abs(lhs)
+
+
+@pytest.mark.parametrize("n, tau, N, K_lev", TRANSFORM_CASES)
+def test_stacked_synth_is_the_stack_of_synths(n, tau, N, K_lev, rng):
+    # a stack of coefficient tables synthesizes to the same bits as each
+    # table alone, on both grids
+    basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
+    c = rng.standard_normal((3, K_lev + 1, n)) + 1j * rng.standard_normal((3, K_lev + 1, n))
+    for solve in (False, True):
+        assert np.array_equal(basis.synth(c, solve=solve),
+                              np.stack([basis.synth(t, solve=solve) for t in c]))
 
 
 @pytest.mark.parametrize("n, tau, N, K_lev", [(1, 1j, 32, 8), (1, 0.3 + 1.2j, 48, 12),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from reference import helmholtz_project, min_nonzero_gsq
+from reference import FullSpectrumGrid, helmholtz_project, min_nonzero_gsq
+from vortexlattice import bifurcation as bif
 from vortexlattice.spectral import CellGrid
 
 
@@ -23,8 +24,7 @@ def trig_field(grid, rng, modes=3):
 
 def test_grad_of_plane_wave(grid):
     # f = cos(g . x) for a reciprocal vector g has gradient -g sin(g . x)
-    g1v, g2v = grid.wavevectors
-    g = np.array([g1v[2, 1], g2v[2, 1]])
+    g = grid.half_spectrum.ig[:, 2, 1].imag
     x1, x2 = grid.x
     f = np.cos(g[0] * x1 + g[1] * x2)
     d = grid.grad(f)
@@ -144,3 +144,71 @@ def test_stream_function_operator_is_symmetric(grid, rng, N):
 
 def test_min_nonzero_gsq_positive(grid):
     assert min_nonzero_gsq(grid) > 0
+
+
+# ----------------------------------------------------------------------
+# the half-spectrum operators against the full-spectrum oracle
+# ----------------------------------------------------------------------
+SCALAR_OPS = ("grad", "curl_star", "laplacian", "poisson", "shift")
+VECTOR_OPS = ("div", "curl", "curl_star_curl", "antiderivative")
+
+
+def op_args(name, f, v):
+    if name == "poisson":
+        return (f - f.mean(),)
+    if name == "shift":
+        return (f, (0.13, -0.41))
+    return (v,) if name in VECTOR_OPS else (f,)
+
+
+@pytest.mark.parametrize("name", SCALAR_OPS + VECTOR_OPS)
+@pytest.mark.parametrize("N", [16, 48, 15])
+def test_operators_match_full_spectrum_oracle(grid, rng, N, name):
+    # random fields carry every mode, the Nyquist ones of an even grid too
+    half, full = CellGrid(grid.m, N), FullSpectrumGrid(grid.m, N)
+    args = op_args(name, rng.standard_normal((N, N)), rng.standard_normal((2, N, N)))
+    got, ref = getattr(half, name)(*args), getattr(full, name)(*args)
+    assert got.shape == ref.shape and not np.iscomplexobj(got)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N, N_new", [(16, 32), (16, 48), (48, 16), (32, 16), (16, 18)])
+def test_resample_matches_full_spectrum_oracle(grid, rng, N, N_new):
+    # even to even the oracle's Nyquist convention holds: the real part of
+    # the zero-padded (or truncated) spectrum
+    for f in (rng.standard_normal((N, N)), rng.standard_normal((2, N, N))):
+        ref = FullSpectrumGrid(grid.m, N).resample(f, N_new)
+        got = CellGrid(grid.m, N).resample(f, N_new)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N, N_new", [(15, 40), (16, 15), (15, 16), (32, 31), (32, 15),
+                                      (33, 32), (15, 45)])
+def test_resample_across_parities_is_exact(grid, N, N_new):
+    # a band-limited field resamples exactly between grids of any parity
+    def field(g):
+        y1, y2 = g.y
+        return np.cos(2 * np.pi * (2 * y1 - y2)) + 0.3 * np.sin(2 * np.pi * (y1 + 3 * y2))
+    src, dst = CellGrid(grid.m, N), CellGrid(grid.m, N_new)
+    assert np.max(np.abs(src.resample(field(src), N_new) - field(dst))) < 1e-12
+
+
+@pytest.mark.parametrize("name", SCALAR_OPS + VECTOR_OPS + ("resample",))
+def test_complex_fields_are_refused(grid, rng, name):
+    f = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+    v = np.stack([f, f])
+    args = (f, 32) if name == "resample" else op_args(name, f, v)
+    with pytest.raises(TypeError):
+        getattr(grid, name)(*args)
+
+
+@pytest.mark.parametrize("N", [128, 96])
+def test_point_curl_matches_output_grid_curl(shape_generic, N):
+    # curl a of a branch point, resampled from the solve grid, against the
+    # curl of the resampled alpha on the output grid
+    setup = bif.build_reduction(shape_generic, N, K_lev=24)
+    pt = bif.branch_by_field(1.9, np.sqrt(2.0), shape_generic, setup=setup)
+    grid = setup.basis.grid
+    curl_a = 1.0 + grid.curl(pt.alpha.values)
+    assert abs(pt.max_curl_a - np.max(curl_a)) <= 1e-13 * abs(np.max(curl_a))
+    assert abs(pt.flux - grid.flux(curl_a)) <= 1e-13 * abs(grid.flux(curl_a))
