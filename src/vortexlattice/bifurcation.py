@@ -50,9 +50,6 @@ class ReductionSetup:
     def shape(self) -> LatticeShape:
         return self.basis.shape
 
-    def project_P(self, coeffs: np.ndarray) -> complex:
-        return complex(coeffs[0, 0])
-
     def project_Q(self, coeffs: np.ndarray) -> np.ndarray:
         out = coeffs.copy()
         out[0, 0] = 0.0

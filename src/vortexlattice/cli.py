@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -376,7 +377,10 @@ MINIMUM = {"N": 4, "K_lev": 1, "N_fd": 3, "trials": 1, "jobs": 1, "s_points": 5}
 HELP = {"outdir": "output directory (default $VORTEXLATTICE_OUT or '.')"}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once: parse_args returns a new
+    namespace on each call."""
     ap = argparse.ArgumentParser(prog="vortexlattice",
                                  description="Vortex-lattice solutions of the "
                                  "2-D Ginzburg-Landau equations")

@@ -52,10 +52,6 @@ class GLParams:
     def b(self) -> float:
         return self.kappa**2 * self.n / self.lam
 
-    @property
-    def is_type2(self) -> bool:
-        return self.kappa > 1 / np.sqrt(2)
-
 
 @dataclass
 class PeriodicVectorField:
@@ -150,43 +146,32 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
 
     phi is real, so its spectrum is Hermitian and the iteration runs on the
     rfft2 half spectrum (N, N//2 + 1) of grid.half_spectrum: curl* is one
-    irfft2 and curl one rfft2 of the stacked pair, and inner products weight
-    column 0 and an even grid's Nyquist column by 1, the others by 2, which
-    gives np.vdot of the full spectra.  alpha, r and p are updated in place.
+    irfft2 (grid._curl_star_of) and curl one rfft2 of the stacked pair
+    (grid._curl_hat), and inner products weight column 0 and an even grid's
+    Nyquist column by 1, the others by 2, which gives np.vdot of the full
+    spectra.  alpha, r and p are updated in place.
     """
-    ig, dead, gsq, weights = grid.half_spectrum
-    shape = (grid.N, grid.N)
+    _, dead, gsq, weights = grid.half_spectrum
     precond = np.where(dead, np.inf, gsq * (gsq + np.mean(abspsi2)))
     g4 = gsq * gsq
-    spec = np.empty(ig.shape, complex)      # (i g2, i g1) phi for curl*
     tmp = np.empty(gsq.shape, complex)      # |g|^4 p, and w b in dot
     rho_u = np.empty_like(j0)               # |psi|^2 curl* p
-
-    def curl_star(fh):
-        d = np.fft.irfft2(np.multiply(ig[::-1], fh, out=spec), s=shape)
-        d[1] *= -1.0                         # (d2 phi, -d1 phi)
-        return d
-
-    def curl_hat(v):
-        vh = np.fft.rfft2(v)
-        vh *= ig[::-1]
-        return vh[1] - vh[0]                 # i g1 v2 - i g2 v1
 
     def dot(a, b):
         return np.vdot(a, np.multiply(weights, b, out=tmp)).real
 
     alpha, r = np.zeros_like(j0), 0.0           # r = curl j0 - A phi
     if alpha0 is not None:
-        phi = np.where(dead, 0.0, curl_hat(alpha0) / gsq)
-        alpha, r = curl_star(phi), -g4 * phi
-    r = r + curl_hat(j0 - abspsi2 * alpha)
+        phi = np.where(dead, 0.0, grid._curl_hat(alpha0) / gsq)
+        alpha, r = grid._curl_star_of(phi), -g4 * phi
+    r = r + grid._curl_hat(j0 - abspsi2 * alpha)
     z = r / precond
     p, rz, step = z.copy(), dot(r, z), np.inf
     for _ in range(ALPHA_MAX_ITER):
         if rz == 0.0:
             break
-        u = curl_star(p)
-        Ap = curl_hat(np.multiply(abspsi2, u, out=rho_u))
+        u = grid._curl_star_of(p)
+        Ap = grid._curl_hat(np.multiply(abspsi2, u, out=rho_u))
         Ap += np.multiply(g4, p, out=tmp)
         a = rz / dot(p, Ap)
         step = abs(a) * max(u.max(), -u.min())

@@ -44,7 +44,7 @@ which is the solve grid unless a caller that writes fields asks for an N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -298,9 +298,6 @@ class QuasiPeriodicField:
             return self.basis.grid
         return CellGrid(cell_geometry(self.shape, max(self.n, 1), b=float(max(self.n, 1))).m_tau, self.N)
 
-    def copy_with(self, **kw) -> "QuasiPeriodicField":
-        return replace(self, **kw)
-
 
 def field_from_coeffs(basis: LandauBasis, coeffs: np.ndarray) -> QuasiPeriodicField:
     return QuasiPeriodicField(n=basis.n, shape=basis.shape, values=basis.synth(coeffs),
@@ -324,11 +321,20 @@ def theta_null_basis(n: int, shape: LatticeShape, N: int) -> list[QuasiPeriodicF
 # ----------------------------------------------------------------------
 # boundary phases, quotients, derivatives
 # ----------------------------------------------------------------------
-def _wrap_exponents(f: QuasiPeriodicField, grid: CellGrid) -> tuple[np.ndarray, np.ndarray]:
-    y1, y2 = grid.y
-    th1 = f.n * np.pi * y2 + f.bc_const[0]
-    th2 = -f.n * np.pi * y1 + f.bc_const[1]
-    return th1, th2
+_WRAP_SIGN = (1, -1)    # theta_a = sign_a n pi y_b + C_a, b the other axis
+
+
+def _quotient_spectrum(values: np.ndarray, n: int, bc_const: tuple[float, float],
+                       axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """FFT along the logical axis a of the periodic quotient
+    q = exp(-i y_a theta_a) psi, with y_a, the wrap phase theta_a and the bin
+    frequencies k shaped to broadcast against the samples."""
+    N = values.shape[0]
+    s = np.arange(N) / N
+    y, across = (s[:, None], s[None, :]) if axis == 0 else (s[None, :], s[:, None])
+    theta = _WRAP_SIGN[axis] * n * np.pi * across + bc_const[axis]
+    k = np.fft.fftfreq(N, d=1.0 / N).reshape(y.shape)
+    return np.fft.fft(values * np.exp(-1j * y * theta), axis=axis), y, theta, k
 
 
 def qp_derivatives(f: QuasiPeriodicField) -> tuple[np.ndarray, np.ndarray]:
@@ -338,23 +344,14 @@ def qp_derivatives(f: QuasiPeriodicField) -> tuple[np.ndarray, np.ndarray]:
     Independent of the Landau-coefficient representation; exact for fields
     band-limited on the grid.
     """
-    grid = f.grid
-    y1, y2 = grid.y
-    th1, th2 = _wrap_exponents(f, grid)
-    N = f.N
-    k = np.fft.fftfreq(N, d=1.0 / N)
-
-    q = f.values * np.exp(-1j * y1 * th1)
-    dq = np.fft.ifft(2j * np.pi * k[:, None] * np.fft.fft(q, axis=0), axis=0)
-    dpsi_dy1 = np.exp(1j * y1 * th1) * dq + 1j * th1 * f.values
-
-    q = f.values * np.exp(-1j * y2 * th2)
-    dq = np.fft.ifft(2j * np.pi * k[None, :] * np.fft.fft(q, axis=1), axis=1)
-    dpsi_dy2 = np.exp(1j * y2 * th2) * dq + 1j * th2 * f.values
-
-    mt = grid.minv_t
-    d1 = mt[0, 0] * dpsi_dy1 + mt[0, 1] * dpsi_dy2
-    d2 = mt[1, 0] * dpsi_dy1 + mt[1, 1] * dpsi_dy2
+    dpsi = []
+    for axis in (0, 1):
+        qh, y, theta, k = _quotient_spectrum(f.values, f.n, f.bc_const, axis)
+        dq = np.fft.ifft(2j * np.pi * k * qh, axis=axis)
+        dpsi.append(np.exp(1j * y * theta) * dq + 1j * theta * f.values)
+    mt = f.grid.minv_t
+    d1 = mt[0, 0] * dpsi[0] + mt[0, 1] * dpsi[1]
+    d2 = mt[1, 0] * dpsi[0] + mt[1, 1] * dpsi[1]
     return d1, d2
 
 
@@ -374,26 +371,18 @@ def annihilator_residual(f: QuasiPeriodicField) -> float:
 
 def quasi_periodicity_residual(f: QuasiPeriodicField) -> float:
     """Boundary-consistency mismatch between the sampled extension and the
-    phase-multiplied samples, measured through the spectral tails of the
-    periodic quotients (a seam jump of relative size eps registers >= eps/2)."""
-    grid = f.grid
-    y1, y2 = grid.y
-    th1, th2 = _wrap_exponents(f, grid)
-    N = f.N
+    phase-multiplied samples, measured through the spectral tails |k| >= N/4
+    of the periodic quotients (a seam jump of relative size eps registers
+    >= eps/2)."""
     rms = norm_avg(f.values)
     if rms == 0:
         return 0.0
     res = 0.0
-    for q, axis in (((f.values * np.exp(-1j * y1 * th1)), 0),
-                    ((f.values * np.exp(-1j * y2 * th2)), 1)):
-        a = np.fft.fft(q, axis=axis) / N
-        a = np.fft.fftshift(a, axes=axis)
-        idx = np.abs(np.arange(N) - N // 2)
-        tail = idx >= N // 4
-        sel = a[tail, :] if axis == 0 else a[:, tail]
-        kmag = idx[tail]
-        kk = kmag[:, None] if axis == 0 else kmag[None, :]
-        res = max(res, float(np.max(np.pi * kk * np.abs(sel))) / rms)
+    for axis in (0, 1):
+        qh, _, _, k = _quotient_spectrum(f.values, f.n, f.bc_const, axis)
+        kmag = np.abs(k)
+        tail = np.max(np.pi * kmag * np.abs(qh / f.N), where=kmag >= f.N // 4, initial=0.0)
+        res = max(res, float(tail) / rms)
     return res
 
 
@@ -401,26 +390,15 @@ def magnetic_shift_values(values: np.ndarray, n: int, bc_const: tuple[float, flo
                           dy: tuple[float, float]) -> tuple[np.ndarray, tuple[float, float]]:
     """Samples at y + dy continued through the boundary phases (scale-free:
     only logical coordinates enter); returns values and updated BC constants."""
-    N = values.shape[0]
-    s = np.arange(N) / N
-    y1, y2 = np.meshgrid(s, s, indexing="ij")
-    vals = values
-    C1, C2 = bc_const
-    k = np.fft.fftfreq(N, d=1.0 / N)
-
-    if dy[0] != 0.0:
-        th1 = n * np.pi * y2 + C1
-        q = vals * np.exp(-1j * y1 * th1)
-        q = np.fft.ifft(np.exp(2j * np.pi * k[:, None] * dy[0]) * np.fft.fft(q, axis=0), axis=0)
-        vals = q * np.exp(1j * (y1 + dy[0]) * th1)
-        C2 = C2 - n * np.pi * dy[0]
-    if dy[1] != 0.0:
-        th2 = -n * np.pi * y1 + C2
-        q = vals * np.exp(-1j * y2 * th2)
-        q = np.fft.ifft(np.exp(2j * np.pi * k[None, :] * dy[1]) * np.fft.fft(q, axis=1), axis=1)
-        vals = q * np.exp(1j * (y2 + dy[1]) * th2)
-        C1 = C1 + n * np.pi * dy[1]
-    return vals, (C1, C2)
+    C = list(bc_const)
+    for axis in (0, 1):
+        if dy[axis] != 0.0:
+            qh, y, theta, k = _quotient_spectrum(values, n, C, axis)
+            q = np.fft.ifft(np.exp(2j * np.pi * k * dy[axis]) * qh, axis=axis)
+            values = q * np.exp(1j * (y + dy[axis]) * theta)
+            # the other axis's wrap phase now reads y_a + dy_a
+            C[1 - axis] += _WRAP_SIGN[1 - axis] * n * np.pi * dy[axis]
+    return values, (C[0], C[1])
 
 
 # ----------------------------------------------------------------------

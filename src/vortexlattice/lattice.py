@@ -159,11 +159,6 @@ class CellGeometry:
     def area(self) -> float:
         return self.r_tau**2 * self.shape.tau2
 
-    @property
-    def m_phys(self) -> np.ndarray:
-        """Unit square onto the physical (sigma-scaled) cell."""
-        return self.sigma * self.m_tau
-
 
 def cell_geometry(shape: LatticeShape, n: int, b: float) -> CellGeometry:
     return CellGeometry(shape=shape, n=n, b=b)

@@ -110,10 +110,6 @@ class CellGrid:
         """curl* f = (d2 f, -d1 f) for scalar f."""
         return self._curl_star_of(self._spectrum(f))
 
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        _, dead, gsq, _ = self.half_spectrum
-        return self._field(np.where(dead, 0.0, -gsq) * self._spectrum(f))
-
     def poisson(self, rhs: np.ndarray, mean_tol: float = 1e-10) -> np.ndarray:
         """Solve Laplace(u) = rhs with <u> = 0 for mean-zero periodic rhs."""
         mean = abs(np.mean(rhs))

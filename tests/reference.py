@@ -73,10 +73,6 @@ class FullSpectrumGrid(CellGrid):
         d = self.grad(f)
         return np.stack([d[1], -d[0]])
 
-    def laplacian(self, f):
-        out = np.fft.ifft2(-self.gsq * np.fft.fft2(f))
-        return out.real if np.isrealobj(f) else out
-
     def poisson(self, rhs, mean_tol=1e-10):
         mean = abs(np.mean(rhs))
         scale = max(np.max(np.abs(rhs)), 1.0)
@@ -181,7 +177,7 @@ def normal_state(params, basis):
 def gauge_transform_state(state, eta):
     """(psi, alpha) -> (e^{i eta} psi, alpha + grad eta) for periodic eta."""
     grid = state.alpha.grid
-    psi2 = state.psi.copy_with(values=np.exp(1j * eta) * state.psi.values, coeffs=None)
+    psi2 = replace(state.psi, values=np.exp(1j * eta) * state.psi.values, coeffs=None)
     alpha2 = PeriodicVectorField(state.alpha.values + grid.grad(eta), grid)
     return GLState(psi=psi2, alpha=alpha2, params=state.params)
 

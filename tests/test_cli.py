@@ -251,6 +251,19 @@ def test_flag_sets_are_pinned():
         assert positional == (["suite"] if name == "verify" else []), name
 
 
+
+def test_successive_calls_start_from_the_defaults(tmp_path):
+    # one parser serves every call, and each call parses into a new namespace:
+    # flags given to one call do not carry over to the next
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["beta", "--tau-grid", "square", "--method", "quadrature",
+                "--output", "quad.csv", "--outdir", str(tmp_path)]) == 0
+    assert run(["beta", "--tau-grid", "triangular", "--outdir", str(tmp_path)]) == 0
+    header = json.loads((tmp_path / "beta_scan.csv").read_text().splitlines()[0][2:])
+    assert header["config"]["method"] == "lattice_sum"
+    assert header["config"]["output"] == "beta_scan.csv"
+    assert (tmp_path / "quad.csv").exists()
+
 @pytest.mark.parametrize("argv, values", [
     (["beta", "--tau-grid", "square"], {"method": "quad"}),
     (["field-landscape", "--tau-grid", "square"], {"kappa2": "2"}),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ def test_perfect_superconductor_zero_energy(shape_square):
     grid = CellGrid(np.sqrt(2 * np.pi) * np.eye(2), 32)
     psi = np.ones((32, 32), dtype=complex)
     kappa = 1.2
-    lap = grid.laplacian(psi.real) + 1j * grid.laplacian(psi.imag)
+    lap = grid.div(grid.grad(psi.real)) + 1j * grid.div(grid.grad(psi.imag))
     resid = -lap - kappa**2 * psi + kappa**2 * np.abs(psi) ** 2 * psi
     assert np.max(np.abs(resid)) < 1e-12
     dens = 0.5 * kappa**2 * (1 - np.abs(psi) ** 2) ** 2
@@ -134,7 +136,7 @@ def test_alpha_pcg_on_an_odd_grid(branch_state, scale):
     # stands for itself and its mirror
     basis = LandauBasis(1, branch_state.psi.shape, 45, K_lev=branch_state.psi.basis.K_lev)
     psi = field_from_coeffs(basis, scale * branch_state.psi.coeffs)
-    psi = psi.copy_with(coeffs=None, basis=None)
+    psi = replace(psi, coeffs=None, basis=None)
     ps = glcore._samples(psi, solve=False)
     assert ps.grid.N == 45
     alpha = solve_alpha(psi, branch_state.params).values
@@ -254,7 +256,7 @@ def test_curlstar_curl_is_neg_laplacian_on_constraint_space(basis_sq, rng):
         v = rng.standard_normal((2, 64, 64))
         p = helmholtz_project(grid, v)
         lhs = grid.curl_star_curl(p)
-        rhs = -np.stack([grid.laplacian(p[0]), grid.laplacian(p[1])])
+        rhs = -np.stack([grid.div(grid.grad(c)) for c in p])
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -266,7 +268,7 @@ def test_kernel_ladder_and_sample_routes_agree(branch_state):
     # D psi from the ladder algebra (coefficient field) against the
     # qp_derivatives grid route (the same samples without coefficients)
     st = branch_state
-    ps = st.psi.copy_with(coeffs=None, basis=None)
+    ps = replace(st.psi, coeffs=None, basis=None)
     J_ladder = supercurrent(st)
     J_grid = supercurrent(GLState(ps, st.alpha, st.params))
     assert np.max(np.abs(J_grid - J_ladder)) <= 1e-12
@@ -286,7 +288,7 @@ def test_gauge_invariance_of_observables(branch_state, rng):
     c2 = grid.curl(st2.alpha.values)
     assert np.max(np.abs(c1 - c2)) < 1e-8
     J1 = supercurrent(branch_state)
-    st2g = GLState(branch_state.psi.copy_with(values=st2.psi.values, coeffs=None),
+    st2g = GLState(replace(branch_state.psi, values=st2.psi.values, coeffs=None),
                    st2.alpha, st2.params)
     J2 = supercurrent(st2g)
     assert np.max(np.abs(np.hypot(J1[0], J1[1]) - np.hypot(J2[0], J2[1]))) < 1e-10
@@ -321,5 +323,3 @@ def test_params_validation():
         GLParams(kappa=1.0, n=1, lam=0.0)
     p = GLParams(kappa=1.0, n=2, lam=4.0)
     assert p.b == pytest.approx(0.5)
-    assert not GLParams(kappa=0.5, n=1, lam=1.0).is_type2
-    assert GLParams(kappa=1.0, n=1, lam=1.0).is_type2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from reference import (LadderTerm, basis_evaluate, cell_average,
                        covariant_gradient, dense_tables, ladder_apply,
                        landau_apply, magnetic_shift, theta_extended, unit_field)
 from vortexlattice import landau
-from vortexlattice.landau import (LandauBasis, covariant_gradient_grid,
-                                  field_from_coeffs, inner_avg, norm_avg,
+from vortexlattice.landau import (LandauBasis, QuasiPeriodicField,
+                                  covariant_gradient_grid, field_from_coeffs,
+                                  inner_avg, magnetic_shift_values, norm_avg,
                                   qp_derivatives, quasi_periodicity_residual,
                                   theta_null_basis)
 from vortexlattice.lattice import normalize_tau
@@ -213,14 +215,14 @@ def test_cell_average_rejects_quasiperiodic(shape_square):
 
 def test_qp_residual_detects_wrong_flux(shape_square):
     psi0 = theta_null_basis(1, shape_square, N=64)[0]
-    wrong = psi0.copy_with(n=2, coeffs=None, basis=None)
+    wrong = replace(psi0, n=2, coeffs=None, basis=None)
     assert quasi_periodicity_residual(wrong) > 0.1
 
 
 def test_qp_residual_detects_noise(shape_square, rng):
     psi0 = theta_null_basis(1, shape_square, N=64)[0]
     eps = 1e-6
-    noisy = psi0.copy_with(values=psi0.values + eps * rng.standard_normal((64, 64)))
+    noisy = replace(psi0, values=psi0.values + eps * rng.standard_normal((64, 64)))
     assert quasi_periodicity_residual(noisy) >= eps / 2
 
 
@@ -243,6 +245,48 @@ def test_magnetic_shift_by_lattice_vector(shape_generic):
     y1, y2 = psi0.grid.y
     assert np.max(np.abs(shifted.values - np.exp(1j * np.pi * y2) * psi0.values)) < 1e-11
 
+
+
+# boundary constants as fix_gauge feeds them: g = exp(i (C1 y1 + C2 y2)) psi0
+# has the wrap phases n pi y2 + C1 and -n pi y1 + C2
+BC_CONST = (0.3, -0.7)
+
+
+def shifted_by_constants(psi0):
+    y1, y2 = psi0.grid.y
+    gauge = np.exp(1j * (BC_CONST[0] * y1 + BC_CONST[1] * y2))
+    return gauge, QuasiPeriodicField(n=1, shape=psi0.shape, values=gauge * psi0.values,
+                                     bc_const=BC_CONST)
+
+
+def test_quotient_with_boundary_constants(shape_generic):
+    # derivatives of g against the ladder route of psi0 and the phase gradient
+    psi0 = theta_null_basis(1, shape_generic, N=48)[0]
+    gauge, g = shifted_by_constants(psi0)
+    assert quasi_periodicity_residual(g) < 1e-12
+    x1, x2 = psi0.grid.x
+    D1, D2 = covariant_gradient(psi0)
+    dpsi0 = (D1.values - 0.5j * x2 * psi0.values, D2.values + 0.5j * x1 * psi0.values)
+    grad_phase = psi0.grid.minv_t @ np.array(BC_CONST)
+    for got, d, kc in zip(qp_derivatives(g), dpsi0, grad_phase):
+        assert np.max(np.abs(got - gauge * (d + 1j * kc * psi0.values))) < 1e-10
+
+
+@pytest.mark.parametrize("dy", [(0.237, 0.0), (0.0, -0.411), (0.237, -0.411)])
+def test_magnetic_shift_with_boundary_constants(shape_generic, dy):
+    # g at y + dy in closed form, and the constants of the shifted field
+    psi0 = theta_null_basis(1, shape_generic, N=48)[0]
+    _, g = shifted_by_constants(psi0)
+    vals, bc = magnetic_shift_values(g.values, 1, BC_CONST, dy)
+    C1, C2 = BC_CONST
+    assert np.allclose(bc, (C1 + np.pi * dy[1], C2 - np.pi * dy[0]), rtol=0, atol=1e-15)
+    y1, y2 = psi0.grid.y[0] + dy[0], psi0.grid.y[1] + dy[1]
+    m = psi0.basis.geom.m_tau
+    direct = basis_evaluate(psi0.basis, 0, 0, m[0, 0] * y1 + m[0, 1] * y2,
+                            m[1, 0] * y1 + m[1, 1] * y2)
+    assert np.max(np.abs(vals - np.exp(1j * (C1 * y1 + C2 * y2)) * direct)) < 1e-11
+    shifted = QuasiPeriodicField(n=1, shape=psi0.shape, values=vals, bc_const=bc)
+    assert quasi_periodicity_residual(shifted) < 1e-12
 
 def test_qp_derivatives_match_ladder_route(shape_generic, rng):
     basis = LandauBasis(1, shape_generic, 64, K_lev=10)

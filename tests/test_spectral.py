@@ -47,7 +47,7 @@ def test_poisson_residual(grid, rng):
     rhs = trig_field(grid, rng)
     rhs -= rhs.mean()
     u = grid.poisson(rhs)
-    assert np.max(np.abs(grid.laplacian(u) - rhs)) < 1e-10
+    assert np.max(np.abs(grid.div(grid.grad(u)) - rhs)) < 1e-10
     assert abs(u.mean()) < 1e-13
 
 
@@ -149,7 +149,7 @@ def test_min_nonzero_gsq_positive(grid):
 # ----------------------------------------------------------------------
 # the half-spectrum operators against the full-spectrum oracle
 # ----------------------------------------------------------------------
-SCALAR_OPS = ("grad", "curl_star", "laplacian", "poisson", "shift")
+SCALAR_OPS = ("grad", "curl_star", "poisson", "shift")
 VECTOR_OPS = ("div", "curl", "curl_star_curl", "antiderivative")
 
 
