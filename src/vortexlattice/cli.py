@@ -372,7 +372,7 @@ COMMANDS = {
 }
 CHOICES = {"method": ("lattice_sum", "quadrature"), "suite": tuple(SUITES)}
 # the smallest value of each integer size: a CellGrid needs N >= 4, fd_spectrum
-# returns 6 eigenvalues of an N_fd^2 matrix, the expansion fit needs 5 points
+# returns 6 eigenvalues of a chain of N_fd^2 sites, the expansion fit needs 5 points
 MINIMUM = {"N": 4, "K_lev": 1, "N_fd": 3, "trials": 1, "jobs": 1, "s_points": 5}
 HELP = {"outdir": "output directory (default $VORTEXLATTICE_OUT or '.')"}
 

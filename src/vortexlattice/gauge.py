@@ -16,6 +16,7 @@ antiderivatives reproduce exactly on grid lines).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class RawLatticeState:
         t2 = self.r * np.array([self.shape.tau1, self.shape.tau2])
         return np.column_stack([t1, t2])
 
-    @property
+    @cached_property
     def grid(self) -> CellGrid:
         return CellGrid(self.m, self.N)
 

@@ -292,7 +292,7 @@ class QuasiPeriodicField:
     def N(self) -> int:
         return self.values.shape[0]
 
-    @property
+    @cached_property
     def grid(self) -> CellGrid:
         if self.basis is not None and self.basis.N == self.N:
             return self.basis.grid
@@ -402,44 +402,36 @@ def magnetic_shift_values(values: np.ndarray, n: int, bc_const: tuple[float, flo
 
 
 # ----------------------------------------------------------------------
-# finite-difference validation backend (square cell)
+# finite-difference validation: Harper chains (square cell)
 # ----------------------------------------------------------------------
-def magnetic_laplacian_fd(n: int, N: int):
-    """Link-variable discretization of L = -Laplacian_{A0} on the square cell
-    (tau = i) with the magnetic boundary phases, as a scipy CSR matrix; used
-    only to cross-validate the spectrum {(2k+1) n} with multiplicity n."""
-    import scipy.sparse as sp  # imported here so that no other command loads scipy
-    r = np.sqrt(2 * np.pi)
-    h = r / N
-    idx = lambda i, j: (i % N) * N + (j % N)
-    rows, cols, vals = [], [], []
-    diag = np.full(N * N, 4.0 / h**2)
-    for i in range(N):
-        for j in range(N):
-            x1, x2 = i * h, j * h
-            a = idx(i, j)
-            # hop +e1: link phase exp(i n h x2 / 2), boundary wrap adds exp(i n r x2 / 2)
-            ph = np.exp(0.5j * n * h * x2)
-            if i == N - 1:
-                ph *= np.exp(0.5j * n * r * x2)
-            rows.append(a); cols.append(idx(i + 1, j)); vals.append(-ph / h**2)
-            # hop +e2: link phase exp(-i n h x1 / 2), wrap adds exp(-i n r x1 / 2)
-            ph = np.exp(-0.5j * n * h * x1)
-            if j == N - 1:
-                ph *= np.exp(-0.5j * n * r * x1)
-            rows.append(a); cols.append(idx(i, j + 1)); vals.append(-ph / h**2)
-    up = sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
-    L = up + up.conj().T + sp.diags(diag)
-    return L.tocsr()
-
-
 def fd_spectrum(n: int, N: int, k_eigs: int | None = None) -> np.ndarray:
-    """Lowest eigenvalues of the discretized operator, ascending."""
-    import scipy.sparse.linalg as spla
+    """Lowest eigenvalues, ascending, of the link discretization of
+    L = -Laplacian_{A0} on the square cell (tau = i) with N x N sites and the
+    magnetic boundary phases; used only to cross-validate the spectrum
+    {(2k+1) n} with multiplicity n.
+
+    In Landau gauge (phase e^{-2 pi i n i1/N^2} on every e2 link and
+    e^{2 pi i n i2/N} on the e1 links that wrap at i1 = N - 1) a Fourier
+    transform along i2 splits the operator into Harper's equation:
+    g = gcd(n, N) real symmetric cyclic chains of length N^2/g.  Site x of
+    chain k0 is row x mod N at mode k0 - n (x // N) mod N; its diagonal is
+    (4 - 2 cos 2 pi (k0/N - n x/N^2))/h^2 and its hops, the corner that closes
+    the cycle included, are -1/h^2, with h^2 = 2 pi/N^2.
+    """
+    import scipy.sparse as sp  # imported here so that no other command loads scipy
+    from scipy.sparse.linalg import eigsh
     if k_eigs is None:
         k_eigs = 4 * n + 2
-    L = magnetic_laplacian_fd(n, N)
-    v0 = np.random.default_rng(0).standard_normal(L.shape[0])  # fixed ARPACK start
-    vals = spla.eigsh(L, k=k_eigs, sigma=0.0, which="LM", v0=v0,
-                      return_eigenvectors=False)
-    return np.sort(vals)
+    g = int(np.gcd(n, N))
+    M = N * N // g
+    x = np.arange(M)
+    hop = -N * N / (2 * np.pi)    # -1/h^2
+    vals = []
+    for k0 in range(g):
+        diag = -hop * (4 - 2 * np.cos(2 * np.pi * (k0 / N - n * x / N**2)))
+        chain = sp.diags([hop, hop, diag, hop, hop], [1 - M, -1, 0, 1, M - 1],
+                         shape=(M, M), format="csc")
+        v0 = np.random.default_rng(0).standard_normal(M)  # fixed ARPACK start
+        vals.append(eigsh(chain, k=min(k_eigs, M - 1), sigma=0.0, v0=v0,
+                          return_eigenvectors=False))
+    return np.sort(np.concatenate(vals))[:k_eigs]

@@ -9,7 +9,9 @@ carrier LadderTerm a third route to the higher levels.  Gradient descent on
 beta is the second route to its minimum, and the effective energy
 e_lambda(v) checks the reduction's variational structure.  FullSpectrumGrid
 keeps the CellGrid operators on the full fft2 spectrum, the oracle of the
-half-spectrum ones.  The field operations at the end (the alpha solve on a
+half-spectrum ones.  The N^2 x N^2 link matrix magnetic_laplacian_fd, in the
+symmetric gauge, is the oracle of the Harper chains of landau.fd_spectrum.
+The field operations at the end (the alpha solve on a
 field, flux, supercurrent, the ladder-route covariant gradient and ladder
 actions on fields, the applied field h0, point-group rotation, the physical
 energy density and sample rescaling) have no caller in the package and are
@@ -282,6 +284,35 @@ def magnetic_shift(f, dy):
     vals, bc = magnetic_shift_values(f.values, f.n, f.bc_const, dy)
     return QuasiPeriodicField(n=f.n, shape=f.shape, values=vals, coeffs=None,
                               basis=f.basis, bc_const=bc)
+
+
+def magnetic_laplacian_fd(n: int, N: int):
+    """Link-variable discretization of L = -Laplacian_{A0} on the square cell
+    (tau = i) with the magnetic boundary phases, as a scipy CSR matrix; used
+    only to cross-validate the spectrum {(2k+1) n} with multiplicity n."""
+    import scipy.sparse as sp
+    r = np.sqrt(2 * np.pi)
+    h = r / N
+    idx = lambda i, j: (i % N) * N + (j % N)
+    rows, cols, vals = [], [], []
+    diag = np.full(N * N, 4.0 / h**2)
+    for i in range(N):
+        for j in range(N):
+            x1, x2 = i * h, j * h
+            a = idx(i, j)
+            # hop +e1: link phase exp(i n h x2 / 2), boundary wrap adds exp(i n r x2 / 2)
+            ph = np.exp(0.5j * n * h * x2)
+            if i == N - 1:
+                ph *= np.exp(0.5j * n * r * x2)
+            rows.append(a); cols.append(idx(i + 1, j)); vals.append(-ph / h**2)
+            # hop +e2: link phase exp(-i n h x1 / 2), wrap adds exp(-i n r x1 / 2)
+            ph = np.exp(-0.5j * n * h * x1)
+            if j == N - 1:
+                ph *= np.exp(-0.5j * n * r * x1)
+            rows.append(a); cols.append(idx(i, j + 1)); vals.append(-ph / h**2)
+    up = sp.csr_matrix((vals, (rows, cols)), shape=(N * N, N * N))
+    L = up + up.conj().T + sp.diags(diag)
+    return L.tocsr()
 
 
 @dataclass

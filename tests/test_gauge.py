@@ -30,6 +30,14 @@ def raw_square(shape_square):
     return raw_from_state(state)
 
 
+def test_grids_are_built_once(raw_branch):
+    # a raw state and its sample-only field each build their CellGrid once
+    f = raw_branch.qp_field()
+    assert f.basis is None
+    assert f.grid is f.grid
+    assert raw_branch.grid is raw_branch.grid
+
+
 # ----------------------------------------------------------------------
 # gauge transform
 # ----------------------------------------------------------------------

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import eigsh
 
 from reference import (LadderTerm, basis_evaluate, cell_average,
                        covariant_gradient, dense_tables, ladder_apply,
-                       landau_apply, magnetic_shift, theta_extended, unit_field)
+                       landau_apply, magnetic_laplacian_fd, magnetic_shift,
+                       theta_extended, unit_field)
 from vortexlattice import landau
 from vortexlattice.landau import (LandauBasis, QuasiPeriodicField,
                                   covariant_gradient_grid, field_from_coeffs,
@@ -408,6 +410,15 @@ def test_fd_spectrum_lowest_levels():
 def test_fd_spectrum_is_deterministic():
     # the eigensolver starts from a fixed vector, so reruns give the same bytes
     assert landau.fd_spectrum(1, 64).tobytes() == landau.fd_spectrum(1, 64).tobytes()
+
+
+# one Harper chain (gcd(n, N) = 1), two and three; N = 3 is the least N_fd
+@pytest.mark.parametrize("n, N", [(1, 3), (1, 16), (1, 32), (2, 16), (3, 24), (3, 32)])
+def test_fd_chains_match_the_link_matrix(n, N):
+    v0 = np.random.default_rng(0).standard_normal(N * N)
+    ref = eigsh(magnetic_laplacian_fd(n, N), k=4 * n + 2, sigma=0.0, v0=v0,
+                return_eigenvectors=False)
+    assert np.max(np.abs(landau.fd_spectrum(n, N) - np.sort(ref))) < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=3))
