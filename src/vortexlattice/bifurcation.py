@@ -89,7 +89,11 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
             _unknown: str | None = None) -> WSolveResult:
     """Solve the Q-projected equation for w = w(lambda, s psi0).
 
-    One sweep G maps w to -R(lambda) Q N(s psi0 + w) (R the resolvent); with
+    One sweep G maps w to -R(lambda - sigma) (Q N(s psi0 + w) - sigma w), R
+    the resolvent: the fixed points are those of -R(lambda) Q N, and the
+    shift sigma = kappa^2 |s|^2, set from the starting s, moves the
+    near-constant part kappa^2 |psi|^2 of N to the left, which keeps
+    lambda - sigma away from the Landau levels on far field targets.  With
     _unknown = "lam" or "s" that argument is only a start, and each sweep
     also re-solves the P-equation gamma1 = (1 - lambda) + Re <psi0, N> / s = 0
     for it, so the result carries the branch value.  The fixed point of G is
@@ -106,12 +110,15 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         return WSolveResult(z, a0, z, _coeff_samples(basis, z, solve=True), 0, 0.0,
                             s, lam)
 
+    sigma = kappa**2 * abs(s) ** 2
+
     def sweep(wc, sc, lc, a_start):
         psi_c = wc.copy()
         psi_c[0, 0] += sc
         ps = _coeff_samples(basis, psi_c, solve=True)
         ncoef, a2 = _nonlinear(basis, ps, kappa, alpha_start=a_start)
-        return -basis.resolvent_coeffs(setup.project_Q(ncoef), lc), a2, ncoef, ps
+        w_new = -basis.resolvent_coeffs(setup.project_Q(ncoef) - sigma * wc, lc - sigma)
+        return w_new, a2, ncoef, ps
 
     def p_solve(sc, lc, ncoef):
         """(s, lambda) with the unknown one re-solved from the P-equation."""

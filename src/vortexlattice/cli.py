@@ -226,8 +226,7 @@ def cmd_gauge_fix(cfg: dict) -> int:
     if not cfg["input"]:
         raise ConfigError("gauge-fix needs --input snapshot")
     raw = snapshot.load_raw_state(cfg["input"])
-    fixed, info = gauge.fix_gauge(raw, kappa=float(np.sqrt(cfg["kappa2"])),
-                                  return_info=True)
+    fixed, info = gauge.fix_gauge(raw, kappa=float(np.sqrt(cfg["kappa2"])))
     path = out_path(cfg, cfg["output"])
     snapshot.save_state(path, fixed, extra={
         "config_hash": config_hash(cfg),
@@ -278,8 +277,7 @@ def verify_gauge(cfg) -> list[dict]:
         c = tuple(rng.normal(0, 0.2, 2))
         t = rng.uniform(-0.5, 0.5, 2) @ np.column_stack([raw0.m[:, 0], raw0.m[:, 1]]).T
         raw = gauge.translate_state(gauge.gauge_transform(raw0, eta, c), t)
-        fixed, info = gauge.fix_gauge(raw, kappa=np.sqrt(cfg["kappa2"]),
-                                      return_info=True)
+        fixed, info = gauge.fix_gauge(raw, kappa=np.sqrt(cfg["kappa2"]))
         worst_bc = max(worst_bc,
                        landau.quasi_periodicity_residual(fixed.psi),
                        *fixed.alpha.constraint_residuals())

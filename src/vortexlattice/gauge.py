@@ -1,16 +1,19 @@
-"""Symmetry transformations and constructive gauge fixing.
+"""Symmetry transformations and gauge fixing.
 
 A raw lattice state is stored as (Psi, A0 + A_p) on the physical cell, with
 A0(x) = (b/2) J x and A_p the periodic remainder of the potential, plus the
 two boundary-phase constants C_t of Psi(x + t) = exp(i (b/2) x.Jt + i C_t) Psi(x).
 
-fix_gauge follows the constructive recipe: the row-averaged field B, the
-doubly-periodic field P with curl P = curl A - b, a periodic Poisson solve
-making the result divergence-free, the mean shift C, and the translation
-killing the boundary constants.  The gauge function eta is recovered
-spectrally from the curl-free difference of the old and new potentials
-(equivalent to the original line integrals, which the periodic
-antiderivatives reproduce exactly on grid lines).
+The fixed gauge asks for zero boundary constants and a periodic potential
+perturbation alpha with mean zero and no divergence.  A gauge change
+exp(i eta) keeps curl alpha = curl A_p, and a periodic field whose mean,
+divergence and curl all vanish is zero, so the three conditions allow only
+one alpha: the solenoidal part curl* phi of the Helmholtz split
+A_p = <A_p> + grad chi + curl* phi.  fix_gauge reads phi from curl A_p,
+takes eta = -<A_p>.x - chi, and removes the boundary constants that eta
+leaves by a translation.  That is the state the constructive recipe of the
+existence proof reaches through row antiderivatives of the field, a
+periodic Poisson correction and a mean shift.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .glcore import GLParams, GLState, PeriodicVectorField
-from .landau import (QuasiPeriodicField, covariant_gradient_grid,
-                     magnetic_shift_values)
+from .glcore import GLParams, GLState, PeriodicVectorField, _samples
+from .landau import QuasiPeriodicField, magnetic_shift_values
 from .lattice import J, LatticeShape, cell_geometry
 from .spectral import CellGrid
 
@@ -74,21 +76,14 @@ class RawLatticeState:
         return QuasiPeriodicField(n=self.n, shape=self.shape, values=self.psi,
                                   bc_const=self.bc_const)
 
-    def covariant_gradient(self) -> tuple[np.ndarray, np.ndarray]:
-        """(d - i a) Psi for the full potential a = A0 + a_p: the normalized
-        cell's (d - i A0) Psi, scaled by 1/sigma, minus i a_p Psi."""
-        D = np.stack(covariant_gradient_grid(self.qp_field()))
-        return tuple(D / np.sqrt(self.n / self.b) - 1j * self.a_p * self.psi)
-
     def observables(self) -> dict[str, np.ndarray]:
-        """Gauge-invariant grids: pair density, magnetic field, current."""
-        cov1, cov2 = self.covariant_gradient()
-        return {
-            "ns": np.abs(self.psi) ** 2,
-            "curl_a": self.curl_a(),
-            "current": np.stack([np.imag(np.conj(self.psi) * cov1),
-                                 np.imag(np.conj(self.psi) * cov2)]),
-        }
+        """Gauge-invariant grids: pair density, magnetic field, current.  The
+        field kernel's j0 is the current of the normalized cell's (d - i A0)
+        Psi; scaled by 1/sigma and less |Psi|^2 a_p, it is the current
+        Im(conj(Psi) (d - i a) Psi) of the full potential a = A0 + a_p."""
+        ps = _samples(self.qp_field(), solve=False)
+        return {"ns": ps.rho, "curl_a": self.curl_a(),
+                "current": ps.j0 / np.sqrt(self.n / self.b) - ps.rho * self.a_p}
 
 
 def raw_from_state(state: GLState) -> RawLatticeState:
@@ -133,63 +128,39 @@ def translate_state(state: RawLatticeState, t: np.ndarray) -> RawLatticeState:
 # ----------------------------------------------------------------------
 # gauge fixing
 # ----------------------------------------------------------------------
-def _row_antiderivative(f: np.ndarray, axis: int, length: float) -> np.ndarray:
-    """Zero-mean periodic antiderivative of a real f along one logical axis,
-    on its rfft half spectrum (the Nyquist term of an even N comes out
-    imaginary, and irfft drops it)."""
-    N = f.shape[axis]
-    shape = [1] * f.ndim
-    shape[axis] = -1
-    kk = (2j * np.pi / length) * np.fft.rfftfreq(N, d=1.0 / N).reshape(shape)
-    kk[kk == 0] = np.inf
-    return np.fft.irfft(np.fft.rfft(f, axis=axis) / kk, n=N, axis=axis)
+FLUX_TOL = 1e-8   # largest |flux / 2 pi - n| fix_gauge accepts
 
 
-def fix_gauge(state: RawLatticeState, kappa: float = 1.0,
-              flux_tol: float = 1e-8, return_info: bool = False):
+def fix_gauge(state: RawLatticeState, kappa: float = 1.0):
     """Bring a raw state to the fixed gauge and normalized variables.
 
-    Output satisfies the canonical boundary phase with zero constants, mean
-    zero and divergence-free potential perturbation; it is gauge-equivalent
-    to the input translated by the reported vector l, so all observables
-    match the l-translated input.  The returned state is rescaled to the
-    normalized cell with lambda = kappa^2 n / b.  With return_info the
-    translation and gauge data are returned alongside.
+    Returns (fixed, info).  fixed has the canonical boundary phase with zero
+    constants and a mean-zero, divergence-free potential perturbation; it is
+    gauge-equivalent to the input translated by l = info["translation"], so
+    all observables match the l-translated input.  It is rescaled to the
+    normalized cell with lambda = kappa^2 n / b.  info also holds the linear
+    part eta_linear of the gauge function, b and the scale sigma.
     """
     grid = state.grid
     b = state.b
-    curl_a = state.curl_a()
-    flux = grid.flux(curl_a)
+    flux = state.flux()
     n_meas = flux / (2 * np.pi)
-    if abs(n_meas - round(n_meas)) > flux_tol or round(n_meas) != state.n:
+    if abs(n_meas - round(n_meas)) > FLUX_TOL or round(n_meas) != state.n:
         raise FluxQuantizationError(f"flux per cell {flux:.6e} is not 2*pi*{state.n}")
 
-    # (1) row average of the magnetic field; (2) the doubly-periodic P
-    B = curl_a.mean(axis=0)  # rows: fixed y2, horizontal segments of length r
-    P1 = -_row_antiderivative(B - b, axis=0, length=state.r * state.shape.tau2)
-    P1 = np.broadcast_to(P1[None, :], curl_a.shape)
-    P2 = _row_antiderivative(curl_a - B[None, :], axis=0, length=state.r)
-    P = np.stack([np.asarray(P1, dtype=float), P2])
-
-    # (4) divergence-free correction via the periodic Poisson solve
-    eta2 = grid.poisson(-grid.div(P))
-    alpha0 = P + grid.grad(eta2)
-    # (5) mean shift
-    C = -alpha0.mean(axis=(1, 2))
-    alpha = alpha0 + C[:, None, None]
-
-    # (3') gauge function from the curl-free difference, spectral route
-    D = alpha - state.a_p
-    d = D.mean(axis=(1, 2))
-    per = grid.antiderivative(D - d[:, None, None])
+    # alpha = curl* phi from curl a_p alone; eta = d.x - chi with d = -<a_p>
+    # and grad chi the gradient part of a_p
+    _, dead, gsq, _ = grid.half_spectrum
+    alpha = grid._curl_star_of(np.where(dead, 0.0, grid._curl_hat(state.a_p) / gsq))
+    d = -state.a_p.mean(axis=(1, 2))
     x1, x2 = grid.x
-    eta = per + d[0] * x1 + d[1] * x2
+    eta = d[0] * x1 + d[1] * x2 - grid.antiderivative(state.a_p)
     psi = np.exp(1j * eta) * state.psi
     t1, t2 = state.m[:, 0], state.m[:, 1]
     C1 = state.bc_const[0] + float(d @ t1)
     C2 = state.bc_const[1] + float(d @ t2)
 
-    # (6) translation l with b * (t_i ^ l) = -C_i (principal branch)
+    # translation l with b * (t_i ^ l) = -C_i (principal branch)
     C1p = (C1 + np.pi) % (2 * np.pi) - np.pi
     C2p = (C2 + np.pi) % (2 * np.pi) - np.pi
     M = b * np.array([[-t1[1], t1[0]], [-t2[1], t2[0]]])  # rows: b * (t_i ^ .)
@@ -204,14 +175,8 @@ def fix_gauge(state: RawLatticeState, kappa: float = 1.0,
         vals = vals * np.exp(-1j * np.angle(vals[0, 0]))
 
     # rescale to normalized variables (shared logical grid: pure sample scaling)
-    geom = cell_geometry(state.shape, state.n, b)
-    sigma = geom.sigma
-    psi_n = sigma * vals
-    alpha_n = sigma * alpha
-    norm_grid = CellGrid(geom.m_tau, state.N)
+    sigma = cell_geometry(state.shape, state.n, b).sigma
     params = GLParams(kappa=kappa, n=state.n, lam=kappa**2 * state.n / b)
-    qp = QuasiPeriodicField(n=state.n, shape=state.shape, values=psi_n)
-    out = GLState(psi=qp, alpha=PeriodicVectorField(alpha_n, norm_grid), params=params)
-    if return_info:
-        return out, {"translation": l, "eta_linear": d, "b": b, "sigma": sigma}
-    return out
+    qp = QuasiPeriodicField(n=state.n, shape=state.shape, values=sigma * vals)
+    out = GLState(psi=qp, alpha=PeriodicVectorField(sigma * alpha, qp.grid), params=params)
+    return out, {"translation": l, "eta_linear": d, "b": b, "sigma": sigma}

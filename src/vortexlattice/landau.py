@@ -183,25 +183,6 @@ class LandauBasis:
         """The transform table of the output N grid, built on first use."""
         return self._solve_table if self.N == self.solve_N else self._table(self.N)
 
-    def _evaluate_raw(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Un-mixed tables u[k, j] at arbitrary points, by direct summation
-        over the theta terms (the reference for the separable transform)."""
-        n, nu, tau1 = self.n, self.nu, self.shape.tau1
-        out = np.zeros((self.K_lev + 1, n, *x1.shape), dtype=complex)
-        carrier = np.exp(0.5j * n * x1 * x2)
-        kphase = (-1j) ** np.arange(self.K_lev + 1)
-        for m in range(self._m_range[0], self._m_range[1] + 1):
-            j = m % n
-            q = (m - j) // n
-            seed = np.exp(1j * np.pi * tau1 * (n * q * q + 2 * j * q))
-            t = np.sqrt(n) * (x2 + m * nu / n)
-            if np.min(np.abs(t)) > np.sqrt(2 * self.K_lev + 1) + 8.5:
-                continue
-            h = _hermite_functions(t, self.K_lev)
-            term = seed * np.exp(1j * m * nu * x1) * carrier
-            out[:, j] += kphase[:, None, None] * h * term[None]
-        return out
-
     @staticmethod
     def _raw_values(d: np.ndarray, m: np.ndarray, family: np.ndarray,
                     profiles: np.ndarray, carrier: np.ndarray) -> np.ndarray:

@@ -15,8 +15,7 @@ import numpy as np
 
 from .glcore import GLParams, GLState, PeriodicVectorField
 from .landau import QuasiPeriodicField
-from .lattice import LatticeShape, cell_geometry
-from .spectral import CellGrid
+from .lattice import LatticeShape
 
 FMT = "%.17g"
 
@@ -101,9 +100,8 @@ def load_state(path) -> GLState:
                              values=(col["re_psi"] + 1j * col["im_psi"]).reshape(N, N),
                              bc_const=tuple(header.get("bc_const", (0.0, 0.0))))
     alpha_vals = np.stack([col["alpha1"].reshape(N, N), col["alpha2"].reshape(N, N)])
-    grid = CellGrid(cell_geometry(shape, n, b=float(n)).m_tau, N)
     params = GLParams(kappa=float(header["kappa"]), n=n, lam=float(header["lambda"]))
-    return GLState(psi=psi, alpha=PeriodicVectorField(alpha_vals, grid), params=params)
+    return GLState(psi=psi, alpha=PeriodicVectorField(alpha_vals, psi.grid), params=params)
 
 
 def save_raw_state(path, raw, extra: dict | None = None) -> None:

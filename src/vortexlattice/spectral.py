@@ -110,15 +110,6 @@ class CellGrid:
         """curl* f = (d2 f, -d1 f) for scalar f."""
         return self._curl_star_of(self._spectrum(f))
 
-    def poisson(self, rhs: np.ndarray, mean_tol: float = 1e-10) -> np.ndarray:
-        """Solve Laplace(u) = rhs with <u> = 0 for mean-zero periodic rhs."""
-        mean = abs(np.mean(rhs))
-        scale = max(np.max(np.abs(rhs)), 1.0)
-        if mean > mean_tol * scale:
-            raise ValueError(f"poisson rhs has nonzero mean {mean:.3e}")
-        _, dead, gsq, _ = self.half_spectrum
-        return self._field(np.where(dead, 0.0, -1.0 / gsq) * self._spectrum(rhs))
-
     def flux(self, curl_a: np.ndarray) -> float:
         """Flux of the magnetic field curl_a through the cell: its cell
         average times the area."""
@@ -138,11 +129,10 @@ class CellGrid:
         return self._curl_star_of(self._curl_hat(v))
 
     def antiderivative(self, v: np.ndarray) -> np.ndarray:
-        """Periodic potential p with grad(p) = v - <v>, <p> = 0.
-
-        Requires v curl-free up to spectral tolerance; uses the g-weighted
-        least-squares inversion which is exact for gradients.
-        """
+        """The mean-zero periodic potential p of the gradient part of v: in
+        the Helmholtz split v = <v> + grad p + curl* phi, grad p is the
+        g-parallel part of each mode, so grad p = v - <v> when v is
+        curl-free."""
         ig, dead, gsq, _ = self.half_spectrum
         return self._field(np.where(dead, 0.0, -1.0 / gsq)
                            * (ig * self._spectrum(v)).sum(axis=0))

@@ -3,7 +3,7 @@
 The damped vector fixed point for the induced potential, with its Helmholtz
 projection, is the second oracle for the stream-function conjugate gradients
 of glcore._alpha_fixed_point.  The dense Landau tables summed term by term
-(LandauBasis._evaluate_raw) are the second oracle for the separable
+(evaluate_raw) are the second oracle for the separable
 transform behind LandauBasis.synth/project, and the polynomial ladder
 carrier LadderTerm a third route to the higher levels.  Gradient descent on
 beta is the second route to its minimum, and the effective energy
@@ -29,7 +29,8 @@ from vortexlattice.bifurcation import solve_w
 from vortexlattice.glcore import (AlphaSolveError, GLParams, GLState,
                                   PeriodicVectorField, _alpha_fixed_point,
                                   _samples, energy)
-from vortexlattice.landau import (QuasiPeriodicField, field_from_coeffs,
+from vortexlattice.landau import (QuasiPeriodicField, _hermite_functions,
+                                  covariant_gradient_grid, field_from_coeffs,
                                   magnetic_shift_values)
 from vortexlattice.lattice import normalize_tau
 from vortexlattice.spectral import CellGrid
@@ -153,11 +154,12 @@ def helmholtz_project(grid, v):
 
 def alpha_damped_fixed_point(grid, j0, abspsi2, tol=1e-14, max_iter=400):
     """alpha = (-Laplacian)^{-1} P(j0 - |psi|^2 alpha), damped when a step grows."""
+    full = FullSpectrumGrid(grid.m, grid.N)
     alpha = np.zeros_like(j0)
     damping, last = 1.0, np.inf
     for _ in range(max_iter):
         rhs = helmholtz_project(grid, j0 - abspsi2[None] * alpha)
-        step = -np.stack([grid.poisson(c) for c in rhs]) - alpha
+        step = -np.stack([full.poisson(c) for c in rhs]) - alpha
         delta = float(np.max(np.abs(step)))
         if delta > last and damping > 0.25:
             damping *= 0.5
@@ -260,14 +262,34 @@ def unit_field(basis, k, j, solve=False):
     return basis.synth(c, solve=solve)
 
 
+def evaluate_raw(basis, x1, x2):
+    """Un-mixed tables u[k, j] of a LandauBasis at arbitrary points, by direct
+    summation over the theta terms (the reference for the separable transform)."""
+    n, nu, tau1 = basis.n, basis.nu, basis.shape.tau1
+    out = np.zeros((basis.K_lev + 1, n, *x1.shape), dtype=complex)
+    carrier = np.exp(0.5j * n * x1 * x2)
+    kphase = (-1j) ** np.arange(basis.K_lev + 1)
+    for m in range(basis._m_range[0], basis._m_range[1] + 1):
+        j = m % n
+        q = (m - j) // n
+        seed = np.exp(1j * np.pi * tau1 * (n * q * q + 2 * j * q))
+        t = np.sqrt(n) * (x2 + m * nu / n)
+        if np.min(np.abs(t)) > np.sqrt(2 * basis.K_lev + 1) + 8.5:
+            continue
+        h = _hermite_functions(t, basis.K_lev)
+        term = seed * np.exp(1j * m * nu * x1) * carrier
+        out[:, j] += kphase[:, None, None] * h * term[None]
+    return out
+
+
 def dense_tables(basis, x1, x2):
     """Orthonormal tables phi[k, j] at the points (x1, x2), summed term by term."""
-    return np.einsum("ij,kjxy->kixy", basis._mix, basis._evaluate_raw(x1, x2))
+    return np.einsum("ij,kjxy->kixy", basis._mix, evaluate_raw(basis, x1, x2))
 
 
 def basis_evaluate(basis, k, j, x1, x2):
     """Basis function phi_kj at arbitrary points."""
-    raw = basis._evaluate_raw(np.asarray(x1, float), np.asarray(x2, float))
+    raw = evaluate_raw(basis, np.asarray(x1, float), np.asarray(x2, float))
     return np.einsum("i,ixy->xy", basis._mix[j], raw[k])
 
 
@@ -480,7 +502,10 @@ def rotate_state(state, angle):
 
 def energy_density_mean(raw, kappa):
     """Average unscaled Ginzburg-Landau energy per unit cell area of a raw state."""
-    cov1, cov2 = raw.covariant_gradient()
+    # (d - i a) Psi for a = A0 + a_p: the normalized cell's (d - i A0) Psi,
+    # scaled by 1/sigma, minus i a_p Psi
+    D = np.stack(covariant_gradient_grid(raw.qp_field()))
+    cov1, cov2 = D / np.sqrt(raw.n / raw.b) - 1j * raw.a_p * raw.psi
     dens = (np.abs(cov1) ** 2 + np.abs(cov2) ** 2
             + raw.curl_a() ** 2 + 0.5 * kappa**2 * (1 - np.abs(raw.psi) ** 2) ** 2)
     return float(np.mean(dens))

@@ -263,6 +263,38 @@ def test_branch_by_field_farther_target(shape_square):
     assert abs(g) <= 1e-11
 
 
+@pytest.mark.parametrize("K_lev", [40, 64, 80, 128])
+def test_far_target_converges_at_every_K_lev(monkeypatch, K_lev):
+    # tau = 0.3+1.2i, b = 0.3: lambda = 6.67 sits 0.33 below level 3, where
+    # the unshifted sweep -R(lambda) Q N hit the 200-sweep cap at K_lev 40
+    # and 64 and took 164-178 sweeps at 80 and 128; the energies are those
+    # of the unshifted solves that converged
+    energies = {80: 0.4147270130990864, 128: 0.4147269970800928}
+    results = []
+    solve_w = bif.solve_w
+    monkeypatch.setattr(bif, "solve_w",
+                        lambda *a, **kw: results.append(solve_w(*a, **kw)) or results[-1])
+    pt = bif.branch_by_field(0.3, KAPPA, normalize_tau(0.3 + 1.2j)[0], K_lev=K_lev)
+    assert len(results) == 1 and results[0].iterations <= 40
+    if K_lev in energies:
+        assert abs(pt.energy - energies[K_lev]) <= 1e-13 * energies[K_lev]
+
+
+def test_shifted_and_plain_maps_share_fixed_points(shape_generic):
+    # at a solved point w the shifted sweep -R(lambda - sigma)(Q N - sigma w)
+    # and the plain -R(lambda) Q N both map w to itself
+    setup = bif.build_reduction(shape_generic, K_lev=40)
+    pt = bif.branch_by_field(0.5, KAPPA, shape_generic, setup=setup)
+    basis = setup.basis
+    w = setup.project_Q(pt.psi_coeffs)
+    qn = setup.project_Q(glcore.nonlinear_coeffs(basis, pt.psi_coeffs, KAPPA)[0])
+    sigma = KAPPA**2 * pt.s**2
+    plain = -basis.resolvent_coeffs(qn, pt.lam)
+    shifted = -basis.resolvent_coeffs(qn - sigma * w, pt.lam - sigma)
+    for image in (plain, shifted):
+        assert np.max(np.abs(image - w)) <= 1e-11 * pt.s
+
+
 def test_alpha_solves_the_second_sweep_of_a_far_target():
     # branch_by_field(0.3, sqrt 2, 0.3+1.2i, N=64, K_lev=40): the first sweep
     # maps the cold start s_est psi0 to a psi with max |psi|^2 = 10.8, where
@@ -326,6 +358,20 @@ def test_coeff_tail_flags_an_unresolved_target():
 def test_coeff_tail_small_at_the_landscape_default(tau):
     pt = bif.branch_by_field(1.9, KAPPA, normalize_tau(tau)[0], K_lev=40)
     assert pt.coeff_tail < 1e-8
+
+
+@pytest.mark.parametrize("tau, period", [(0.3 + 1.2j, 2), (0.21 + 1.13j, 2), (1j, 4),
+                                         (TAU_TRIANGULAR, 6)])
+def test_branch_occupies_the_levels_its_lattice_allows(tau, period):
+    # the lattice's rotations (by pi on every shape, pi/2 on the square and
+    # pi/3 on the triangular lattice) forbid the Landau levels k that period
+    # does not divide
+    shape = normalize_tau(tau)[0]
+    setup = bif.build_reduction(shape, K_lev=40)
+    forbidden = np.arange(41) % period != 0
+    for b in (1.9, 1.0, 0.5):
+        c = np.abs(bif.branch_by_field(b, KAPPA, shape, setup=setup).psi_coeffs[:, 0])
+        assert np.max(c[forbidden]) <= 1e-12 * np.max(c)
 
 
 @pytest.mark.parametrize("tau, b, K_lev", [(1j, 1.9, 40), (0.3 + 1.2j, 1.0, 80),

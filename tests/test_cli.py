@@ -21,7 +21,7 @@ def test_beta_scan_and_determinism(tmp_path):
     assert run(["beta", "--tau-grid", "fundamental:4x3", "--outdir", str(out)]) == 0
     # identical config reproduces the output byte-identically
     assert (out / "beta_scan.csv").read_bytes() == first
-    rows = np.loadtxt((out / "beta_scan.csv").open(), delimiter=",", skiprows=2)
+    rows = np.loadtxt(out / "beta_scan.csv", delimiter=",", skiprows=2)
     assert rows.shape == (12, 4)
     assert np.all(rows[:, 2] > 1.0)
 
@@ -35,7 +35,7 @@ def test_outdir_from_environment(tmp_path, monkeypatch):
 def test_beta_named_taus(tmp_path):
     assert run(["beta", "--tau-grid", "square;triangular",
                 "--outdir", str(tmp_path)]) == 0
-    rows = np.loadtxt((tmp_path / "beta_scan.csv").open(), delimiter=",", skiprows=2)
+    rows = np.loadtxt(tmp_path / "beta_scan.csv", delimiter=",", skiprows=2)
     assert rows[0, 2] == pytest.approx(1.1803406, abs=1e-6)
     assert rows[1, 2] == pytest.approx(1.1595953, abs=1e-6)
 
@@ -44,8 +44,8 @@ def test_beta_parallel_jobs_match(tmp_path):
     o1, o2 = tmp_path / "s", tmp_path / "p"
     run(["beta", "--tau-grid", "fundamental:3x3", "--outdir", str(o1)])
     run(["beta", "--tau-grid", "fundamental:3x3", "--jobs", "2", "--outdir", str(o2)])
-    r1 = np.loadtxt((o1 / "beta_scan.csv").open(), delimiter=",", skiprows=2)
-    r2 = np.loadtxt((o2 / "beta_scan.csv").open(), delimiter=",", skiprows=2)
+    r1 = np.loadtxt(o1 / "beta_scan.csv", delimiter=",", skiprows=2)
+    r2 = np.loadtxt(o2 / "beta_scan.csv", delimiter=",", skiprows=2)
     assert np.array_equal(r1, r2)
     # outdir and jobs are execution-only: same header and config hash
     assert (o1 / "beta_scan.csv").read_bytes() == (o2 / "beta_scan.csv").read_bytes()
@@ -66,7 +66,7 @@ def test_branch_command(tmp_path):
     assert run(["branch", "--kappa2", "2", "--tau", "0.5,0.8660254037844386",
                 "--s-max", "0.1", "--s-points", "5", "--N", "64",
                 "--outdir", str(tmp_path)]) == 0
-    rows = np.loadtxt((tmp_path / "branch.csv").open(), delimiter=",", skiprows=2)
+    rows = np.loadtxt(tmp_path / "branch.csv", delimiter=",", skiprows=2)
     assert rows.shape == (5, 10)
     lines = (tmp_path / "branch.csv").read_text().splitlines()
     header = lines[1].split(",")
@@ -83,7 +83,7 @@ def test_branch_command(tmp_path):
 def test_field_landscape_command(tmp_path):
     assert run(["field-landscape", "--kappa2", "2", "--b", "1.9",
                 "--tau-grid", "square;triangular", "--outdir", str(tmp_path)]) == 0
-    rows = np.loadtxt((tmp_path / "field_landscape.csv").open(), delimiter=",",
+    rows = np.loadtxt(tmp_path / "field_landscape.csv", delimiter=",",
                       skiprows=2)
     # triangular beats square
     assert rows[1, 4] < rows[0, 4]
@@ -221,7 +221,7 @@ def test_smallest_sizes_run(tmp_path):
                 "--outdir", str(tmp_path)]) == 0
     assert run(["field-landscape", "--numeric", "--K-lev", "1",
                 "--tau-grid", "square", "--outdir", str(tmp_path)]) == 0
-    rows = np.loadtxt((tmp_path / "field_landscape.csv").open(), delimiter=",",
+    rows = np.loadtxt(tmp_path / "field_landscape.csv", delimiter=",",
                       skiprows=2)
     assert np.isfinite(rows).all()
 

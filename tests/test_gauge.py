@@ -117,44 +117,11 @@ def test_rotate_rejects_non_point_group(raw_branch):
 
 
 # ----------------------------------------------------------------------
-# periodic Poisson
-# ----------------------------------------------------------------------
-def test_poisson_zero(raw_branch):
-    grid = raw_branch.grid
-    assert np.max(np.abs(grid.poisson(np.zeros((64, 64))))) == 0.0
-
-
-def test_poisson_single_mode(raw_branch):
-    grid = raw_branch.grid
-    gsq = grid.half_spectrum.gsq[3, 1]
-    y1, y2 = grid.y
-    rhs = np.cos(2 * np.pi * (3 * y1 + y2))
-    u = grid.poisson(rhs)
-    assert np.max(np.abs(u + rhs / gsq)) < 1e-13
-
-
-def test_poisson_random_residual(raw_branch, rng):
-    grid = raw_branch.grid
-    y1, y2 = grid.y
-    rhs = sum(rng.normal() * np.sin(2 * np.pi * (k1 * y1 + k2 * y2) + rng.normal())
-              for k1 in range(1, 4) for k2 in range(-2, 3))
-    rhs -= rhs.mean()
-    u = grid.poisson(rhs)
-    assert np.max(np.abs(grid.div(grid.grad(u)) - rhs)) < 1e-10
-    assert abs(u.mean()) < 1e-14
-
-
-def test_poisson_rejects_mean(raw_branch):
-    with pytest.raises(ValueError):
-        raw_branch.grid.poisson(np.ones((64, 64)))
-
-
-# ----------------------------------------------------------------------
 # fix_gauge
 # ----------------------------------------------------------------------
 def test_fix_gauge_on_fixed_input(raw_branch):
-    fixed = fix_gauge(raw_branch, kappa=KAPPA)
-    again = fix_gauge(raw_from_state(fixed), kappa=KAPPA)
+    fixed, _ = fix_gauge(raw_branch, kappa=KAPPA)
+    again, _ = fix_gauge(raw_from_state(fixed), kappa=KAPPA)
     # idempotent up to a constant phase (pinned at the origin sample)
     assert np.max(np.abs(again.psi.values - fixed.psi.values)) < 1e-12
     assert np.max(np.abs(again.alpha.values - fixed.alpha.values)) < 1e-12
@@ -170,7 +137,7 @@ def test_fix_gauge_round_trip(raw_branch, rng):
         c = tuple(rng.normal(0, 0.3, 2))
         t = raw_branch.m @ rng.uniform(-0.5, 0.5, 2)
         distorted = translate_state(gauge_transform(raw_branch, eta, c), t)
-        fixed, info = fix_gauge(distorted, kappa=KAPPA, return_info=True)
+        fixed, info = fix_gauge(distorted, kappa=KAPPA)
         assert quasi_periodicity_residual(fixed.psi) < 1e-10
         mean_r, div_r = fixed.alpha.constraint_residuals()
         assert mean_r < 1e-10 and div_r < 1e-10
@@ -179,6 +146,20 @@ def test_fix_gauge_round_trip(raw_branch, rng):
         assert np.max(np.abs(np.abs(fixed.psi.values) ** 2 - sig**2 * ref["ns"])) < 1e-8
         curl_out = 1.0 + fixed.alpha.grid.curl(fixed.alpha.values)
         assert np.max(np.abs(curl_out - sig**2 * ref["curl_a"])) < 1e-8
+
+
+def test_fix_gauge_alpha_is_the_translated_input_potential(raw_branch):
+    # raw_branch is in the fixed gauge: after a gauge change, a translation by
+    # t and fix_gauge's translation by l, the only admissible alpha is the
+    # input's own potential at x + t + l
+    y1, y2 = raw_branch.grid.y
+    eta = 0.4 * np.sin(2 * np.pi * (y1 - 2 * y2)) + 0.3 * np.cos(2 * np.pi * y2)
+    t = raw_branch.m @ np.array([0.31, -0.27])
+    distorted = translate_state(gauge_transform(raw_branch, eta, (0.2, -0.15)), t)
+    fixed, info = fix_gauge(distorted, kappa=KAPPA)
+    dy = np.linalg.solve(raw_branch.m, t + info["translation"])
+    want = info["sigma"] * raw_branch.grid.shift(raw_branch.a_p, dy)
+    assert np.max(np.abs(fixed.alpha.values - want)) <= 1e-14
 
 
 def test_fix_gauge_removes_pure_gauge(shape_square):
@@ -192,14 +173,14 @@ def test_fix_gauge_removes_pure_gauge(shape_square):
     chi = 0.6 * np.sin(2 * np.pi * (2 * y1 - y2))
     raw = RawLatticeState(psi=np.zeros((N, N), complex), a_p=grid.grad(chi),
                           n=1, shape=shape_square, r=geom.r)
-    fixed = fix_gauge(raw)
+    fixed, _ = fix_gauge(raw)
     assert np.max(np.abs(fixed.alpha.values)) < 1e-12
 
 
 def test_fix_gauge_canonical_boundary_cocycle(raw_branch):
     # output boundary phase is exactly the canonical cocycle: residual of the
     # zero-constant wrap phases vanishes
-    fixed = fix_gauge(raw_branch, kappa=KAPPA)
+    fixed, _ = fix_gauge(raw_branch, kappa=KAPPA)
     assert fixed.psi.bc_const == (0.0, 0.0)
     assert quasi_periodicity_residual(fixed.psi) < 1e-10
 
@@ -211,7 +192,7 @@ def test_fix_gauge_curl_free_difference(raw_branch, rng):
     y1, y2 = grid.y
     eta = 0.4 * np.sin(2 * np.pi * y1) + 0.3 * np.cos(2 * np.pi * (y1 - y2))
     distorted = gauge_transform(raw_branch, eta, (0.05, -0.1))
-    fixed, info = fix_gauge(distorted, kappa=KAPPA, return_info=True)
+    fixed, info = fix_gauge(distorted, kappa=KAPPA)
     sigma = info["sigma"]
     shifted = translate_state(distorted, info["translation"])
     alpha_phys = fixed.alpha.values / sigma
@@ -228,5 +209,5 @@ def test_fix_gauge_zero_multiple_vortices(shape_square):
     raw = RawLatticeState(psi=0.1 * psi0.values, a_p=np.zeros((2, 48, 48)),
                           n=2, shape=shape_square, r=geom.r)
     assert abs(raw.flux() - 4 * np.pi) < 1e-10
-    fixed = fix_gauge(raw)
+    fixed, _ = fix_gauge(raw)
     assert quasi_periodicity_residual(fixed.psi) < 1e-8

@@ -131,7 +131,7 @@ def test_rescale_normal_state_curl(shape_square):
                                 a_p=np.zeros((2, N, N)), n=n,
                                 shape=shape_square, r=geom.r)
     assert abs(np.mean(raw.curl_a()) - b) < 1e-13
-    st_norm = gauge.fix_gauge(raw, kappa=1.0)
+    st_norm, _ = gauge.fix_gauge(raw, kappa=1.0)
     curl_norm = n + st_norm.alpha.grid.curl(st_norm.alpha.values)
     assert np.max(np.abs(curl_norm - n)) < 1e-12
 

@@ -43,19 +43,6 @@ def test_div_of_curl_star_vanishes(grid, rng):
     assert np.max(np.abs(grid.div(grid.curl_star(f)))) < 1e-11
 
 
-def test_poisson_residual(grid, rng):
-    rhs = trig_field(grid, rng)
-    rhs -= rhs.mean()
-    u = grid.poisson(rhs)
-    assert np.max(np.abs(grid.div(grid.grad(u)) - rhs)) < 1e-10
-    assert abs(u.mean()) < 1e-13
-
-
-def test_poisson_rejects_nonzero_mean(grid):
-    with pytest.raises(ValueError):
-        grid.poisson(np.ones((48, 48)))
-
-
 def test_helmholtz_output_constraints(grid, rng):
     v = np.stack([trig_field(grid, rng), trig_field(grid, rng)])
     p = helmholtz_project(grid, v)
@@ -149,13 +136,11 @@ def test_min_nonzero_gsq_positive(grid):
 # ----------------------------------------------------------------------
 # the half-spectrum operators against the full-spectrum oracle
 # ----------------------------------------------------------------------
-SCALAR_OPS = ("grad", "curl_star", "poisson", "shift")
+SCALAR_OPS = ("grad", "curl_star", "shift")
 VECTOR_OPS = ("div", "curl", "curl_star_curl", "antiderivative")
 
 
 def op_args(name, f, v):
-    if name == "poisson":
-        return (f - f.mean(),)
     if name == "shift":
         return (f, (0.13, -0.41))
     return (v,) if name in VECTOR_OPS else (f,)
