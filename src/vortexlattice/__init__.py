@@ -6,9 +6,9 @@ from .landau import (LandauBasis, QuasiPeriodicField, ThetaCoeffs,
                      quasi_periodicity_residual, theta_null_basis)
 from .glcore import (GLParams, GLState, PeriodicVectorField, energy, map_F,
                      residuals)
-from .abrikosov import (BetaResult, CriticalPoint, beta_lattice_sum,
-                        beta_quadrature, energy_landscape_asymptotic,
-                        find_beta_critical_points, kappa_c, minimize_Eb_numeric)
+from .abrikosov import (CriticalPoint, beta_lattice_sum, beta_quadrature,
+                        energy_landscape_asymptotic, find_beta_critical_points,
+                        kappa_c, minimize_Eb_numeric)
 from .bifurcation import (Branch, ExpansionReport, ReductionSetup,
                           branch_by_field, build_reduction, fit_expansion,
                           gamma1, solve_branch, solve_w)

@@ -20,22 +20,14 @@ from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, LatticeShape, SolverError,
                       fundamental_domain_grid, normalize_tau)
 
 CRITICAL_GRAD_TOL = 1e-8   # |grad beta| at which a Newton start has converged
+# the fixed scan and Newton path of minimize_Eb_numeric (see its docstring)
+EB_COARSE_GRID = (5, 4)
+EB_TAU2_MAX = 1.4
+EB_REFINE_H = 2e-3
+EB_NEWTON_STEPS = 12
 
 
-@dataclass(frozen=True)
-class BetaResult:
-    tau: complex
-    beta: float
-    method: str           # "quadrature" | "lattice_sum"
-    K: int
-    N: int
-
-    def __post_init__(self):
-        if self.beta < 1.0 - 1e-12:
-            raise ValueError("beta must satisfy the Cauchy-Schwarz bound beta >= 1")
-
-
-def beta_lattice_sum(shape: LatticeShape, cutoff: int | None = None) -> BetaResult:
+def beta_lattice_sum(shape: LatticeShape) -> float:
     """Independent oracle: direct lattice sum, shells added until the last
     one contributes below 1e-14 of the total."""
     tau = complex(shape.tau)
@@ -44,42 +36,38 @@ def beta_lattice_sum(shape: LatticeShape, cutoff: int | None = None) -> BetaResu
     tr = (abs(tau) ** 2 + 1) / t2
     lam_min = 0.5 * (tr - np.sqrt(tr * tr - 4))
     R = int(np.ceil(np.sqrt(34.5 / (np.pi * max(lam_min, 1e-12))))) + 1
-    if cutoff is not None:
-        R = max(R, int(cutoff))
     m, k = np.arange(-R, R + 1)[:, None], np.arange(-R, R + 1)[None, :]
     q = ((m * t1 + k) ** 2 + (m * t2) ** 2) / t2
     total = float(np.exp(-np.pi * q).sum())
     shell = float(np.exp(-np.pi * q[np.maximum(np.abs(m), np.abs(k)) == R]).sum())
     if shell >= 1e-14 * total:
         raise SolverError(f"lattice sum cutoff R={R} too small (last shell {shell:.3e})")
-    return BetaResult(tau=tau, beta=total, method="lattice_sum", K=R, N=0)
+    return total
 
 
-def beta_quadrature(shape: LatticeShape) -> BetaResult:
+def beta_quadrature(shape: LatticeShape) -> float:
     """Quartic-to-quadratic average ratio of the lowest-level theta function,
     by spectrally accurate quadrature on the solve grid (n = 1; scale
     invariant)."""
     basis = LandauBasis(1, shape, K_lev=0)
     a2 = np.abs(basis.synth(np.ones((1, 1), dtype=complex), solve=True)) ** 2
-    val = float(np.mean(a2**2) / np.mean(a2) ** 2)
-    return BetaResult(tau=complex(shape.tau), beta=val, method="quadrature",
-                      K=basis.theta.K, N=basis.solve_N)
+    return float(np.mean(a2**2) / np.mean(a2) ** 2)
 
 
 def beta_of(tau: complex) -> float:
     """Lattice-sum beta after reduction into the fundamental domain."""
     shape, _ = normalize_tau(tau)
-    return beta_lattice_sum(shape).beta
+    return beta_lattice_sum(shape)
 
 
-def canonical_tau(tau: complex, snap: float = 1e-5) -> complex:
-    """Reduced tau with boundary representatives snapped to the canonical
-    side (tau1 = +1/2 edge, Re tau >= 0 half of the arc)."""
+def canonical_tau(tau: complex) -> complex:
+    """Reduced tau with boundary representatives within 1e-5 snapped to the
+    canonical side (tau1 = +1/2 edge, Re tau >= 0 half of the arc)."""
     tau = complex(normalize_tau(tau)[0].tau)
     t1, t2 = tau.real, tau.imag
-    if abs(abs(t1) - 0.5) < snap:
+    if abs(abs(t1) - 0.5) < 1e-5:
         t1 = 0.5
-    if abs(abs(tau) - 1.0) < snap:
+    if abs(abs(tau) - 1.0) < 1e-5:
         t1 = abs(t1)
         t2 = float(np.sqrt(max(1.0 - t1 * t1, 0.0)))
     return complex(t1, t2)
@@ -96,7 +84,7 @@ def modular_distance(a: complex, b: complex) -> float:
 
 def kappa_c(shape: LatticeShape) -> float:
     """Critical coupling sqrt((1 - 1/beta)/2); in [0, 1/sqrt(2))."""
-    beta = beta_lattice_sum(shape).beta
+    beta = beta_lattice_sum(shape)
     return float(np.sqrt(0.5 * (1.0 - 1.0 / beta)))
 
 
@@ -125,12 +113,12 @@ def _central_hessian(f, tau: complex, h: float) -> np.ndarray:
     return np.array([[d11, d12], [d12, d22]])
 
 
-def beta_gradient(tau: complex, h: float = 1e-4) -> np.ndarray:
-    return _richardson_gradient(beta_of, tau, h)
+def beta_gradient(tau: complex) -> np.ndarray:
+    return _richardson_gradient(beta_of, tau, 1e-4)
 
 
-def beta_hessian(tau: complex, h: float = 1e-3) -> np.ndarray:
-    return _central_hessian(beta_of, tau, h)
+def beta_hessian(tau: complex) -> np.ndarray:
+    return _central_hessian(beta_of, tau, 1e-3)
 
 
 @dataclass(frozen=True)
@@ -141,8 +129,10 @@ class CriticalPoint:
     hessian_eigenvalues: tuple[float, float]
 
 
-def _arc_second_derivative(theta: float, h: float = 1e-3) -> float:
-    """d^2/d theta^2 of beta along the unit circle |tau| = 1."""
+def _arc_second_derivative(theta: float) -> float:
+    """d^2/d theta^2 of beta along the unit circle |tau| = 1, by a central
+    difference of step h = 1e-3."""
+    h = 1e-3
     f = lambda th: beta_of(np.exp(1j * th))
     return (f(theta + h) - 2 * f(theta) + f(theta - h)) / h**2
 
@@ -214,7 +204,7 @@ def find_beta_critical_points() -> list[CriticalPoint]:
 def energy_landscape_asymptotic(shape: LatticeShape, kappa: float, b: float) -> float:
     """E_b(tau) = kappa^2/2 + b^2 - (kappa^2 - b)^2 / ((2 kappa^2 - 1) beta + 1)
     up to O((kappa^2 - b)^3)."""
-    beta = beta_lattice_sum(shape).beta
+    beta = beta_lattice_sum(shape)
     denom = (2 * kappa**2 - 1) * beta + 1
     if abs(denom) < 1e-12:
         raise ZeroDivisionError("degenerate denominator: outside asymptotic validity")
@@ -241,14 +231,14 @@ def _newton_refine(f, tau: complex, h: float, max_steps: int) -> complex:
     return tau
 
 
-def minimize_Eb_numeric(kappa: float, b: float, K_lev: int = 40,
-                        coarse: tuple[int, int] = (5, 4), tau2_max: float = 1.4,
-                        refine_h: float = 2e-3, newton_steps: int = 12):
+def minimize_Eb_numeric(kappa: float, b: float, K_lev: int = 40):
     """Minimizer tau_b of the numerically computed branch energy E_b(tau).
 
-    Coarse fundamental-domain scan followed by Newton refinement (step
-    refine_h, identical path for every b so different mu values are
-    comparable).  Returns (tau_b, E_b(tau_b)).  E_b is computed on each
+    A fixed coarse scan of the fundamental domain (the EB_COARSE_GRID
+    5 x 4 grid up to Im tau = EB_TAU2_MAX = 1.4, plus e^{i pi/3}) followed
+    by at most EB_NEWTON_STEPS = 12 Newton steps of difference step
+    EB_REFINE_H = 2e-3: the same path for every b, so different mu values
+    are comparable.  Returns (tau_b, E_b(tau_b)).  E_b is computed on each
     shape's solve grid, and no field is sampled on any other grid.
 
     The gradient is Richardson-refined, (4 g(h/2) - g(h)) / 3, so its
@@ -260,8 +250,8 @@ def minimize_Eb_numeric(kappa: float, b: float, K_lev: int = 40,
     eigenvalue of E_b.  Since the Hessian scales as mu^2 = (kappa^2 - b)^2,
     the floor grows like 1/mu^2: about 1e-10 at mu = 0.2 and 2e-9 at
     mu = 0.05 for K_lev = 40, times up to 3 from the Richardson
-    combination.  Newton stops after a step shorter than 1e-5 refine_h
-    (2e-8 by default); quadratic convergence then leaves tau_b at that
+    combination.  Newton stops after a step shorter than 1e-5 EB_REFINE_H
+    (2e-8); quadratic convergence then leaves tau_b at that
     floor, so for mu >= 0.05 the returned tau is resolved to better than
     1e-8.
     """
@@ -276,9 +266,7 @@ def minimize_Eb_numeric(kappa: float, b: float, K_lev: int = 40,
             cache[key] = branch_by_field(b, kappa, shape, K_lev=K_lev).energy
         return cache[key]
 
-    pts = fundamental_domain_grid(*coarse, tau2_max=tau2_max)
+    pts = fundamental_domain_grid(*EB_COARSE_GRID, tau2_max=EB_TAU2_MAX)
     pts.append(complex(TAU_TRIANGULAR))
-    tau = min(pts, key=E)
-
-    tau = _newton_refine(E, tau, refine_h, newton_steps)
+    tau = _newton_refine(E, min(pts, key=E), EB_REFINE_H, EB_NEWTON_STEPS)
     return tau, E(tau)

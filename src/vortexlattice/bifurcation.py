@@ -46,10 +46,6 @@ class ReductionSetup:
     basis: LandauBasis
     psi0: QuasiPeriodicField
 
-    @property
-    def shape(self) -> LatticeShape:
-        return self.basis.shape
-
     def project_Q(self, coeffs: np.ndarray) -> np.ndarray:
         out = coeffs.copy()
         out[0, 0] = 0.0
@@ -60,12 +56,10 @@ class ReductionSetup:
         return float(np.mean(a2**2) / np.mean(a2) ** 2)
 
 
-def build_reduction(shape: LatticeShape, N: int | None = None, K_lev: int = 40,
-                    n: int = 1) -> ReductionSetup:
+def build_reduction(shape: LatticeShape, N: int | None = None,
+                    K_lev: int = 40) -> ReductionSetup:
     """Reduction on a basis whose reported fields are sampled at N, or on the
     solve grid when N is None."""
-    if n != 1:
-        raise NotImplementedError("the scalar bifurcation equation is n = 1 only")
     basis = LandauBasis(1, shape, N, K_lev)
     c = np.zeros((K_lev + 1, 1), dtype=complex)
     c[0, 0] = 1.0
@@ -197,6 +191,7 @@ class BranchPoint:
     energy: float
     residual_psi: float
     residual_alpha: float
+    curl_alpha: np.ndarray        # curl alpha on the output grid; curl a = 1 + curl alpha
     flux: float
     max_curl_a: float
     min_abs_psi: float
@@ -216,16 +211,8 @@ class Branch:
     extrapolated: bool = False
 
     @property
-    def s(self) -> np.ndarray:
-        return np.array([p.s for p in self.points])
-
-    @property
     def lam(self) -> np.ndarray:
         return np.array([p.lam for p in self.points])
-
-    @property
-    def b(self) -> np.ndarray:
-        return np.array([p.b for p in self.points])
 
 
 def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
@@ -243,12 +230,13 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     fco = F_coeffs(basis, psi_c, lam, wres.ncoef)
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
 
-    curl_a = 1.0 + solve_grid.resample(solve_grid.curl(wres.alpha2), basis.N)
+    curl_alpha = solve_grid.resample(solve_grid.curl(wres.alpha2), basis.N)
+    curl_a = 1.0 + curl_alpha
     return BranchPoint(
         s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam), psi_coeffs=psi_c,
         alpha=alpha, energy=_energy(ps, wres.alpha2, GLParams(kappa=kappa, n=1, lam=lam)),
         residual_psi=res_psi, residual_alpha=ps.alpha_residual_rms(wres.alpha2),
-        flux=grid.flux(curl_a),
+        curl_alpha=curl_alpha, flux=grid.flux(curl_a),
         max_curl_a=float(np.max(curl_a)),
         min_abs_psi=float(np.min(np.abs(basis.synth(psi_c)))),
         coeff_tail=float(np.max(np.abs(psi_c[-1])) / max(np.max(np.abs(psi_c)), 1e-300)),
@@ -357,7 +345,7 @@ def fit_expansion(branch: Branch) -> ExpansionReport:
 
     # second-order potential from the smallest-s point
     p0 = pts[0]
-    curl_a1 = basis.grid.curl(p0.alpha.values) / p0.s**2
+    curl_a1 = p0.curl_alpha / p0.s**2
     c0 = np.zeros((basis.K_lev + 1, 1), dtype=complex)
     c0[0, 0] = 1.0
     psi0 = basis.synth(c0)

@@ -103,9 +103,9 @@ def merged_config(args: argparse.Namespace) -> dict:
 
 
 def physics_config(cfg: dict) -> dict:
-    """cfg without the execution-only keys outdir and jobs (no result depends
-    on them), as hashed and written into output headers."""
-    return {k: v for k, v in cfg.items() if k not in ("outdir", "jobs")}
+    """cfg without the execution-only key outdir (no result depends on it),
+    as hashed and written into output headers."""
+    return {k: v for k, v in cfg.items() if k != "outdir"}
 
 
 def config_hash(cfg: dict) -> str:
@@ -114,16 +114,16 @@ def config_hash(cfg: dict) -> str:
 
 
 def out_path(cfg: dict, name: str) -> str:
+    """name under the output directory (outdir, else $VORTEXLATTICE_OUT, else
+    '.'), with the directories that lead to it made."""
     root = cfg.get("outdir") or os.environ.get("VORTEXLATTICE_OUT", ".")
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, name)
+    path = os.path.join(root, name)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    return path
 
 
 def write_csv(path: str, cfg: dict, columns: list[str], rows: np.ndarray,
               extra_comments: dict | None = None) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     prov = {"config": physics_config(cfg), "config_hash": config_hash(cfg)}
     prov.update(extra_comments or {})
     snapshot.write_table(path, prov, columns, list(np.atleast_2d(rows).T))
@@ -136,24 +136,16 @@ def write_json(path: str, cfg: dict, payload: dict) -> None:
         fh.write("\n")
 
 
-def _beta_row(args):
-    tau, method = args
+def _beta_row(tau: complex, method: str) -> list[float]:
     shape, _ = normalize_tau(tau)
     beta = (abrikosov.beta_quadrature(shape) if method == "quadrature"
-            else abrikosov.beta_lattice_sum(shape)).beta
+            else abrikosov.beta_lattice_sum(shape))
     kc = float(np.sqrt(0.5 * (1 - 1 / beta)))
     return [tau.real, tau.imag, beta, kc]
 
 
 def cmd_beta(cfg: dict) -> int:
-    taus = parse_tau_grid(cfg["tau_grid"])
-    work = [(tau, cfg["method"]) for tau in taus]
-    if cfg["jobs"] > 1:
-        from multiprocessing import Pool
-        with Pool(cfg["jobs"]) as pool:
-            rows = pool.map(_beta_row, work)
-    else:
-        rows = [_beta_row(w) for w in work]
+    rows = [_beta_row(tau, cfg["method"]) for tau in parse_tau_grid(cfg["tau_grid"])]
     path = out_path(cfg, cfg["output"])
     write_csv(path, cfg, ["tau_re", "tau_im", "beta", "kappa_c"], np.array(rows))
     print(f"wrote {path} ({len(rows)} shapes)")
@@ -205,7 +197,7 @@ def cmd_field_landscape(cfg: dict) -> int:
     rows, solve_N = [], set()
     for tau in taus:
         shape, _ = normalize_tau(tau)
-        beta = abrikosov.beta_lattice_sum(shape).beta
+        beta = abrikosov.beta_lattice_sum(shape)
         kc = float(np.sqrt(0.5 * (1 - 1 / beta)))
         row = [tau.real, tau.imag, beta, kc,
                abrikosov.energy_landscape_asymptotic(shape, kappa, cfg["b"])]
@@ -350,7 +342,7 @@ SUITES = {"spectrum": verify_spectrum, "gauge": verify_gauge,
 # ----------------------------------------------------------------------
 COMMANDS = {
     "beta": (cmd_beta, "beta(tau) scan",
-             {"tau_grid": "fundamental:20x20", "method": "lattice_sum", "jobs": 1,
+             {"tau_grid": "fundamental:20x20", "method": "lattice_sum",
               "outdir": None, "output": "beta_scan.csv"}),
     "critical-points": (cmd_critical_points, "critical points of beta",
                         {"outdir": None, "output": "critical_points.json"}),
@@ -371,7 +363,7 @@ COMMANDS = {
 CHOICES = {"method": ("lattice_sum", "quadrature"), "suite": tuple(SUITES)}
 # the smallest value of each integer size: a CellGrid needs N >= 4, fd_spectrum
 # returns 6 eigenvalues of a chain of N_fd^2 sites, the expansion fit needs 5 points
-MINIMUM = {"N": 4, "K_lev": 1, "N_fd": 3, "trials": 1, "jobs": 1, "s_points": 5}
+MINIMUM = {"N": 4, "K_lev": 1, "N_fd": 3, "trials": 1, "s_points": 5}
 HELP = {"outdir": "output directory (default $VORTEXLATTICE_OUT or '.')"}
 
 
@@ -400,17 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = vars(args)  # the flags alone, until merged_config returns
     try:
-        return COMMANDS[args.command][0](merged_config(args))
+        cfg = merged_config(args)
+        return COMMANDS[args.command][0](cfg)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except (SolverError, ValueError, ZeroDivisionError) as exc:  # flush a marker, exit 3
         marker = {"status": "failed", "command": args.command, "error": str(exc)}
-        root = args.outdir or os.environ.get("VORTEXLATTICE_OUT", ".")
         try:
-            os.makedirs(root, exist_ok=True)
-            with open(os.path.join(root, "FAILED.json"), "w") as fh:
+            with open(out_path(cfg, "FAILED.json"), "w") as fh:
                 json.dump(marker, fh, indent=2)
         except OSError:
             pass

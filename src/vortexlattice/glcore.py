@@ -193,17 +193,14 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
 
 
 def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
-                     alpha2: np.ndarray | None = None,
-                     alpha_start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     alpha2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Landau coefficients of N(psi) = 2i alpha . grad_{A0} psi + |alpha|^2 psi
     + kappa^2 |psi|^2 psi, products evaluated on the solve grid.
 
     alpha2 is the potential on the solve grid; when it is None, alpha(psi)
-    is solved there first (warm-started from alpha_start).  Returns the
-    coefficients and the alpha2 used.
+    is solved there first.  Returns the coefficients and the alpha2 used.
     """
-    return _nonlinear(basis, _coeff_samples(basis, psi_coeffs, solve=True), kappa,
-                      alpha2, alpha_start)
+    return _nonlinear(basis, _coeff_samples(basis, psi_coeffs, solve=True), kappa, alpha2)
 
 
 def _nonlinear(basis: LandauBasis, ps: _PsiSamples, kappa: float,

@@ -385,8 +385,8 @@ def magnetic_shift_values(values: np.ndarray, n: int, bc_const: tuple[float, flo
 # ----------------------------------------------------------------------
 # finite-difference validation: Harper chains (square cell)
 # ----------------------------------------------------------------------
-def fd_spectrum(n: int, N: int, k_eigs: int | None = None) -> np.ndarray:
-    """Lowest eigenvalues, ascending, of the link discretization of
+def fd_spectrum(n: int, N: int) -> np.ndarray:
+    """The 4n + 2 lowest eigenvalues, ascending, of the link discretization of
     L = -Laplacian_{A0} on the square cell (tau = i) with N x N sites and the
     magnetic boundary phases; used only to cross-validate the spectrum
     {(2k+1) n} with multiplicity n.
@@ -401,8 +401,7 @@ def fd_spectrum(n: int, N: int, k_eigs: int | None = None) -> np.ndarray:
     """
     import scipy.sparse as sp  # imported here so that no other command loads scipy
     from scipy.sparse.linalg import eigsh
-    if k_eigs is None:
-        k_eigs = 4 * n + 2
+    k_eigs = 4 * n + 2
     g = int(np.gcd(n, N))
     M = N * N // g
     x = np.arange(M)

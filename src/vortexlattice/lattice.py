@@ -164,16 +164,15 @@ def cell_geometry(shape: LatticeShape, n: int, b: float) -> CellGeometry:
     return CellGeometry(shape=shape, n=n, b=b)
 
 
-def fundamental_domain_grid(n1: int, n2: int, tau2_max: float = 2.0,
-                            margin: float = 1e-3) -> list[complex]:
+def fundamental_domain_grid(n1: int, n2: int, tau2_max: float = 2.0) -> list[complex]:
     """Deterministic n1 x n2 sampling of the fundamental domain.
 
-    Columns run over Re tau in (-1/2, 1/2], rows from just above the unit
+    Columns run over Re tau in (-1/2, 1/2], rows from 1e-3 above the unit
     circle up to tau2_max.
     """
     pts = []
     for t1 in np.linspace(-0.5 + 1.0 / (2 * n1), 0.5, n1):
-        lo = float(np.sqrt(max(1 - t1 * t1, 0.0))) + margin
+        lo = float(np.sqrt(max(1 - t1 * t1, 0.0))) + 1e-3
         for t2 in np.linspace(lo, tau2_max, n2):
             pts.append(complex(t1, t2))
     return pts

@@ -53,7 +53,7 @@ def _read(path, columns: tuple[str, ...]) -> tuple[dict, dict[str, np.ndarray]]:
     return header, dict(zip(columns, data.T))
 
 
-def save_field(path, f: QuasiPeriodicField, extra: dict | None = None) -> None:
+def save_field(path, f: QuasiPeriodicField) -> None:
     N = f.N
     y1, y2 = _grid_columns(N)
     header = {"kind": "field", "n": f.n, "tau": [f.shape.tau1, f.shape.tau2],
@@ -62,7 +62,6 @@ def save_field(path, f: QuasiPeriodicField, extra: dict | None = None) -> None:
     if f.basis is not None:
         header["K"] = f.basis.theta.K
         header["K_lev"] = f.basis.K_lev
-    header.update(extra or {})
     write_table(path, header, ["y1", "y2", "re_psi", "im_psi"],
                 [y1, y2, f.values.real.ravel(), f.values.imag.ravel()])
 
@@ -104,7 +103,7 @@ def load_state(path) -> GLState:
     return GLState(psi=psi, alpha=PeriodicVectorField(alpha_vals, psi.grid), params=params)
 
 
-def save_raw_state(path, raw, extra: dict | None = None) -> None:
+def save_raw_state(path, raw) -> None:
     from .gauge import RawLatticeState  # local import to avoid a cycle
     if not isinstance(raw, RawLatticeState):
         raise TypeError(f"save_raw_state needs a RawLatticeState, not {type(raw).__name__}")
@@ -112,7 +111,6 @@ def save_raw_state(path, raw, extra: dict | None = None) -> None:
     y1, y2 = _grid_columns(N)
     header = {"kind": "raw", "n": raw.n, "tau": [raw.shape.tau1, raw.shape.tau2],
               "N": N, "r": raw.r, "bc_const": list(raw.bc_const)}
-    header.update(extra or {})
     write_table(path, header, ["y1", "y2", "re_psi", "im_psi", "ap1", "ap2"],
                 [y1, y2, raw.psi.real.ravel(), raw.psi.imag.ravel(),
                  raw.a_p[0].ravel(), raw.a_p[1].ravel()])

@@ -454,7 +454,7 @@ def landau_apply(f):
 def applied_field(shape, kappa, b):
     """h0 = b + (kappa^2 - b)/((2 kappa^2 - 1) beta + 1), the half b-derivative
     of the asymptotic landscape."""
-    beta = beta_lattice_sum(shape).beta
+    beta = beta_lattice_sum(shape)
     denom = (2 * kappa**2 - 1) * beta + 1
     if abs(denom) < 1e-12:
         raise ZeroDivisionError("degenerate denominator: outside asymptotic validity")

@@ -23,19 +23,19 @@ def scalar_lattice_sum(tau, R=20):
 def test_lattice_sum_square_is_separable(shape_square):
     # at tau = i the sum factorizes into (sum_m exp(-pi m^2))^2
     one_dim = sum(np.exp(-np.pi * m * m) for m in range(-12, 13))
-    assert abr.beta_lattice_sum(shape_square).beta == pytest.approx(one_dim**2, abs=1e-13)
+    assert abr.beta_lattice_sum(shape_square) == pytest.approx(one_dim**2, abs=1e-13)
 
 
 def test_lattice_sum_against_scalar_loop(shape_tri, shape_generic):
     for shape in (shape_tri, shape_generic):
         tau = complex(shape.tau)
-        assert abr.beta_lattice_sum(shape).beta == pytest.approx(
+        assert abr.beta_lattice_sum(shape) == pytest.approx(
             scalar_lattice_sum(tau), abs=1e-12)
 
 
 def test_beta_reference_values(shape_square, shape_tri):
-    assert abr.beta_lattice_sum(shape_square).beta == pytest.approx(1.1803406, abs=1e-6)
-    assert abr.beta_lattice_sum(shape_tri).beta == pytest.approx(1.1595953, abs=1e-6)
+    assert abr.beta_lattice_sum(shape_square) == pytest.approx(1.1803406, abs=1e-6)
+    assert abr.beta_lattice_sum(shape_tri) == pytest.approx(1.1595953, abs=1e-6)
 
 
 def test_lattice_sum_translation_invariant(shape_square):
@@ -45,8 +45,8 @@ def test_lattice_sum_translation_invariant(shape_square):
 def test_quadrature_matches_sum_on_grid():
     for tau in fundamental_domain_grid(6, 6):
         shape, _ = normalize_tau(tau)
-        q = abr.beta_quadrature(shape).beta
-        s = abr.beta_lattice_sum(shape).beta
+        q = abr.beta_quadrature(shape)
+        s = abr.beta_lattice_sum(shape)
         assert abs(q - s) < 1e-10
 
 
@@ -54,9 +54,9 @@ def test_quadrature_invariant_under_inversion():
     # same lattice reached through -1/tau reduces to the same shape and the
     # same quadrature beta
     tau = 0.3 + 1.3j
-    b1 = abr.beta_quadrature(normalize_tau(tau)[0]).beta
-    b2 = abr.beta_quadrature(normalize_tau(-1 / tau)[0]).beta
-    b3 = abr.beta_quadrature(normalize_tau(tau + 1)[0]).beta
+    b1 = abr.beta_quadrature(normalize_tau(tau)[0])
+    b2 = abr.beta_quadrature(normalize_tau(-1 / tau)[0])
+    b3 = abr.beta_quadrature(normalize_tau(tau + 1)[0])
     assert abs(b1 - b2) < 1e-10
     assert abs(b1 - b3) < 1e-10
 
@@ -67,7 +67,7 @@ def test_beta_scale_invariance(shape_square):
     psi0 = theta_null_basis(1, shape_square, N=64)[0]
     a2 = np.abs(7.0 * psi0.values) ** 2
     scaled = float(np.mean(a2**2) / np.mean(a2) ** 2)
-    assert scaled == pytest.approx(abr.beta_quadrature(shape_square).beta, abs=1e-13)
+    assert scaled == pytest.approx(abr.beta_quadrature(shape_square), abs=1e-13)
 
 
 upper = st.builds(complex,
@@ -90,16 +90,11 @@ def test_beta_strictly_above_one(tau):
 
 
 def test_kappa_c_values(shape_square, shape_tri):
-    b_sq = abr.beta_lattice_sum(shape_square).beta
+    b_sq = abr.beta_lattice_sum(shape_square)
     assert abr.kappa_c(shape_square) == pytest.approx(np.sqrt(0.5 * (1 - 1 / b_sq)), abs=1e-14)
     assert abr.kappa_c(shape_square) == pytest.approx(0.276394, abs=1e-6)
     assert abr.kappa_c(shape_tri) == pytest.approx(0.262326, abs=1e-6)
     assert 0 < abr.kappa_c(shape_tri) < 1 / np.sqrt(2)
-
-
-def test_beta_result_validates():
-    with pytest.raises(ValueError):
-        abr.BetaResult(tau=1j, beta=0.5, method="lattice_sum", K=5, N=0)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +183,7 @@ def test_landscape_ordering_tracks_beta():
             s2, _ = normalize_tau(t2)
             dE = abr.energy_landscape_asymptotic(s1, kappa, b) - \
                 abr.energy_landscape_asymptotic(s2, kappa, b)
-            dbeta = abr.beta_lattice_sum(s1).beta - abr.beta_lattice_sum(s2).beta
+            dbeta = abr.beta_lattice_sum(s1) - abr.beta_lattice_sum(s2)
             assert np.sign(round(dE, 14)) == np.sign(round(dbeta, 12))
 
 
@@ -196,7 +191,7 @@ def test_applied_field_values(shape_tri):
     kappa = np.sqrt(2.0)
     assert applied_field(shape_tri, kappa, kappa**2) == pytest.approx(kappa**2)
     h0 = applied_field(shape_tri, kappa, 1.9)
-    beta = abr.beta_lattice_sum(shape_tri).beta
+    beta = abr.beta_lattice_sum(shape_tri)
     assert h0 == pytest.approx(1.9 + 0.1 / (3 * beta + 1), abs=1e-14)
     assert h0 >= 1.9
 
@@ -209,7 +204,7 @@ def test_applied_field_is_half_b_derivative(shape_tri):
 
 
 def test_degenerate_denominator_raises(shape_square):
-    beta = abr.beta_lattice_sum(shape_square).beta
+    beta = abr.beta_lattice_sum(shape_square)
     kappa = np.sqrt((beta - 1) / (2 * beta))  # makes (2 kappa^2 - 1) beta + 1 = 0
     with pytest.raises(ZeroDivisionError):
         abr.energy_landscape_asymptotic(shape_square, kappa, 0.1)

@@ -62,11 +62,6 @@ def test_resolvent_rejects_spectrum_collision(setup_sq):
         setup_sq.basis.resolvent_coeffs(d, 3.0)
 
 
-def test_reduction_n2_unimplemented(shape_square):
-    with pytest.raises(NotImplementedError):
-        bif.build_reduction(shape_square, N=64, n=2)
-
-
 # ----------------------------------------------------------------------
 # w solve
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,14 +42,11 @@ def test_beta_named_taus(tmp_path):
     assert rows[1, 2] == pytest.approx(1.1595953, abs=1e-6)
 
 
-def test_beta_parallel_jobs_match(tmp_path):
+def test_beta_outdir_is_execution_only(tmp_path):
     o1, o2 = tmp_path / "s", tmp_path / "p"
-    run(["beta", "--tau-grid", "fundamental:3x3", "--outdir", str(o1)])
-    run(["beta", "--tau-grid", "fundamental:3x3", "--jobs", "2", "--outdir", str(o2)])
-    r1 = np.loadtxt(o1 / "beta_scan.csv", delimiter=",", skiprows=2)
-    r2 = np.loadtxt(o2 / "beta_scan.csv", delimiter=",", skiprows=2)
-    assert np.array_equal(r1, r2)
-    # outdir and jobs are execution-only: same header and config hash
+    assert run(["beta", "--tau-grid", "fundamental:3x3", "--outdir", str(o1)]) == 0
+    assert run(["beta", "--tau-grid", "fundamental:3x3", "--outdir", str(o2)]) == 0
+    # outdir is execution-only: same header and config hash
     assert (o1 / "beta_scan.csv").read_bytes() == (o2 / "beta_scan.csv").read_bytes()
 
 
@@ -181,12 +180,19 @@ def test_verify_asymptotics(tmp_path):
     assert data["all_pass"] is True
 
 
+def test_output_in_a_subdirectory(tmp_path):
+    # the output's own directories are made before the command writes it
+    assert run(["critical-points", "--output", "sub/cp.json", "--outdir", str(tmp_path)]) == 0
+    assert len(json.loads((tmp_path / "sub" / "cp.json").read_text())["critical_points"]) == 2
+
+
 def test_invalid_config_exit_code(tmp_path):
     assert run(["beta", "--tau-grid", "nonsense!", "--outdir", str(tmp_path)]) == 2
     assert run(["verify", "bogus-suite", "--outdir", str(tmp_path)]) == 2
     cfg = tmp_path / "bad.json"
-    cfg.write_text('{"unknown_key": 1}')
-    assert run(["beta", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+    for keys in ('{"unknown_key": 1}', '{"jobs": 2}'):
+        cfg.write_text(keys)
+        assert run(["beta", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
     # only the commands that write sampled fields have an output grid N
     cfg.write_text('{"N": 64}')
     for command in ("beta", "field-landscape"):
@@ -204,7 +210,6 @@ def test_invalid_config_exit_code(tmp_path):
                  ["branch", "--s-points", "3"],
                  ["branch", "--tau", "0,-1"],
                  ["beta", "--tau-grid", "0.2,nan"],
-                 ["beta", "--jobs", "0"],
                  ["verify", "spectrum", "--N-fd", "0"],
                  ["verify", "spectrum", "--N-fd", "2"],
                  ["verify", "gauge", "--trials", "0"],
@@ -229,7 +234,7 @@ def test_smallest_sizes_run(tmp_path):
 # every flag of the parser; the config keys are these without the leading
 # "--" and with "-" read as "_", plus verify's positional suite
 FLAGS = {
-    "beta": {"--config", "--jobs", "--method", "--outdir", "--output", "--tau-grid"},
+    "beta": {"--config", "--method", "--outdir", "--output", "--tau-grid"},
     "critical-points": {"--config", "--outdir", "--output"},
     "branch": {"--K-lev", "--N", "--config", "--kappa2", "--outdir", "--prefix",
                "--s-max", "--s-points", "--tau"},
@@ -250,6 +255,22 @@ def test_flag_sets_are_pinned():
         assert flags == FLAGS[name], name
         assert positional == (["suite"] if name == "verify" else []), name
 
+
+def test_readme_cli_block_matches_the_parser():
+    # each line of README's CLI block names one command and only its flags,
+    # and every command has a line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    named = set()
+    for line in block.strip().splitlines():
+        prog, name = line.split()[:2]
+        assert prog == "vortexlattice" and name in sub.choices, line
+        named.add(name)
+        flags = {s for a in sub.choices[name]._actions for s in a.option_strings}
+        for flag in re.findall(r"--[\w-]+", line):
+            assert flag in flags, (name, flag)
+    assert named == set(cli.COMMANDS)
 
 
 def test_successive_calls_start_from_the_defaults(tmp_path):
@@ -294,13 +315,23 @@ def test_config_file_values_reach_the_command(tmp_path):
     assert run(["field-landscape", "--config", str(cfg), "--outdir", str(tmp_path)]) == 0
 
 
-def test_solver_failure_exit_code(tmp_path):
+def test_solver_failure_exit_code(tmp_path, monkeypatch):
     # b on the excluded side of kappa^2 triggers a refusal -> exit 3 + marker
     rc = run(["field-landscape", "--kappa2", "2", "--b", "2.1", "--numeric",
               "--tau-grid", "square", "--outdir", str(tmp_path)])
     assert rc == 3
     marker = json.loads((tmp_path / "FAILED.json").read_text())
     assert marker["status"] == "failed"
+    # an outdir from the config file receives the marker too
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "c.json").write_text(json.dumps({"outdir": "cfgout", "kappa2": 0.3, "b": 0.5,
+                                             "numeric": True, "tau_grid": "square"}))
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("VORTEXLATTICE_OUT", raising=False)
+    assert run(["field-landscape", "--config", "c.json"]) == 3
+    assert json.loads((work / "cfgout" / "FAILED.json").read_text())["status"] == "failed"
+    assert not (work / "FAILED.json").exists()
 
 
 @pytest.mark.parametrize("exc", [glcore.AlphaSolveError, LatticeReductionError,
