@@ -2,7 +2,7 @@
 
 from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, CellGeometry, LatticeShape,
                       ModularMap, SolverError, cell_geometry, normalize_tau)
-from .landau import (LandauBasis, QuasiPeriodicField, ThetaCoeffs,
+from .landau import (LandauBasis, QuasiPeriodicField,
                      quasi_periodicity_residual, theta_null_basis)
 from .glcore import (GLParams, GLState, PeriodicVectorField, energy, map_F,
                      residuals)

@@ -45,13 +45,18 @@ def beta_lattice_sum(shape: LatticeShape) -> float:
     return total
 
 
-def beta_quadrature(shape: LatticeShape) -> float:
-    """Quartic-to-quadratic average ratio of the lowest-level theta function,
-    by spectrally accurate quadrature on the solve grid (n = 1; scale
-    invariant)."""
-    basis = LandauBasis(1, shape, K_lev=0)
-    a2 = np.abs(basis.synth(np.ones((1, 1), dtype=complex), solve=True)) ** 2
+def beta_of_basis(basis: LandauBasis) -> float:
+    """<|psi0|^4> / <|psi0|^2>^2 of the basis's first lowest-level function,
+    by spectrally accurate quadrature on its solve grid (scale invariant)."""
+    c = np.zeros((basis.K_lev + 1, basis.n), dtype=complex)
+    c[0, 0] = 1.0
+    a2 = np.abs(basis.synth(c, solve=True)) ** 2
     return float(np.mean(a2**2) / np.mean(a2) ** 2)
+
+
+def beta_quadrature(shape: LatticeShape) -> float:
+    """beta by quadrature of the lowest-level theta function (n = 1)."""
+    return beta_of_basis(LandauBasis(1, shape, K_lev=0))
 
 
 def beta_of(tau: complex) -> float:
@@ -82,10 +87,15 @@ def modular_distance(a: complex, b: complex) -> float:
     return min(abs(complex(a) - t) for t in orbit)
 
 
-def kappa_c(shape: LatticeShape) -> float:
+def kappa_c(beta: float) -> float:
     """Critical coupling sqrt((1 - 1/beta)/2); in [0, 1/sqrt(2))."""
-    beta = beta_lattice_sum(shape)
     return float(np.sqrt(0.5 * (1.0 - 1.0 / beta)))
+
+
+def branch_slope(beta: float, kappa: float) -> float:
+    """d lambda / d s^2 at the bifurcation point, (kappa^2 - 1/2) beta + 1/2;
+    its sign picks the side of kappa^2 the branch lives on."""
+    return (kappa**2 - 0.5) * beta + 0.5
 
 
 # ----------------------------------------------------------------------
@@ -201,11 +211,10 @@ def find_beta_critical_points() -> list[CriticalPoint]:
 # ----------------------------------------------------------------------
 # asymptotic energy landscape
 # ----------------------------------------------------------------------
-def energy_landscape_asymptotic(shape: LatticeShape, kappa: float, b: float) -> float:
+def energy_landscape_asymptotic(beta: float, kappa: float, b: float) -> float:
     """E_b(tau) = kappa^2/2 + b^2 - (kappa^2 - b)^2 / ((2 kappa^2 - 1) beta + 1)
-    up to O((kappa^2 - b)^3)."""
-    beta = beta_lattice_sum(shape)
-    denom = (2 * kappa**2 - 1) * beta + 1
+    up to O((kappa^2 - b)^3), for the shape's beta(tau)."""
+    denom = 2 * branch_slope(beta, kappa)
     if abs(denom) < 1e-12:
         raise ZeroDivisionError("degenerate denominator: outside asymptotic validity")
     return float(kappa**2 / 2 + b**2 - (kappa**2 - b) ** 2 / denom)

@@ -1,9 +1,10 @@
 """Lyapunov-Schmidt reduction and branch continuation for n = 1.
 
 The reduction splits psi = s psi0 + w along the rank-one spectral projection
-P psi = <psi0, psi> psi0 (cell-averaged inner product, <|psi0|^2> = 1, so
-P is literally the zeroth Landau coefficient).  w solves the Q-projected
-equation by a resolvent-preconditioned fixed point.  The scalar P-equation
+P psi = <psi0, psi> psi0 (cell-averaged inner product, <|psi0|^2> = 1), so
+on a coefficient table P is the entry [0, 0] and Q = 1 - P the levels
+k >= 1, the rows the resolvent acts on.  w solves the Q-projected equation
+by a resolvent-preconditioned fixed point.  The scalar P-equation
 gamma0 = (1 - lambda) s + <psi0, N(s psi0 + w)> = 0 gives lambda (or s)
 directly, so one iteration re-solves it after every w sweep: a branch point
 at given s, or at given field b = kappa^2 / lambda, is a single fixed point
@@ -22,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .abrikosov import beta_of_basis, branch_slope
 from .glcore import (F_coeffs, GLParams, PeriodicVectorField, _coeff_samples,
                      _energy, _nonlinear, _PsiSamples)
-from .landau import LandauBasis, QuasiPeriodicField, field_from_coeffs
+from .landau import LandauBasis
 from .lattice import LatticeShape, SolverError
 
 S_MAX_DEFAULT = 0.3
@@ -41,19 +43,12 @@ class BranchSideError(ValueError):
 
 @dataclass
 class ReductionSetup:
-    """Null vector, rank-one projection data and resolvent for n = 1."""
+    """The n = 1 basis of the reduction and the shape's beta.  psi0 is the
+    basis coefficient [0, 0], the entry P reads; Q is the levels k >= 1
+    that the basis's resolvent acts on."""
 
     basis: LandauBasis
-    psi0: QuasiPeriodicField
-
-    def project_Q(self, coeffs: np.ndarray) -> np.ndarray:
-        out = coeffs.copy()
-        out[0, 0] = 0.0
-        return out
-
-    def beta(self) -> float:
-        a2 = np.abs(self.basis.synth(self.psi0.coeffs, solve=True)) ** 2
-        return float(np.mean(a2**2) / np.mean(a2) ** 2)
+    beta: float
 
 
 def build_reduction(shape: LatticeShape, N: int | None = None,
@@ -61,9 +56,7 @@ def build_reduction(shape: LatticeShape, N: int | None = None,
     """Reduction on a basis whose reported fields are sampled at N, or on the
     solve grid when N is None."""
     basis = LandauBasis(1, shape, N, K_lev)
-    c = np.zeros((K_lev + 1, 1), dtype=complex)
-    c[0, 0] = 1.0
-    return ReductionSetup(basis=basis, psi0=field_from_coeffs(basis, c))
+    return ReductionSetup(basis=basis, beta=beta_of_basis(basis))
 
 
 @dataclass
@@ -84,10 +77,11 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
     """Solve the Q-projected equation for w = w(lambda, s psi0).
 
     One sweep G maps w to -R(lambda - sigma) (Q N(s psi0 + w) - sigma w), R
-    the resolvent: the fixed points are those of -R(lambda) Q N, and the
-    shift sigma = kappa^2 |s|^2, set from the starting s, moves the
-    near-constant part kappa^2 |psi|^2 of N to the left, which keeps
-    lambda - sigma away from the Landau levels on far field targets.  With
+    the resolvent on the levels k >= 1, which applies Q: the fixed points
+    are those of -R(lambda) Q N, and the shift sigma = kappa^2 |s|^2, set
+    from the starting s, moves the near-constant part kappa^2 |psi|^2 of N
+    to the left, which keeps lambda - sigma away from the Landau levels on
+    far field targets.  With
     _unknown = "lam" or "s" that argument is only a start, and each sweep
     also re-solves the P-equation gamma1 = (1 - lambda) + Re <psi0, N> / s = 0
     for it, so the result carries the branch value.  The fixed point of G is
@@ -111,7 +105,7 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         psi_c[0, 0] += sc
         ps = _coeff_samples(basis, psi_c, solve=True)
         ncoef, a2 = _nonlinear(basis, ps, kappa, alpha_start=a_start)
-        w_new = -basis.resolvent_coeffs(setup.project_Q(ncoef) - sigma * wc, lc - sigma)
+        w_new = -basis.resolvent_coeffs(ncoef - sigma * wc, lc - sigma)
         return w_new, a2, ncoef, ps
 
     def p_solve(sc, lc, ncoef):
@@ -133,7 +127,7 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         _, a2, ncoef, ps = sweep(wc, sc, lc, a_start)
         if _unknown == "lam":
             lc = p_solve(sc, lc, ncoef)[1]
-        res = F_coeffs(basis, wc, lc, setup.project_Q(ncoef))
+        res = F_coeffs(basis, wc, lc, ncoef)
         res[0, 0] = 0.0
         return WSolveResult(wc, a2, ncoef, ps, iterations, float(np.linalg.norm(res)),
                             sc, lc)
@@ -249,9 +243,8 @@ def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int | None = None
     """Continue the bifurcating branch over the given s grid (ascending)."""
     if setup is None:
         setup = build_reduction(shape, N, K_lev)
-    beta = setup.beta()
-    c_apriori = (kappa**2 - 0.5) * beta + 0.5
-    branch = Branch(kappa=kappa, basis=setup.basis, beta=beta)
+    c_apriori = branch_slope(setup.beta, kappa)
+    branch = Branch(kappa=kappa, basis=setup.basis, beta=setup.beta)
     warm = None
     for s in np.sort(np.atleast_1d(np.asarray(s_grid, dtype=float))):
         if s == 0:
@@ -279,8 +272,7 @@ def branch_by_field(b_target: float, kappa: float, shape: LatticeShape,
     its fields are sampled on the solve grid unless setup has an N."""
     if setup is None:
         setup = build_reduction(shape, K_lev=K_lev)
-    beta = setup.beta()
-    c_apriori = (kappa**2 - 0.5) * beta + 0.5
+    c_apriori = branch_slope(setup.beta, kappa)
     lam_t = kappa**2 / b_target
     if b_target == kappa**2:
         return _finish_point(solve_w(1.0, 0.0, setup, kappa), setup, kappa)
@@ -340,7 +332,7 @@ def fit_expansion(branch: Branch) -> ExpansionReport:
     cov = sigma2 * np.linalg.inv(A.T @ A)
 
     beta = branch.beta
-    target = (kappa**2 - 0.5) * beta + 0.5
+    target = branch_slope(beta, kappa)
     fit_c = float(coef[1])
 
     # second-order potential from the smallest-s point

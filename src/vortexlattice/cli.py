@@ -14,7 +14,8 @@ key's CHOICES and, for the integer sizes, their MINIMUM.  tau is accepted as
 configs reproduce byte-identical outputs.
 
 Exit codes: 0 success (verify failures are data, not errors), 2 invalid
-configuration, 3 solver failure or refusal (SolverError, ValueError or
+configuration, a --config file or gauge-fix input that cannot be read
+included, 3 solver failure or refusal (SolverError, ValueError or
 ZeroDivisionError; partial results flushed with a failure marker).  Any
 other exception is a programming error and propagates.
 """
@@ -75,8 +76,11 @@ def merged_config(args: argparse.Namespace) -> dict:
     defaults = COMMANDS[args.command][2]
     cfg = dict(defaults)
     if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("a config file holds one JSON object")
         unknown = set(file_cfg) - set(defaults)
@@ -140,8 +144,7 @@ def _beta_row(tau: complex, method: str) -> list[float]:
     shape, _ = normalize_tau(tau)
     beta = (abrikosov.beta_quadrature(shape) if method == "quadrature"
             else abrikosov.beta_lattice_sum(shape))
-    kc = float(np.sqrt(0.5 * (1 - 1 / beta)))
-    return [tau.real, tau.imag, beta, kc]
+    return [tau.real, tau.imag, beta, abrikosov.kappa_c(beta)]
 
 
 def cmd_beta(cfg: dict) -> int:
@@ -198,9 +201,8 @@ def cmd_field_landscape(cfg: dict) -> int:
     for tau in taus:
         shape, _ = normalize_tau(tau)
         beta = abrikosov.beta_lattice_sum(shape)
-        kc = float(np.sqrt(0.5 * (1 - 1 / beta)))
-        row = [tau.real, tau.imag, beta, kc,
-               abrikosov.energy_landscape_asymptotic(shape, kappa, cfg["b"])]
+        row = [tau.real, tau.imag, beta, abrikosov.kappa_c(beta),
+               abrikosov.energy_landscape_asymptotic(beta, kappa, cfg["b"])]
         if cfg["numeric"]:
             setup = bifurcation.build_reduction(shape, K_lev=cfg["K_lev"])
             pt = bifurcation.branch_by_field(cfg["b"], kappa, shape, setup=setup)
@@ -217,7 +219,10 @@ def cmd_field_landscape(cfg: dict) -> int:
 def cmd_gauge_fix(cfg: dict) -> int:
     if not cfg["input"]:
         raise ConfigError("gauge-fix needs --input snapshot")
-    raw = snapshot.load_raw_state(cfg["input"])
+    try:
+        raw = snapshot.load_raw_state(cfg["input"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read input snapshot {cfg['input']}: {exc}") from exc
     fixed, info = gauge.fix_gauge(raw, kappa=float(np.sqrt(cfg["kappa2"])))
     path = out_path(cfg, cfg["output"])
     snapshot.save_state(path, fixed, extra={

@@ -79,17 +79,6 @@ def _hermite_functions(t: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ThetaCoeffs:
-    """Free seeds and truncation of the lowest-level theta series."""
-
-    c: np.ndarray          # seeds c_0..c_{n-1}
-    K: int                 # retained |k| <= K
-    nu: float              # sqrt(2 pi Im tau)
-    n: int
-    tau: complex
-
-
 def _solve_grid_size(n: int, tau2: float) -> int:
     """Side of the solve grid: the even number at or above 16 sqrt(n tau2),
     and at least 32.
@@ -134,16 +123,13 @@ class LandauBasis:
         self.nu = float(np.sqrt(2 * np.pi * shape.tau2))
         self.levels = np.arange(self.K_lev + 1)
 
-        # theta truncation: seed tail below 1e-14 plus Hermite support reach
-        K_rule = int(np.ceil(np.sqrt(14 * np.log(10.0) * n / (np.pi * shape.tau2))))
+        # theta truncation: the terms m whose Hermite profile, centred at
+        # x2 = -m nu / n, can reach the cell's x2 span [0, nu); _table keeps
+        # those within sqrt(2 K_lev + 1) + 8.5 of a grid row, beyond which
+        # every profile is below 1e-19 of its peak
         reach = (np.sqrt(2 * self.K_lev + 1) + 8.0) / np.sqrt(n)
-        x2max = self.nu  # cell spans x2 in [0, r_tau tau2) = [0, nu)
-        m_lo = int(np.floor(-(x2max + reach) * n / self.nu)) - 1
-        m_hi = int(np.ceil(reach * n / self.nu)) + 1
-        self._m_range = (min(m_lo, -K_rule), max(m_hi, K_rule))
-        self.theta = ThetaCoeffs(c=np.ones(n, dtype=complex),
-                                 K=max(-self._m_range[0], self._m_range[1]),
-                                 nu=self.nu, n=n, tau=complex(shape.tau))
+        self._m_range = (int(np.floor(-(self.nu + reach) * n / self.nu)) - 1,
+                         int(np.ceil(reach * n / self.nu)) + 1)
 
         self._m, self._family, self._profiles, self._carrier = self._table(self.solve_N)
         # orthonormalize the n seed families (cell-averaged Gram, Cholesky mix)

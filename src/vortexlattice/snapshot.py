@@ -60,7 +60,6 @@ def save_field(path, f: QuasiPeriodicField) -> None:
               "N": N, "bc_const": list(f.bc_const),
               "normalization": "cell-average |psi|^2"}
     if f.basis is not None:
-        header["K"] = f.basis.theta.K
         header["K_lev"] = f.basis.K_lev
     write_table(path, header, ["y1", "y2", "re_psi", "im_psi"],
                 [y1, y2, f.values.real.ravel(), f.values.imag.ravel()])

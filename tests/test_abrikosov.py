@@ -91,10 +91,11 @@ def test_beta_strictly_above_one(tau):
 
 def test_kappa_c_values(shape_square, shape_tri):
     b_sq = abr.beta_lattice_sum(shape_square)
-    assert abr.kappa_c(shape_square) == pytest.approx(np.sqrt(0.5 * (1 - 1 / b_sq)), abs=1e-14)
-    assert abr.kappa_c(shape_square) == pytest.approx(0.276394, abs=1e-6)
-    assert abr.kappa_c(shape_tri) == pytest.approx(0.262326, abs=1e-6)
-    assert 0 < abr.kappa_c(shape_tri) < 1 / np.sqrt(2)
+    b_tri = abr.beta_lattice_sum(shape_tri)
+    assert abr.kappa_c(b_sq) == pytest.approx(np.sqrt(0.5 * (1 - 1 / b_sq)), abs=1e-14)
+    assert abr.kappa_c(b_sq) == pytest.approx(0.276394, abs=1e-6)
+    assert abr.kappa_c(b_tri) == pytest.approx(0.262326, abs=1e-6)
+    assert 0 < abr.kappa_c(b_tri) < 1 / np.sqrt(2)
 
 
 # ----------------------------------------------------------------------
@@ -154,20 +155,21 @@ def test_newton_refine_unbiased_at_triangular_point(tau0):
 # ----------------------------------------------------------------------
 def test_landscape_exact_at_critical_field(shape_tri):
     kappa = np.sqrt(2.0)
-    assert abr.energy_landscape_asymptotic(shape_tri, kappa, kappa**2) == \
+    beta = abr.beta_lattice_sum(shape_tri)
+    assert abr.energy_landscape_asymptotic(beta, kappa, kappa**2) == \
         pytest.approx(kappa**2 / 2 + kappa**4, abs=1e-14)
 
 
 def test_landscape_prefers_triangular(shape_square, shape_tri):
     kappa, b = np.sqrt(2.0), 1.9
-    assert abr.energy_landscape_asymptotic(shape_tri, kappa, b) < \
-        abr.energy_landscape_asymptotic(shape_square, kappa, b)
+    E_b = lambda shape: abr.energy_landscape_asymptotic(abr.beta_lattice_sum(shape), kappa, b)
+    assert E_b(shape_tri) < E_b(shape_square)
 
 
 def test_landscape_argmin_on_grid(shape_tri):
     kappa, b = np.sqrt(2.0), 1.9
     best = min(fundamental_domain_grid(9, 7, tau2_max=1.5) + [TRI],
-               key=lambda t: abr.energy_landscape_asymptotic(normalize_tau(t)[0], kappa, b))
+               key=lambda t: abr.energy_landscape_asymptotic(abr.beta_of(t), kappa, b))
     assert abr.modular_distance(best, TRI) < 1e-9
 
 
@@ -179,11 +181,10 @@ def test_landscape_ordering_tracks_beta():
     taus = [1j, TRI, 0.2 + 1.3j, 0.45 + 1.05j]
     for t1 in taus:
         for t2 in taus:
-            s1, _ = normalize_tau(t1)
-            s2, _ = normalize_tau(t2)
-            dE = abr.energy_landscape_asymptotic(s1, kappa, b) - \
-                abr.energy_landscape_asymptotic(s2, kappa, b)
-            dbeta = abr.beta_lattice_sum(s1) - abr.beta_lattice_sum(s2)
+            b1, b2 = abr.beta_of(t1), abr.beta_of(t2)
+            dE = abr.energy_landscape_asymptotic(b1, kappa, b) - \
+                abr.energy_landscape_asymptotic(b2, kappa, b)
+            dbeta = b1 - b2
             assert np.sign(round(dE, 14)) == np.sign(round(dbeta, 12))
 
 
@@ -198,8 +199,9 @@ def test_applied_field_values(shape_tri):
 
 def test_applied_field_is_half_b_derivative(shape_tri):
     kappa, b, h = np.sqrt(2.0), 1.9, 1e-6
-    dE = (abr.energy_landscape_asymptotic(shape_tri, kappa, b + h)
-          - abr.energy_landscape_asymptotic(shape_tri, kappa, b - h)) / (2 * h)
+    beta = abr.beta_lattice_sum(shape_tri)
+    dE = (abr.energy_landscape_asymptotic(beta, kappa, b + h)
+          - abr.energy_landscape_asymptotic(beta, kappa, b - h)) / (2 * h)
     assert applied_field(shape_tri, kappa, b) == pytest.approx(0.5 * dE, abs=1e-7)
 
 
@@ -207,7 +209,7 @@ def test_degenerate_denominator_raises(shape_square):
     beta = abr.beta_lattice_sum(shape_square)
     kappa = np.sqrt((beta - 1) / (2 * beta))  # makes (2 kappa^2 - 1) beta + 1 = 0
     with pytest.raises(ZeroDivisionError):
-        abr.energy_landscape_asymptotic(shape_square, kappa, 0.1)
+        abr.energy_landscape_asymptotic(beta, kappa, 0.1)
     with pytest.raises(ZeroDivisionError):
         applied_field(shape_square, kappa, 0.1)
 

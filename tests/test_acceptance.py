@@ -143,7 +143,9 @@ def test_criterion_05_leading_order_fields(branch_sq_128, shape_sq, setup_sq_128
     curl_a1 = basis.grid.curl(p0.alpha.values) / p0.s**2
     psi0 = unit_field(basis, 0, 0)
     sup_err = float(np.max(np.abs(curl_a1 - 0.5 * (1.0 - np.abs(psi0) ** 2))))
-    D1, D2 = covariant_gradient(setup_sq_128.psi0)
+    e00 = np.zeros((basis.K_lev + 1, 1), complex)
+    e00[0, 0] = 1.0
+    D1, D2 = covariant_gradient(field_from_coeffs(basis, e00))
     J = np.stack([np.imag(np.conj(psi0) * D1.values),
                   np.imag(np.conj(psi0) * D2.values)])
     current_resid = float(np.max(np.abs(
@@ -195,7 +197,7 @@ def test_criterion_07_branch_residuals_and_side(branch_sq_128, branch_tr_128,
     # negative sign regime: (kappa^2 - 1/2) beta + 1/2 < 0 admits only b > kappa^2
     shape8, _ = normalize_tau(8j)
     setup8 = bif.build_reduction(shape8, N=64, K_lev=40)
-    assert (0.1 - 0.5) * setup8.beta() + 0.5 < 0
+    assert (0.1 - 0.5) * setup8.beta + 0.5 < 0
     pt = bif.branch_by_field(0.102, np.sqrt(0.1), shape8, setup=setup8)
     neg_ok = pt.lam < 1 and pt.residual_psi < 1e-8
     with pytest.raises(bif.BranchSideError):

@@ -33,17 +33,36 @@ def branch_sq(shape_square, setup_sq):
 # ----------------------------------------------------------------------
 # reduction setup
 # ----------------------------------------------------------------------
-def test_projection_on_null_vector(setup_sq):
-    c = setup_sq.psi0.coeffs
-    assert c[0, 0] == pytest.approx(1.0)
-    q = setup_sq.project_Q(c)
-    assert np.max(np.abs(q)) == 0.0
-
-
-def test_projection_kills_higher_levels(setup_sq):
+def test_resolvent_leaves_level_zero_at_zero(setup_sq):
+    # the resolvent acts on the levels k >= 1 alone, so it applies Q: psi0,
+    # the coefficient [0, 0], maps to zero and level 1 is kept
+    basis = setup_sq.basis
     d = np.zeros((41, 1), complex)
+    d[0, 0] = 1.0
+    assert np.max(np.abs(basis.resolvent_coeffs(d, 1.5))) == 0.0
     d[1, 0] = 1.0
-    assert np.array_equal(setup_sq.project_Q(d), d)
+    out = basis.resolvent_coeffs(d, 1.5)
+    assert out[0, 0] == 0.0 and out[1, 0] == 1.0 / (3.0 - 1.5)
+
+
+def test_solved_w_has_no_psi0_component(setup_sq, branch_sq):
+    for unknown in (None, "lam"):
+        wres = bif.solve_w(1.02, 0.06, setup_sq, KAPPA, _unknown=unknown)
+        assert wres.w[0, 0] == 0.0
+    # a branch point's psi0 coefficient is its s alone
+    for p in branch_sq.points:
+        assert p.psi_coeffs[0, 0] == p.s
+
+
+@pytest.mark.parametrize("tau", [1j, complex(TAU_TRIANGULAR), 0.3 + 1.2j],
+                         ids=["square", "triangular", "0.3+1.2i"])
+def test_setup_samples_no_output_grid_and_its_beta_matches_both_routes(tau):
+    # the setup reads beta on the solve grid and builds no table at N
+    shape, _ = normalize_tau(tau)
+    setup = bif.build_reduction(shape, N=128)
+    assert "_output_table" not in setup.basis.__dict__
+    assert abs(setup.beta - abrikosov.beta_quadrature(shape)) <= 1e-15
+    assert abs(setup.beta - abrikosov.beta_lattice_sum(shape)) <= 1e-14
 
 
 def test_resolvent_inverse_property(setup_sq, rng):
@@ -180,7 +199,7 @@ def test_branch_by_field_normal_limit(shape_square, setup_sq):
 
 
 def test_branch_by_field_first_order(shape_tri, setup_tri):
-    beta = setup_tri.beta()
+    beta = setup_tri.beta
     c = (KAPPA**2 - 0.5) * beta + 0.5
     # first-order prediction; the O(mu) relative correction at mu = 0.05
     # is a few percent
@@ -200,7 +219,7 @@ def test_negative_sign_regime():
     # so the branch lives at b > kappa^2 and b < kappa^2 is refused
     shape, _ = normalize_tau(8j)
     setup = bif.build_reduction(shape, N=64, K_lev=40)
-    assert (0.1 - 0.5) * setup.beta() + 0.5 < 0
+    assert (0.1 - 0.5) * setup.beta + 0.5 < 0
     kappa = np.sqrt(0.1)
     pt = bif.branch_by_field(0.102, kappa, shape, setup=setup)
     assert pt.lam < 1.0 and pt.residual_psi < 1e-8
@@ -281,8 +300,10 @@ def test_shifted_and_plain_maps_share_fixed_points(shape_generic):
     setup = bif.build_reduction(shape_generic, K_lev=40)
     pt = bif.branch_by_field(0.5, KAPPA, shape_generic, setup=setup)
     basis = setup.basis
-    w = setup.project_Q(pt.psi_coeffs)
-    qn = setup.project_Q(glcore.nonlinear_coeffs(basis, pt.psi_coeffs, KAPPA)[0])
+    w = pt.psi_coeffs.copy()
+    w[0, 0] = 0.0
+    # the resolvent reads the levels k >= 1 only, so N needs no Q of its own
+    qn = glcore.nonlinear_coeffs(basis, pt.psi_coeffs, KAPPA)[0]
     sigma = KAPPA**2 * pt.s**2
     plain = -basis.resolvent_coeffs(qn, pt.lam)
     shifted = -basis.resolvent_coeffs(qn - sigma * w, pt.lam - sigma)
@@ -299,11 +320,11 @@ def test_alpha_solves_the_second_sweep_of_a_far_target():
     shape, _ = normalize_tau(0.3 + 1.2j)
     setup = bif.build_reduction(shape, 64, K_lev=40)
     basis, lam_t = setup.basis, KAPPA**2 / 0.3
-    s = np.sqrt((lam_t - 1) / ((KAPPA**2 - 0.5) * setup.beta() + 0.5))
+    s = np.sqrt((lam_t - 1) / ((KAPPA**2 - 0.5) * setup.beta + 0.5))
     psi_c = np.zeros((41, 1), complex)
     psi_c[0, 0] = s
     ncoef, alpha1 = glcore.nonlinear_coeffs(basis, psi_c, KAPPA)
-    psi_c = -basis.resolvent_coeffs(setup.project_Q(ncoef), lam_t)
+    psi_c = -basis.resolvent_coeffs(ncoef, lam_t)
     psi_c[0, 0] += s * np.sqrt((lam_t - 1) / np.real(ncoef[0, 0] / s))
     ps = glcore._coeff_samples(basis, psi_c, solve=True)
     assert ps.rho.max() > 10

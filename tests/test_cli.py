@@ -302,6 +302,22 @@ def test_config_values_are_checked_like_flags(tmp_path, argv, values):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [("beta", "--config"), ("gauge-fix", "--input")])
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_unreadable_input_file_exit_code(tmp_path, command, flag, kind):
+    # a --config file or gauge-fix snapshot that cannot be read is an invalid
+    # configuration: exit 2 and no failure marker
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff")
+    out = tmp_path / "out"
+    assert run([command, flag, str(path), "--outdir", str(out)]) == 2
+    assert not (out / "FAILED.json").exists()
+    assert not (tmp_path / "FAILED.json").exists()
+
+
 def test_config_file_values_reach_the_command(tmp_path):
     # an int passes for a float, and flags win over the file
     cfg = tmp_path / "cfg.json"
