@@ -35,6 +35,7 @@ S_MAX_DEFAULT = 0.3
 ANDERSON_DEPTH = 8
 W_TOL = 1e-12          # solve_w stops at max |G(x) - x| < W_TOL max(|s|, 1e-6)
 W_MAX_SWEEPS = 200     # sweeps before solve_w raises SolverError
+CURL_A1_SUP_N = 128    # fit_expansion reads the curl a1 error's sup on this grid
 
 
 class BranchSideError(ValueError):
@@ -53,8 +54,8 @@ class ReductionSetup:
 
 def build_reduction(shape: LatticeShape, N: int | None = None,
                     K_lev: int = 40) -> ReductionSetup:
-    """Reduction on a basis whose reported fields are sampled at N, or on the
-    solve grid when N is None."""
+    """Reduction on a basis that samples fields on the solve grid, or at N
+    for a caller that needs them on a finer grid."""
     basis = LandauBasis(1, shape, N, K_lev)
     return ReductionSetup(basis=basis, beta=beta_of_basis(basis))
 
@@ -185,7 +186,7 @@ class BranchPoint:
     energy: float
     residual_psi: float
     residual_alpha: float
-    curl_alpha: np.ndarray        # curl alpha on the output grid; curl a = 1 + curl alpha
+    curl_alpha: np.ndarray        # curl alpha on the basis's N grid; curl a = 1 + curl alpha
     flux: float
     max_curl_a: float
     min_abs_psi: float
@@ -212,8 +213,8 @@ class Branch:
 def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     """The branch point psi = s psi0 + w.  Its scalars are read from the w
     solve's final solve-grid samples and alpha; alpha and curl a, taken on
-    the solve grid, are resampled to the output grid only for the reported
-    fields."""
+    the solve grid, are resampled to the basis's N grid, which is the solve
+    grid unless the setup was built with an N."""
     basis = setup.basis
     grid, solve_grid = basis.grid, basis.solve_grid
     s, lam, ps = wres.s, wres.lam, wres.samples
@@ -238,11 +239,11 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     )
 
 
-def solve_branch(s_grid, kappa: float, shape: LatticeShape, N: int | None = None,
-                 K_lev: int = 40, setup: ReductionSetup | None = None) -> Branch:
+def solve_branch(s_grid, kappa: float, shape: LatticeShape, K_lev: int = 40,
+                 setup: ReductionSetup | None = None) -> Branch:
     """Continue the bifurcating branch over the given s grid (ascending)."""
     if setup is None:
-        setup = build_reduction(shape, N, K_lev)
+        setup = build_reduction(shape, K_lev=K_lev)
     c_apriori = branch_slope(setup.beta, kappa)
     branch = Branch(kappa=kappa, basis=setup.basis, beta=setup.beta)
     warm = None
@@ -292,7 +293,6 @@ class ExpansionReport:
 
     kappa: float
     tau: complex
-    N: int
     solve_N: int
     K_lev: int
     beta_used: float
@@ -337,11 +337,10 @@ def fit_expansion(branch: Branch) -> ExpansionReport:
 
     # second-order potential from the smallest-s point
     p0 = pts[0]
-    curl_a1 = p0.curl_alpha / p0.s**2
     c0 = np.zeros((basis.K_lev + 1, 1), dtype=complex)
     c0[0, 0] = 1.0
-    psi0 = basis.synth(c0)
-    curl_err = float(np.max(np.abs(curl_a1 - 0.5 * (1.0 - np.abs(psi0) ** 2))))
+    err = p0.curl_alpha / p0.s**2 - 0.5 * (1.0 - np.abs(basis.synth(c0)) ** 2)
+    curl_err = float(np.max(np.abs(basis.grid.resample(err, CURL_A1_SUP_N))))
 
     # energy defect slope against the quartic prediction
     E = np.array([p.energy for p in pts])
@@ -358,7 +357,7 @@ def fit_expansion(branch: Branch) -> ExpansionReport:
     sl_target = 1.0 / (kappa**2 * target)
 
     return ExpansionReport(
-        kappa=kappa, tau=complex(basis.shape.tau), N=basis.N, solve_N=basis.solve_N,
+        kappa=kappa, tau=complex(basis.shape.tau), solve_N=basis.solve_N,
         K_lev=basis.K_lev,
         beta_used=beta, g_lambda_prime0=fit_c, g_lambda_prime0_target=float(target),
         g_lambda_prime0_err=abs(fit_c - target), lambda1=fit_c,

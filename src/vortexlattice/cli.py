@@ -14,8 +14,8 @@ key's CHOICES and, for the integer sizes, their MINIMUM.  tau is accepted as
 configs reproduce byte-identical outputs.
 
 Exit codes: 0 success (verify failures are data, not errors), 2 invalid
-configuration, a --config file or gauge-fix input that cannot be read
-included, 3 solver failure or refusal (SolverError, ValueError or
+configuration, a --config file or gauge-fix input that cannot be read or
+parsed included, 3 solver failure or refusal (SolverError, ValueError or
 ZeroDivisionError; partial results flushed with a failure marker).  Any
 other exception is a programming error and propagates.
 """
@@ -171,8 +171,7 @@ def cmd_branch(cfg: dict) -> int:
     kappa = float(np.sqrt(cfg["kappa2"]))
     shape, _ = normalize_tau(parse_tau(cfg["tau"]))
     s_grid = np.linspace(cfg["s_max"] / cfg["s_points"], cfg["s_max"], cfg["s_points"])
-    branch = bifurcation.solve_branch(s_grid, kappa, shape, N=cfg["N"],
-                                      K_lev=cfg["K_lev"])
+    branch = bifurcation.solve_branch(s_grid, kappa, shape, K_lev=cfg["K_lev"])
     rows = [[p.s, p.lam, p.b, p.energy, p.residual_psi, p.residual_alpha,
              p.max_curl_a, p.min_abs_psi, p.coeff_tail, p.grid_tail]
             for p in branch.points]
@@ -221,7 +220,7 @@ def cmd_gauge_fix(cfg: dict) -> int:
         raise ConfigError("gauge-fix needs --input snapshot")
     try:
         raw = snapshot.load_raw_state(cfg["input"])
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, snapshot.SnapshotFormatError) as exc:
         raise ConfigError(f"cannot read input snapshot {cfg['input']}: {exc}") from exc
     fixed, info = gauge.fix_gauge(raw, kappa=float(np.sqrt(cfg["kappa2"])))
     path = out_path(cfg, cfg["output"])
@@ -248,7 +247,7 @@ def verify_spectrum(cfg) -> list[dict]:
     err = float(np.max(np.abs(vals[:4] - target) / target))
     checks.append(_verdict("fd eigenvalues {1,3,5,7} relative error", err, 0.02))
     shape, _ = normalize_tau(parse_tau(cfg["tau"]))
-    psi0 = landau.theta_null_basis(1, shape, cfg["N"])[0]
+    psi0 = landau.theta_null_basis(1, shape)[0]
     checks.append(_verdict("annihilator residual on theta field",
                            landau.annihilator_residual(psi0), 1e-10))
     return checks
@@ -258,7 +257,7 @@ def verify_gauge(cfg) -> list[dict]:
     from .glcore import GLState, GLParams
     rng = np.random.default_rng(cfg["seed"])
     shape, _ = normalize_tau(parse_tau(cfg["tau"]))
-    setup = bifurcation.build_reduction(shape, cfg["N"], cfg["K_lev"])
+    setup = bifurcation.build_reduction(shape, GAUGE_N, cfg["K_lev"])
     pt = bifurcation.branch_by_field(0.95 * cfg["kappa2"], np.sqrt(cfg["kappa2"]),
                                      shape, setup=setup)
     psi = landau.field_from_coeffs(setup.basis, pt.psi_coeffs)
@@ -290,7 +289,7 @@ def verify_gauge(cfg) -> list[dict]:
 def verify_symmetry(cfg) -> list[dict]:
     rng = np.random.default_rng(cfg["seed"])
     shape, _ = normalize_tau(parse_tau(cfg["tau"]))
-    setup = bifurcation.build_reduction(shape, cfg["N"], cfg["K_lev"])
+    setup = bifurcation.build_reduction(shape, K_lev=cfg["K_lev"])
     basis = setup.basis
     kappa = float(np.sqrt(cfg["kappa2"]))
     from .glcore import map_F
@@ -319,8 +318,7 @@ def verify_asymptotics(cfg) -> list[dict]:
     shape, _ = normalize_tau(parse_tau(cfg["tau"]))
     kappa = float(np.sqrt(cfg["kappa2"]))
     s_grid = np.linspace(0.02, 0.1, 5)
-    branch = bifurcation.solve_branch(s_grid, kappa, shape, N=cfg["N"],
-                                      K_lev=cfg["K_lev"])
+    branch = bifurcation.solve_branch(s_grid, kappa, shape, K_lev=cfg["K_lev"])
     rep = bifurcation.fit_expansion(branch)
     rel = rep.g_lambda_prime0_err / rep.g_lambda_prime0_target
     return [_verdict("d(lambda)/d(s^2) vs ((kappa^2-1/2) beta + 1/2)", rel, 1e-3),
@@ -353,7 +351,7 @@ COMMANDS = {
                         {"outdir": None, "output": "critical_points.json"}),
     "branch": (cmd_branch, "bifurcation branch and expansion report",
                {"kappa2": 2.0, "tau": "square", "s_max": 0.1, "s_points": 5,
-                "N": 128, "K_lev": 40, "outdir": None, "prefix": "branch"}),
+                "K_lev": 40, "outdir": None, "prefix": "branch"}),
     "field-landscape": (cmd_field_landscape, "E_b(tau) asymptotic and numeric",
                         {"kappa2": 2.0, "b": 1.9, "tau_grid": "fundamental:8x6",
                          "numeric": False, "K_lev": 40, "outdir": None,
@@ -362,13 +360,14 @@ COMMANDS = {
                   {"input": None, "kappa2": 1.0, "outdir": None,
                    "output": "fixed_state.csv"}),
     "verify": (cmd_verify, "run an invariant suite",
-               {"suite": None, "kappa2": 2.0, "tau": "square", "N": 96, "K_lev": 40,
+               {"suite": None, "kappa2": 2.0, "tau": "square", "K_lev": 40,
                 "N_fd": 64, "trials": 5, "seed": 0, "outdir": None, "output": None}),
 }
 CHOICES = {"method": ("lattice_sum", "quadrature"), "suite": tuple(SUITES)}
-# the smallest value of each integer size: a CellGrid needs N >= 4, fd_spectrum
-# returns 6 eigenvalues of a chain of N_fd^2 sites, the expansion fit needs 5 points
-MINIMUM = {"N": 4, "K_lev": 1, "N_fd": 3, "trials": 1, "s_points": 5}
+# the smallest value of each integer size: fd_spectrum returns 6 eigenvalues of
+# a chain of N_fd^2 sites, the expansion fit needs 5 points
+MINIMUM = {"K_lev": 1, "N_fd": 3, "trials": 1, "s_points": 5}
+GAUGE_N = 96  # verify gauge's field grid: its 1e-10 check reads 1.6e-7 on a 32 grid
 HELP = {"outdir": "output directory (default $VORTEXLATTICE_OUT or '.')"}
 
 
@@ -381,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "2-D Ginzburg-Landau equations")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, help_line, defaults) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+        # unabbreviated: a flag the command lacks is refused, not read as --N-fd
+        p = sub.add_parser(name, help=help_line, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override")
         for key, default in defaults.items():
             flag = "--" + key.replace("_", "-")

@@ -38,8 +38,8 @@ is exact on any grid.  Products are formed and projected on the solve grid,
 whose side is set from (n, tau2) by _solve_grid_size, because on the lowest
 level the Fourier coefficient of |psi0|^2 at a reciprocal vector g is
 exp(-|g|^2 / (4n)), and on the logical grid the slowest direction has
-|g|^2 ~ 2 pi k^2 / tau2.  Reported fields are sampled on the output grid,
-which is the solve grid unless a caller that writes fields asks for an N.
+|g|^2 ~ 2 pi k^2 / tau2.  Fields are sampled there too, unless a caller
+that needs them on a finer grid, such as `verify gauge`, asks for an N.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ class LandauBasis:
     the cell-averaged inner product (so <|psi_0|^2> = 1 for each family).
     The basis stores the (M, K_lev+1, solve_N) y2 profiles of the terms m of
     the theta series, the carrier on the solve grid and the Cholesky mix of
-    the seed families, all independent of N.  Without N the output grid is
-    the solve grid; with one, the profiles and carrier of the N grid are
-    built on the first synth there.
+    the seed families, all independent of N.  Without N fields are sampled
+    on the solve grid and the basis holds one table; with one, the profiles
+    and carrier of the N grid are built on the first synth there.
     """
 
     def __init__(self, n: int, shape: LatticeShape, N: int | None = None,
@@ -271,8 +271,9 @@ def field_from_coeffs(basis: LandauBasis, coeffs: np.ndarray) -> QuasiPeriodicFi
                               coeffs=np.asarray(coeffs, dtype=complex), basis=basis)
 
 
-def theta_null_basis(n: int, shape: LatticeShape, N: int) -> list[QuasiPeriodicField]:
-    """The n orthonormal lowest-level fields, <|psi|^2> = 1 each.
+def theta_null_basis(n: int, shape: LatticeShape, N: int | None = None
+                     ) -> list[QuasiPeriodicField]:
+    """The n orthonormal lowest-level fields, <|psi|^2> = 1 each, at N or the solve grid.
 
     Fields carry a small ladder headroom so creation operators act exactly.
     """

@@ -3,13 +3,15 @@
 Scalar fields use columns (y1, y2, re_psi, im_psi); full states append
 (alpha1, alpha2, curl_a).  Raw states use (y1, y2, re_psi, im_psi, ap1, ap2).
 Loaders parse only the columns they return, found by name; load_state skips
-curl_a, which follows from alpha.  All floats are written with 17
-significant digits so re-runs reproduce byte-identical files.
+curl_a, which follows from alpha.  A malformed file raises SnapshotFormatError.
+All floats are written with 17 significant digits so re-runs reproduce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+from functools import wraps
 
 import numpy as np
 
@@ -18,6 +20,21 @@ from .landau import QuasiPeriodicField
 from .lattice import LatticeShape
 
 FMT = "%.17g"
+
+
+class SnapshotFormatError(ValueError):
+    """A snapshot without the header keys, columns or N^2 rows its loader reads."""
+
+
+def _loader(load):
+    """load, raising SnapshotFormatError on every fault of the file's format."""
+    @wraps(load)
+    def checked(path):
+        try:
+            return load(path)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise SnapshotFormatError(f"malformed snapshot {path}: {exc!r}") from exc
+    return checked
 
 
 def _grid_columns(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -42,15 +59,16 @@ def write_table(path, header: dict, columns: list[str], arrays: list[np.ndarray]
 
 def _read(path, columns: tuple[str, ...]) -> tuple[dict, dict[str, np.ndarray]]:
     """The JSON header and the named columns of a snapshot, the only ones
-    parsed; a missing name raises ValueError."""
+    parsed, each reshaped to the header's N x N grid."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
-            raise ValueError("snapshot missing JSON header line")
+            raise ValueError("no '#' JSON header line")
         header = json.loads(first[1:].strip())
         names = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", usecols=[names.index(c) for c in columns])
-    return header, dict(zip(columns, data.T))
+    N = int(header["N"])
+    return header, {c: data[:, i].reshape(N, N) for i, c in enumerate(columns)}
 
 
 def save_field(path, f: QuasiPeriodicField) -> None:
@@ -65,10 +83,10 @@ def save_field(path, f: QuasiPeriodicField) -> None:
                 [y1, y2, f.values.real.ravel(), f.values.imag.ravel()])
 
 
+@_loader
 def load_field(path) -> QuasiPeriodicField:
     header, col = _read(path, ("re_psi", "im_psi"))
-    N = int(header["N"])
-    vals = (col["re_psi"] + 1j * col["im_psi"]).reshape(N, N)
+    vals = col["re_psi"] + 1j * col["im_psi"]
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
     return QuasiPeriodicField(n=int(header["n"]), shape=shape, values=vals,
                               bc_const=tuple(header.get("bc_const", (0.0, 0.0))))
@@ -89,15 +107,15 @@ def save_state(path, state: GLState, extra: dict | None = None) -> None:
                  alpha.values[0].ravel(), alpha.values[1].ravel(), curl_a.ravel()])
 
 
+@_loader
 def load_state(path) -> GLState:
     header, col = _read(path, ("re_psi", "im_psi", "alpha1", "alpha2"))
-    N = int(header["N"])
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
     n = int(header["n"])
     psi = QuasiPeriodicField(n=n, shape=shape,
-                             values=(col["re_psi"] + 1j * col["im_psi"]).reshape(N, N),
+                             values=col["re_psi"] + 1j * col["im_psi"],
                              bc_const=tuple(header.get("bc_const", (0.0, 0.0))))
-    alpha_vals = np.stack([col["alpha1"].reshape(N, N), col["alpha2"].reshape(N, N)])
+    alpha_vals = np.stack([col["alpha1"], col["alpha2"]])
     params = GLParams(kappa=float(header["kappa"]), n=n, lam=float(header["lambda"]))
     return GLState(psi=psi, alpha=PeriodicVectorField(alpha_vals, psi.grid), params=params)
 
@@ -115,13 +133,13 @@ def save_raw_state(path, raw) -> None:
                  raw.a_p[0].ravel(), raw.a_p[1].ravel()])
 
 
+@_loader
 def load_raw_state(path):
     from .gauge import RawLatticeState
     header, col = _read(path, ("re_psi", "im_psi", "ap1", "ap2"))
-    N = int(header["N"])
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
     return RawLatticeState(
-        psi=(col["re_psi"] + 1j * col["im_psi"]).reshape(N, N),
-        a_p=np.stack([col["ap1"].reshape(N, N), col["ap2"].reshape(N, N)]),
+        psi=col["re_psi"] + 1j * col["im_psi"],
+        a_p=np.stack([col["ap1"], col["ap2"]]),
         n=int(header["n"]), shape=shape, r=float(header["r"]),
         bc_const=tuple(header.get("bc_const", (0.0, 0.0))))

@@ -312,3 +312,25 @@ def test_criterion_10_triangular_minimum_numeric():
     assert runtime < 1800
     assert exact, (f"minimizer off the exact critical point e^(i pi/3) by "
                    f"more than 1e-7: {dists}")
+
+
+def test_output_grid_moves_no_scalar(branch_sq_128, branch_tr_128, shape_sq, shape_tr):
+    # the N = 128 output grid samples the reported fields only: a branch on
+    # the solve grid writes the same scalars bit for bit, and reads the same
+    # curl a1 sup on the report's fixed grid
+    keys = ("lam", "energy", "residual_psi", "residual_alpha", "max_curl_a",
+            "min_abs_psi", "coeff_tail", "grid_tail")
+    for br128, shape in ((branch_sq_128, shape_sq), (branch_tr_128, shape_tr)):
+        br = bif.solve_branch(S_GRID, KAPPA, shape, K_lev=40)
+        assert br.basis.N == br.basis.solve_N < 128
+        for p, p128 in zip(br.points, br128.points, strict=True):
+            assert [getattr(p, k) for k in keys] == [getattr(p128, k) for k in keys]
+        assert bif.fit_expansion(br).curl_a1_sup_err == pytest.approx(
+            bif.fit_expansion(br128).curl_a1_sup_err, rel=1e-12)
+    # on a tall cell the sup falls between the solve grid's samples, and the
+    # report still reads the 128-grid value
+    shape, _ = normalize_tau(-0.2 + 6j)
+    rep, rep128 = (bif.fit_expansion(bif.solve_branch(
+        S_GRID, KAPPA, shape, setup=bif.build_reduction(shape, N, K_lev=40)))
+        for N in (None, 128))
+    assert rep.curl_a1_sup_err == pytest.approx(rep128.curl_a1_sup_err, rel=1e-12)

@@ -489,7 +489,7 @@ def test_K_lev_convergence(shape_square):
     # observables stable under deepening the Landau truncation
     cs = []
     for K_lev in (32, 40):
-        br = bif.solve_branch([0.03, 0.05], KAPPA, shape_square, N=64, K_lev=K_lev)
+        br = bif.solve_branch([0.03, 0.05], KAPPA, shape_square, K_lev=K_lev)
         cs.append(br.lam)
     assert np.max(np.abs(cs[0] - cs[1])) < 1e-8
 
@@ -511,7 +511,7 @@ def test_branch_builds_and_owns_one_basis(shape_square, monkeypatch):
     del setup, branch
     gc.collect()
     assert ref() is None
-    assert rep.N == 48
+    assert rep.K_lev == 24
 
 
 def test_expansion_report_serializable(branch_sq):

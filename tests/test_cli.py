@@ -13,7 +13,12 @@ from vortexlattice.lattice import LatticeReductionError
 
 
 def run(argv):
-    return cli.main(argv)
+    """The exit code of one command, the parser's own exit on a flag it does
+    not know included."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_beta_scan_and_determinism(tmp_path):
@@ -63,8 +68,7 @@ def test_critical_points_command(tmp_path):
 
 def test_branch_command(tmp_path):
     assert run(["branch", "--kappa2", "2", "--tau", "0.5,0.8660254037844386",
-                "--s-max", "0.1", "--s-points", "5", "--N", "64",
-                "--outdir", str(tmp_path)]) == 0
+                "--s-max", "0.1", "--s-points", "5", "--outdir", str(tmp_path)]) == 0
     rows = np.loadtxt(tmp_path / "branch.csv", delimiter=",", skiprows=2)
     assert rows.shape == (5, 10)
     lines = (tmp_path / "branch.csv").read_text().splitlines()
@@ -77,6 +81,17 @@ def test_branch_command(tmp_path):
     rep = json.loads((tmp_path / "branch_expansion.json").read_text())
     assert rep["solve_N"] == 32
     assert rep["g_lambda_prime0"] == pytest.approx(2.2393930, rel=1e-3)
+
+
+def test_default_branch_builds_one_transform_table(tmp_path, monkeypatch):
+    # branch writes no field, so it samples on the solve grid and its basis
+    # builds that grid's table alone
+    tables = []
+    table = landau.LandauBasis._table
+    monkeypatch.setattr(landau.LandauBasis, "_table",
+                        lambda self, G: tables.append(G) or table(self, G))
+    assert run(["branch", "--outdir", str(tmp_path)]) == 0
+    assert tables == [32]
 
 
 def test_field_landscape_command(tmp_path):
@@ -153,28 +168,28 @@ def test_commands_start_without_scipy(tmp_path, shape_generic):
 
 
 def test_verify_spectrum(tmp_path):
-    assert run(["verify", "spectrum", "--N", "48", "--N-fd", "48",
+    assert run(["verify", "spectrum", "--N-fd", "48",
                 "--outdir", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "verify_spectrum.json").read_text())
     assert data["all_pass"] is True
 
 
 def test_verify_symmetry(tmp_path):
-    assert run(["verify", "symmetry", "--N", "48", "--K-lev", "24",
+    assert run(["verify", "symmetry", "--K-lev", "24",
                 "--outdir", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "verify_symmetry.json").read_text())
     assert data["all_pass"] is True
 
 
 def test_verify_gauge(tmp_path):
-    assert run(["verify", "gauge", "--N", "48", "--K-lev", "24", "--trials", "2",
+    assert run(["verify", "gauge", "--K-lev", "24", "--trials", "2",
                 "--outdir", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "verify_gauge.json").read_text())
     assert data["all_pass"] is True
 
 
 def test_verify_asymptotics(tmp_path):
-    assert run(["verify", "asymptotics", "--N", "48", "--K-lev", "24",
+    assert run(["verify", "asymptotics", "--K-lev", "24",
                 "--tau", "square", "--outdir", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "verify_asymptotics.json").read_text())
     assert data["all_pass"] is True
@@ -193,14 +208,15 @@ def test_invalid_config_exit_code(tmp_path):
     for keys in ('{"unknown_key": 1}', '{"jobs": 2}'):
         cfg.write_text(keys)
         assert run(["beta", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
-    # only the commands that write sampled fields have an output grid N
+    # no command has an output grid N: branch and verify sample on the solve grid
     cfg.write_text('{"N": 64}')
-    for command in ("beta", "field-landscape"):
+    for command in ("beta", "field-landscape", "branch", "verify"):
         assert run([command, "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
     cfg.write_text('["N"]')
     assert run(["beta", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
     # nonsense physics is refused before any solve or output; the expansion
-    # fit needs 5 branch points, and each integer size has its minimum
+    # fit needs 5 branch points, each integer size has its minimum, and --N
+    # is no flag (nor an abbreviation of verify's --N-fd)
     out = tmp_path / "out"
     for argv in (["field-landscape", "--kappa2", "-1", "--tau-grid", "square"],
                  ["field-landscape", "--b", "0", "--tau-grid", "square"],
@@ -213,8 +229,8 @@ def test_invalid_config_exit_code(tmp_path):
                  ["verify", "spectrum", "--N-fd", "0"],
                  ["verify", "spectrum", "--N-fd", "2"],
                  ["verify", "gauge", "--trials", "0"],
-                 ["branch", "--N", "0"],
-                 ["branch", "--N", "3"],
+                 ["branch", "--N", "64"],
+                 ["verify", "gauge", "--N", "48"],
                  ["field-landscape", "--numeric", "--K-lev", "0"]):
         assert run(argv + ["--outdir", str(out)]) == 2, argv
     assert not out.exists()
@@ -222,7 +238,7 @@ def test_invalid_config_exit_code(tmp_path):
 
 def test_smallest_sizes_run(tmp_path):
     # the minimum of each size is a working value, not an error
-    assert run(["verify", "spectrum", "--N-fd", "3", "--N", "16",
+    assert run(["verify", "spectrum", "--N-fd", "3",
                 "--outdir", str(tmp_path)]) == 0
     assert run(["field-landscape", "--numeric", "--K-lev", "1",
                 "--tau-grid", "square", "--outdir", str(tmp_path)]) == 0
@@ -236,12 +252,12 @@ def test_smallest_sizes_run(tmp_path):
 FLAGS = {
     "beta": {"--config", "--method", "--outdir", "--output", "--tau-grid"},
     "critical-points": {"--config", "--outdir", "--output"},
-    "branch": {"--K-lev", "--N", "--config", "--kappa2", "--outdir", "--prefix",
+    "branch": {"--K-lev", "--config", "--kappa2", "--outdir", "--prefix",
                "--s-max", "--s-points", "--tau"},
     "field-landscape": {"--K-lev", "--b", "--config", "--kappa2", "--numeric",
                         "--outdir", "--output", "--tau-grid"},
     "gauge-fix": {"--config", "--input", "--kappa2", "--outdir", "--output"},
-    "verify": {"--K-lev", "--N", "--N-fd", "--config", "--kappa2", "--outdir",
+    "verify": {"--K-lev", "--N-fd", "--config", "--kappa2", "--outdir",
                "--output", "--seed", "--tau", "--trials"},
 }
 
@@ -271,6 +287,9 @@ def test_readme_cli_block_matches_the_parser():
         for flag in re.findall(r"--[\w-]+", line):
             assert flag in flags, (name, flag)
     assert named == set(cli.COMMANDS)
+    # and the integer-size minimums README lists are the parser's
+    listed = readme.split("integer sizes have minimums (", 1)[1].split(")", 1)[0]
+    assert {k: int(v) for k, v in re.findall(r"`(\w+)` (\d+)", listed)} == cli.MINIMUM
 
 
 def test_successive_calls_start_from_the_defaults(tmp_path):
@@ -288,10 +307,10 @@ def test_successive_calls_start_from_the_defaults(tmp_path):
 @pytest.mark.parametrize("argv, values", [
     (["beta", "--tau-grid", "square"], {"method": "quad"}),
     (["field-landscape", "--tau-grid", "square"], {"kappa2": "2"}),
-    (["branch"], {"N": 64.5}),
+    (["branch"], {"K_lev": 40.5}),
     (["field-landscape", "--tau-grid", "square"], {"numeric": 1}),
     (["verify"], {"suite": "bogus"}),
-], ids=["method-choice", "kappa2-str", "N-float", "numeric-int", "suite-choice"])
+], ids=["method-choice", "kappa2-str", "K_lev-float", "numeric-int", "suite-choice"])
 def test_config_values_are_checked_like_flags(tmp_path, argv, values):
     # a file value of the wrong type or outside its choices is a configuration
     # error: exit 2 before any solve, no failure marker and no output
@@ -314,6 +333,35 @@ def test_unreadable_input_file_exit_code(tmp_path, command, flag, kind):
         path.write_bytes(b"\xff")
     out = tmp_path / "out"
     assert run([command, flag, str(path), "--outdir", str(out)]) == 2
+    assert not (out / "FAILED.json").exists()
+    assert not (tmp_path / "FAILED.json").exists()
+
+
+def _drop_ap1(lines):
+    cols = lines[1].split(",")
+    i = cols.index("ap1")
+    return [lines[0]] + [",".join(r.split(",")[:i] + r.split(",")[i + 1:])
+                         for r in lines[1:]]
+
+
+@pytest.mark.parametrize("malform", [
+    lambda lines: lines[1:],
+    _drop_ap1,
+    lambda lines: ["# " + json.dumps({k: v for k, v in json.loads(lines[0][2:]).items()
+                                      if k != "N"})] + lines[1:],
+    lambda lines: lines[:-1],
+], ids=["no-header", "no-ap1-column", "no-N-key", "rows-not-N^2"])
+def test_malformed_snapshot_exit_code(tmp_path, shape_generic, malform):
+    # a gauge-fix snapshot that does not hold the header, columns and rows
+    # it should is an invalid configuration: exit 2 and no failure marker
+    psi = landau.theta_null_basis(1, shape_generic, 8)[0]
+    alpha = glcore.PeriodicVectorField(np.zeros((2, 8, 8)), psi.grid)
+    raw = gauge.raw_from_state(glcore.GLState(psi, alpha, glcore.GLParams(1.0, 1, 1.0)))
+    path = tmp_path / "raw.csv"
+    snapshot.save_raw_state(path, raw)
+    path.write_text("\n".join(malform(path.read_text().splitlines())) + "\n")
+    out = tmp_path / "out"
+    assert run(["gauge-fix", "--input", str(path), "--outdir", str(out)]) == 2
     assert not (out / "FAILED.json").exists()
     assert not (tmp_path / "FAILED.json").exists()
 
