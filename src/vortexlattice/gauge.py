@@ -3,6 +3,9 @@
 A raw lattice state is stored as (Psi, A0 + A_p) on the physical cell, with
 A0(x) = (b/2) J x and A_p the periodic remainder of the potential, plus the
 two boundary-phase constants C_t of Psi(x + t) = exp(i (b/2) x.Jt + i C_t) Psi(x).
+The flux number n fixes the flux: b = 2 pi n / |cell| and a periodic A_p
+has no net curl, so the flux per cell is 2 pi n by construction, and a
+snapshot's n is checked when its header is read.
 
 The fixed gauge asks for zero boundary constants and a periodic potential
 perturbation alpha with mean zero and no divergence.  A gauge change
@@ -27,10 +30,6 @@ from .glcore import GLParams, GLState, PeriodicVectorField, _samples
 from .landau import QuasiPeriodicField, magnetic_shift_values
 from .lattice import J, LatticeShape, cell_geometry
 from .spectral import CellGrid
-
-
-class FluxQuantizationError(ValueError):
-    """Input flux is not an integer multiple of 2 pi."""
 
 
 @dataclass
@@ -128,9 +127,6 @@ def translate_state(state: RawLatticeState, t: np.ndarray) -> RawLatticeState:
 # ----------------------------------------------------------------------
 # gauge fixing
 # ----------------------------------------------------------------------
-FLUX_TOL = 1e-8   # largest |flux / 2 pi - n| fix_gauge accepts
-
-
 def fix_gauge(state: RawLatticeState, kappa: float = 1.0):
     """Bring a raw state to the fixed gauge and normalized variables.
 
@@ -143,10 +139,6 @@ def fix_gauge(state: RawLatticeState, kappa: float = 1.0):
     """
     grid = state.grid
     b = state.b
-    flux = state.flux()
-    n_meas = flux / (2 * np.pi)
-    if abs(n_meas - round(n_meas)) > FLUX_TOL or round(n_meas) != state.n:
-        raise FluxQuantizationError(f"flux per cell {flux:.6e} is not 2*pi*{state.n}")
 
     # alpha = curl* phi from curl a_p alone; eta = d.x - chi with d = -<a_p>
     # and grad chi the gradient part of a_p

@@ -1,11 +1,15 @@
 """Portable field snapshots: '#'-prefixed JSON header line plus CSV columns.
 
-Scalar fields use columns (y1, y2, re_psi, im_psi); full states append
-(alpha1, alpha2, curl_a).  Raw states use (y1, y2, re_psi, im_psi, ap1, ap2).
-Loaders parse only the columns they return, found by name; load_state skips
-curl_a, which follows from alpha.  A malformed file raises SnapshotFormatError.
-All floats are written with 17 significant digits so re-runs reproduce
-byte-identical files.
+Each sampled field is written once, and nothing the header fixes.  Scalar
+fields have columns (re_psi, im_psi), full states (re_psi, im_psi, alpha1,
+alpha2), raw states (re_psi, im_psi, ap1, ap2).  Row i*N + j is the sample at
+logical point (i/N, j/N) of the header's N x N grid.  The magnetic field is
+not stored: it is p.n + alpha.grid.curl(alpha.values) of a loaded state
+(p its params), and RawLatticeState.curl_a() of a loaded raw state.
+Loaders parse only the columns they return, found by name, so a file with
+further columns loads the same.  A malformed file raises
+SnapshotFormatError.  All floats are written with 17 significant digits so
+re-runs reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ FMT = "%.17g"
 
 
 class SnapshotFormatError(ValueError):
-    """A snapshot without the header keys, columns or N^2 rows its loader reads."""
+    """A snapshot without the header keys, columns or N^2 rows its loader
+    reads, or whose flux number n or cell scale r is out of range."""
 
 
 def _loader(load):
@@ -35,12 +40,6 @@ def _loader(load):
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise SnapshotFormatError(f"malformed snapshot {path}: {exc!r}") from exc
     return checked
-
-
-def _grid_columns(N: int) -> tuple[np.ndarray, np.ndarray]:
-    s = np.arange(N) / N
-    y1, y2 = np.meshgrid(s, s, indexing="ij")
-    return y1.ravel(), y2.ravel()
 
 
 def write_table(path, header: dict, columns: list[str], arrays: list[np.ndarray]) -> None:
@@ -58,13 +57,16 @@ def write_table(path, header: dict, columns: list[str], arrays: list[np.ndarray]
 
 
 def _read(path, columns: tuple[str, ...]) -> tuple[dict, dict[str, np.ndarray]]:
-    """The JSON header and the named columns of a snapshot, the only ones
-    parsed, each reshaped to the header's N x N grid."""
+    """The JSON header, its flux number n checked, and the named columns of
+    a snapshot, the only ones parsed, each reshaped to the header's N x N grid."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ValueError("no '#' JSON header line")
         header = json.loads(first[1:].strip())
+        n = header["n"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"flux number n = {n!r} is not an integer >= 1")
         names = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", usecols=[names.index(c) for c in columns])
     N = int(header["N"])
@@ -72,15 +74,13 @@ def _read(path, columns: tuple[str, ...]) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def save_field(path, f: QuasiPeriodicField) -> None:
-    N = f.N
-    y1, y2 = _grid_columns(N)
     header = {"kind": "field", "n": f.n, "tau": [f.shape.tau1, f.shape.tau2],
-              "N": N, "bc_const": list(f.bc_const),
+              "N": f.N, "bc_const": list(f.bc_const),
               "normalization": "cell-average |psi|^2"}
     if f.basis is not None:
         header["K_lev"] = f.basis.K_lev
-    write_table(path, header, ["y1", "y2", "re_psi", "im_psi"],
-                [y1, y2, f.values.real.ravel(), f.values.imag.ravel()])
+    write_table(path, header, ["re_psi", "im_psi"],
+                [f.values.real.ravel(), f.values.imag.ravel()])
 
 
 @_loader
@@ -88,30 +88,26 @@ def load_field(path) -> QuasiPeriodicField:
     header, col = _read(path, ("re_psi", "im_psi"))
     vals = col["re_psi"] + 1j * col["im_psi"]
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
-    return QuasiPeriodicField(n=int(header["n"]), shape=shape, values=vals,
+    return QuasiPeriodicField(n=header["n"], shape=shape, values=vals,
                               bc_const=tuple(header.get("bc_const", (0.0, 0.0))))
 
 
 def save_state(path, state: GLState, extra: dict | None = None) -> None:
     psi, alpha, p = state.psi, state.alpha, state.params
-    N = psi.N
-    y1, y2 = _grid_columns(N)
-    curl_a = p.n + alpha.grid.curl(alpha.values)
     header = {"kind": "state", "n": p.n, "tau": [psi.shape.tau1, psi.shape.tau2],
-              "N": N, "kappa": p.kappa, "lambda": p.lam, "b": p.b,
+              "N": psi.N, "kappa": p.kappa, "lambda": p.lam, "b": p.b,
               "bc_const": list(psi.bc_const)}
     header.update(extra or {})
-    write_table(path, header,
-                ["y1", "y2", "re_psi", "im_psi", "alpha1", "alpha2", "curl_a"],
-                [y1, y2, psi.values.real.ravel(), psi.values.imag.ravel(),
-                 alpha.values[0].ravel(), alpha.values[1].ravel(), curl_a.ravel()])
+    write_table(path, header, ["re_psi", "im_psi", "alpha1", "alpha2"],
+                [psi.values.real.ravel(), psi.values.imag.ravel(),
+                 alpha.values[0].ravel(), alpha.values[1].ravel()])
 
 
 @_loader
 def load_state(path) -> GLState:
     header, col = _read(path, ("re_psi", "im_psi", "alpha1", "alpha2"))
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
-    n = int(header["n"])
+    n = header["n"]
     psi = QuasiPeriodicField(n=n, shape=shape,
                              values=col["re_psi"] + 1j * col["im_psi"],
                              bc_const=tuple(header.get("bc_const", (0.0, 0.0))))
@@ -124,12 +120,10 @@ def save_raw_state(path, raw) -> None:
     from .gauge import RawLatticeState  # local import to avoid a cycle
     if not isinstance(raw, RawLatticeState):
         raise TypeError(f"save_raw_state needs a RawLatticeState, not {type(raw).__name__}")
-    N = raw.N
-    y1, y2 = _grid_columns(N)
     header = {"kind": "raw", "n": raw.n, "tau": [raw.shape.tau1, raw.shape.tau2],
-              "N": N, "r": raw.r, "bc_const": list(raw.bc_const)}
-    write_table(path, header, ["y1", "y2", "re_psi", "im_psi", "ap1", "ap2"],
-                [y1, y2, raw.psi.real.ravel(), raw.psi.imag.ravel(),
+              "N": raw.N, "r": raw.r, "bc_const": list(raw.bc_const)}
+    write_table(path, header, ["re_psi", "im_psi", "ap1", "ap2"],
+                [raw.psi.real.ravel(), raw.psi.imag.ravel(),
                  raw.a_p[0].ravel(), raw.a_p[1].ravel()])
 
 
@@ -137,9 +131,12 @@ def save_raw_state(path, raw) -> None:
 def load_raw_state(path):
     from .gauge import RawLatticeState
     header, col = _read(path, ("re_psi", "im_psi", "ap1", "ap2"))
+    r = float(header["r"])
+    if not (np.isfinite(r) and r > 0):
+        raise ValueError(f"cell scale r = {header['r']!r} is not a finite number > 0")
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
     return RawLatticeState(
         psi=col["re_psi"] + 1j * col["im_psi"],
         a_p=np.stack([col["ap1"], col["ap2"]]),
-        n=int(header["n"]), shape=shape, r=float(header["r"]),
+        n=header["n"], shape=shape, r=r,
         bc_const=tuple(header.get("bc_const", (0.0, 0.0))))

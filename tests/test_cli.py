@@ -344,13 +344,24 @@ def _drop_ap1(lines):
                          for r in lines[1:]]
 
 
+def _set_header(**keys):
+    def malform(lines):
+        header = json.loads(lines[0][2:])
+        header.update(keys)
+        return ["# " + json.dumps(header)] + lines[1:]
+    return malform
+
+
 @pytest.mark.parametrize("malform", [
     lambda lines: lines[1:],
     _drop_ap1,
     lambda lines: ["# " + json.dumps({k: v for k, v in json.loads(lines[0][2:]).items()
                                       if k != "N"})] + lines[1:],
     lambda lines: lines[:-1],
-], ids=["no-header", "no-ap1-column", "no-N-key", "rows-not-N^2"])
+    _set_header(n=0), _set_header(n=-1), _set_header(n=2.7),
+    _set_header(r=0), _set_header(r=-2),
+], ids=["no-header", "no-ap1-column", "no-N-key", "rows-not-N^2",
+        "n-zero", "n-negative", "n-not-integer", "r-zero", "r-negative"])
 def test_malformed_snapshot_exit_code(tmp_path, shape_generic, malform):
     # a gauge-fix snapshot that does not hold the header, columns and rows
     # it should is an invalid configuration: exit 2 and no failure marker

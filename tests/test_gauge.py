@@ -3,9 +3,8 @@ import pytest
 
 from vortexlattice import bifurcation as bif, gauge, glcore, landau
 from reference import PointGroupError, energy_density_mean, rotate_state
-from vortexlattice.gauge import (FluxQuantizationError, RawLatticeState,
-                                 fix_gauge, gauge_transform, raw_from_state,
-                                 translate_state)
+from vortexlattice.gauge import (RawLatticeState, fix_gauge, gauge_transform,
+                                 raw_from_state, translate_state)
 from vortexlattice.landau import quasi_periodicity_residual
 from vortexlattice.lattice import normalize_tau
 

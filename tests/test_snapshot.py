@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -63,6 +64,22 @@ def test_loaders_read_columns_by_name(tmp_path, state):
     snapshot.write_table(path, header, list(cols), [a.ravel() for a in cols.values()])
     with pytest.raises(ValueError, match="ap2"):
         snapshot.load_raw_state(path)
+    # a state in the earlier 7-column layout, with y1, y2 and curl_a, loads
+    # bitwise the state of the current layout
+    new, old = tmp_path / "state.csv", tmp_path / "state_old.csv"
+    snapshot.save_state(new, state)
+    alpha = state.alpha
+    curl_a = (state.params.n + alpha.grid.curl(alpha.values)).ravel()
+    y1, y2 = (y.ravel() for y in state.psi.grid.y)
+    snapshot.write_table(old, json.loads(new.read_text().splitlines()[0][2:]),
+                         ["y1", "y2", "re_psi", "im_psi", "alpha1", "alpha2", "curl_a"],
+                         [y1, y2, state.psi.values.real.ravel(), state.psi.values.imag.ravel(),
+                          alpha.values[0].ravel(), alpha.values[1].ravel(), curl_a])
+    a, b = snapshot.load_state(new), snapshot.load_state(old)
+    assert np.array_equal(a.psi.values, b.psi.values)
+    assert np.array_equal(a.alpha.values, b.alpha.values)
+    assert a.params == b.params
+    assert a.psi.bc_const == b.psi.bc_const
 
 
 def test_save_raw_state_rejects_gl_state(tmp_path, state):
@@ -75,7 +92,11 @@ def test_snapshot_headers(tmp_path, state):
     snapshot.save_state(path, state, extra={"note": 1})
     text = path.read_text().splitlines()
     assert text[0].startswith("# {")
-    assert "curl_a" in text[1]
+    assert text[1] == "re_psi,im_psi,alpha1,alpha2"
+    snapshot.save_raw_state(path, gauge.raw_from_state(state))
+    assert path.read_text().splitlines()[1] == "re_psi,im_psi,ap1,ap2"
+    snapshot.save_field(path, state.psi)
+    assert path.read_text().splitlines()[1] == "re_psi,im_psi"
 
 
 def test_deterministic_bytes(tmp_path, state):
