@@ -4,9 +4,8 @@ energy landscape over lattice shapes.
 Two independent routes to beta = <|psi0|^4> / <|psi0|^2>^2: quadrature of
 the theta-series null vector, and the classical lattice sum
 beta(tau) = sum_{(m,k) in Z^2} exp(-pi |m tau + k|^2 / Im tau), kept as an
-oracle for each other.  beta is modular invariant and smooth, so gradients
-and Hessians are taken by Richardson-refined central differences with
-reduction back into the fundamental domain.
+oracle for each other.  Its gradient and Hessian over tau, which locate and
+classify the critical points, are the lattice sum differentiated term by term.
 """
 
 from __future__ import annotations
@@ -27,22 +26,42 @@ EB_REFINE_H = 2e-3
 EB_NEWTON_STEPS = 12
 
 
-def beta_lattice_sum(shape: LatticeShape) -> float:
-    """Independent oracle: direct lattice sum, shells added until the last
-    one contributes below 1e-14 of the total."""
-    tau = complex(shape.tau)
+def _lattice_terms(tau: complex):
+    """Cutoff R, (m, k), u = m tau1 + k and q = |m tau + k|^2 / tau2."""
     t1, t2 = tau.real, tau.imag
     # smallest eigenvalue of the quadratic form |m tau + k|^2 / t2
     tr = (abs(tau) ** 2 + 1) / t2
     lam_min = 0.5 * (tr - np.sqrt(tr * tr - 4))
     R = int(np.ceil(np.sqrt(34.5 / (np.pi * max(lam_min, 1e-12))))) + 1
     m, k = np.arange(-R, R + 1)[:, None], np.arange(-R, R + 1)[None, :]
-    q = ((m * t1 + k) ** 2 + (m * t2) ** 2) / t2
+    u = m * t1 + k
+    return R, m, k, u, (u ** 2 + (m * t2) ** 2) / t2
+
+
+def beta_lattice_sum(shape: LatticeShape) -> float:
+    """Independent oracle: direct lattice sum, shells added until the last
+    one contributes below 1e-14 of the total."""
+    R, m, k, _, q = _lattice_terms(complex(shape.tau))
     total = float(np.exp(-np.pi * q).sum())
     shell = float(np.exp(-np.pi * q[np.maximum(np.abs(m), np.abs(k)) == R]).sum())
     if shell >= 1e-14 * total:
         raise SolverError(f"lattice sum cutoff R={R} too small (last shell {shell:.3e})")
     return total
+
+
+def beta_derivatives(tau: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of beta over (Re tau, Im tau), term by term on
+    the lattice sum: d_i beta = -pi sum d_i q e^{-pi q} and
+    d_ij beta = sum (pi^2 d_i q d_j q - pi d_ij q) e^{-pi q}.  Exact at any
+    tau, unreduced too, but the cutoff grows as tau leaves the domain."""
+    _, m, _, u, q = _lattice_terms(tau)
+    t2, w = tau.imag, np.exp(-np.pi * q)
+    dq = np.stack(np.broadcast_arrays(2 * m * u / t2, m * m - (u / t2) ** 2))
+    d12 = -2 * m * u / t2**2
+    ddq = np.stack(np.broadcast_arrays(2 * m * m / t2, d12, d12, 2 * u * u / t2**3))
+    hess = (np.pi**2 * np.einsum("iab,jab,ab->ij", dq, dq, w)
+            - np.pi * (ddq * w).sum(axis=(1, 2)).reshape(2, 2))
+    return -np.pi * (dq * w).sum(axis=(1, 2)), hess
 
 
 def beta_of_basis(basis: LandauBasis) -> float:
@@ -98,9 +117,87 @@ def branch_slope(beta: float, kappa: float) -> float:
     return (kappa**2 - 0.5) * beta + 0.5
 
 
+@dataclass(frozen=True)
+class CriticalPoint:
+    tau: complex
+    kind: str                      # minimum | maximum | saddle
+    gradient_norm: float
+    hessian_eigenvalues: tuple[float, float]
+
+
+def _arc_curvature(tau: complex, grad: np.ndarray, hess: np.ndarray) -> float:
+    """d^2 beta / d theta^2 along tau = e^{i theta}, from its plane derivatives:
+    t^T H t + grad . tau'' with t = (-sin, cos) and tau'' = -(cos, sin)."""
+    c, s = tau.real / abs(tau), tau.imag / abs(tau)
+    t = np.array([-s, c])
+    return float(t @ hess @ t - grad @ np.array([c, s]))
+
+
+def _classify(tau: complex, grad: np.ndarray, hess: np.ndarray) -> str:
+    eigs = np.linalg.eigvalsh(hess)
+    if eigs[0] > 0:
+        return "minimum"
+    if eigs[1] < 0:
+        return "maximum"
+    # indefinite plane Hessian at a fold point of the moduli quotient: label
+    # by the restriction to the boundary arc (the classical one-parameter
+    # classification, which calls tau = i the maximum)
+    if abs(abs(tau) - 1.0) < 1e-6:
+        return "maximum" if _arc_curvature(tau, grad, hess) < 0 else "minimum"
+    return "saddle"
+
+
+def find_beta_critical_points() -> list[CriticalPoint]:
+    """Newton search for the zeros of grad beta over the fundamental domain.
+
+    Moves that exit the domain are reduced back by T/S before evaluating;
+    converged points are deduplicated modulo the modular identifications.
+    """
+    starts = (fundamental_domain_grid(4, 3, tau2_max=1.6)
+              + [TAU_SQUARE, complex(TAU_TRIANGULAR)])
+    found: list[complex] = []
+    for tau0 in starts:
+        tau = complex(tau0)
+        for _ in range(60):
+            g, H = beta_derivatives(tau)
+            if np.linalg.norm(g) < CRITICAL_GRAD_TOL:
+                tau = canonical_tau(tau)
+                if not any(modular_distance(tau, t) < 1e-5 for t in found):
+                    found.append(tau)
+                break
+            try:
+                step = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:
+                break
+            nrm = np.linalg.norm(step)
+            if nrm > 0.25:
+                step *= 0.25 / nrm
+            tau = complex(tau + step[0] + 1j * step[1])
+            if tau.imag < 0.05:
+                break
+            tau = complex(normalize_tau(tau)[0].tau)
+    out = []
+    for tau in sorted(found, key=lambda t: (round(t.imag, 6), round(t.real, 6))):
+        g, H = beta_derivatives(tau)
+        eigs = np.linalg.eigvalsh(H)
+        out.append(CriticalPoint(tau=tau, kind=_classify(tau, g, H),
+                                 gradient_norm=float(np.linalg.norm(g)),
+                                 hessian_eigenvalues=(float(eigs[0]), float(eigs[1]))))
+    return out
+
+
 # ----------------------------------------------------------------------
-# derivatives over tau (central differences + one Richardson halving)
+# asymptotic energy landscape
 # ----------------------------------------------------------------------
+def energy_landscape_asymptotic(beta: float, kappa: float, b: float) -> float:
+    """E_b(tau) = kappa^2/2 + b^2 - (kappa^2 - b)^2 / ((2 kappa^2 - 1) beta + 1)
+    up to O((kappa^2 - b)^3), for the shape's beta(tau)."""
+    denom = 2 * branch_slope(beta, kappa)
+    if abs(denom) < 1e-12:
+        raise ZeroDivisionError("degenerate denominator: outside asymptotic validity")
+    return float(kappa**2 / 2 + b**2 - (kappa**2 - b) ** 2 / denom)
+
+
 def _richardson_gradient(f, tau: complex, h: float) -> np.ndarray:
     """Central-difference gradient of f over (Re tau, Im tau) after one
     Richardson halving: (4 g(h/2) - g(h)) / 3 cancels the h^2 term, leaving
@@ -121,103 +218,6 @@ def _central_hessian(f, tau: complex, h: float) -> np.ndarray:
     d12 = (f(tau + h + 1j * h) - f(tau + h - 1j * h)
            - f(tau - h + 1j * h) + f(tau - h - 1j * h)) / (4 * h**2)
     return np.array([[d11, d12], [d12, d22]])
-
-
-def beta_gradient(tau: complex) -> np.ndarray:
-    return _richardson_gradient(beta_of, tau, 1e-4)
-
-
-def beta_hessian(tau: complex) -> np.ndarray:
-    return _central_hessian(beta_of, tau, 1e-3)
-
-
-@dataclass(frozen=True)
-class CriticalPoint:
-    tau: complex
-    kind: str                      # minimum | maximum | saddle
-    gradient_norm: float
-    hessian_eigenvalues: tuple[float, float]
-
-
-def _arc_second_derivative(theta: float) -> float:
-    """d^2/d theta^2 of beta along the unit circle |tau| = 1, by a central
-    difference of step h = 1e-3."""
-    h = 1e-3
-    f = lambda th: beta_of(np.exp(1j * th))
-    return (f(theta + h) - 2 * f(theta) + f(theta - h)) / h**2
-
-
-def _classify(tau: complex, hess: np.ndarray) -> str:
-    eigs = np.linalg.eigvalsh(hess)
-    if eigs[0] > 0:
-        return "minimum"
-    if eigs[1] < 0:
-        return "maximum"
-    # indefinite plane Hessian at a fold point of the moduli quotient: label
-    # by the restriction to the boundary arc (the classical one-parameter
-    # classification, which calls tau = i the maximum)
-    if abs(abs(tau) - 1.0) < 1e-6:
-        if _arc_second_derivative(float(np.angle(tau))) < 0:
-            return "maximum"
-        return "minimum"
-    return "saddle"
-
-
-def find_beta_critical_points() -> list[CriticalPoint]:
-    """Newton search for the zeros of grad beta over the fundamental domain.
-
-    Moves that exit the domain are reduced back by T/S before evaluating;
-    converged points are deduplicated modulo the modular identifications.
-    """
-    starts = (fundamental_domain_grid(4, 3, tau2_max=1.6)
-              + [TAU_SQUARE, complex(TAU_TRIANGULAR)])
-    found: list[complex] = []
-    for tau0 in starts:
-        tau = complex(tau0)
-        ok = False
-        for _ in range(60):
-            g = beta_gradient(tau)
-            if np.linalg.norm(g) < CRITICAL_GRAD_TOL:
-                ok = True
-                break
-            H = beta_hessian(tau)
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                break
-            nrm = np.linalg.norm(step)
-            if nrm > 0.25:
-                step *= 0.25 / nrm
-            tau = complex(tau + step[0] + 1j * step[1])
-            if tau.imag < 0.05:
-                break
-            tau = complex(normalize_tau(tau)[0].tau)
-        if not ok:
-            continue
-        tau = canonical_tau(tau)
-        if not any(modular_distance(tau, t) < 1e-5 for t in found):
-            found.append(tau)
-    out = []
-    for tau in sorted(found, key=lambda t: (round(t.imag, 6), round(t.real, 6))):
-        g = beta_gradient(tau)
-        H = beta_hessian(tau)
-        eigs = np.linalg.eigvalsh(H)
-        out.append(CriticalPoint(tau=tau, kind=_classify(tau, H),
-                                 gradient_norm=float(np.linalg.norm(g)),
-                                 hessian_eigenvalues=(float(eigs[0]), float(eigs[1]))))
-    return out
-
-
-# ----------------------------------------------------------------------
-# asymptotic energy landscape
-# ----------------------------------------------------------------------
-def energy_landscape_asymptotic(beta: float, kappa: float, b: float) -> float:
-    """E_b(tau) = kappa^2/2 + b^2 - (kappa^2 - b)^2 / ((2 kappa^2 - 1) beta + 1)
-    up to O((kappa^2 - b)^3), for the shape's beta(tau)."""
-    denom = 2 * branch_slope(beta, kappa)
-    if abs(denom) < 1e-12:
-        raise ZeroDivisionError("degenerate denominator: outside asymptotic validity")
-    return float(kappa**2 / 2 + b**2 - (kappa**2 - b) ** 2 / denom)
 
 
 def _newton_refine(f, tau: complex, h: float, max_steps: int) -> complex:

@@ -187,7 +187,6 @@ class BranchPoint:
     residual_psi: float
     residual_alpha: float
     curl_alpha: np.ndarray        # curl alpha on the basis's N grid; curl a = 1 + curl alpha
-    flux: float
     max_curl_a: float
     min_abs_psi: float
     coeff_tail: float             # max_j |c_{K_lev, j}| / max |c|: truncation tail
@@ -226,13 +225,11 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
 
     curl_alpha = solve_grid.resample(solve_grid.curl(wres.alpha2), basis.N)
-    curl_a = 1.0 + curl_alpha
     return BranchPoint(
         s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam), psi_coeffs=psi_c,
         alpha=alpha, energy=_energy(ps, wres.alpha2, GLParams(kappa=kappa, n=1, lam=lam)),
         residual_psi=res_psi, residual_alpha=ps.alpha_residual_rms(wres.alpha2),
-        curl_alpha=curl_alpha, flux=grid.flux(curl_a),
-        max_curl_a=float(np.max(curl_a)),
+        curl_alpha=curl_alpha, max_curl_a=1.0 + float(np.max(curl_alpha)),
         min_abs_psi=float(np.min(np.abs(basis.synth(psi_c)))),
         coeff_tail=float(np.max(np.abs(psi_c[-1])) / max(np.max(np.abs(psi_c)), 1e-300)),
         grid_tail=ps.grid_tail(),

@@ -24,11 +24,15 @@ from .landau import QuasiPeriodicField
 from .lattice import LatticeShape
 
 FMT = "%.17g"
+# |bc_const| bound: below 2^19 the ulp of a boundary phase is at most
+# 2^-34 = 5.8e-11 rad
+BC_CONST_MAX = 2.0**19
 
 
 class SnapshotFormatError(ValueError):
     """A snapshot without the header keys, columns or N^2 rows its loader
-    reads, or whose flux number n or cell scale r is out of range."""
+    reads, or whose grid size N, flux number n, cell scale r or boundary
+    constants bc_const are out of range."""
 
 
 def _loader(load):
@@ -57,19 +61,26 @@ def write_table(path, header: dict, columns: list[str], arrays: list[np.ndarray]
 
 
 def _read(path, columns: tuple[str, ...]) -> tuple[dict, dict[str, np.ndarray]]:
-    """The JSON header, its flux number n checked, and the named columns of
-    a snapshot, the only ones parsed, each reshaped to the header's N x N grid."""
+    """The JSON header, its N, n and bc_const (default (0, 0)) checked, and
+    the named columns of a snapshot, the only ones parsed, each reshaped to
+    the header's N x N grid."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ValueError("no '#' JSON header line")
         header = json.loads(first[1:].strip())
-        n = header["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"flux number n = {n!r} is not an integer >= 1")
+        for key in ("N", "n"):
+            v = header[key]
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ValueError(f"header {key} = {v!r} is not an integer >= 1")
+        bc = header.setdefault("bc_const", [0.0, 0.0])
+        if not (isinstance(bc, list) and len(bc) == 2
+                and all(type(c) in (int, float) and abs(c) < BC_CONST_MAX for c in bc)):
+            raise ValueError(f"bc_const = {bc!r} is not two finite numbers below "
+                             f"{BC_CONST_MAX:g} in magnitude")
         names = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", usecols=[names.index(c) for c in columns])
-    N = int(header["N"])
+    N = header["N"]
     return header, {c: data[:, i].reshape(N, N) for i, c in enumerate(columns)}
 
 
@@ -89,7 +100,7 @@ def load_field(path) -> QuasiPeriodicField:
     vals = col["re_psi"] + 1j * col["im_psi"]
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
     return QuasiPeriodicField(n=header["n"], shape=shape, values=vals,
-                              bc_const=tuple(header.get("bc_const", (0.0, 0.0))))
+                              bc_const=tuple(header["bc_const"]))
 
 
 def save_state(path, state: GLState, extra: dict | None = None) -> None:
@@ -110,7 +121,7 @@ def load_state(path) -> GLState:
     n = header["n"]
     psi = QuasiPeriodicField(n=n, shape=shape,
                              values=col["re_psi"] + 1j * col["im_psi"],
-                             bc_const=tuple(header.get("bc_const", (0.0, 0.0))))
+                             bc_const=tuple(header["bc_const"]))
     alpha_vals = np.stack([col["alpha1"], col["alpha2"]])
     params = GLParams(kappa=float(header["kappa"]), n=n, lam=float(header["lambda"]))
     return GLState(psi=psi, alpha=PeriodicVectorField(alpha_vals, psi.grid), params=params)
@@ -139,4 +150,4 @@ def load_raw_state(path):
         psi=col["re_psi"] + 1j * col["im_psi"],
         a_p=np.stack([col["ap1"], col["ap2"]]),
         n=header["n"], shape=shape, r=r,
-        bc_const=tuple(header.get("bc_const", (0.0, 0.0))))
+        bc_const=tuple(header["bc_const"]))

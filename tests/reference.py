@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from vortexlattice.abrikosov import (beta_gradient, beta_hessian, beta_lattice_sum,
-                                     beta_of, canonical_tau)
+from vortexlattice.abrikosov import (beta_derivatives, beta_lattice_sum, beta_of,
+                                     canonical_tau)
 from vortexlattice.bifurcation import solve_w
 from vortexlattice.glcore import (AlphaSolveError, GLParams, GLState,
                                   PeriodicVectorField, _alpha_fixed_point,
@@ -202,7 +202,7 @@ def descend_beta(tau0: complex, step0: float = 0.1, tol: float = 1e-10,
     val = beta_of(tau)
     step = step0
     for _ in range(max_iter):
-        g = beta_gradient(tau)
+        g = beta_derivatives(tau)[0]
         gn = np.linalg.norm(g)
         if gn < tol:
             break
@@ -220,11 +220,11 @@ def descend_beta(tau0: complex, step0: float = 0.1, tol: float = 1e-10,
             break
     # Newton polish once inside the attraction basin
     for _ in range(20):
-        g = beta_gradient(tau)
+        g, hess = beta_derivatives(tau)
         if np.linalg.norm(g) < tol:
             break
         try:
-            d = np.linalg.solve(beta_hessian(tau), -g)
+            d = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:
             break
         if np.linalg.norm(d) > 0.1:

@@ -119,12 +119,15 @@ def test_critical_point_locations(critical_points):
 
 def test_critical_point_gradients(critical_points):
     for cp in critical_points:
-        assert cp.gradient_norm < 1e-8
+        assert cp.gradient_norm < 1e-14
 
 
 def test_minimum_hessian_definite(critical_points):
     cp = next(c for c in critical_points if c.kind == "minimum")
     assert cp.hessian_eigenvalues[0] > 0 and cp.hessian_eigenvalues[1] > 0
+    # the sixfold rotation of the triangular lattice makes its Hessian a
+    # multiple of the identity
+    assert abs(cp.hessian_eigenvalues[1] - cp.hessian_eigenvalues[0]) < 1e-12
 
 
 def test_descent_multistart(rng):
@@ -135,8 +138,37 @@ def test_descent_multistart(rng):
 
 
 def test_gradient_vanishes_at_special_points():
-    assert np.linalg.norm(abr.beta_gradient(TRI)) < 1e-8
-    assert np.linalg.norm(abr.beta_gradient(1j)) < 1e-8
+    assert np.linalg.norm(abr.beta_derivatives(TRI)[0]) < 1e-14
+    assert np.linalg.norm(abr.beta_derivatives(1j)[0]) < 1e-14
+
+
+@pytest.mark.parametrize("tau", [1j, TRI, 0.3 + 1.2j, 0.1 + 1.05j, 0.45 + 0.95j,
+                                 0.2 + 3j])
+def test_beta_derivatives_match_differences(tau):
+    # oracles: the Richardson gradient and central Hessian of beta_of, whose
+    # own errors are about 5e-12 and 2e-6 at these steps
+    grad, hess = abr.beta_derivatives(tau)
+    assert np.abs(grad - abr._richardson_gradient(abr.beta_of, tau, 1e-4)).max() < 1e-10
+    assert np.abs(hess - abr._central_hessian(abr.beta_of, tau, 1e-3)).max() < 1e-5
+
+
+@given(upper)
+@settings(max_examples=40, deadline=None)
+def test_beta_gradient_modular_covariance(tau):
+    # beta(-1/tau) = beta(tau + 1) = beta(tau); with G = d1 beta + i d2 beta
+    # the chain rule gives G(tau) = conj(1/tau^2) G(-1/tau) and G(tau + 1) = G(tau)
+    G = lambda t: complex(*abr.beta_derivatives(t)[0])
+    assert abs(G(tau) - np.conj(1 / tau**2) * G(-1 / tau)) < 1e-12
+    assert abs(G(tau + 1) - G(tau)) < 1e-12
+
+
+def test_arc_curvature_matches_difference_at_square_point():
+    # second difference of beta along tau = e^(i theta), h = 1e-3, against
+    # the plane derivatives restricted to the arc
+    f = lambda th: abr.beta_of(np.exp(1j * th))
+    h, th = 1e-3, np.pi / 2
+    fd = (f(th + h) - 2 * f(th) + f(th - h)) / h**2
+    assert abs(abr._arc_curvature(1j, *abr.beta_derivatives(1j)) - fd) < 1e-5
 
 
 @pytest.mark.parametrize("tau0", [0.47 + 0.89j, 0.5 + 0.9j, 0.45 + 0.95j])

@@ -187,8 +187,8 @@ def test_criterion_07_branch_residuals_and_side(branch_sq_128, branch_tr_128,
                                                 shape_tr):
     worst_F = max(p.residual_psi for br in (branch_sq_128, branch_tr_128)
                   for p in br.points)
-    worst_flux = max(abs(p.flux - 2 * np.pi) for br in (branch_sq_128, branch_tr_128)
-                     for p in br.points)
+    worst_flux = max(abs(br.basis.grid.flux(1 + p.curl_alpha) - 2 * np.pi)
+                     for br in (branch_sq_128, branch_tr_128) for p in br.points)
     # positive sign: branch at lambda > 1 (b < kappa^2); other side refused
     sides_ok = all(p.lam > 1 for br in (branch_sq_128, branch_tr_128)
                    for p in br.points)

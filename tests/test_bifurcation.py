@@ -163,7 +163,7 @@ def test_branch_residual_invariants(branch_sq):
     for p in branch_sq.points:
         assert p.residual_psi < 1e-8
         assert p.residual_alpha < 1e-10
-        assert abs(p.flux - 2 * np.pi) < 1e-12
+        assert abs(branch_sq.basis.grid.flux(1 + p.curl_alpha) - 2 * np.pi) < 1e-12
 
 
 def test_branch_lambda_monotone(branch_sq):

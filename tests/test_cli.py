@@ -360,8 +360,14 @@ def _set_header(**keys):
     lambda lines: lines[:-1],
     _set_header(n=0), _set_header(n=-1), _set_header(n=2.7),
     _set_header(r=0), _set_header(r=-2),
+    _set_header(N=8.5), _set_header(N=True),
+    _set_header(bc_const=[float("nan"), 0]), _set_header(bc_const=[1e300, 0]),
+    _set_header(bc_const=[2.0**19, 0]), _set_header(bc_const=[0.5]),
+    _set_header(bc_const="xy"),
 ], ids=["no-header", "no-ap1-column", "no-N-key", "rows-not-N^2",
-        "n-zero", "n-negative", "n-not-integer", "r-zero", "r-negative"])
+        "n-zero", "n-negative", "n-not-integer", "r-zero", "r-negative",
+        "N-not-integer", "N-bool", "bc-nan", "bc-huge", "bc-ulp-above-tol",
+        "bc-one-number", "bc-string"])
 def test_malformed_snapshot_exit_code(tmp_path, shape_generic, malform):
     # a gauge-fix snapshot that does not hold the header, columns and rows
     # it should is an invalid configuration: exit 2 and no failure marker

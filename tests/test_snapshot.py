@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,13 +38,16 @@ def test_state_round_trip(tmp_path, state):
 
 
 def test_raw_state_round_trip(tmp_path, state):
-    raw = gauge.raw_from_state(state)
+    # the largest boundary constant the loaders accept keeps its bits
+    raw = replace(gauge.raw_from_state(state),
+                  bc_const=(float(np.nextafter(snapshot.BC_CONST_MAX, 0)), -3.25))
     path = tmp_path / "raw.csv"
     snapshot.save_raw_state(path, raw)
     back = snapshot.load_raw_state(path)
     assert np.max(np.abs(back.psi - raw.psi)) < 1e-12
     assert np.max(np.abs(back.a_p - raw.a_p)) < 1e-12
     assert back.r == pytest.approx(raw.r)
+    assert back.bc_const == raw.bc_const
 
 
 def test_loaders_read_columns_by_name(tmp_path, state):

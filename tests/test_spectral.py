@@ -196,4 +196,4 @@ def test_point_curl_matches_output_grid_curl(shape_generic, N):
     grid = setup.basis.grid
     curl_a = 1.0 + grid.curl(pt.alpha.values)
     assert abs(pt.max_curl_a - np.max(curl_a)) <= 1e-13 * abs(np.max(curl_a))
-    assert abs(pt.flux - grid.flux(curl_a)) <= 1e-13 * abs(grid.flux(curl_a))
+    assert abs(grid.flux(1 + pt.curl_alpha) - grid.flux(curl_a)) <= 1e-13 * abs(grid.flux(curl_a))
