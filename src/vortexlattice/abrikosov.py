@@ -6,6 +6,7 @@ the theta-series null vector, and the classical lattice sum
 beta(tau) = sum_{(m,k) in Z^2} exp(-pi |m tau + k|^2 / Im tau), kept as an
 oracle for each other.  Its gradient and Hessian over tau, which locate and
 classify the critical points, are the lattice sum differentiated term by term.
+E_b(tau) is minimized by Newton on the exact gradient each branch point carries.
 """
 
 from __future__ import annotations
@@ -198,37 +199,16 @@ def energy_landscape_asymptotic(beta: float, kappa: float, b: float) -> float:
     return float(kappa**2 / 2 + b**2 - (kappa**2 - b) ** 2 / denom)
 
 
-def _richardson_gradient(f, tau: complex, h: float) -> np.ndarray:
-    """Central-difference gradient of f over (Re tau, Im tau) after one
-    Richardson halving: (4 g(h/2) - g(h)) / 3 cancels the h^2 term, leaving
-    an O(h^4) remainder."""
-    def g(step):
-        return np.array([
-            (f(tau + step) - f(tau - step)) / (2 * step),
-            (f(tau + 1j * step) - f(tau - 1j * step)) / (2 * step),
-        ])
-    g1, g2 = g(h), g(h / 2)
-    return (4 * g2 - g1) / 3
-
-
-def _central_hessian(f, tau: complex, h: float) -> np.ndarray:
-    f0 = f(tau)
-    d11 = (f(tau + h) - 2 * f0 + f(tau - h)) / h**2
-    d22 = (f(tau + 1j * h) - 2 * f0 + f(tau - 1j * h)) / h**2
-    d12 = (f(tau + h + 1j * h) - f(tau + h - 1j * h)
-           - f(tau - h + 1j * h) + f(tau - h - 1j * h)) / (4 * h**2)
-    return np.array([[d11, d12], [d12, d22]])
-
-
-def _newton_refine(f, tau: complex, h: float, max_steps: int) -> complex:
-    """Newton iteration toward a critical point of f near tau, on the
-    Richardson-refined gradient and the central-difference Hessian with step
-    h.  Steps are capped at 0.05; the loop stops after a step shorter than
-    1e-5 h or when the Hessian is singular."""
+def _newton_refine(grad, tau: complex, h: float, max_steps: int) -> complex:
+    """Newton iteration toward a critical point near tau, on grad(tau) over
+    (Re tau, Im tau) and its symmetrized central difference at step h as the
+    Hessian.  Steps are capped at 0.05; the loop stops after a step shorter
+    than 1e-5 h or when the Hessian is singular."""
     for _ in range(max_steps):
+        hess = np.column_stack([(grad(tau + d) - grad(tau - d)) / (2 * h)
+                                for d in (h, 1j * h)])
         try:
-            step = np.linalg.solve(_central_hessian(f, tau, h),
-                                   -_richardson_gradient(f, tau, h))
+            step = np.linalg.solve((hess + hess.T) / 2, -grad(tau))
         except np.linalg.LinAlgError:
             break
         nrm = np.linalg.norm(step)
@@ -240,42 +220,40 @@ def _newton_refine(f, tau: complex, h: float, max_steps: int) -> complex:
     return tau
 
 
+def _Eb_point(kappa: float, b: float, K_lev: int):
+    """Cached (E_b, grad E_b) at a raw tau from one branch_by_field solve of
+    its reduced shape tau' = M tau, whose gradient maps back through the
+    modular map M: with G = d1 + i d2, G(tau) = conj(1/(c tau + d)^2) G(tau')."""
+    from .bifurcation import branch_by_field
+    cache: dict[tuple[float, float], tuple[float, np.ndarray]] = {}
+
+    def point(tau: complex) -> tuple[float, np.ndarray]:
+        key = (round(tau.real, 12), round(tau.imag, 12))
+        if key not in cache:
+            shape, mod = normalize_tau(tau)
+            p = branch_by_field(b, kappa, shape, K_lev=K_lev)
+            G = np.conj(1 / (mod.c * tau + mod.d) ** 2) * complex(*p.dE_dtau)
+            cache[key] = p.energy, np.array([G.real, G.imag])
+        return cache[key]
+    return point
+
+
 def minimize_Eb_numeric(kappa: float, b: float, K_lev: int = 40):
     """Minimizer tau_b of the numerically computed branch energy E_b(tau).
 
     A fixed coarse scan of the fundamental domain (the EB_COARSE_GRID
     5 x 4 grid up to Im tau = EB_TAU2_MAX = 1.4, plus e^{i pi/3}) followed
-    by at most EB_NEWTON_STEPS = 12 Newton steps of difference step
-    EB_REFINE_H = 2e-3: the same path for every b, so different mu values
-    are comparable.  Returns (tau_b, E_b(tau_b)).  E_b is computed on each
-    shape's solve grid, and no field is sampled on any other grid.
-
-    The gradient is Richardson-refined, (4 g(h/2) - g(h)) / 3, so its
-    truncation remainder is O(h^4).  A plain central difference would leave
-    an O(h^2) bias: the cubic term of E_b at e^{i pi/3} moves the returned
-    point by about 7e-7 at h = 2e-3, for every mu.  What remains is the
-    roundoff floor of the difference quotient, about
-    3 eps |E_b| / (h lambda_min), where lambda_min is the smallest Hessian
-    eigenvalue of E_b.  Since the Hessian scales as mu^2 = (kappa^2 - b)^2,
-    the floor grows like 1/mu^2: about 1e-10 at mu = 0.2 and 2e-9 at
-    mu = 0.05 for K_lev = 40, times up to 3 from the Richardson
-    combination.  Newton stops after a step shorter than 1e-5 EB_REFINE_H
-    (2e-8); quadratic convergence then leaves tau_b at that
-    floor, so for mu >= 0.05 the returned tau is resolved to better than
-    1e-8.
+    by at most EB_NEWTON_STEPS = 12 Newton steps on each point's exact
+    gradient (BranchPoint.dE_dtau), with the Hessian differenced from it at
+    step EB_REFINE_H = 2e-3 (5 solves a step): the same path for every b, so
+    different mu values are comparable.  The difference error moves only the
+    path, not the critical point it converges to.  Returns (tau_b,
+    E_b(tau_b)).  E_b and its gradient are computed on each shape's solve
+    grid, and no field is sampled on any other grid.
     """
-    from .bifurcation import branch_by_field
-
-    cache: dict[tuple[float, float], float] = {}
-
-    def E(tau: complex) -> float:
-        key = (round(tau.real, 12), round(tau.imag, 12))
-        if key not in cache:
-            shape, _ = normalize_tau(tau)
-            cache[key] = branch_by_field(b, kappa, shape, K_lev=K_lev).energy
-        return cache[key]
-
+    point = _Eb_point(kappa, b, K_lev)
     pts = fundamental_domain_grid(*EB_COARSE_GRID, tau2_max=EB_TAU2_MAX)
     pts.append(complex(TAU_TRIANGULAR))
-    tau = _newton_refine(E, min(pts, key=E), EB_REFINE_H, EB_NEWTON_STEPS)
-    return tau, E(tau)
+    tau0 = min(pts, key=lambda t: point(t)[0])
+    tau = _newton_refine(lambda t: point(t)[1], tau0, EB_REFINE_H, EB_NEWTON_STEPS)
+    return tau, point(tau)[0]

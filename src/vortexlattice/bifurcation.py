@@ -25,7 +25,7 @@ import numpy as np
 
 from .abrikosov import beta_of_basis, branch_slope
 from .glcore import (F_coeffs, GLParams, PeriodicVectorField, _coeff_samples,
-                     _energy, _nonlinear, _PsiSamples)
+                     _energy, _nonlinear, _PsiSamples, _shape_gradient)
 from .landau import LandauBasis
 from .lattice import LatticeShape, SolverError
 
@@ -191,6 +191,7 @@ class BranchPoint:
     min_abs_psi: float
     coeff_tail: float             # max_j |c_{K_lev, j}| / max |c|: truncation tail
     grid_tail: float              # outer-ring |psi|^2 Fourier share on the solve grid
+    dE_dtau: np.ndarray           # d energy / d(Re tau, Im tau) of the reduced shape, fixed b
 
 
 @dataclass
@@ -210,10 +211,10 @@ class Branch:
 
 
 def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
-    """The branch point psi = s psi0 + w.  Its scalars are read from the w
-    solve's final solve-grid samples and alpha; alpha and curl a, taken on
-    the solve grid, are resampled to the basis's N grid, which is the solve
-    grid unless the setup was built with an N."""
+    """The branch point psi = s psi0 + w.  Its scalars and shape gradient are
+    read from the w solve's final solve-grid samples and alpha; alpha and
+    curl a, taken on the solve grid, are resampled to the basis's N grid,
+    which is the solve grid unless the setup was built with an N."""
     basis = setup.basis
     grid, solve_grid = basis.grid, basis.solve_grid
     s, lam, ps = wres.s, wres.lam, wres.samples
@@ -225,14 +226,15 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
 
     curl_alpha = solve_grid.resample(solve_grid.curl(wres.alpha2), basis.N)
+    params = GLParams(kappa=kappa, n=1, lam=lam)
     return BranchPoint(
         s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam), psi_coeffs=psi_c,
-        alpha=alpha, energy=_energy(ps, wres.alpha2, GLParams(kappa=kappa, n=1, lam=lam)),
+        alpha=alpha, energy=_energy(ps, wres.alpha2, params),
         residual_psi=res_psi, residual_alpha=ps.alpha_residual_rms(wres.alpha2),
         curl_alpha=curl_alpha, max_curl_a=1.0 + float(np.max(curl_alpha)),
         min_abs_psi=float(np.min(np.abs(basis.synth(psi_c)))),
         coeff_tail=float(np.max(np.abs(psi_c[-1])) / max(np.max(np.abs(psi_c)), 1e-300)),
-        grid_tail=ps.grid_tail(),
+        grid_tail=ps.grid_tail(), dE_dtau=_shape_gradient(ps, wres.alpha2, params),
     )
 
 
@@ -296,7 +298,6 @@ class ExpansionReport:
     g_lambda_prime0: float          # fitted d lambda / d s^2 at 0
     g_lambda_prime0_target: float   # ((kappa^2 - 1/2) beta + 1/2) <|psi0|^2>
     g_lambda_prime0_err: float
-    lambda1: float                  # alias of the fitted slope (epsilon = s)
     fit_cov: list                   # lstsq covariance of [1, s^2, s^4] model
     curl_a1_sup_err: float          # |curl a1 - (<|psi0|^2> - |psi0|^2)/2|_inf
     energy_slope: float             # log-log slope of |E - E_pred| vs s
@@ -357,7 +358,7 @@ def fit_expansion(branch: Branch) -> ExpansionReport:
         kappa=kappa, tau=complex(basis.shape.tau), solve_N=basis.solve_N,
         K_lev=basis.K_lev,
         beta_used=beta, g_lambda_prime0=fit_c, g_lambda_prime0_target=float(target),
-        g_lambda_prime0_err=abs(fit_c - target), lambda1=fit_c,
+        g_lambda_prime0_err=abs(fit_c - target),
         fit_cov=[[float(c) for c in row] for row in cov],
         curl_a1_sup_err=curl_err, energy_slope=slope,
         eps_of_b_slope=sl, eps_of_b_slope_target=float(sl_target),

@@ -58,7 +58,7 @@ def parse_tau(text: str) -> complex:
 def parse_tau_grid(text: str) -> list[complex]:
     if text.startswith("fundamental:"):
         try:
-            n1, n2 = (int(p) for p in text.split(":")[1].split("x"))
+            n1, n2 = (int(p) for p in text.removeprefix("fundamental:").split("x"))
         except Exception as exc:
             raise ConfigError(f"bad tau grid {text!r}; use fundamental:20x20") from exc
         if n1 < 1 or n2 < 1:

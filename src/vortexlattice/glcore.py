@@ -100,6 +100,10 @@ class _PsiSamples:
         return np.stack([np.imag(np.conj(self.psi) * self.d1),
                          np.imag(np.conj(self.psi) * self.d2)])
 
+    def covariant(self, alpha: np.ndarray) -> np.ndarray:
+        """(D1 psi, D2 psi) with D = grad_{A0 + alpha}, for alpha on this grid."""
+        return np.stack([self.d1, self.d2]) - 1j * alpha * self.psi
+
     def alpha_residual(self, alpha: np.ndarray) -> np.ndarray:
         """(M + |psi|^2) alpha - j0 for alpha sampled on this grid."""
         return self.grid.curl_star_curl(alpha) + self.rho[None] * alpha - self.j0
@@ -252,9 +256,22 @@ def energy(state: GLState) -> float:
 def _energy(ps: _PsiSamples, alpha: np.ndarray, p: GLParams) -> float:
     """energy() from samples of psi and alpha on one grid, for callers that
     hold them."""
-    cov1 = ps.d1 - 1j * alpha[0] * ps.psi
-    cov2 = ps.d2 - 1j * alpha[1] * ps.psi
+    cov = ps.covariant(alpha)
     curl = p.n + ps.grid.curl(alpha)
-    dens = (np.abs(cov1) ** 2 + np.abs(cov2) ** 2 + curl ** 2
+    dens = (np.abs(cov[0]) ** 2 + np.abs(cov[1]) ** 2 + curl ** 2
             + 0.5 * p.kappa**2 * (ps.rho - p.lam / p.kappa**2) ** 2)
     return float(p.kappa**4 / p.lam**2 * np.mean(dens))
+
+
+def _shape_gradient(ps: _PsiSamples, alpha: np.ndarray, p: GLParams) -> np.ndarray:
+    """d _energy / d(Re tau, Im tau) of a solution (psi, alpha), at fixed
+    lambda.  In logical coordinates A0 and the boundary phase see m_tau only
+    through its fixed determinant, so by the envelope theorem (the GL virial
+    identity) only the metric of |D psi|^2 moves: -2 kappa^4/lambda^2
+    tr(S_k T) with T_ij = <Re conj(D_i psi) D_j psi> and S_k = (d_k m_tau)
+    m_tau^{-1} = [[0, 1], [0, 0]] / tau2, diag(-1, 1) / (2 tau2)."""
+    cov = ps.covariant(alpha)
+    t11, t22 = np.mean(np.abs(cov) ** 2, axis=(1, 2))
+    t12 = np.mean(np.real(np.conj(cov[0]) * cov[1]))
+    tau2 = ps.grid.m[1, 1] / ps.grid.m[0, 0]
+    return p.kappa**4 / (p.lam**2 * tau2) * np.array([-2 * t12, t11 - t22])

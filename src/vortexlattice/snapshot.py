@@ -31,8 +31,8 @@ BC_CONST_MAX = 2.0**19
 
 class SnapshotFormatError(ValueError):
     """A snapshot without the header keys, columns or N^2 rows its loader
-    reads, or whose grid size N, flux number n, cell scale r or boundary
-    constants bc_const are out of range."""
+    reads, with a non-finite sample, or whose grid size N, flux number n,
+    cell scale r or boundary constants bc_const are out of range."""
 
 
 def _loader(load):
@@ -62,8 +62,8 @@ def write_table(path, header: dict, columns: list[str], arrays: list[np.ndarray]
 
 def _read(path, columns: tuple[str, ...]) -> tuple[dict, dict[str, np.ndarray]]:
     """The JSON header, its N, n and bc_const (default (0, 0)) checked, and
-    the named columns of a snapshot, the only ones parsed, each reshaped to
-    the header's N x N grid."""
+    the named columns of a snapshot, the only ones parsed, checked finite and
+    each reshaped to the header's N x N grid."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
@@ -80,6 +80,8 @@ def _read(path, columns: tuple[str, ...]) -> tuple[dict, dict[str, np.ndarray]]:
                              f"{BC_CONST_MAX:g} in magnitude")
         names = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", usecols=[names.index(c) for c in columns])
+    if not np.isfinite(data).all():
+        raise ValueError("a parsed column holds a non-finite value")
     N = header["N"]
     return header, {c: data[:, i].reshape(N, N) for i, c in enumerate(columns)}
 

@@ -6,11 +6,14 @@ of glcore._alpha_fixed_point.  The dense Landau tables summed term by term
 (evaluate_raw) are the second oracle for the separable
 transform behind LandauBasis.synth/project, and the polynomial ladder
 carrier LadderTerm a third route to the higher levels.  Gradient descent on
-beta is the second route to its minimum, and the effective energy
-e_lambda(v) checks the reduction's variational structure.  FullSpectrumGrid
-keeps the CellGrid operators on the full fft2 spectrum, the oracle of the
-half-spectrum ones.  The N^2 x N^2 link matrix magnetic_laplacian_fd, in the
-symmetric gauge, is the oracle of the Harper chains of landau.fd_spectrum.
+beta is the second route to its minimum.  The Richardson-refined central
+difference gradient and the central difference Hessian are the oracles of
+beta's term-by-term derivatives and of the branch energy's shape gradient.
+The effective energy e_lambda(v) checks the reduction's variational
+structure.  FullSpectrumGrid keeps the CellGrid operators on the full fft2
+spectrum, the oracle of the half-spectrum ones.  The N^2 x N^2 link matrix
+magnetic_laplacian_fd, in the symmetric gauge, is the oracle of the Harper
+chains of landau.fd_spectrum.
 The field operations at the end (the alpha solve on a
 field, flux, supercurrent, the ladder-route covariant gradient and ladder
 actions on fields, the applied field h0, point-group rotation, the physical
@@ -195,6 +198,28 @@ def min_nonzero_gsq(grid):
 # ----------------------------------------------------------------------
 # beta and the reduction
 # ----------------------------------------------------------------------
+def _richardson_gradient(f, tau: complex, h: float) -> np.ndarray:
+    """Central-difference gradient of f over (Re tau, Im tau) after one
+    Richardson halving: (4 g(h/2) - g(h)) / 3 cancels the h^2 term, leaving
+    an O(h^4) remainder."""
+    def g(step):
+        return np.array([
+            (f(tau + step) - f(tau - step)) / (2 * step),
+            (f(tau + 1j * step) - f(tau - 1j * step)) / (2 * step),
+        ])
+    g1, g2 = g(h), g(h / 2)
+    return (4 * g2 - g1) / 3
+
+
+def _central_hessian(f, tau: complex, h: float) -> np.ndarray:
+    f0 = f(tau)
+    d11 = (f(tau + h) - 2 * f0 + f(tau - h)) / h**2
+    d22 = (f(tau + 1j * h) - 2 * f0 + f(tau - 1j * h)) / h**2
+    d12 = (f(tau + h + 1j * h) - f(tau + h - 1j * h)
+           - f(tau - h + 1j * h) + f(tau - h - 1j * h)) / (4 * h**2)
+    return np.array([[d11, d12], [d12, d22]])
+
+
 def descend_beta(tau0: complex, step0: float = 0.1, tol: float = 1e-10,
                  max_iter: int = 500) -> complex:
     """Gradient descent with backtracking, folded into the fundamental domain."""

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import applied_field, descend_beta
+from reference import (_central_hessian, _richardson_gradient, applied_field,
+                       descend_beta)
 from vortexlattice import abrikosov as abr
 from vortexlattice.lattice import (TAU_SQUARE, TAU_TRIANGULAR,
                                    fundamental_domain_grid, normalize_tau)
@@ -148,8 +149,8 @@ def test_beta_derivatives_match_differences(tau):
     # oracles: the Richardson gradient and central Hessian of beta_of, whose
     # own errors are about 5e-12 and 2e-6 at these steps
     grad, hess = abr.beta_derivatives(tau)
-    assert np.abs(grad - abr._richardson_gradient(abr.beta_of, tau, 1e-4)).max() < 1e-10
-    assert np.abs(hess - abr._central_hessian(abr.beta_of, tau, 1e-3)).max() < 1e-5
+    assert np.abs(grad - _richardson_gradient(abr.beta_of, tau, 1e-4)).max() < 1e-10
+    assert np.abs(hess - _central_hessian(abr.beta_of, tau, 1e-3)).max() < 1e-5
 
 
 @given(upper)
@@ -173,13 +174,24 @@ def test_arc_curvature_matches_difference_at_square_point():
 
 @pytest.mark.parametrize("tau0", [0.47 + 0.89j, 0.5 + 0.9j, 0.45 + 0.95j])
 def test_newton_refine_unbiased_at_triangular_point(tau0):
-    # The refinement of minimize_Eb_numeric, run on beta at its step
-    # h = 2e-3.  The cubic term of beta at e^(i pi/3) turns a plain central
-    # difference into an O(h^2) gradient bias that stops Newton 7.1e-7 away
-    # from the exact critical point; the Richardson-refined gradient lands
-    # at roundoff (~5e-12).
-    tau = abr._newton_refine(abr.beta_of, tau0, h=2e-3, max_steps=12)
+    # The refinement of minimize_Eb_numeric, run on beta's exact gradient at
+    # its Hessian step h = 2e-3.  The differenced Hessian only shapes the
+    # path, so Newton lands on the exact critical point.
+    grad = lambda t: abr.beta_derivatives(t)[0]
+    tau = abr._newton_refine(grad, tau0, h=2e-3, max_steps=12)
     assert abr.modular_distance(tau, TRI) < 1e-10
+
+
+@pytest.mark.parametrize("tau, mu", [(0.3 + 1.2j, 0.1), (0.45 + 0.95j, 0.05),
+                                     (0.1 + 1.05j, 0.2), (-0.45 + 0.95j, 0.1),
+                                     (0.6 + 0.8j, 0.1)])
+def test_Eb_gradient_matches_differences(tau, mu):
+    # oracle: the Richardson gradient of E_b at h = 2e-3 (8 solves), whose own
+    # roundoff floor is about 1e-12.  0.6+0.8i reduces by T and then S, so
+    # the reduced gradient is mapped back through the modular map
+    point = abr._Eb_point(np.sqrt(2.0), 2.0 - mu, 40)
+    oracle = _richardson_gradient(lambda t: point(t)[0], tau, 2e-3)
+    assert np.abs(point(tau)[1] - oracle).max() < 1e-10
 
 
 # ----------------------------------------------------------------------

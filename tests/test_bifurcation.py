@@ -376,6 +376,14 @@ def test_coeff_tail_small_at_the_landscape_default(tau):
     assert pt.coeff_tail < 1e-8
 
 
+@pytest.mark.parametrize("tau", [1j, TAU_TRIANGULAR])
+def test_shape_gradient_vanishes_at_the_symmetric_lattices(tau):
+    # modular invariance and the stabilizers of i and e^(i pi/3) make both
+    # exact critical points of E_b at every b
+    pt = bif.branch_by_field(1.9, KAPPA, normalize_tau(tau)[0], K_lev=40)
+    assert np.linalg.norm(pt.dE_dtau) < 1e-12
+
+
 @pytest.mark.parametrize("tau, period", [(0.3 + 1.2j, 2), (0.21 + 1.13j, 2), (1j, 4),
                                          (TAU_TRIANGULAR, 6)])
 def test_branch_occupies_the_levels_its_lattice_allows(tau, period):

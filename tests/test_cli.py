@@ -226,6 +226,7 @@ def test_invalid_config_exit_code(tmp_path):
                  ["branch", "--s-points", "3"],
                  ["branch", "--tau", "0,-1"],
                  ["beta", "--tau-grid", "0.2,nan"],
+                 ["beta", "--tau-grid", "fundamental:2x2:junk"],
                  ["verify", "spectrum", "--N-fd", "0"],
                  ["verify", "spectrum", "--N-fd", "2"],
                  ["verify", "gauge", "--trials", "0"],
@@ -352,6 +353,14 @@ def _set_header(**keys):
     return malform
 
 
+def _set_sample(text):
+    def malform(lines):
+        row = lines[2].split(",")
+        row[lines[1].split(",").index("re_psi")] = text
+        return lines[:2] + [",".join(row)] + lines[3:]
+    return malform
+
+
 @pytest.mark.parametrize("malform", [
     lambda lines: lines[1:],
     _drop_ap1,
@@ -364,10 +373,11 @@ def _set_header(**keys):
     _set_header(bc_const=[float("nan"), 0]), _set_header(bc_const=[1e300, 0]),
     _set_header(bc_const=[2.0**19, 0]), _set_header(bc_const=[0.5]),
     _set_header(bc_const="xy"),
+    _set_sample("nan"), _set_sample("inf"),
 ], ids=["no-header", "no-ap1-column", "no-N-key", "rows-not-N^2",
         "n-zero", "n-negative", "n-not-integer", "r-zero", "r-negative",
         "N-not-integer", "N-bool", "bc-nan", "bc-huge", "bc-ulp-above-tol",
-        "bc-one-number", "bc-string"])
+        "bc-one-number", "bc-string", "sample-nan", "sample-inf"])
 def test_malformed_snapshot_exit_code(tmp_path, shape_generic, malform):
     # a gauge-fix snapshot that does not hold the header, columns and rows
     # it should is an invalid configuration: exit 2 and no failure marker
