@@ -186,7 +186,7 @@ class BranchPoint:
     energy: float
     residual_psi: float
     residual_alpha: float
-    curl_alpha: np.ndarray        # curl alpha on the basis's N grid; curl a = 1 + curl alpha
+    curl_alpha: np.ndarray        # on the solve grid, not resampled: curl a = 1 + curl alpha
     max_curl_a: float
     min_abs_psi: float
     coeff_tail: float             # max_j |c_{K_lev, j}| / max |c|: truncation tail
@@ -211,28 +211,27 @@ class Branch:
 
 
 def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
-    """The branch point psi = s psi0 + w.  Its scalars and shape gradient are
-    read from the w solve's final solve-grid samples and alpha; alpha and
-    curl a, taken on the solve grid, are resampled to the basis's N grid,
-    which is the solve grid unless the setup was built with an N."""
+    """The branch point psi = s psi0 + w.  Its scalars, curl alpha and shape
+    gradient are read from the w solve's final solve-grid samples and alpha;
+    only alpha is resampled, to the basis's N grid, which is the solve grid
+    unless the setup was built with an N."""
     basis = setup.basis
-    grid, solve_grid = basis.grid, basis.solve_grid
     s, lam, ps = wres.s, wres.lam, wres.samples
     psi_c = wres.w.copy()
     psi_c[0, 0] += s
-    alpha = PeriodicVectorField(solve_grid.resample(wres.alpha2, basis.N), grid)
+    alpha = PeriodicVectorField(basis.solve_grid.resample(wres.alpha2, basis.N), basis.grid)
 
     fco = F_coeffs(basis, psi_c, lam, wres.ncoef)
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
 
-    curl_alpha = solve_grid.resample(solve_grid.curl(wres.alpha2), basis.N)
+    curl_alpha = ps.grid.curl(wres.alpha2)
     params = GLParams(kappa=kappa, n=1, lam=lam)
     return BranchPoint(
         s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam), psi_coeffs=psi_c,
         alpha=alpha, energy=_energy(ps, wres.alpha2, params),
         residual_psi=res_psi, residual_alpha=ps.alpha_residual_rms(wres.alpha2),
         curl_alpha=curl_alpha, max_curl_a=1.0 + float(np.max(curl_alpha)),
-        min_abs_psi=float(np.min(np.abs(basis.synth(psi_c)))),
+        min_abs_psi=float(np.min(np.abs(ps.psi))),
         coeff_tail=float(np.max(np.abs(psi_c[-1])) / max(np.max(np.abs(psi_c)), 1e-300)),
         grid_tail=ps.grid_tail(), dE_dtau=_shape_gradient(ps, wres.alpha2, params),
     )
@@ -337,8 +336,8 @@ def fit_expansion(branch: Branch) -> ExpansionReport:
     p0 = pts[0]
     c0 = np.zeros((basis.K_lev + 1, 1), dtype=complex)
     c0[0, 0] = 1.0
-    err = p0.curl_alpha / p0.s**2 - 0.5 * (1.0 - np.abs(basis.synth(c0)) ** 2)
-    curl_err = float(np.max(np.abs(basis.grid.resample(err, CURL_A1_SUP_N))))
+    err = p0.curl_alpha / p0.s**2 - 0.5 * (1.0 - np.abs(basis.synth(c0, solve=True)) ** 2)
+    curl_err = float(np.max(np.abs(basis.solve_grid.resample(err, CURL_A1_SUP_N))))
 
     # energy defect slope against the quartic prediction
     E = np.array([p.energy for p in pts])

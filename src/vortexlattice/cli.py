@@ -295,18 +295,15 @@ def verify_symmetry(cfg) -> list[dict]:
     from .glcore import map_F
     d = np.zeros((basis.K_lev + 1, 1), complex)
     d[:8, 0] = 0.05 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-    psi = landau.field_from_coeffs(basis, d)
-    F = map_F(1.05, psi, kappa)
     delta = 0.7
-    F_rot = map_F(1.05, landau.field_from_coeffs(basis, np.exp(1j * delta) * d), kappa)
-    equiv = float(np.max(np.abs(F_rot.values - np.exp(1j * delta) * F.values)))
-    realness = abs(complex(landau.inner_avg(psi.values, F.values)).imag)
+    Fc = [map_F(basis, c, 1.05, kappa) for c in (d, np.exp(1j * delta) * d)]
+    psi, F, F_rot = basis.synth(np.stack([d, *Fc]))
+    equiv = float(np.max(np.abs(F_rot - np.exp(1j * delta) * F)))
+    realness = abs(complex(landau.inner_avg(psi, F)).imag)
     s = 0.06
-    wres = bifurcation.solve_w(1.02, s, setup, kappa)
-    wres_rot = bifurcation.solve_w(1.02, s * np.exp(1j * delta), setup, kappa)
+    g, wres = bifurcation.gamma1(1.02, s, setup, kappa)
+    g_rot, wres_rot = bifurcation.gamma1(1.02, s * np.exp(1j * delta), setup, kappa)
     w_equiv = float(np.max(np.abs(wres_rot.w - np.exp(1j * delta) * wres.w)))
-    g, _ = bifurcation.gamma1(1.02, s, setup, kappa)
-    g_rot, _ = bifurcation.gamma1(1.02, s * np.exp(1j * delta), setup, kappa)
     g_equiv = abs(complex(g_rot) - complex(g))  # gamma1 = gamma0/s is phase-free
     return [_verdict("F gauge equivariance", equiv, 1e-10),
             _verdict("Im<psi, F(psi)>", realness, 1e-10),

@@ -80,7 +80,7 @@ class RawLatticeState:
         field kernel's j0 is the current of the normalized cell's (d - i A0)
         Psi; scaled by 1/sigma and less |Psi|^2 a_p, it is the current
         Im(conj(Psi) (d - i a) Psi) of the full potential a = A0 + a_p."""
-        ps = _samples(self.qp_field(), solve=False)
+        ps = _samples(self.qp_field())
         return {"ns": ps.rho, "curl_a": self.curl_a(),
                 "current": ps.j0 / np.sqrt(self.n / self.b) - ps.rho * self.a_p}
 

@@ -1,4 +1,4 @@
-"""Rescaled Ginzburg-Landau energy, residuals and the reduced map F.
+"""Rescaled Ginzburg-Landau energy and the reduced map F.
 
 Working variables on the normalized cell: psi quasi-periodic with n flux
 quanta, total potential a = A0 + alpha with A0(x) = (n/2) J x and alpha
@@ -12,10 +12,10 @@ the others, which stand for their conjugate mirrors.
 
 Every solve, residual and energy reads psi, D psi (D = grad_{A0}), |psi|^2,
 j0 and the potential residual (M + |psi|^2) alpha - j0 from one kernel,
-_PsiSamples.  Pointwise nonlinearities, the alpha solve and the energy use
-samples on the basis's solve grid, which is sized to resolve them; the
-output grid N only samples reported fields.  F = (L - lambda) psi + N is
-F_coeffs.
+_PsiSamples.  A Landau-level field (basis, coeffs) is sampled on the solve
+grid by _coeff_samples, D psi by the ladder algebra, for the nonlinearity,
+the alpha solve and every scalar of a branch point; a sampled field is read
+on its own grid by _samples.  F = (L - lambda) psi + N is F_coeffs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .landau import (LandauBasis, QuasiPeriodicField, covariant_gradient_grid,
-                     field_from_coeffs)
+from .landau import LandauBasis, QuasiPeriodicField, covariant_gradient_grid
 from .lattice import SolverError
 from .spectral import CellGrid
 
@@ -130,12 +129,10 @@ def _coeff_samples(basis: LandauBasis, coeffs: np.ndarray, solve: bool) -> _PsiS
     return _PsiSamples(psi, d1, d2, basis.solve_grid if solve else basis.grid)
 
 
-def _samples(psi: QuasiPeriodicField, solve: bool) -> _PsiSamples:
-    """Samples of any field.  Sample-only fields evaluate on their native grid:
-    a quasi-periodic field has no global periodic quotient, so trigonometric
-    resampling would be invalid."""
-    if psi.coeffs is not None and psi.basis is not None:
-        return _coeff_samples(psi.basis, psi.coeffs, solve)
+def _samples(psi: QuasiPeriodicField) -> _PsiSamples:
+    """Samples of a sampled field on its own grid: a quasi-periodic field has
+    no global periodic quotient, so trigonometric resampling would be
+    invalid."""
     d1, d2 = covariant_gradient_grid(psi)
     return _PsiSamples(psi.values, d1, d2, psi.grid)
 
@@ -225,32 +222,15 @@ def F_coeffs(basis: LandauBasis, coeffs: np.ndarray, lam: float,
     return basis.landau_coeffs(coeffs) - lam * coeffs + ncoef
 
 
-def map_F(lam: float, psi: QuasiPeriodicField, kappa: float) -> QuasiPeriodicField:
-    """F(lambda, psi) with alpha = alpha(psi)."""
-    if psi.coeffs is None or psi.basis is None:
-        raise ValueError("map_F needs a Landau-coefficient field")
-    basis = psi.basis
-    ncoef, _ = nonlinear_coeffs(basis, psi.coeffs, kappa)
-    return field_from_coeffs(basis, F_coeffs(basis, psi.coeffs, lam, ncoef))
-
-
-def residuals(state: GLState) -> tuple[QuasiPeriodicField, np.ndarray]:
-    """(psi-equation residual field, alpha-equation residual grid)."""
-    psi, alpha, p = state.psi, state.alpha, state.params
-    basis = psi.basis
-    if basis is None or psi.coeffs is None:
-        raise ValueError("residuals need a Landau-coefficient state")
-    a2 = alpha.grid.resample(alpha.values, basis.solve_N)
-    ncoef, _ = nonlinear_coeffs(basis, psi.coeffs, p.kappa, alpha2=a2)
-    rpsi = field_from_coeffs(basis, F_coeffs(basis, psi.coeffs, p.lam, ncoef))
-    return rpsi, _samples(psi, solve=False).alpha_residual(alpha.values)
+def map_F(basis: LandauBasis, coeffs: np.ndarray, lam: float, kappa: float) -> np.ndarray:
+    """Landau coefficients of F(lambda, psi) with alpha = alpha(psi)."""
+    ncoef, _ = nonlinear_coeffs(basis, coeffs, kappa)
+    return F_coeffs(basis, coeffs, lam, ncoef)
 
 
 def energy(state: GLState) -> float:
-    """Average rescaled energy per cell."""
-    ps = _samples(state.psi, solve=True)
-    alpha = state.alpha.grid.resample(state.alpha.values, ps.grid.N)
-    return _energy(ps, alpha, state.params)
+    """Average rescaled energy per cell of psi and alpha sampled on one grid."""
+    return _energy(_samples(state.psi), state.alpha.values, state.params)
 
 
 def _energy(ps: _PsiSamples, alpha: np.ndarray, p: GLParams) -> float:

@@ -245,14 +245,14 @@ class QuasiPeriodicField:
 
     Boundary condition: psi(x + t) = exp(i (n/2) x . J t + i C_t) psi(x) for
     the two basis vectors; in logical coordinates the wrap phases are
-    n pi y2 + C1 (t1 direction) and -n pi y1 + C2 (t2 direction).
+    n pi y2 + C1 (t1 direction) and -n pi y1 + C2 (t2 direction).  A
+    Landau-level field is instead its coefficient table, passed as (basis,
+    coeffs); field_from_coeffs samples one.
     """
 
     n: int
     shape: LatticeShape
     values: np.ndarray
-    coeffs: np.ndarray | None = None
-    basis: LandauBasis | None = None
     bc_const: tuple[float, float] = (0.0, 0.0)
 
     @property
@@ -261,29 +261,21 @@ class QuasiPeriodicField:
 
     @cached_property
     def grid(self) -> CellGrid:
-        if self.basis is not None and self.basis.N == self.N:
-            return self.basis.grid
-        return CellGrid(cell_geometry(self.shape, max(self.n, 1), b=float(max(self.n, 1))).m_tau, self.N)
+        return CellGrid(cell_geometry(self.shape, 1, b=1.0).m_tau, self.N)
 
 
 def field_from_coeffs(basis: LandauBasis, coeffs: np.ndarray) -> QuasiPeriodicField:
-    return QuasiPeriodicField(n=basis.n, shape=basis.shape, values=basis.synth(coeffs),
-                              coeffs=np.asarray(coeffs, dtype=complex), basis=basis)
+    """The samples of a coefficient table on the basis's N grid."""
+    return QuasiPeriodicField(n=basis.n, shape=basis.shape, values=basis.synth(coeffs))
 
 
 def theta_null_basis(n: int, shape: LatticeShape, N: int | None = None
                      ) -> list[QuasiPeriodicField]:
-    """The n orthonormal lowest-level fields, <|psi|^2> = 1 each, at N or the solve grid.
-
-    Fields carry a small ladder headroom so creation operators act exactly.
-    """
+    """The n orthonormal lowest-level fields, <|psi|^2> = 1 each, at N or the solve grid."""
     basis = LandauBasis(n, shape, N, K_lev=4)
-    out = []
-    for j in range(n):
-        c = np.zeros((basis.K_lev + 1, n), dtype=complex)
-        c[0, j] = 1.0
-        out.append(field_from_coeffs(basis, c))
-    return out
+    c = np.zeros((n, basis.K_lev + 1, n), dtype=complex)
+    c[np.arange(n), 0, np.arange(n)] = 1.0
+    return [QuasiPeriodicField(n=n, shape=shape, values=v) for v in basis.synth(c)]
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,11 @@ from functools import wraps
 
 import numpy as np
 
+from .gauge import RawLatticeState
 from .glcore import GLParams, GLState, PeriodicVectorField
 from .landau import QuasiPeriodicField
 from .lattice import LatticeShape
+from .spectral import GRID_MIN_N
 
 FMT = "%.17g"
 # |bc_const| bound: below 2^19 the ulp of a boundary phase is at most
@@ -32,7 +34,8 @@ BC_CONST_MAX = 2.0**19
 class SnapshotFormatError(ValueError):
     """A snapshot without the header keys, columns or N^2 rows its loader
     reads, with a non-finite sample, or whose grid size N, flux number n,
-    cell scale r or boundary constants bc_const are out of range."""
+    cell scale r (with the cell area and field it gives) or boundary
+    constants bc_const are out of range."""
 
 
 def _loader(load):
@@ -41,7 +44,7 @@ def _loader(load):
     def checked(path):
         try:
             return load(path)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise SnapshotFormatError(f"malformed snapshot {path}: {exc!r}") from exc
     return checked
 
@@ -61,18 +64,19 @@ def write_table(path, header: dict, columns: list[str], arrays: list[np.ndarray]
 
 
 def _read(path, columns: tuple[str, ...]) -> tuple[dict, dict[str, np.ndarray]]:
-    """The JSON header, its N, n and bc_const (default (0, 0)) checked, and
-    the named columns of a snapshot, the only ones parsed, checked finite and
-    each reshaped to the header's N x N grid."""
+    """The JSON header, its N (at least a CellGrid's GRID_MIN_N), n and
+    bc_const (default (0, 0)) checked, and the named columns of a snapshot,
+    the only ones parsed, checked finite and each reshaped to the header's
+    N x N grid."""
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ValueError("no '#' JSON header line")
         header = json.loads(first[1:].strip())
-        for key in ("N", "n"):
+        for key, least in (("N", GRID_MIN_N), ("n", 1)):
             v = header[key]
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValueError(f"header {key} = {v!r} is not an integer >= 1")
+            if isinstance(v, bool) or not isinstance(v, int) or v < least:
+                raise ValueError(f"header {key} = {v!r} is not an integer >= {least}")
         bc = header.setdefault("bc_const", [0.0, 0.0])
         if not (isinstance(bc, list) and len(bc) == 2
                 and all(type(c) in (int, float) and abs(c) < BC_CONST_MAX for c in bc)):
@@ -90,8 +94,6 @@ def save_field(path, f: QuasiPeriodicField) -> None:
     header = {"kind": "field", "n": f.n, "tau": [f.shape.tau1, f.shape.tau2],
               "N": f.N, "bc_const": list(f.bc_const),
               "normalization": "cell-average |psi|^2"}
-    if f.basis is not None:
-        header["K_lev"] = f.basis.K_lev
     write_table(path, header, ["re_psi", "im_psi"],
                 [f.values.real.ravel(), f.values.imag.ravel()])
 
@@ -130,7 +132,6 @@ def load_state(path) -> GLState:
 
 
 def save_raw_state(path, raw) -> None:
-    from .gauge import RawLatticeState  # local import to avoid a cycle
     if not isinstance(raw, RawLatticeState):
         raise TypeError(f"save_raw_state needs a RawLatticeState, not {type(raw).__name__}")
     header = {"kind": "raw", "n": raw.n, "tau": [raw.shape.tau1, raw.shape.tau2],
@@ -141,13 +142,17 @@ def save_raw_state(path, raw) -> None:
 
 
 @_loader
-def load_raw_state(path):
-    from .gauge import RawLatticeState
+def load_raw_state(path) -> RawLatticeState:
     header, col = _read(path, ("re_psi", "im_psi", "ap1", "ap2"))
     r = float(header["r"])
-    if not (np.isfinite(r) and r > 0):
-        raise ValueError(f"cell scale r = {header['r']!r} is not a finite number > 0")
     shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
+    # RawLatticeState's area r**2 tau2 and field b = 2 pi n / area, formed by
+    # products that overflow to inf where r**2 raises OverflowError
+    area = r * r * shape.tau2
+    b = 2 * np.pi * header["n"] / area if area > 0 else 0.0
+    if not (r > 0 and 0 < area < np.inf and 0 < b < np.inf):
+        raise ValueError(f"cell scale r = {header['r']!r} gives the cell area {area!r} "
+                         f"and field {b!r}; both must be finite numbers > 0")
     return RawLatticeState(
         psi=col["re_psi"] + 1j * col["im_psi"],
         a_p=np.stack([col["ap1"], col["ap2"]]),

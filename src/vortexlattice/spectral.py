@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+GRID_MIN_N = 4      # the smallest grid side a CellGrid takes
+
 
 class HalfSpectrum(NamedTuple):
     """Operators on the rfft2 half spectrum, shape (N, N//2 + 1), of real fields."""
@@ -41,7 +43,7 @@ class CellGrid:
         m = np.asarray(m, dtype=float)
         if m.shape != (2, 2):
             raise ValueError("cell matrix must be 2x2")
-        if N < 4:
+        if N < GRID_MIN_N:
             raise ValueError("grid too small")
         self.m = m
         self.N = int(N)

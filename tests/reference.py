@@ -10,15 +10,18 @@ beta is the second route to its minimum.  The Richardson-refined central
 difference gradient and the central difference Hessian are the oracles of
 beta's term-by-term derivatives and of the branch energy's shape gradient.
 The effective energy e_lambda(v) checks the reduction's variational
-structure.  FullSpectrumGrid keeps the CellGrid operators on the full fft2
-spectrum, the oracle of the half-spectrum ones.  The N^2 x N^2 link matrix
+structure, and residuals the equations a state solves.  FullSpectrumGrid
+keeps the CellGrid operators on the full fft2 spectrum, the oracle of the
+half-spectrum ones.  The N^2 x N^2 link matrix
 magnetic_laplacian_fd, in the symmetric gauge, is the oracle of the Harper
 chains of landau.fd_spectrum.
 The field operations at the end (the alpha solve on a
 field, flux, supercurrent, the ladder-route covariant gradient and ladder
-actions on fields, the applied field h0, point-group rotation, the physical
-energy density and sample rescaling) have no caller in the package and are
-kept here with their checks.
+actions on coefficient tables, the applied field h0, point-group rotation,
+the physical energy density and sample rescaling) have no caller in the
+package and are kept here with their checks.  Like the package, they take a
+Landau-level field as (basis, coeffs) and a sampled one as a
+QuasiPeriodicField.
 """
 
 from dataclasses import dataclass, replace
@@ -29,9 +32,10 @@ import numpy as np
 from vortexlattice.abrikosov import (beta_derivatives, beta_lattice_sum, beta_of,
                                      canonical_tau)
 from vortexlattice.bifurcation import solve_w
-from vortexlattice.glcore import (AlphaSolveError, GLParams, GLState,
+from vortexlattice.glcore import (AlphaSolveError, F_coeffs, GLParams, GLState,
                                   PeriodicVectorField, _alpha_fixed_point,
-                                  _samples, energy)
+                                  _coeff_samples, _samples, energy,
+                                  nonlinear_coeffs)
 from vortexlattice.landau import (QuasiPeriodicField, _hermite_functions,
                                   covariant_gradient_grid, field_from_coeffs,
                                   magnetic_shift_values)
@@ -184,7 +188,7 @@ def normal_state(params, basis):
 def gauge_transform_state(state, eta):
     """(psi, alpha) -> (e^{i eta} psi, alpha + grad eta) for periodic eta."""
     grid = state.alpha.grid
-    psi2 = replace(state.psi, values=np.exp(1j * eta) * state.psi.values, coeffs=None)
+    psi2 = replace(state.psi, values=np.exp(1j * eta) * state.psi.values)
     alpha2 = PeriodicVectorField(state.alpha.values + grid.grad(eta), grid)
     return GLState(psi=psi2, alpha=alpha2, params=state.params)
 
@@ -261,20 +265,35 @@ def descend_beta(tau0: complex, step0: float = 0.1, tol: float = 1e-10,
     return canonical_tau(tau)
 
 
-def w_state(wres, setup, kappa):
-    """GLState psi = s psi0 + w of a w solve, with alpha2 left on the solve
-    grid."""
-    basis = setup.basis
+def w_coeffs(wres):
+    """The coefficient table of psi = s psi0 + w of a w solve."""
     psi_c = wres.w.copy()
     psi_c[0, 0] += wres.s
-    return GLState(psi=field_from_coeffs(basis, psi_c),
-                   alpha=PeriodicVectorField(wres.alpha2, basis.solve_grid),
+    return psi_c
+
+
+def w_state(basis, coeffs, wres, kappa):
+    """GLState of the table coeffs of a w solve, psi and its alpha2 both
+    sampled on the solve grid."""
+    psi = QuasiPeriodicField(n=basis.n, shape=basis.shape,
+                             values=basis.synth(coeffs, solve=True))
+    return GLState(psi=psi, alpha=PeriodicVectorField(wres.alpha2, basis.solve_grid),
                    params=GLParams(kappa=kappa, n=1, lam=wres.lam))
 
 
 def effective_energy(lam, v, setup, kappa):
     """e_lambda(v) = E_lambda(v psi0 + w(lambda, v)); gauge invariant in arg v."""
-    return energy(w_state(solve_w(lam, v, setup, kappa), setup, kappa))
+    wres = solve_w(lam, v, setup, kappa)
+    return energy(w_state(setup.basis, w_coeffs(wres), wres, kappa))
+
+
+def residuals(basis, coeffs, alpha, params):
+    """(psi-equation residual coefficients, alpha-equation residual grid) of
+    the state (basis, coeffs) with alpha on the basis's N grid."""
+    a2 = alpha.grid.resample(alpha.values, basis.solve_N)
+    ncoef, _ = nonlinear_coeffs(basis, coeffs, params.kappa, alpha2=a2)
+    return (F_coeffs(basis, coeffs, params.lam, ncoef),
+            _coeff_samples(basis, coeffs, solve=False).alpha_residual(alpha.values))
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +348,7 @@ def theta_extended(theta, k):
 def magnetic_shift(f, dy):
     """Translation by dy1*t1 + dy2*t2 through the boundary phases."""
     vals, bc = magnetic_shift_values(f.values, f.n, f.bc_const, dy)
-    return QuasiPeriodicField(n=f.n, shape=f.shape, values=vals, coeffs=None,
-                              basis=f.basis, bc_const=bc)
+    return QuasiPeriodicField(n=f.n, shape=f.shape, values=vals, bc_const=bc)
 
 
 def magnetic_laplacian_fd(n: int, N: int):
@@ -402,16 +420,15 @@ class LadderTerm:
 # field operations without a caller in the package
 # ----------------------------------------------------------------------
 def solve_alpha(psi, params):
-    """Induced potential alpha(psi), solved on the solve grid and sampled on
-    the grid of psi; mean-zero and divergence-free."""
-    ps = _samples(psi, solve=True)
-    alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
-    return PeriodicVectorField(values=ps.grid.resample(alpha2, psi.N), grid=psi.grid)
+    """Induced potential alpha(psi), solved on the grid of psi; mean-zero and
+    divergence-free."""
+    ps = _samples(psi)
+    return PeriodicVectorField(_alpha_fixed_point(ps.grid, ps.j0, ps.rho, None), psi.grid)
 
 
 def alpha_equation_residual(psi, alpha):
     """l2 norm of (M + |psi|^2) alpha - Im(conj(psi) grad_{A0} psi)."""
-    return _samples(psi, solve=False).alpha_residual_rms(alpha.values)
+    return _samples(psi).alpha_residual_rms(alpha.values)
 
 
 def flux(state):
@@ -421,8 +438,8 @@ def flux(state):
 
 
 def supercurrent(state):
-    """J = Im(conj(psi) grad_a psi) on the output grid."""
-    ps = _samples(state.psi, solve=False)
+    """J = Im(conj(psi) grad_a psi) on the grid of psi."""
+    ps = _samples(state.psi)
     return ps.j0 - ps.rho[None] * state.alpha.values
 
 
@@ -436,44 +453,39 @@ def cell_average(g):
     return float(val.real) if abs(val.imag) < 1e-13 * (abs(val) + 1) else complex(val)
 
 
-def padded_coeffs(f, op):
-    """Basis and Landau coefficients of f, zero-padded to K_lev + 1 levels."""
-    if f.coeffs is None or f.basis is None:
-        raise ValueError(f"{op} needs a field with Landau coefficients")
-    b, d = f.basis, f.coeffs
-    if d.shape[0] < b.K_lev + 1:
-        d = np.vstack([d, np.zeros((b.K_lev + 1 - d.shape[0], d.shape[1]), dtype=complex)])
-    return b, d
+def padded_coeffs(basis, coeffs):
+    """Landau coefficients zero-padded to the basis's K_lev + 1 levels."""
+    d = np.asarray(coeffs, dtype=complex)
+    if d.shape[0] < basis.K_lev + 1:
+        d = np.vstack([d, np.zeros((basis.K_lev + 1 - d.shape[0], d.shape[1]), dtype=complex)])
+    return d
 
 
-def covariant_gradient(f):
-    """(D1 f, D2 f) with D1 = (alpha - alpha*)/2, D2 = (alpha + alpha*)/(2i),
-    the ladder route."""
-    b, d = padded_coeffs(f, "covariant_gradient")
-    return field_from_coeffs(b, b.d1_coeffs(d)), field_from_coeffs(b, b.d2_coeffs(d))
+def covariant_gradient(basis, coeffs):
+    """Samples of (D1 f, D2 f) on the basis's N grid, with
+    D1 = (alpha - alpha*)/2, D2 = (alpha + alpha*)/(2i): the ladder route."""
+    d = padded_coeffs(basis, coeffs)
+    return tuple(basis.synth(np.stack([basis.d1_coeffs(d), basis.d2_coeffs(d)])))
 
 
-def ladder_apply(f, direction):
+def ladder_apply(basis, coeffs, direction):
     """Annihilation ('lower', level k -> k-1, factor sqrt(2nk)) or creation
     ('raise', k -> k+1, factor sqrt(2n(k+1))) on the Landau coefficients."""
-    b, d = padded_coeffs(f, "ladder_apply")
+    d = padded_coeffs(basis, coeffs)
     if direction == "lower":
-        nd = b.lower_coeffs(d)
-    elif direction == "raise":
+        return basis.lower_coeffs(d)
+    if direction == "raise":
         top = float(np.max(np.abs(d[-1])))
         if top > 1e-12 * max(float(np.max(np.abs(d))), 1e-300):
             raise ValueError("raising would truncate top-level content; "
                              "rebuild the basis with a larger K_lev")
-        nd = b.raise_coeffs(d)
-    else:
-        raise ValueError("direction must be 'lower' or 'raise'")
-    return field_from_coeffs(b, nd)
+        return basis.raise_coeffs(d)
+    raise ValueError("direction must be 'lower' or 'raise'")
 
 
-def landau_apply(f):
+def landau_apply(basis, coeffs):
     """L f, i.e. coefficient d[k] -> (2k+1) n d[k]."""
-    b, d = padded_coeffs(f, "landau_apply")
-    return field_from_coeffs(b, b.landau_coeffs(d))
+    return basis.landau_coeffs(padded_coeffs(basis, coeffs))
 
 
 def applied_field(shape, kappa, b):

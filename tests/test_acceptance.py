@@ -145,9 +145,8 @@ def test_criterion_05_leading_order_fields(branch_sq_128, shape_sq, setup_sq_128
     sup_err = float(np.max(np.abs(curl_a1 - 0.5 * (1.0 - np.abs(psi0) ** 2))))
     e00 = np.zeros((basis.K_lev + 1, 1), complex)
     e00[0, 0] = 1.0
-    D1, D2 = covariant_gradient(field_from_coeffs(basis, e00))
-    J = np.stack([np.imag(np.conj(psi0) * D1.values),
-                  np.imag(np.conj(psi0) * D2.values)])
+    D1, D2 = covariant_gradient(basis, e00)
+    J = np.stack([np.imag(np.conj(psi0) * D1), np.imag(np.conj(psi0) * D2)])
     current_resid = float(np.max(np.abs(
         J + 0.5 * basis.grid.curl_star(np.abs(psi0) ** 2))))
     # the expansion report reads curl a1 off the point's own curl alpha
@@ -256,15 +255,12 @@ def test_criterion_09_symmetry_suite(shape_sq, rng):
     for _ in range(5):
         d = np.zeros((basis.K_lev + 1, 1), complex)
         d[:8, 0] = 0.05 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        psi = field_from_coeffs(basis, d)
         delta = rng.uniform(0.2, 2 * np.pi - 0.2)
-        F = glcore.map_F(1.05, psi, KAPPA)
-        F_rot = glcore.map_F(
-            1.05, field_from_coeffs(basis, np.exp(1j * delta) * d), KAPPA)
-        worst = max(worst, float(np.max(np.abs(
-            F_rot.values - np.exp(1j * delta) * F.values))))
-        worst = max(worst, abs(complex(
-            landau.inner_avg(psi.values, F.values)).imag))
+        psi, F, F_rot = basis.synth(np.stack([
+            d, glcore.map_F(basis, d, 1.05, KAPPA),
+            glcore.map_F(basis, np.exp(1j * delta) * d, 1.05, KAPPA)]))
+        worst = max(worst, float(np.max(np.abs(F_rot - np.exp(1j * delta) * F))))
+        worst = max(worst, abs(complex(landau.inner_avg(psi, F)).imag))
     for _ in range(3):
         delta = rng.uniform(0.2, 2 * np.pi - 0.2)
         s = rng.uniform(0.02, 0.08)

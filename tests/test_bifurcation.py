@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reference import (alpha_damped_fixed_point, effective_energy,
-                       helmholtz_project, w_state)
+                       helmholtz_project, w_coeffs, w_state)
 from vortexlattice import abrikosov, bifurcation as bif, glcore, landau
 from vortexlattice.landau import field_from_coeffs, inner_avg, norm_avg
 from vortexlattice.lattice import TAU_TRIANGULAR, SolverError, normalize_tau
@@ -349,17 +349,39 @@ def test_field_points_count_their_sweeps(monkeypatch, tau, kappa2, b, N, K_lev):
 
 
 def test_finish_point_synthesizes_each_field_once(setup_sq, monkeypatch):
-    # psi on the output grid only: psi, D1 psi, D2 psi on the solve grid,
-    # shared by the alpha residual and the energy, are the w solve's own
+    # each field is synthesized once, in the w solve: the point reads psi,
+    # D1 psi and D2 psi on the solve grid, shared by all its scalars, from
+    # the solve's last sweep, and synthesizes nothing itself
     wres = bif.solve_w(1.01, 0.05, setup_sq, KAPPA)
     calls = []
     synth = landau.LandauBasis.synth
     monkeypatch.setattr(landau.LandauBasis, "synth",
                         lambda self, *a, **kw: calls.append(1) or synth(self, *a, **kw))
     pt = bif._finish_point(wres, setup_sq, KAPPA)
-    assert len(calls) == 1
+    assert len(calls) == 0
     monkeypatch.undo()
-    assert pt.energy == glcore.energy(w_state(wres, setup_sq, KAPPA))
+    ps = glcore._coeff_samples(setup_sq.basis, w_coeffs(wres), solve=True)
+    assert pt.energy == glcore._energy(ps, wres.alpha2, glcore.GLParams(KAPPA, 1, wres.lam))
+    assert pt.min_abs_psi == np.min(np.abs(ps.psi))
+    # the grid route on the same samples reads the same energy
+    state = w_state(setup_sq.basis, w_coeffs(wres), wres, KAPPA)
+    assert abs(glcore.energy(state) - pt.energy) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [64, 96, 128])
+@pytest.mark.parametrize("tau", [1j, complex(TAU_TRIANGULAR), 0.3 + 1.2j],
+                         ids=["square", "triangular", "0.3+1.2i"])
+def test_grid_route_energy_matches_the_point_energy(tau, N):
+    # glcore.energy reads a sampled state on the grid of psi, D psi by
+    # spectral derivatives of its quotients; a point's energy comes from the
+    # ladder route on the solve grid
+    shape, _ = normalize_tau(tau)
+    setup = bif.build_reduction(shape, N, K_lev=40)
+    pt = bif.branch_by_field(1.9, KAPPA, shape, setup=setup)
+    state = glcore.GLState(field_from_coeffs(setup.basis, pt.psi_coeffs), pt.alpha,
+                           glcore.GLParams(KAPPA, 1, pt.lam))
+    assert state.psi.N == N
+    assert abs(glcore.energy(state) - pt.energy) <= 1e-12
 
 
 def test_coeff_tail_flags_an_unresolved_target():

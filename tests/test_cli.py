@@ -338,6 +338,16 @@ def test_unreadable_input_file_exit_code(tmp_path, command, flag, kind):
     assert not (tmp_path / "FAILED.json").exists()
 
 
+def _theta_snapshot(tmp_path, shape):
+    """An 8 x 8 raw snapshot of the lowest-level field, without a potential."""
+    psi = landau.theta_null_basis(1, shape, 8)[0]
+    alpha = glcore.PeriodicVectorField(np.zeros((2, 8, 8)), psi.grid)
+    raw = gauge.raw_from_state(glcore.GLState(psi, alpha, glcore.GLParams(1.0, 1, 1.0)))
+    path = tmp_path / "raw.csv"
+    snapshot.save_raw_state(path, raw)
+    return path
+
+
 def _drop_ap1(lines):
     cols = lines[1].split(",")
     i = cols.index("ap1")
@@ -350,6 +360,13 @@ def _set_header(**keys):
         header = json.loads(lines[0][2:])
         header.update(keys)
         return ["# " + json.dumps(header)] + lines[1:]
+    return malform
+
+
+def _set_grid(N):
+    """Header grid size N, with the N^2 rows it asks for."""
+    def malform(lines):
+        return _set_header(N=N)(lines)[:2 + N * N]
     return malform
 
 
@@ -369,28 +386,39 @@ def _set_sample(text):
     lambda lines: lines[:-1],
     _set_header(n=0), _set_header(n=-1), _set_header(n=2.7),
     _set_header(r=0), _set_header(r=-2),
-    _set_header(N=8.5), _set_header(N=True),
+    _set_header(r=1e160), _set_header(r=1e-200), _set_header(r=1e-160),
+    _set_header(n=10**400),
+    _set_header(N=8.5), _set_header(N=True), _set_grid(2), _set_grid(3),
     _set_header(bc_const=[float("nan"), 0]), _set_header(bc_const=[1e300, 0]),
     _set_header(bc_const=[2.0**19, 0]), _set_header(bc_const=[0.5]),
     _set_header(bc_const="xy"),
     _set_sample("nan"), _set_sample("inf"),
 ], ids=["no-header", "no-ap1-column", "no-N-key", "rows-not-N^2",
         "n-zero", "n-negative", "n-not-integer", "r-zero", "r-negative",
-        "N-not-integer", "N-bool", "bc-nan", "bc-huge", "bc-ulp-above-tol",
-        "bc-one-number", "bc-string", "sample-nan", "sample-inf"])
+        "r-area-overflow", "r-area-zero", "r-field-overflow", "n-field-overflow",
+        "N-not-integer", "N-bool", "N-2", "N-3", "bc-nan", "bc-huge",
+        "bc-ulp-above-tol", "bc-one-number", "bc-string", "sample-nan", "sample-inf"])
 def test_malformed_snapshot_exit_code(tmp_path, shape_generic, malform):
     # a gauge-fix snapshot that does not hold the header, columns and rows
     # it should is an invalid configuration: exit 2 and no failure marker
-    psi = landau.theta_null_basis(1, shape_generic, 8)[0]
-    alpha = glcore.PeriodicVectorField(np.zeros((2, 8, 8)), psi.grid)
-    raw = gauge.raw_from_state(glcore.GLState(psi, alpha, glcore.GLParams(1.0, 1, 1.0)))
-    path = tmp_path / "raw.csv"
-    snapshot.save_raw_state(path, raw)
+    path = _theta_snapshot(tmp_path, shape_generic)
     path.write_text("\n".join(malform(path.read_text().splitlines())) + "\n")
     out = tmp_path / "out"
     assert run(["gauge-fix", "--input", str(path), "--outdir", str(out)]) == 2
     assert not (out / "FAILED.json").exists()
     assert not (tmp_path / "FAILED.json").exists()
+
+
+@pytest.mark.parametrize("n, r", [(10**6, 1.25), (10**7, 2.75)])
+def test_gauge_fix_of_many_flux_quanta(tmp_path, shape_generic, n, r):
+    # a valid header with many flux quanta per cell is fixed, not refused:
+    # the cell flux b r^2 tau2 = 2 pi n holds by construction
+    path = _theta_snapshot(tmp_path, shape_generic)
+    path.write_text("\n".join(_set_header(n=n, r=r)(path.read_text().splitlines())) + "\n")
+    assert run(["gauge-fix", "--input", str(path), "--outdir", str(tmp_path)]) == 0
+    fixed = snapshot.load_state(tmp_path / "fixed_state.csv")
+    assert fixed.params.n == n
+    assert np.isfinite(fixed.psi.values).all() and np.isfinite(fixed.alpha.values).all()
 
 
 def test_config_file_values_reach_the_command(tmp_path):

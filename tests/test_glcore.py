@@ -1,15 +1,13 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from reference import (alpha_damped_fixed_point, alpha_equation_residual,
                        covariant_gradient, flux, gauge_transform_state,
                        helmholtz_project, min_nonzero_gsq, normal_state,
-                       solve_alpha, supercurrent, unit_field)
+                       residuals, solve_alpha, supercurrent, unit_field)
 from vortexlattice import bifurcation, glcore
 from vortexlattice.glcore import (GLParams, GLState, PeriodicVectorField,
-                                  energy, map_F, residuals)
+                                  energy, map_F)
 from vortexlattice.landau import LandauBasis, field_from_coeffs, inner_avg, norm_avg
 from vortexlattice.spectral import CellGrid
 
@@ -20,19 +18,29 @@ def basis_sq(shape_square):
 
 
 @pytest.fixture(scope="module")
-def branch_state(shape_tri):
-    kappa = np.sqrt(2.0)
+def branch_point(shape_tri):
     setup = bifurcation.build_reduction(shape_tri, 64, K_lev=40)
-    pt = bifurcation.branch_by_field(1.92, kappa, shape_tri, setup=setup)
-    psi = field_from_coeffs(setup.basis, pt.psi_coeffs)
-    return GLState(psi, pt.alpha, GLParams(kappa, 1, pt.lam))
+    return setup.basis, bifurcation.branch_by_field(1.92, np.sqrt(2.0), shape_tri, setup=setup)
 
 
-def random_psi(basis, rng, scale=0.05, levels=6):
+@pytest.fixture(scope="module")
+def branch_state(branch_point):
+    basis, pt = branch_point
+    psi = field_from_coeffs(basis, pt.psi_coeffs)
+    return GLState(psi, pt.alpha, GLParams(np.sqrt(2.0), 1, pt.lam))
+
+
+def branch_samples(branch_point):
+    """The branch point's psi on its solve grid, by the ladder route."""
+    basis, pt = branch_point
+    return glcore._coeff_samples(basis, pt.psi_coeffs, solve=True)
+
+
+def random_coeffs(basis, rng, scale=0.05, levels=6):
     d = np.zeros((basis.K_lev + 1, 1), complex)
     d[:levels, 0] = scale * (rng.standard_normal(levels)
                              + 1j * rng.standard_normal(levels))
-    return field_from_coeffs(basis, d)
+    return d
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +115,7 @@ def test_alpha_leading_order(basis_sq):
 
 
 def test_alpha_constraints_and_residual(basis_sq, rng):
-    psi = random_psi(basis_sq, rng, scale=0.08)
+    psi = field_from_coeffs(basis_sq, random_coeffs(basis_sq, rng, scale=0.08))
     al = solve_alpha(psi, GLParams(1.4, 1, 1.0))
     mean_r, div_r = al.constraint_residuals()
     assert mean_r < 1e-15 and div_r < 1e-11
@@ -119,10 +127,10 @@ def test_alpha_residual_on_branch(branch_state):
 
 
 @pytest.mark.parametrize("scale", [1.0, 6.0, 20.0])
-def test_alpha_pcg_matches_damped_fixed_point(branch_state, scale):
+def test_alpha_pcg_matches_damped_fixed_point(branch_point, scale):
     # two oracles on the solve-grid samples of a real branch state; scaling
     # psi raises max |psi|^2, where the damped vector fixed point slows down
-    ps = glcore._samples(branch_state.psi, solve=True)
+    ps = branch_samples(branch_point)
     j0, rho = scale**2 * ps.j0, scale**2 * ps.rho
     alpha = glcore._alpha_fixed_point(ps.grid, j0, rho, None)
     ref = alpha_damped_fixed_point(ps.grid, j0, rho)
@@ -130,24 +138,24 @@ def test_alpha_pcg_matches_damped_fixed_point(branch_state, scale):
 
 
 @pytest.mark.parametrize("scale", [1.0, 6.0])
-def test_alpha_pcg_on_an_odd_grid(branch_state, scale):
-    # a sample-only field is solved on its own grid, which may be odd: its
+def test_alpha_pcg_on_an_odd_grid(branch_point, branch_state, scale):
+    # a sampled field is solved on its own grid, which may be odd: its
     # half spectrum has no Nyquist column, and every column but the first
     # stands for itself and its mirror
-    basis = LandauBasis(1, branch_state.psi.shape, 45, K_lev=branch_state.psi.basis.K_lev)
-    psi = field_from_coeffs(basis, scale * branch_state.psi.coeffs)
-    psi = replace(psi, coeffs=None, basis=None)
-    ps = glcore._samples(psi, solve=False)
+    basis, pt = branch_point
+    psi = field_from_coeffs(LandauBasis(1, basis.shape, 45, K_lev=basis.K_lev),
+                            scale * pt.psi_coeffs)
+    ps = glcore._samples(psi)
     assert ps.grid.N == 45
     alpha = solve_alpha(psi, branch_state.params).values
     ref = alpha_damped_fixed_point(ps.grid, ps.j0, ps.rho)
     assert np.max(np.abs(alpha - ref)) <= 1e-14
 
 
-def test_alpha_pcg_warm_start(branch_state):
+def test_alpha_pcg_warm_start(branch_point):
     # started from a perturbed solution through its stream function, and
     # from a nonzero alpha0 on a zero source, PCG returns the cold solution
-    ps = glcore._samples(branch_state.psi, solve=True)
+    ps = branch_samples(branch_point)
     cold = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
     start = 1.1 * cold
     warm = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, start)
@@ -156,8 +164,8 @@ def test_alpha_pcg_warm_start(branch_state):
     assert np.max(np.abs(zero)) <= 1e-15
 
 
-def test_alpha_stall_is_reported(branch_state, monkeypatch):
-    ps = glcore._samples(branch_state.psi, solve=True)
+def test_alpha_stall_is_reported(branch_point, monkeypatch):
+    ps = branch_samples(branch_point)
     monkeypatch.setattr(glcore, "ALPHA_MAX_ITER", 1)
     with pytest.raises(glcore.AlphaSolveError,
                        match=r"after 1 iterations: last step \S+, preconditioned "
@@ -171,8 +179,8 @@ def test_alpha_stall_is_reported(branch_state, monkeypatch):
 # ----------------------------------------------------------------------
 def test_residuals_normal_state(basis_sq):
     st = normal_state(GLParams(1.0, 1, 1.0), basis_sq)
-    rpsi, ralpha = residuals(st)
-    assert norm_avg(rpsi.values) < 1e-15
+    rpsi, ralpha = residuals(basis_sq, np.zeros((17, 1), complex), st.alpha, st.params)
+    assert norm_avg(basis_sq.synth(rpsi)) < 1e-15
     assert np.max(np.abs(ralpha)) < 1e-15
 
 
@@ -182,39 +190,39 @@ def test_residuals_theta_state(basis_sq):
     kappa = 1.3
     d = np.zeros((17, 1), complex)
     d[0, 0] = 1.0
-    psi = field_from_coeffs(basis_sq, d)
-    st = GLState(psi, glcore.PeriodicVectorField(np.zeros((2, 64, 64)), basis_sq.grid),
-                 GLParams(kappa, 1, 1.0))
-    rpsi, ralpha = residuals(st)
+    psi = basis_sq.synth(d)
+    rpsi, ralpha = residuals(
+        basis_sq, d, glcore.PeriodicVectorField(np.zeros((2, 64, 64)), basis_sq.grid),
+        GLParams(kappa, 1, 1.0))
     psi0_d = unit_field(basis_sq, 0, 0, solve=True)
     cubic = basis_sq.project(kappa**2 * np.abs(psi0_d) ** 2 * psi0_d)
-    assert np.max(np.abs(rpsi.coeffs - cubic)) < 1e-12
-    D1, D2 = covariant_gradient(psi)
-    j0 = np.stack([np.imag(np.conj(psi.values) * D1.values),
-                   np.imag(np.conj(psi.values) * D2.values)])
+    assert np.max(np.abs(rpsi - cubic)) < 1e-12
+    D1, D2 = covariant_gradient(basis_sq, d)
+    j0 = np.stack([np.imag(np.conj(psi) * D1), np.imag(np.conj(psi) * D2)])
     assert np.max(np.abs(ralpha + j0)) < 1e-12
 
 
-def test_branch_point_residuals_small(branch_state):
-    rpsi, ralpha = residuals(branch_state)
-    assert norm_avg(rpsi.values) / norm_avg(branch_state.psi.values) < 1e-8
+def test_branch_point_residuals_small(branch_point, branch_state):
+    basis, pt = branch_point
+    rpsi, ralpha = residuals(basis, pt.psi_coeffs, branch_state.alpha, branch_state.params)
+    assert norm_avg(basis.synth(rpsi)) / norm_avg(branch_state.psi.values) < 1e-8
     assert np.sqrt(np.mean(ralpha**2)) < 1e-10
 
 
 def test_map_F_zero_and_realness(basis_sq, rng):
-    F0 = map_F(1.1, normal_state(GLParams(1.0, 1, 1.0), basis_sq).psi, 1.0)
-    assert norm_avg(F0.values) == 0.0
-    psi = random_psi(basis_sq, rng)
-    F = map_F(1.05, psi, 1.3)
-    assert abs(complex(inner_avg(psi.values, F.values)).imag) < 1e-10
+    F0 = map_F(basis_sq, np.zeros((17, 1), complex), 1.1, 1.0)
+    assert norm_avg(basis_sq.synth(F0)) == 0.0
+    d = random_coeffs(basis_sq, rng)
+    F = map_F(basis_sq, d, 1.05, 1.3)
+    assert abs(complex(inner_avg(basis_sq.synth(d), basis_sq.synth(F))).imag) < 1e-10
 
 
 def test_map_F_gauge_equivariance(basis_sq, rng):
-    psi = random_psi(basis_sq, rng)
+    d = random_coeffs(basis_sq, rng)
     delta = 0.7
-    F = map_F(1.05, psi, 1.3)
-    F_rot = map_F(1.05, field_from_coeffs(basis_sq, np.exp(1j * delta) * psi.coeffs), 1.3)
-    assert np.max(np.abs(F_rot.values - np.exp(1j * delta) * F.values)) < 1e-10
+    F = basis_sq.synth(map_F(basis_sq, d, 1.05, 1.3))
+    F_rot = basis_sq.synth(map_F(basis_sq, np.exp(1j * delta) * d, 1.05, 1.3))
+    assert np.max(np.abs(F_rot - np.exp(1j * delta) * F)) < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -264,16 +272,19 @@ def test_M_strictly_positive(basis_sq):
     assert min_nonzero_gsq(basis_sq.grid) > 0.5
 
 
-def test_kernel_ladder_and_sample_routes_agree(branch_state):
-    # D psi from the ladder algebra (coefficient field) against the
-    # qp_derivatives grid route (the same samples without coefficients)
-    st = branch_state
-    ps = replace(st.psi, coeffs=None, basis=None)
-    J_ladder = supercurrent(st)
-    J_grid = supercurrent(GLState(ps, st.alpha, st.params))
+def test_kernel_ladder_and_sample_routes_agree(branch_point, branch_state):
+    # D psi from the ladder algebra (the coefficient table) against the
+    # qp_derivatives grid route (its samples), on the same N grid
+    basis, pt = branch_point
+    alpha = branch_state.alpha.values
+    ladder = glcore._coeff_samples(basis, pt.psi_coeffs, solve=False)
+    grid = glcore._samples(branch_state.psi)
+    assert np.array_equal(grid.psi, ladder.psi)
+    J_ladder = ladder.j0 - ladder.rho[None] * alpha
+    J_grid = grid.j0 - grid.rho[None] * alpha
     assert np.max(np.abs(J_grid - J_ladder)) <= 1e-12
-    r_ladder = alpha_equation_residual(st.psi, st.alpha)
-    r_grid = alpha_equation_residual(ps, st.alpha)
+    r_ladder = ladder.alpha_residual_rms(alpha)
+    r_grid = grid.alpha_residual_rms(alpha)
     assert abs(r_grid - r_ladder) <= 1e-12
 
 
@@ -288,27 +299,25 @@ def test_gauge_invariance_of_observables(branch_state, rng):
     c2 = grid.curl(st2.alpha.values)
     assert np.max(np.abs(c1 - c2)) < 1e-8
     J1 = supercurrent(branch_state)
-    st2g = GLState(replace(branch_state.psi, values=st2.psi.values, coeffs=None),
-                   st2.alpha, st2.params)
-    J2 = supercurrent(st2g)
+    J2 = supercurrent(st2)
     assert np.max(np.abs(np.hypot(J1[0], J1[1]) - np.hypot(J2[0], J2[1]))) < 1e-10
 
 
-def test_energy_stationary_at_branch_point(branch_state, rng):
+def test_energy_stationary_at_branch_point(branch_point, branch_state, rng):
     st = branch_state
-    basis = st.psi.basis
+    basis, pt = branch_point
     e0 = energy(st)
     eps = 1e-5
     worst = 0.0
     for _ in range(20):
-        dpsi = np.zeros_like(st.psi.coeffs)
+        dpsi = np.zeros_like(pt.psi_coeffs)
         dpsi[:8, 0] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         dpsi /= np.linalg.norm(dpsi)
         dal = helmholtz_project(st.alpha.grid, rng.standard_normal((2, 64, 64)))
         dal /= np.sqrt(np.mean(dal[0] ** 2 + dal[1] ** 2))
         es = []
         for sgn in (+1, -1):
-            psi2 = field_from_coeffs(basis, st.psi.coeffs + sgn * eps * dpsi)
+            psi2 = field_from_coeffs(basis, pt.psi_coeffs + sgn * eps * dpsi)
             al2 = glcore.PeriodicVectorField(st.alpha.values + sgn * eps * dal,
                                              st.alpha.grid)
             es.append(energy(GLState(psi2, al2, st.params)))

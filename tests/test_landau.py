@@ -34,11 +34,20 @@ def theta_series(basis):
     return theta, max(-basis._m_range[0], basis._m_range[1])
 
 
-def random_field(basis, rng, levels=8, scale=1.0):
+def random_coeffs(basis, rng, levels=8, scale=1.0):
     d = np.zeros((basis.K_lev + 1, basis.n), dtype=complex)
     d[:levels] = scale * (rng.standard_normal((levels, basis.n))
                           + 1j * rng.standard_normal((levels, basis.n)))
-    return field_from_coeffs(basis, d)
+    return d
+
+
+def theta_table(shape, N):
+    """The basis of theta_null_basis(1, shape, N) and the coefficient table
+    of its field."""
+    basis = LandauBasis(1, shape, N, K_lev=4)
+    c = np.zeros((5, 1), complex)
+    c[0, 0] = 1.0
+    return basis, c
 
 
 # ----------------------------------------------------------------------
@@ -104,21 +113,21 @@ def test_coarse_output_grid_matches_dense_tables(shape_square):
 # ladder algebra
 # ----------------------------------------------------------------------
 def test_lower_annihilates_ground_level(shape_square):
-    psi0 = theta_null_basis(1, shape_square, N=48)[0]
-    low = ladder_apply(psi0, "lower")
-    assert norm_avg(low.values) < 1e-14
+    basis, c = theta_table(shape_square, 48)
+    low = basis.synth(ladder_apply(basis, c, "lower"))
+    assert norm_avg(low) < 1e-14
 
 
 def test_lower_raise_commutator(shape_generic):
-    psi0 = theta_null_basis(1, shape_generic, N=48)[0]
-    f = ladder_apply(ladder_apply(psi0, "raise"), "lower")
-    assert np.max(np.abs(f.values - 2 * psi0.values)) < 1e-12
+    basis, c = theta_table(shape_generic, 48)
+    f = basis.synth(ladder_apply(basis, ladder_apply(basis, c, "raise"), "lower"))
+    assert np.max(np.abs(f - 2 * basis.synth(c))) < 1e-12
 
 
 def test_raise_norm_factor(shape_generic):
-    psi0 = theta_null_basis(1, shape_generic, N=48)[0]
-    up = ladder_apply(psi0, "raise")
-    val = inner_avg(up.values, up.values)
+    basis, c = theta_table(shape_generic, 48)
+    up = basis.synth(ladder_apply(basis, c, "raise"))
+    val = inner_avg(up, up)
     assert abs(val - 2.0) < 1e-12
 
 
@@ -136,10 +145,10 @@ def test_ladder_coefficient_identities(shape_square, k):
 
 def test_ladder_adjointness(shape_generic, rng):
     basis = LandauBasis(1, shape_generic, 64, K_lev=12)
-    f = random_field(basis, rng)
-    g = random_field(basis, rng)
-    lhs = inner_avg(basis.synth(basis.lower_coeffs(f.coeffs)), g.values)
-    rhs = inner_avg(f.values, basis.synth(basis.raise_coeffs(g.coeffs)))
+    f = random_coeffs(basis, rng)
+    g = random_coeffs(basis, rng)
+    lhs = inner_avg(basis.synth(basis.lower_coeffs(f)), basis.synth(g))
+    rhs = inner_avg(basis.synth(f), basis.synth(basis.raise_coeffs(g)))
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -158,57 +167,56 @@ def test_explicit_raise_operator_matches_grid(shape_generic):
 
 
 def test_landau_apply_spectrum(shape_square):
-    psi0 = theta_null_basis(1, shape_square, N=48)[0]
-    assert np.max(np.abs(landau_apply(psi0).values - psi0.values)) < 1e-12
+    basis, c = theta_table(shape_square, 48)
+    assert np.max(np.abs(basis.synth(landau_apply(basis, c)) - basis.synth(c))) < 1e-12
     basis2 = LandauBasis(2, shape_square, 64, K_lev=4)
     d = np.zeros((5, 2), complex)
     d[1, 0] = 1.0  # level-1 for n = 2: eigenvalue (2*1+1)*2 = 6
-    f = field_from_coeffs(basis2, d)
-    assert np.max(np.abs(landau_apply(f).values - 6 * f.values)) < 1e-11
+    f = basis2.synth(d)
+    assert np.max(np.abs(basis2.synth(landau_apply(basis2, d)) - 6 * f)) < 1e-11
 
 
 def test_landau_equals_raise_lower_plus_n(shape_generic, rng):
     basis = LandauBasis(1, shape_generic, 64, K_lev=12)
-    f = random_field(basis, rng)
-    via_ladder = basis.raise_coeffs(basis.lower_coeffs(f.coeffs)) + f.coeffs
-    assert np.max(np.abs(basis.landau_coeffs(f.coeffs) - via_ladder)) < 1e-12
+    f = random_coeffs(basis, rng)
+    via_ladder = basis.raise_coeffs(basis.lower_coeffs(f)) + f
+    assert np.max(np.abs(basis.landau_coeffs(f) - via_ladder)) < 1e-12
 
 
 # ----------------------------------------------------------------------
 # covariant gradient
 # ----------------------------------------------------------------------
 def test_first_order_equation(shape_tri):
-    psi0 = theta_null_basis(1, shape_tri, N=48)[0]
-    D1, D2 = covariant_gradient(psi0)
-    assert norm_avg(D1.values + 1j * D2.values) < 1e-13
+    D1, D2 = covariant_gradient(*theta_table(shape_tri, 48))
+    assert norm_avg(D1 + 1j * D2) < 1e-13
 
 
 def test_current_identity(shape_tri):
     # Im(conj(psi0) grad_A psi0) = -(1/2) curl* |psi0|^2
-    psi0 = theta_null_basis(1, shape_tri, N=64)[0]
-    D1, D2 = covariant_gradient(psi0)
-    J = np.stack([np.imag(np.conj(psi0.values) * D1.values),
-                  np.imag(np.conj(psi0.values) * D2.values)])
-    target = -0.5 * psi0.grid.curl_star(np.abs(psi0.values) ** 2)
+    basis, c = theta_table(shape_tri, 64)
+    psi0 = basis.synth(c)
+    D1, D2 = covariant_gradient(basis, c)
+    J = np.stack([np.imag(np.conj(psi0) * D1), np.imag(np.conj(psi0) * D2)])
+    target = -0.5 * basis.grid.curl_star(np.abs(psi0) ** 2)
     assert np.max(np.abs(J - target)) < 1e-10
 
 
 def test_dirichlet_form_identity(shape_generic, rng):
     # <f, L f> = |D1 f|^2 + |D2 f|^2 + n <f, f> offsets by the zero-point term
     basis = LandauBasis(1, shape_generic, 64, K_lev=10)
-    f = random_field(basis, rng)
-    D1, D2 = covariant_gradient(f)
-    lhs = inner_avg(f.values, basis.synth(basis.landau_coeffs(f.coeffs)))
-    rhs = inner_avg(D1.values, D1.values) + inner_avg(D2.values, D2.values)
+    f = random_coeffs(basis, rng)
+    D1, D2 = covariant_gradient(basis, f)
+    lhs = inner_avg(basis.synth(f), basis.synth(basis.landau_coeffs(f)))
+    rhs = inner_avg(D1, D1) + inner_avg(D2, D2)
     assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
 
 def test_gradient_reconstructs_annihilator(shape_generic, rng):
     basis = LandauBasis(1, shape_generic, 48, K_lev=10)
-    f = random_field(basis, rng)
-    D1, D2 = covariant_gradient(f)
-    alpha_f = basis.synth(basis.lower_coeffs(f.coeffs))
-    assert np.max(np.abs(D1.values + 1j * D2.values - alpha_f)) < 1e-11
+    f = random_coeffs(basis, rng)
+    D1, D2 = covariant_gradient(basis, f)
+    alpha_f = basis.synth(basis.lower_coeffs(f))
+    assert np.max(np.abs(D1 + 1j * D2 - alpha_f)) < 1e-11
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +234,7 @@ def test_cell_average_rejects_quasiperiodic(shape_square):
 
 def test_qp_residual_detects_wrong_flux(shape_square):
     psi0 = theta_null_basis(1, shape_square, N=64)[0]
-    wrong = replace(psi0, n=2, coeffs=None, basis=None)
+    wrong = replace(psi0, n=2)
     assert quasi_periodicity_residual(wrong) > 0.1
 
 
@@ -272,12 +280,13 @@ def shifted_by_constants(psi0):
 
 def test_quotient_with_boundary_constants(shape_generic):
     # derivatives of g against the ladder route of psi0 and the phase gradient
-    psi0 = theta_null_basis(1, shape_generic, N=48)[0]
+    basis, c = theta_table(shape_generic, 48)
+    psi0 = field_from_coeffs(basis, c)
     gauge, g = shifted_by_constants(psi0)
     assert quasi_periodicity_residual(g) < 1e-12
     x1, x2 = psi0.grid.x
-    D1, D2 = covariant_gradient(psi0)
-    dpsi0 = (D1.values - 0.5j * x2 * psi0.values, D2.values + 0.5j * x1 * psi0.values)
+    D1, D2 = covariant_gradient(basis, c)
+    dpsi0 = (D1 - 0.5j * x2 * psi0.values, D2 + 0.5j * x1 * psi0.values)
     grad_phase = psi0.grid.minv_t @ np.array(BC_CONST)
     for got, d, kc in zip(qp_derivatives(g), dpsi0, grad_phase):
         assert np.max(np.abs(got - gauge * (d + 1j * kc * psi0.values))) < 1e-10
@@ -286,14 +295,15 @@ def test_quotient_with_boundary_constants(shape_generic):
 @pytest.mark.parametrize("dy", [(0.237, 0.0), (0.0, -0.411), (0.237, -0.411)])
 def test_magnetic_shift_with_boundary_constants(shape_generic, dy):
     # g at y + dy in closed form, and the constants of the shifted field
-    psi0 = theta_null_basis(1, shape_generic, N=48)[0]
+    basis, c = theta_table(shape_generic, 48)
+    psi0 = field_from_coeffs(basis, c)
     _, g = shifted_by_constants(psi0)
     vals, bc = magnetic_shift_values(g.values, 1, BC_CONST, dy)
     C1, C2 = BC_CONST
     assert np.allclose(bc, (C1 + np.pi * dy[1], C2 - np.pi * dy[0]), rtol=0, atol=1e-15)
     y1, y2 = psi0.grid.y[0] + dy[0], psi0.grid.y[1] + dy[1]
-    m = psi0.basis.geom.m_tau
-    direct = basis_evaluate(psi0.basis, 0, 0, m[0, 0] * y1 + m[0, 1] * y2,
+    m = basis.geom.m_tau
+    direct = basis_evaluate(basis, 0, 0, m[0, 0] * y1 + m[0, 1] * y2,
                             m[1, 0] * y1 + m[1, 1] * y2)
     assert np.max(np.abs(vals - np.exp(1j * (C1 * y1 + C2 * y2)) * direct)) < 1e-11
     shifted = QuasiPeriodicField(n=1, shape=psi0.shape, values=vals, bc_const=bc)
@@ -301,11 +311,11 @@ def test_magnetic_shift_with_boundary_constants(shape_generic, dy):
 
 def test_qp_derivatives_match_ladder_route(shape_generic, rng):
     basis = LandauBasis(1, shape_generic, 64, K_lev=10)
-    f = random_field(basis, rng)
-    D1c, D2c = covariant_gradient(f)
-    D1g, D2g = covariant_gradient_grid(f)
-    assert np.max(np.abs(D1c.values - D1g)) < 1e-10
-    assert np.max(np.abs(D2c.values - D2g)) < 1e-10
+    f = random_coeffs(basis, rng)
+    D1c, D2c = covariant_gradient(basis, f)
+    D1g, D2g = covariant_gradient_grid(field_from_coeffs(basis, f))
+    assert np.max(np.abs(D1c - D1g)) < 1e-10
+    assert np.max(np.abs(D2c - D2g)) < 1e-10
 
 
 # ----------------------------------------------------------------------
