@@ -6,7 +6,8 @@ the theta-series null vector, and the classical lattice sum
 beta(tau) = sum_{(m,k) in Z^2} exp(-pi |m tau + k|^2 / Im tau), kept as an
 oracle for each other.  Its gradient and Hessian over tau, which locate and
 classify the critical points, are the lattice sum differentiated term by term.
-E_b(tau) is minimized by Newton on the exact gradient each branch point carries.
+E_b(tau) is minimized by a two-point gradient iteration on the exact gradient
+each branch point carries.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, LatticeShape, SolverError,
                       fundamental_domain_grid, normalize_tau)
 
 CRITICAL_GRAD_TOL = 1e-8   # |grad beta| at which a Newton start has converged
-# the fixed scan and Newton path of minimize_Eb_numeric (see its docstring)
+# the fixed scan and descent path of minimize_Eb_numeric (see its docstring)
 EB_COARSE_GRID = (5, 4)
 EB_TAU2_MAX = 1.4
-EB_REFINE_H = 2e-3
-EB_NEWTON_STEPS = 12
+EB_STEP_MAX = 0.05
+EB_DESCENT_STEPS = 60
 
 
 def _lattice_terms(tau: complex):
@@ -199,24 +200,24 @@ def energy_landscape_asymptotic(beta: float, kappa: float, b: float) -> float:
     return float(kappa**2 / 2 + b**2 - (kappa**2 - b) ** 2 / denom)
 
 
-def _newton_refine(grad, tau: complex, h: float, max_steps: int) -> complex:
-    """Newton iteration toward a critical point near tau, on grad(tau) over
-    (Re tau, Im tau) and its symmetrized central difference at step h as the
-    Hessian.  Steps are capped at 0.05; the loop stops after a step shorter
-    than 1e-5 h or when the Hessian is singular."""
-    for _ in range(max_steps):
-        hess = np.column_stack([(grad(tau + d) - grad(tau - d)) / (2 * h)
-                                for d in (h, 1j * h)])
-        try:
-            step = np.linalg.solve((hess + hess.T) / 2, -grad(tau))
-        except np.linalg.LinAlgError:
-            break
-        nrm = np.linalg.norm(step)
-        if nrm > 0.05:
-            step *= 0.05 / nrm
+def _descend(point, tau: complex, floor: float, max_steps: int) -> complex:
+    """Two-point gradient iteration (Barzilai and Borwein, IMA J. Numer. Anal.
+    8, 141 (1988)) toward a minimum near tau, on point(tau) = (value,
+    gradient over (Re tau, Im tau)).  Each step is -t grad with t = s.s / s.y
+    from the last two iterates, capped at EB_STEP_MAX; the first step, and any
+    after s.y <= 0, is the cap along -grad.  Stops once |grad| <= 1e-12
+    |value(tau) - floor| at the start; SolverError after max_steps steps."""
+    tau0, (value, g) = tau, point(tau)
+    tol, t, steps = 1e-12 * abs(value - floor), np.inf, 0
+    while (gn := np.linalg.norm(g)) > tol:
+        if steps == max_steps:
+            raise SolverError(f"descent from tau={tau0} not converged in {max_steps} "
+                              f"steps: |grad| = {gn:.3e} above {tol:.3e}")
+        step = -min(t, EB_STEP_MAX / gn) * g
         tau = complex(tau + step[0] + 1j * step[1])
-        if nrm < 1e-5 * h:
-            break
+        g, g_old = point(tau)[1], g
+        sy, steps = step @ (g - g_old), steps + 1
+        t = step @ step / sy if sy > 0 else np.inf
     return tau
 
 
@@ -243,17 +244,17 @@ def minimize_Eb_numeric(kappa: float, b: float, K_lev: int = 40):
 
     A fixed coarse scan of the fundamental domain (the EB_COARSE_GRID
     5 x 4 grid up to Im tau = EB_TAU2_MAX = 1.4, plus e^{i pi/3}) followed
-    by at most EB_NEWTON_STEPS = 12 Newton steps on each point's exact
-    gradient (BranchPoint.dE_dtau), with the Hessian differenced from it at
-    step EB_REFINE_H = 2e-3 (5 solves a step): the same path for every b, so
-    different mu values are comparable.  The difference error moves only the
-    path, not the critical point it converges to.  Returns (tau_b,
-    E_b(tau_b)).  E_b and its gradient are computed on each shape's solve
-    grid, and no field is sampled on any other grid.
+    by at most EB_DESCENT_STEPS = 60 steps of _descend on each point's exact
+    gradient (BranchPoint.dE_dtau, one solve a step), until |grad E_b| is
+    1e-12 of the start's condensation energy E_b - (kappa^2/2 + b^2).  Step
+    and stop are invariant under E_b -> c E_b + d, the leading-order change
+    of E_b with b, so different mu values take comparable paths.  Returns
+    (tau_b, E_b(tau_b)).  E_b and its gradient are computed on each shape's
+    solve grid, and no field is sampled on any other grid.
     """
     point = _Eb_point(kappa, b, K_lev)
     pts = fundamental_domain_grid(*EB_COARSE_GRID, tau2_max=EB_TAU2_MAX)
     pts.append(complex(TAU_TRIANGULAR))
     tau0 = min(pts, key=lambda t: point(t)[0])
-    tau = _newton_refine(lambda t: point(t)[1], tau0, EB_REFINE_H, EB_NEWTON_STEPS)
+    tau = _descend(point, tau0, kappa**2 / 2 + b**2, EB_DESCENT_STEPS)
     return tau, point(tau)[0]

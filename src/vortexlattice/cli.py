@@ -14,8 +14,9 @@ key's CHOICES and, for the integer sizes, their MINIMUM.  tau is accepted as
 configs reproduce byte-identical outputs.
 
 Exit codes: 0 success (verify failures are data, not errors), 2 invalid
-configuration, a --config file or gauge-fix input that cannot be read or
-parsed included, 3 solver failure or refusal (SolverError, ValueError or
+configuration (ConfigError), a --config file or gauge-fix input that cannot
+be read or parsed and a Landau basis above Im tau = landau.TAU2_MAX
+included, 3 solver failure or refusal (SolverError, ValueError or
 ZeroDivisionError; partial results flushed with a failure marker).  Any
 other exception is a programming error and propagates.
 """
@@ -32,12 +33,8 @@ from functools import cache
 import numpy as np
 
 from . import abrikosov, bifurcation, gauge, landau, snapshot
-from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, SolverError,
+from .lattice import (TAU_SQUARE, TAU_TRIANGULAR, ConfigError, SolverError,
                       fundamental_domain_grid, normalize_tau)
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def parse_tau(text: str) -> complex:

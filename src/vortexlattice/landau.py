@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeShape, cell_geometry
+from .lattice import ConfigError, LatticeShape, cell_geometry
 from .spectral import CellGrid
 
 TAU2_MAX = 20.0         # the fundamental domain keeps tau2 >= sqrt(3)/2
@@ -111,7 +111,7 @@ class LandauBasis:
     def __init__(self, n: int, shape: LatticeShape, N: int | None = None,
                  K_lev: int = 32):
         if shape.tau2 > TAU2_MAX:
-            raise ValueError(f"tau2={shape.tau2:.3g} above the supported {TAU2_MAX}")
+            raise ConfigError(f"tau2={shape.tau2:.3g} above the supported {TAU2_MAX}")
         self.n = int(n)
         self.shape = shape
         self.K_lev = int(K_lev)

@@ -26,6 +26,10 @@ _BOUNDARY_TOL = 1e-12
 _MOVE_BUDGET = 10_000
 
 
+class ConfigError(ValueError):
+    """An input the package does not support (CLI exit 2)."""
+
+
 class SolverError(RuntimeError):
     """A numerical solve failed to converge or to reach its target (CLI exit 3)."""
 
@@ -68,7 +72,6 @@ class ModularMap:
     b: int = 0
     c: int = 0
     d: int = 1
-    moves: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.a * self.d - self.b * self.c != 1:
@@ -79,12 +82,11 @@ class ModularMap:
 
     def compose_T(self, k: int) -> "ModularMap":
         # T^k: tau -> tau + k, matrix [[1, k], [0, 1]] on the left
-        return ModularMap(self.a + k * self.c, self.b + k * self.d, self.c, self.d,
-                          self.moves + (f"T^{k}",))
+        return ModularMap(self.a + k * self.c, self.b + k * self.d, self.c, self.d)
 
     def compose_S(self) -> "ModularMap":
         # S: tau -> -1/tau, matrix [[0, -1], [1, 0]] on the left
-        return ModularMap(-self.c, -self.d, self.a, self.b, self.moves + ("S",))
+        return ModularMap(-self.c, -self.d, self.a, self.b)
 
 
 def normalize_tau(tau_raw: complex) -> tuple[LatticeShape, ModularMap]:

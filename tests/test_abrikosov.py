@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from reference import (_central_hessian, _richardson_gradient, applied_field,
                        descend_beta)
 from vortexlattice import abrikosov as abr
-from vortexlattice.lattice import (TAU_SQUARE, TAU_TRIANGULAR,
+from vortexlattice.lattice import (TAU_SQUARE, TAU_TRIANGULAR, SolverError,
                                    fundamental_domain_grid, normalize_tau)
 
 TRI = complex(TAU_TRIANGULAR)
@@ -172,14 +172,23 @@ def test_arc_curvature_matches_difference_at_square_point():
     assert abs(abr._arc_curvature(1j, *abr.beta_derivatives(1j)) - fd) < 1e-5
 
 
-@pytest.mark.parametrize("tau0", [0.47 + 0.89j, 0.5 + 0.9j, 0.45 + 0.95j])
-def test_newton_refine_unbiased_at_triangular_point(tau0):
-    # The refinement of minimize_Eb_numeric, run on beta's exact gradient at
-    # its Hessian step h = 2e-3.  The differenced Hessian only shapes the
-    # path, so Newton lands on the exact critical point.
-    grad = lambda t: abr.beta_derivatives(t)[0]
-    tau = abr._newton_refine(grad, tau0, h=2e-3, max_steps=12)
+def _beta_point(tau):
+    return abr.beta_of(tau), abr.beta_derivatives(tau)[0]
+
+
+@pytest.mark.parametrize("tau0", [0.47 + 0.89j, 0.5 + 0.9j, 0.45 + 0.95j, 0.1 + 1.1j])
+def test_descent_reaches_triangular_point(tau0):
+    # The descent of minimize_Eb_numeric, run on beta's exact gradient with
+    # the floor beta = 1 of a uniform density.  From 0.1+1.1i it passes the
+    # square saddle tau = i, where a Newton iteration stops.
+    tau = abr._descend(_beta_point, tau0, 1.0, abr.EB_DESCENT_STEPS)
     assert abr.modular_distance(tau, TRI) < 1e-10
+
+
+def test_descent_out_of_steps_is_a_solver_error():
+    with pytest.raises(SolverError, match=r"descent from tau=\(0.1\+1.1j\) not "
+                       r"converged in 2 steps: \|grad\| = "):
+        abr._descend(_beta_point, 0.1 + 1.1j, 1.0, 2)
 
 
 @pytest.mark.parametrize("tau, mu", [(0.3 + 1.2j, 0.1), (0.45 + 0.95j, 0.05),

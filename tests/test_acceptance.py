@@ -292,10 +292,9 @@ def test_criterion_10_triangular_minimum_numeric():
     # true distance is identically zero and the mu -> 0 statement holds in
     # its exact form: tau_b = e^(i pi/3) at each mu.  A strictly decreasing
     # trend in mu has no signal to detect.  What is measured is the
-    # minimizer's resolution: Newton runs on the exact shape gradient of each
-    # branch point, which vanishes at e^(i pi/3) to roundoff, and its
-    # differenced Hessian moves only the path, so the distances sit near
-    # 1e-13, far below the 1e-7 bound.
+    # minimizer's resolution: the descent runs on the exact shape gradient of
+    # each branch point, which vanishes at e^(i pi/3) to roundoff, so the
+    # distances sit near 1e-13, far below the 1e-7 bound.
     exact = max(dists.values()) <= 1e-7
     ok = exact and abs(extrapolated) < 1e-3 and runtime < 1800
     report(10, ok, f"numeric E_b minimizer distances to e^(i pi/3): "
@@ -310,20 +309,22 @@ def test_criterion_10_triangular_minimum_numeric():
 
 @pytest.mark.parametrize("mu", [0.2, 0.05])
 def test_newton_phase_from_off_the_triangular_point(mu, monkeypatch):
-    # criterion 10's scan starts Newton at e^(i pi/3) itself; here the Newton
-    # phase of minimize_Eb_numeric has to travel there from 0.4+0.95i.  From
-    # 0.1+1.1i it stops at the square saddle tau = i, which is still open.
+    # criterion 10's scan starts the descent phase of minimize_Eb_numeric at
+    # e^(i pi/3) itself; here it has to travel there.  From 0.1+1.1i it
+    # passes the square saddle tau = i, where a Newton iteration stops.
     solves = []
     solve = bif.branch_by_field
     monkeypatch.setattr(bif, "branch_by_field",
                         lambda *a, **kw: solves.append(1) or solve(*a, **kw))
-    point = abr._Eb_point(KAPPA, KAPPA2 - mu, 40)
-    tau = abr._newton_refine(lambda t: point(t)[1], 0.4 + 0.95j,
-                             abr.EB_REFINE_H, abr.EB_NEWTON_STEPS)
-    dist = abr.modular_distance(tau, TRI)
-    print(f"\n[Newton from 0.4+0.95i, mu={mu}] distance {dist:.1e}, "
-          f"{len(solves)} solves")
-    assert dist < 1e-7
+    b = KAPPA2 - mu
+    for tau0 in (0.1 + 1.1j, 0.3 + 1.1j, 0.4 + 0.95j):
+        solves.clear()
+        point = abr._Eb_point(KAPPA, b, 40)
+        tau = abr._descend(point, tau0, KAPPA2 / 2 + b**2, abr.EB_DESCENT_STEPS)
+        dist = abr.modular_distance(tau, TRI)
+        print(f"\n[descent from {tau0}, mu={mu}] distance {dist:.1e}, "
+              f"{len(solves)} solves")
+        assert dist < 1e-7
 
 
 def test_output_grid_moves_no_scalar(branch_sq_128, branch_tr_128, shape_sq, shape_tr):

@@ -338,6 +338,21 @@ def test_unreadable_input_file_exit_code(tmp_path, command, flag, kind):
     assert not (tmp_path / "FAILED.json").exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["branch", "--tau", "0,25"], 2),
+    (["beta", "--method", "quadrature", "--tau-grid", "0,25"], 2),
+    (["field-landscape", "--numeric", "--tau-grid", "0,25"], 2),
+    (["beta", "--tau-grid", "0,25"], 0),
+], ids=["branch", "beta-quadrature", "field-landscape-numeric", "beta-lattice-sum"])
+def test_shape_above_the_supported_tau2(tmp_path, argv, code):
+    # a Landau basis on tau2 = 25 is an unsupported input, not a solver
+    # failure: exit 2 and no failure marker; the lattice sum needs no basis
+    out = tmp_path / "out"
+    assert run(argv + ["--outdir", str(out)]) == code
+    assert not (out / "FAILED.json").exists()
+    assert not (tmp_path / "FAILED.json").exists()
+
+
 def _theta_snapshot(tmp_path, shape):
     """An 8 x 8 raw snapshot of the lowest-level field, without a potential."""
     psi = landau.theta_null_basis(1, shape, 8)[0]

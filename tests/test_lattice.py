@@ -20,13 +20,13 @@ def test_normalize_identity_on_square():
 def test_normalize_one_T_move():
     shape, m = normalize_tau(1 + TRI)
     assert abs(complex(shape.tau) - TRI) < 1e-15
-    assert m.moves == ("T^-1",)
+    assert (m.a, m.b, m.c, m.d) == (1, -1, 0, 1)
 
 
 def test_normalize_one_S_move():
     shape, m = normalize_tau(0.5j)
     assert abs(complex(shape.tau) - 2j) < 1e-15
-    assert "S" in m.moves
+    assert (m.a, m.b, m.c, m.d) == (0, -1, 1, 0)
 
 
 def test_normalize_rejects_lower_half_plane():
