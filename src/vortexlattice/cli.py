@@ -268,7 +268,7 @@ def verify_gauge(cfg) -> list[dict]:
                                               + rng.uniform(0, 2 * np.pi))
                   for k1 in range(2) for k2 in range(-1, 2))
         c = tuple(rng.normal(0, 0.2, 2))
-        t = rng.uniform(-0.5, 0.5, 2) @ np.column_stack([raw0.m[:, 0], raw0.m[:, 1]]).T
+        t = raw0.m @ rng.uniform(-0.5, 0.5, 2)
         raw = gauge.translate_state(gauge.gauge_transform(raw0, eta, c), t)
         fixed, info = gauge.fix_gauge(raw, kappa=np.sqrt(cfg["kappa2"]))
         worst_bc = max(worst_bc,

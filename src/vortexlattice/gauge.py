@@ -12,11 +12,13 @@ perturbation alpha with mean zero and no divergence.  A gauge change
 exp(i eta) keeps curl alpha = curl A_p, and a periodic field whose mean,
 divergence and curl all vanish is zero, so the three conditions allow only
 one alpha: the solenoidal part curl* phi of the Helmholtz split
-A_p = <A_p> + grad chi + curl* phi.  fix_gauge reads phi from curl A_p,
-takes eta = -<A_p>.x - chi, and removes the boundary constants that eta
-leaves by a translation.  That is the state the constructive recipe of the
-existence proof reaches through row antiderivatives of the field, a
-periodic Poisson correction and a mean shift.
+A_p = <A_p> + grad chi + curl* phi.  fix_gauge is one gauge change and
+one translation: gauge_transform by eta = -<A_p>.x - chi, then
+translate_state by the l that removes the boundary constants eta leaves;
+phi is read from curl A_p of the result.  That is the state the
+constructive recipe of the existence proof reaches through row
+antiderivatives of the field, a periodic Poisson correction and a mean
+shift.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class RawLatticeState:
 
     @property
     def area(self) -> float:
-        return self.r**2 * self.shape.tau2
+        return self.r * self.r * self.shape.tau2
 
     @property
     def b(self) -> float:
@@ -107,10 +109,8 @@ def gauge_transform(state: RawLatticeState, eta: np.ndarray,
     full = eta + c[0] * x1 + c[1] * x2
     psi = np.exp(1j * full) * state.psi
     a_p = state.a_p + grid.grad(eta) + c[:, None, None]
-    t1 = state.m[:, 0]
-    t2 = state.m[:, 1]
-    bc = (state.bc_const[0] + float(c @ t1), state.bc_const[1] + float(c @ t2))
-    return replace(state, psi=psi, a_p=a_p, bc_const=bc)
+    bc = np.asarray(state.bc_const) + c @ state.m
+    return replace(state, psi=psi, a_p=a_p, bc_const=(float(bc[0]), float(bc[1])))
 
 
 def translate_state(state: RawLatticeState, t: np.ndarray) -> RawLatticeState:
@@ -134,35 +134,27 @@ def fix_gauge(state: RawLatticeState, kappa: float = 1.0):
     constants and a mean-zero, divergence-free potential perturbation; it is
     gauge-equivalent to the input translated by l = info["translation"], so
     all observables match the l-translated input.  It is rescaled to the
-    normalized cell with lambda = kappa^2 n / b.  info also holds the linear
-    part eta_linear of the gauge function, b and the scale sigma.
+    normalized cell with lambda = kappa^2 n / b by the scale info["sigma"].
     """
-    grid = state.grid
-    b = state.b
+    grid, b, m = state.grid, state.b, state.m
 
-    # alpha = curl* phi from curl a_p alone; eta = d.x - chi with d = -<a_p>
-    # and grad chi the gradient part of a_p
-    _, dead, gsq, _ = grid.half_spectrum
-    alpha = grid._curl_star_of(np.where(dead, 0.0, grid._curl_hat(state.a_p) / gsq))
+    # eta = d.x - chi (d = -<a_p>, grad chi the gradient part of a_p) leaves
+    # the constants C, which the translation l with b (t_i ^ l) = -C_i
+    # (principal branch) removes; eta's extra -(b/2) J l cancels the constant
+    # (b/2) J l it adds to a_p, and adds no phase since (J l).l = 0
     d = -state.a_p.mean(axis=(1, 2))
-    x1, x2 = grid.x
-    eta = d[0] * x1 + d[1] * x2 - grid.antiderivative(state.a_p)
-    psi = np.exp(1j * eta) * state.psi
-    t1, t2 = state.m[:, 0], state.m[:, 1]
-    C1 = state.bc_const[0] + float(d @ t1)
-    C2 = state.bc_const[1] + float(d @ t2)
+    C = (np.asarray(state.bc_const) + d @ m + np.pi) % (2 * np.pi) - np.pi
+    l = np.linalg.solve(b * (J @ m).T, -C)
+    st = translate_state(gauge_transform(state, -grid.antiderivative(state.a_p),
+                                         d - 0.5 * b * (J @ l)), l)
 
-    # translation l with b * (t_i ^ l) = -C_i (principal branch)
-    C1p = (C1 + np.pi) % (2 * np.pi) - np.pi
-    C2p = (C2 + np.pi) % (2 * np.pi) - np.pi
-    M = b * np.array([[-t1[1], t1[0]], [-t2[1], t2[0]]])  # rows: b * (t_i ^ .)
-    l = np.linalg.solve(M, -np.array([C1p, C2p]))
-    dy = np.linalg.solve(state.m, l)
-    vals, bc = magnetic_shift_values(psi, state.n, (C1, C2), (float(dy[0]), float(dy[1])))
-    vals = vals * np.exp(0.5j * b * (x1 * l[1] - x2 * l[0]))  # zeta = (b/2) x ^ l
-    alpha = grid.shift(alpha, dy)
+    # alpha = curl* phi from curl a_p alone, which drops what a_p keeps at
+    # the dead Nyquist modes
+    _, dead, gsq, _ = grid.half_spectrum
+    alpha = grid._curl_star_of(np.where(dead, 0.0, grid._curl_hat(st.a_p) / gsq))
 
     # residual global phase: pin the origin sample when it carries weight
+    vals = st.psi
     if abs(vals[0, 0]) > 1e-8 * np.max(np.abs(vals)):
         vals = vals * np.exp(-1j * np.angle(vals[0, 0]))
 
@@ -171,4 +163,4 @@ def fix_gauge(state: RawLatticeState, kappa: float = 1.0):
     params = GLParams(kappa=kappa, n=state.n, lam=kappa**2 * state.n / b)
     qp = QuasiPeriodicField(n=state.n, shape=state.shape, values=sigma * vals)
     out = GLState(psi=qp, alpha=PeriodicVectorField(sigma * alpha, qp.grid), params=params)
-    return out, {"translation": l, "eta_linear": d, "b": b, "sigma": sigma}
+    return out, {"translation": l, "sigma": sigma}

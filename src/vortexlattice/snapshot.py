@@ -144,17 +144,14 @@ def save_raw_state(path, raw) -> None:
 @_loader
 def load_raw_state(path) -> RawLatticeState:
     header, col = _read(path, ("re_psi", "im_psi", "ap1", "ap2"))
-    r = float(header["r"])
-    shape = LatticeShape(complex(header["tau"][0], header["tau"][1]))
-    # RawLatticeState's area r**2 tau2 and field b = 2 pi n / area, formed by
-    # products that overflow to inf where r**2 raises OverflowError
-    area = r * r * shape.tau2
-    b = 2 * np.pi * header["n"] / area if area > 0 else 0.0
-    if not (r > 0 and 0 < area < np.inf and 0 < b < np.inf):
-        raise ValueError(f"cell scale r = {header['r']!r} gives the cell area {area!r} "
-                         f"and field {b!r}; both must be finite numbers > 0")
-    return RawLatticeState(
+    raw = RawLatticeState(
         psi=col["re_psi"] + 1j * col["im_psi"],
         a_p=np.stack([col["ap1"], col["ap2"]]),
-        n=header["n"], shape=shape, r=r,
-        bc_const=tuple(header["bc_const"]))
+        n=header["n"], shape=LatticeShape(complex(header["tau"][0], header["tau"][1])),
+        r=float(header["r"]), bc_const=tuple(header["bc_const"]))
+    area = raw.area
+    b = raw.b if area > 0 else 0.0
+    if not (raw.r > 0 and 0 < area < np.inf and 0 < b < np.inf):
+        raise ValueError(f"cell scale r = {header['r']!r} gives the cell area {area!r} "
+                         f"and field {b!r}; both must be finite numbers > 0")
+    return raw

@@ -10,7 +10,9 @@ beta is the second route to its minimum.  The Richardson-refined central
 difference gradient and the central difference Hessian are the oracles of
 beta's term-by-term derivatives and of the branch energy's shape gradient.
 The effective energy e_lambda(v) checks the reduction's variational
-structure, and residuals the equations a state solves.  FullSpectrumGrid
+structure, the closed-form coefficients lambda1 and lambda2 of
+branch_coefficients the solved branch lambda(s), and residuals the
+equations a state solves.  FullSpectrumGrid
 keeps the CellGrid operators on the full fft2 spectrum, the oracle of the
 half-spectrum ones.  The N^2 x N^2 link matrix
 magnetic_laplacian_fd, in the symmetric gauge, is the oracle of the Harper
@@ -285,6 +287,33 @@ def effective_energy(lam, v, setup, kappa):
     """e_lambda(v) = E_lambda(v psi0 + w(lambda, v)); gauge invariant in arg v."""
     wres = solve_w(lam, v, setup, kappa)
     return energy(w_state(setup.basis, w_coeffs(wres), wres, kappa))
+
+
+def branch_coefficients(setup, kappa):
+    """(lambda1, lambda2) of lambda(s) = 1 + lambda1 s^2 + lambda2 s^4 + O(s^6)
+    on the branch at real s, in closed form from the reduction.  With
+    psi = s psi0 + s^3 w3 + O(s^5), alpha = s^2 alpha1 + s^4 alpha3 + O(s^6),
+    D = grad_{A0} and M = curl* curl on divergence-free mean-zero fields:
+    M alpha1 = Im(conj psi0 D psi0), N3 = 2i alpha1.D psi0 + kappa^2 |psi0|^2
+    psi0, lambda1 = Re <psi0, N3>, w3 = -R(1) Q N3, M alpha3 = Im(conj psi0
+    D w3 + conj w3 D psi0) - |psi0|^2 alpha1, N5 = 2i (alpha1.D w3 + alpha3.D
+    psi0) + |alpha1|^2 psi0 + kappa^2 (2 |psi0|^2 w3 + psi0^2 conj w3) and
+    lambda2 = Re <psi0, N5>; w5 does not enter since w is orthogonal to psi0."""
+    basis = setup.basis
+    c0 = np.zeros((basis.K_lev + 1, 1), dtype=complex)
+    c0[0, 0] = 1.0
+    p0 = _coeff_samples(basis, c0, solve=True)
+    zero = np.zeros_like(p0.rho)
+    a1 = _alpha_fixed_point(p0.grid, p0.j0, zero, None)
+    n3 = basis.project(2j * (a1[0] * p0.d1 + a1[1] * p0.d2) + kappa**2 * p0.rho * p0.psi)
+    p3 = _coeff_samples(basis, -basis.resolvent_coeffs(n3, 1.0), solve=True)
+    j3 = np.imag(np.conj(p0.psi) * np.stack([p3.d1, p3.d2])
+                 + np.conj(p3.psi) * np.stack([p0.d1, p0.d2]))
+    a3 = _alpha_fixed_point(p0.grid, j3 - p0.rho * a1, zero, None)
+    n5 = basis.project(2j * (a1[0] * p3.d1 + a1[1] * p3.d2 + a3[0] * p0.d1 + a3[1] * p0.d2)
+                       + (a1[0] ** 2 + a1[1] ** 2) * p0.psi
+                       + kappa**2 * (2 * p0.rho * p3.psi + p0.psi**2 * np.conj(p3.psi)))
+    return float(n3[0, 0].real), float(n5[0, 0].real)
 
 
 def residuals(basis, coeffs, alpha, params):

@@ -5,8 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from reference import (alpha_damped_fixed_point, effective_energy,
-                       helmholtz_project, w_coeffs, w_state)
+from reference import (alpha_damped_fixed_point, branch_coefficients,
+                       effective_energy, helmholtz_project, w_coeffs, w_state)
 from vortexlattice import abrikosov, bifurcation as bif, glcore, landau
 from vortexlattice.landau import field_from_coeffs, inner_avg, norm_avg
 from vortexlattice.lattice import TAU_TRIANGULAR, SolverError, normalize_tau
@@ -225,6 +225,35 @@ def test_negative_sign_regime():
     assert pt.lam < 1.0 and pt.residual_psi < 1e-8
     with pytest.raises(bif.BranchSideError):
         bif.branch_by_field(0.098, kappa, shape, setup=setup)
+
+
+@pytest.mark.parametrize("tau, kappa2", [(1j, 2.0), (complex(TAU_TRIANGULAR), 2.0),
+                                          (0.3 + 1.2j, 2.0), (8j, 0.1)],
+                         ids=["square", "triangular", "0.3+1.2i", "8i-below-kappa_c"])
+def test_branch_coefficients_from_the_reduction(tau, kappa2):
+    # lambda1 and lambda2 of lambda(s) = 1 + lambda1 s^2 + lambda2 s^4 + O(s^6)
+    # in closed form (reference.branch_coefficients) against the solved
+    # branch: (lambda - 1 - lambda1 s^2)/s^4 - lambda2 is O(s^2), a factor 4
+    # a halving.  lambda - 1 is read as Re <psi0, N>/s from the w solve: the
+    # branch point's lambda = 1 + (lambda - 1) rounds to an ulp that is
+    # 3.5e-7 of the quotient at s = 0.005
+    shape, _ = normalize_tau(tau)
+    setup = bif.build_reduction(shape, K_lev=40)
+    kappa = np.sqrt(kappa2)
+    lam1, lam2 = branch_coefficients(setup, kappa)
+    slope = abrikosov.branch_slope(setup.beta, kappa)
+    assert (slope < 0) == (kappa2 < abrikosov.kappa_c(setup.beta) ** 2)
+    assert abs(lam1 - slope) < 1e-12
+    if tau == 1j:
+        assert lam2 == pytest.approx(-0.1563109085, abs=1e-10)
+    s = np.array([0.04, 0.02, 0.01, 0.005])
+    q = []
+    for si in s:
+        wres = bif.solve_w(1.0 + lam1 * si**2, si, setup, kappa, _unknown="lam")
+        q.append((np.real(wres.ncoef[0, 0] / si) - lam1 * si**2) / si**4)
+    dev = np.array(q) - lam2
+    assert np.all(np.abs(dev[:-1] / dev[1:] - 4.0) < 0.3)
+    assert abs((4 * q[-1] - q[-2]) / 3 - lam2) < 1e-6
 
 
 def test_branch_points_are_gamma1_roots(branch_sq, setup_sq):

@@ -128,10 +128,14 @@ def test_gauge_fix_command(tmp_path, shape_generic):
     raw = gauge.gauge_transform(raw, 0.3 * np.sin(2 * np.pi * y1), (0.1, 0.0))
     inp = tmp_path / "raw.csv"
     snapshot.save_raw_state(inp, raw)
-    assert run(["gauge-fix", "--input", str(inp), "--kappa2", "2",
-                "--outdir", str(tmp_path)]) == 0
+    argv = ["gauge-fix", "--input", str(inp), "--kappa2", "2", "--outdir", str(tmp_path)]
+    assert run(argv) == 0
+    first = (tmp_path / "fixed_state.csv").read_bytes()
     fixed = snapshot.load_state(tmp_path / "fixed_state.csv")
     assert landau.quasi_periodicity_residual(fixed.psi) < 1e-8
+    # identical input and config reproduce the output byte-identically
+    assert run(argv) == 0
+    assert (tmp_path / "fixed_state.csv").read_bytes() == first
 
 
 # Runs in a fresh interpreter, where no other test's imports can hide a module:
@@ -182,10 +186,14 @@ def test_verify_symmetry(tmp_path):
 
 
 def test_verify_gauge(tmp_path):
-    assert run(["verify", "gauge", "--K-lev", "24", "--trials", "2",
-                "--outdir", str(tmp_path)]) == 0
-    data = json.loads((tmp_path / "verify_gauge.json").read_text())
+    argv = ["verify", "gauge", "--K-lev", "24", "--trials", "2", "--outdir", str(tmp_path)]
+    assert run(argv) == 0
+    first = (tmp_path / "verify_gauge.json").read_bytes()
+    data = json.loads(first)
     assert data["all_pass"] is True
+    # a re-run writes the same bytes
+    assert run(argv) == 0
+    assert (tmp_path / "verify_gauge.json").read_bytes() == first
 
 
 def test_verify_asymptotics(tmp_path):

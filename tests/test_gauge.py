@@ -63,6 +63,7 @@ def test_gauge_observables_invariant(raw_branch, rng):
     assert np.max(np.abs(o1["curl_a"] - o2["curl_a"])) < 1e-8
     assert np.max(np.abs(o1["current"] - o2["current"])) < 1e-9
     assert abs(out.flux() - raw_branch.flux()) < 1e-11
+    assert quasi_periodicity_residual(out.qp_field()) < 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -72,6 +73,7 @@ def test_translate_by_lattice_vector(raw_branch):
     out = translate_state(raw_branch, raw_branch.m[:, 0])
     assert np.max(np.abs(np.abs(out.psi) - np.abs(raw_branch.psi))) < 1e-10
     assert np.max(np.abs(out.curl_a() - raw_branch.curl_a())) < 1e-9
+    assert quasi_periodicity_residual(out.qp_field()) < 1e-10
 
 
 def test_translate_energy_invariant(raw_branch):
@@ -80,6 +82,7 @@ def test_translate_energy_invariant(raw_branch):
     assert abs(energy_density_mean(out, KAPPA)
                - energy_density_mean(raw_branch, KAPPA)) < 1e-9
     assert abs(out.flux() - raw_branch.flux()) < 1e-10
+    assert quasi_periodicity_residual(out.qp_field()) < 1e-10
 
 
 def test_rotate_pi_any_lattice(raw_branch):
@@ -129,13 +132,22 @@ def test_fix_gauge_on_fixed_input(raw_branch):
 def test_fix_gauge_round_trip(raw_branch, rng):
     grid = raw_branch.grid
     y1, y2 = grid.y
+    inputs = []
     for _ in range(3):
         eta = sum(rng.normal(0, 0.3) * np.sin(2 * np.pi * ((k1 + 1) * y1 + k2 * y2)
                                               + rng.uniform(0, 2 * np.pi))
                   for k1 in range(2) for k2 in range(-1, 2))
         c = tuple(rng.normal(0, 0.3, 2))
         t = raw_branch.m @ rng.uniform(-0.5, 0.5, 2)
-        distorted = translate_state(gauge_transform(raw_branch, eta, c), t)
+        inputs.append(translate_state(gauge_transform(raw_branch, eta, c), t))
+    # a steep linear gauge and a translation past half a period: the
+    # constants fix_gauge removes, bc_const - <a_p>.t_i, lie outside
+    # (-pi, pi], which takes the principal branch of l
+    steep = translate_state(gauge_transform(raw_branch, 0.0 * y1, (3.0, -2.5)),
+                            raw_branch.m @ np.array([0.7, 0.6]))
+    C = np.asarray(steep.bc_const) - steep.a_p.mean(axis=(1, 2)) @ steep.m
+    assert np.all(np.abs(C) > np.pi)
+    for distorted in inputs + [steep]:
         fixed, info = fix_gauge(distorted, kappa=KAPPA)
         assert quasi_periodicity_residual(fixed.psi) < 1e-10
         mean_r, div_r = fixed.alpha.constraint_residuals()
