@@ -28,6 +28,10 @@ EB_STEP_MAX = 0.05
 EB_DESCENT_STEPS = 60
 
 
+class AsymptoticValidityError(SolverError, ZeroDivisionError):
+    """The asymptotic E_b(tau) at a degenerate denominator, kappa = kappa_c(tau)."""
+
+
 def _lattice_terms(tau: complex):
     """Cutoff R, (m, k), u = m tau1 + k and q = |m tau + k|^2 / tau2."""
     t1, t2 = tau.real, tau.imag
@@ -196,7 +200,7 @@ def energy_landscape_asymptotic(beta: float, kappa: float, b: float) -> float:
     up to O((kappa^2 - b)^3), for the shape's beta(tau)."""
     denom = 2 * branch_slope(beta, kappa)
     if abs(denom) < 1e-12:
-        raise ZeroDivisionError("degenerate denominator: outside asymptotic validity")
+        raise AsymptoticValidityError("degenerate denominator: outside asymptotic validity")
     return float(kappa**2 / 2 + b**2 - (kappa**2 - b) ** 2 / denom)
 
 

@@ -9,8 +9,12 @@ gamma0 = (1 - lambda) s + <psi0, N(s psi0 + w)> = 0 gives lambda (or s)
 directly, so one iteration re-solves it after every w sweep: a branch point
 at given s, or at given field b = kappa^2 / lambda, is a single fixed point
 in (w, lambda) or (w, s), accelerated by Anderson mixing, with no fallback
-solver.  Branches are continued in s with warm starts.
-gamma1(lambda, s) = gamma0 / s stays available as a diagnostic.
+solver.  Branches are continued in s by a predictor from the reduction's own
+scaling: w = O(s^3), alpha = O(s^2) and lambda - 1 = O(s^2), so each point
+after the first starts from w / s^3, alpha / s^2 and (lambda - 1) / s^2
+extrapolated linearly in s^2 through the last two solved points (Allgower
+and Georg, Numerical Continuation Methods, 1990), and the w solve is the
+corrector.  gamma1(lambda, s) = gamma0 / s stays available as a diagnostic.
 
 Inner products and norms here are cell-averaged (plain L2 over the cell
 divided by its area); with that convention d(gamma1)/d(lambda) at (1, 0)
@@ -24,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abrikosov import beta_of_basis, branch_slope
-from .glcore import (F_coeffs, GLParams, PeriodicVectorField, _coeff_samples,
-                     _energy, _nonlinear, _PsiSamples, _shape_gradient)
+from .glcore import (F_coeffs, GLParams, PeriodicVectorField, _alpha_fixed_point,
+                     _coeff_samples, _energy, _nonlinear, _PsiSamples, _shape_gradient)
 from .landau import LandauBasis
 from .lattice import LatticeShape, SolverError
 
@@ -38,7 +42,7 @@ W_MAX_SWEEPS = 200     # sweeps before solve_w raises SolverError
 CURL_A1_SUP_N = 128    # fit_expansion reads the curl a1 error's sup on this grid
 
 
-class BranchSideError(ValueError):
+class BranchSideError(SolverError, ValueError):
     """Requested field on the side of kappa^2 excluded by the sign condition."""
 
 
@@ -64,6 +68,7 @@ def build_reduction(shape: LatticeShape, N: int | None = None,
 class WSolveResult:
     w: np.ndarray                 # (K_lev+1, 1) coefficients, zeroth entry 0
     alpha2: np.ndarray            # induced potential on the solve grid
+    phi2: np.ndarray              # rfft2 half spectrum of its stream function
     ncoef: np.ndarray             # nonlinear term coefficients at the solution
     samples: _PsiSamples | None   # s psi0 + w and its derivatives on the solve grid
     iterations: int               # sweeps
@@ -73,7 +78,7 @@ class WSolveResult:
 
 
 def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
-            warm: WSolveResult | None = None, *,
+            start: tuple | None = None, *,
             _unknown: str | None = None) -> WSolveResult:
     """Solve the Q-projected equation for w = w(lambda, s psi0).
 
@@ -89,25 +94,32 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
     found by Anderson mixing (type II, Walker & Ni 2011) on the packed vector
     x = (Re w, Im w, unknown scalar), lambda weighted by |s|; it stops when
     max |G(x) - x| < W_TOL max(|s|, 1e-6) and returns the mapped point G(x).
+
+    The iteration starts at w = 0 with a cold potential solve, or at start =
+    (w, (alpha2, phi2)), a predicted w and potential pair (_predict); each
+    sweep's potential solve starts from the pair of the sweep before.
     """
     basis = setup.basis
-    w = np.zeros((basis.K_lev + 1, 1), dtype=complex) if warm is None else warm.w.copy()
-    alpha2 = None if warm is None else warm.alpha2.copy()
+    if start is None:
+        w, pair = np.zeros((basis.K_lev + 1, 1), dtype=complex), None
+    else:
+        w, pair = start
     if s == 0:
         z = np.zeros_like(w)
-        a0 = np.zeros((2, basis.solve_N, basis.solve_N))
-        return WSolveResult(z, a0, z, _coeff_samples(basis, z, solve=True), 0, 0.0,
-                            s, lam)
+        ps = _coeff_samples(basis, z, solve=True)
+        return WSolveResult(z, *_alpha_fixed_point(ps.grid, ps.j0, ps.rho, None), z,
+                            ps, 0, 0.0, s, lam)
 
     sigma = kappa**2 * abs(s) ** 2
 
-    def sweep(wc, sc, lc, a_start):
+    def sweep(wc, sc, lc, pair):
         psi_c = wc.copy()
         psi_c[0, 0] += sc
         ps = _coeff_samples(basis, psi_c, solve=True)
-        ncoef, a2 = _nonlinear(basis, ps, kappa, alpha_start=a_start)
+        pair = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, pair)
+        ncoef = _nonlinear(basis, ps, kappa, pair[0])
         w_new = -basis.resolvent_coeffs(ncoef - sigma * wc, lc - sigma)
-        return w_new, a2, ncoef, ps
+        return w_new, pair, ncoef, ps
 
     def p_solve(sc, lc, ncoef):
         """(s, lambda) with the unknown one re-solved from the P-equation."""
@@ -123,14 +135,14 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
             return sc * np.sqrt(ratio), lc
         return sc, lc
 
-    def finish(wc, sc, lc, a_start, iterations):
+    def finish(wc, sc, lc, pair, iterations):
         # samples, alpha and N at the returned iterate, and the Q-residual there
-        _, a2, ncoef, ps = sweep(wc, sc, lc, a_start)
+        _, pair, ncoef, ps = sweep(wc, sc, lc, pair)
         if _unknown == "lam":
             lc = p_solve(sc, lc, ncoef)[1]
         res = F_coeffs(basis, wc, lc, ncoef)
         res[0, 0] = 0.0
-        return WSolveResult(wc, a2, ncoef, ps, iterations, float(np.linalg.norm(res)),
+        return WSolveResult(wc, *pair, ncoef, ps, iterations, float(np.linalg.norm(res)),
                             sc, lc)
 
     # Anderson mixing acts on x = (Re w, Im w, unknown scalar), lambda
@@ -150,14 +162,14 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
     x, fs, gs, step = pack(w, s, lam), [], [], np.inf
     for it in range(1, W_MAX_SWEEPS + 1):
         wc, sc, lc = unpack(x)
-        w_new, alpha2, ncoef = sweep(wc, sc, lc, alpha2)[:3]
+        w_new, pair, ncoef = sweep(wc, sc, lc, pair)[:3]
         s_new, lam_new = p_solve(sc, lc, ncoef)
         g = pack(w_new, s_new, lam_new)
         step = float(np.max(np.abs(g - x)))
         if not np.isfinite(step):
             break
         if step < W_TOL * max(abs(s_new), 1e-6):
-            return finish(w_new, s_new, lam_new, alpha2, it)
+            return finish(w_new, s_new, lam_new, pair, it)
         # type II update from the last ANDERSON_DEPTH differences
         fs, gs = fs[-ANDERSON_DEPTH:] + [g - x], gs[-ANDERSON_DEPTH:] + [g]
         gamma = np.linalg.lstsq(np.diff(fs, axis=0).T, fs[-1], rcond=None)[0]
@@ -192,6 +204,7 @@ class BranchPoint:
     coeff_tail: float             # max_j |c_{K_lev, j}| / max |c|: truncation tail
     grid_tail: float              # outer-ring |psi|^2 Fourier share on the solve grid
     dE_dtau: np.ndarray           # d energy / d(Re tau, Im tau) of the reduced shape, fixed b
+    sweeps: int                   # sweeps of its w solve
 
 
 @dataclass
@@ -234,17 +247,39 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
         min_abs_psi=float(np.min(np.abs(ps.psi))),
         coeff_tail=float(np.max(np.abs(psi_c[-1])) / max(np.max(np.abs(psi_c)), 1e-300)),
         grid_tail=ps.grid_tail(), dE_dtau=_shape_gradient(ps, wres.alpha2, params),
+        sweeps=wres.iterations,
     )
+
+
+def _predict(s: float, done: list[WSolveResult]) -> tuple[float, tuple]:
+    """Start (lambda, (w, (alpha2, phi2))) of the point s from done, the one
+    or two points solved last, oldest first.  Along the branch w / s^3, alpha / s^2, phi / s^2 and
+    (lambda - 1) / s^2 tend to limits at s = 0; each is extrapolated linearly
+    in s^2 through the last two points, and a single point, or two at the
+    same |s|, is held.  The line is written as weights on the points' own
+    values, so no small s is cubed."""
+    old, new = done[0], done[-1]
+    f = (0.0 if abs(old.s) == abs(new.s)
+         else (s - new.s) / (new.s - old.s) * (s + new.s) / (new.s + old.s))
+
+    def line(power, x_new, x_old):
+        return (1.0 + f) * (s / new.s) ** power * x_new - f * (s / old.s) ** power * x_old
+    return (1.0 + line(2, new.lam - 1.0, old.lam - 1.0),
+            (line(3, new.w, old.w),
+             (line(2, new.alpha2, old.alpha2), line(2, new.phi2, old.phi2))))
 
 
 def solve_branch(s_grid, kappa: float, shape: LatticeShape, K_lev: int = 40,
                  setup: ReductionSetup | None = None) -> Branch:
-    """Continue the bifurcating branch over the given s grid (ascending)."""
+    """Continue the bifurcating branch over the given s grid (ascending).
+    The first nonzero point starts cold, at lambda = 1 + c s^2 with the
+    a-priori slope c; each later one at its prediction from the points
+    before it (_predict)."""
     if setup is None:
         setup = build_reduction(shape, K_lev=K_lev)
     c_apriori = branch_slope(setup.beta, kappa)
     branch = Branch(kappa=kappa, basis=setup.basis, beta=setup.beta)
-    warm = None
+    done = []
     for s in np.sort(np.atleast_1d(np.asarray(s_grid, dtype=float))):
         if s == 0:
             wres = solve_w(1.0, 0.0, setup, kappa)
@@ -252,16 +287,14 @@ def solve_branch(s_grid, kappa: float, shape: LatticeShape, K_lev: int = 40,
             continue
         if s > S_MAX_DEFAULT:
             branch.extrapolated = True
-        # lambda - 1 scales like s^2 along the branch
-        lam0 = (1.0 + c_apriori * s * s if warm is None
-                else 1.0 + (warm.lam - 1.0) * (s / warm.s) ** 2)
-        wres = solve_w(lam0, s, setup, kappa, warm=warm, _unknown="lam")
-        if (wres.lam - 1.0) * c_apriori <= 0:
-            raise SolverError("branch emerged on the side excluded by the "
-                              "sign condition; solver inconsistency")
+        lam0, start = _predict(s, done) if done else (1.0 + c_apriori * s * s, None)
+        wres = solve_w(lam0, s, setup, kappa, start, _unknown="lam")
+        if (wres.lam - 1.0) * c_apriori <= 0 or wres.lam <= 0:
+            raise SolverError(f"branch point s={s:.6g} has lambda={wres.lam:.6g}: not "
+                              "positive, or on the side the sign condition excludes")
         branch.points.append(_finish_point(wres, setup, kappa))
-        wres.samples = None  # a warm start reads w and alpha2 only; free the rest
-        warm = wres
+        wres.samples = None  # a prediction reads w, the pair, s and lambda; free the rest
+        done = [*done[-1:], wres]
     return branch
 
 

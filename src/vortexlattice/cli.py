@@ -16,9 +16,11 @@ configs reproduce byte-identical outputs.
 Exit codes: 0 success (verify failures are data, not errors), 2 invalid
 configuration (ConfigError), a --config file or gauge-fix input that cannot
 be read or parsed and a Landau basis above Im tau = landau.TAU2_MAX
-included, 3 solver failure or refusal (SolverError, ValueError or
-ZeroDivisionError; partial results flushed with a failure marker).  Any
-other exception is a programming error and propagates.
+included, 3 solver failure or refusal (SolverError and its subclasses,
+among them BranchSideError, AsymptoticValidityError and
+SpectrumCollisionError; partial results flushed with a failure marker).
+Any other exception, a bare ValueError included, is a programming error and
+propagates.
 """
 
 from __future__ import annotations
@@ -170,12 +172,13 @@ def cmd_branch(cfg: dict) -> int:
     s_grid = np.linspace(cfg["s_max"] / cfg["s_points"], cfg["s_max"], cfg["s_points"])
     branch = bifurcation.solve_branch(s_grid, kappa, shape, K_lev=cfg["K_lev"])
     rows = [[p.s, p.lam, p.b, p.energy, p.residual_psi, p.residual_alpha,
-             p.max_curl_a, p.min_abs_psi, p.coeff_tail, p.grid_tail]
+             p.max_curl_a, p.min_abs_psi, p.coeff_tail, p.grid_tail, p.sweeps]
             for p in branch.points]
     csv_path = out_path(cfg, cfg["prefix"] + ".csv")
     write_csv(csv_path, cfg,
               ["s", "lambda", "b", "energy", "residual_psi", "residual_alpha",
-               "max_curl_a", "min_abs_psi", "coeff_tail", "grid_tail"], np.array(rows),
+               "max_curl_a", "min_abs_psi", "coeff_tail", "grid_tail", "sweeps"],
+              np.array(rows),
               {"extrapolated_regime": branch.extrapolated,
                "solve_N": branch.basis.solve_N})
     report = bifurcation.fit_expansion(branch)
@@ -192,7 +195,7 @@ def cmd_field_landscape(cfg: dict) -> int:
     taus = parse_tau_grid(cfg["tau_grid"])
     cols = ["tau_re", "tau_im", "beta", "kappa_c", "E_b_asymptotic"]
     if cfg["numeric"]:
-        cols += ["E_b_numeric", "residual_alpha", "coeff_tail", "grid_tail"]
+        cols += ["E_b_numeric", "residual_alpha", "coeff_tail", "grid_tail", "sweeps"]
     rows, solve_N = [], set()
     for tau in taus:
         shape, _ = normalize_tau(tau)
@@ -202,7 +205,7 @@ def cmd_field_landscape(cfg: dict) -> int:
         if cfg["numeric"]:
             setup = bifurcation.build_reduction(shape, K_lev=cfg["K_lev"])
             pt = bifurcation.branch_by_field(cfg["b"], kappa, shape, setup=setup)
-            row += [pt.energy, pt.residual_alpha, pt.coeff_tail, pt.grid_tail]
+            row += [pt.energy, pt.residual_alpha, pt.coeff_tail, pt.grid_tail, pt.sweeps]
             solve_N.add(setup.basis.solve_N)
         rows.append(row)
     path = out_path(cfg, cfg["output"])
@@ -398,7 +401,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ValueError, ZeroDivisionError) as exc:  # flush a marker, exit 3
+    except SolverError as exc:  # flush a marker, exit 3
         marker = {"status": "failed", "command": args.command, "error": str(exc)}
         try:
             with open(out_path(cfg, "FAILED.json"), "w") as fh:

@@ -8,7 +8,10 @@ is solved for the stream function phi of alpha = curl* phi by conjugate
 gradients, preconditioned by the constant-|psi|^2 part of the operator.
 phi is real, so the iteration runs on its rfft2 half spectrum, with inner
 products weighted 1 on column 0 and an even grid's Nyquist column and 2 on
-the others, which stand for their conjugate mirrors.
+the others, which stand for their conjugate mirrors.  The solve returns the
+pair (alpha, phi hat) and restarts from a pair, so a warm start transforms
+only its residual; the w solve passes each sweep's pair to the next, and
+the branch predictor combines the pairs of solved points.
 
 Every solve, residual and energy reads psi, D psi (D = grad_{A0}), |psi|^2,
 j0 and the potential residual (M + |psi|^2) alpha - j0 from one kernel,
@@ -138,19 +141,22 @@ def _samples(psi: QuasiPeriodicField) -> _PsiSamples:
 
 
 def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
-                       alpha0: np.ndarray | None) -> np.ndarray:
+                       start: tuple[np.ndarray, np.ndarray] | None
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Solve P[(M + |psi|^2) alpha - j0] = 0 on div-free mean-zero fields:
     with alpha = curl* phi, A phi = curl (M + |psi|^2) curl* phi = Delta^2 phi
     - div(|psi|^2 grad phi) = curl j0 is solved by conjugate gradients on the
-    Fourier modes of phi, preconditioned by |g|^4 + <|psi|^2> |g|^2 and
-    started from the stream function of alpha0 if one is given.
+    Fourier modes of phi, preconditioned by |g|^4 + <|psi|^2> |g|^2.
+    Returns the pair (alpha, phi hat), and starts from such a pair if one is
+    given: a solve's own pair, or a linear combination of pairs, which is
+    again one.  The start then costs one transform, that of the residual.
 
     phi is real, so its spectrum is Hermitian and the iteration runs on the
     rfft2 half spectrum (N, N//2 + 1) of grid.half_spectrum: curl* is one
     irfft2 (grid._curl_star_of) and curl one rfft2 of the stacked pair
     (grid._curl_hat), and inner products weight column 0 and an even grid's
     Nyquist column by 1, the others by 2, which gives np.vdot of the full
-    spectra.  alpha, r and p are updated in place.
+    spectra.  alpha, phi, r and p are updated in place.
     """
     _, dead, gsq, weights = grid.half_spectrum
     precond = np.where(dead, np.inf, gsq * (gsq + np.mean(abspsi2)))
@@ -161,11 +167,11 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
     def dot(a, b):
         return np.vdot(a, np.multiply(weights, b, out=tmp)).real
 
-    alpha, r = np.zeros_like(j0), 0.0           # r = curl j0 - A phi
-    if alpha0 is not None:
-        phi = np.where(dead, 0.0, grid._curl_hat(alpha0) / gsq)
-        alpha, r = grid._curl_star_of(phi), -g4 * phi
-    r = r + grid._curl_hat(j0 - abspsi2 * alpha)
+    if start is None:
+        alpha, phi = np.zeros_like(j0), np.zeros(gsq.shape, complex)
+    else:
+        alpha, phi = start[0].copy(), start[1].copy()
+    r = grid._curl_hat(j0 - abspsi2 * alpha) - g4 * phi   # curl j0 - A phi
     z = r / precond
     p, rz, step = z.copy(), dot(r, z), np.inf
     for _ in range(ALPHA_MAX_ITER):
@@ -178,6 +184,7 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
         step = abs(a) * max(u.max(), -u.min())
         u *= a
         alpha += u
+        phi += a * p
         if step < ALPHA_TOL:
             break
         Ap *= a
@@ -190,7 +197,7 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
         raise AlphaSolveError(
             f"alpha PCG stalled after {ALPHA_MAX_ITER} iterations: last step "
             f"{step:.3e}, preconditioned residual {np.sqrt(rz):.3e}")
-    return alpha
+    return alpha, phi
 
 
 def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
@@ -201,19 +208,19 @@ def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
     alpha2 is the potential on the solve grid; when it is None, alpha(psi)
     is solved there first.  Returns the coefficients and the alpha2 used.
     """
-    return _nonlinear(basis, _coeff_samples(basis, psi_coeffs, solve=True), kappa, alpha2)
+    ps = _coeff_samples(basis, psi_coeffs, solve=True)
+    if alpha2 is None:
+        alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)[0]
+    return _nonlinear(basis, ps, kappa, alpha2), alpha2
 
 
 def _nonlinear(basis: LandauBasis, ps: _PsiSamples, kappa: float,
-               alpha2: np.ndarray | None = None,
-               alpha_start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """nonlinear_coeffs() from the solve-grid samples of psi."""
-    if alpha2 is None:
-        alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, alpha_start)
+               alpha2: np.ndarray) -> np.ndarray:
+    """nonlinear_coeffs() from the solve-grid samples of psi and alpha2."""
     nl = (2j * (alpha2[0] * ps.d1 + alpha2[1] * ps.d2)
           + (alpha2[0] ** 2 + alpha2[1] ** 2) * ps.psi
           + kappa**2 * ps.rho * ps.psi)
-    return basis.project(nl), alpha2
+    return basis.project(nl)
 
 
 def F_coeffs(basis: LandauBasis, coeffs: np.ndarray, lam: float,

@@ -49,13 +49,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import ConfigError, LatticeShape, cell_geometry
+from .lattice import ConfigError, LatticeShape, SolverError, cell_geometry
 from .spectral import CellGrid
 
 TAU2_MAX = 20.0         # the fundamental domain keeps tau2 >= sqrt(3)/2
 # _solve_grid_size keeps the outer-ring share of |psi|^2 on the solve grid
 # (BranchPoint.grid_tail) below this at every branch point measured
 GRID_TAIL_TOL = 1e-10
+
+
+class SpectrumCollisionError(SolverError):
+    """A resolvent asked at a Landau eigenvalue."""
 
 
 def inner_avg(f: np.ndarray, g: np.ndarray) -> complex:
@@ -224,7 +228,7 @@ class LandauBasis:
         """(L - lam)^{-1} restricted to levels k >= 1 (zeroth row untouched -> 0)."""
         eig = (2 * self.levels + 1) * self.n - lam
         if np.min(np.abs(eig[1:])) < 1e-9:
-            raise ValueError(f"lambda={lam} collides with a Landau eigenvalue")
+            raise SpectrumCollisionError(f"lambda={lam} collides with a Landau eigenvalue")
         out = np.zeros_like(d)
         out[1:] = d[1:] / eig[1:, None]
         return out

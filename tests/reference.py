@@ -304,12 +304,12 @@ def branch_coefficients(setup, kappa):
     c0[0, 0] = 1.0
     p0 = _coeff_samples(basis, c0, solve=True)
     zero = np.zeros_like(p0.rho)
-    a1 = _alpha_fixed_point(p0.grid, p0.j0, zero, None)
+    a1 = _alpha_fixed_point(p0.grid, p0.j0, zero, None)[0]
     n3 = basis.project(2j * (a1[0] * p0.d1 + a1[1] * p0.d2) + kappa**2 * p0.rho * p0.psi)
     p3 = _coeff_samples(basis, -basis.resolvent_coeffs(n3, 1.0), solve=True)
     j3 = np.imag(np.conj(p0.psi) * np.stack([p3.d1, p3.d2])
                  + np.conj(p3.psi) * np.stack([p0.d1, p0.d2]))
-    a3 = _alpha_fixed_point(p0.grid, j3 - p0.rho * a1, zero, None)
+    a3 = _alpha_fixed_point(p0.grid, j3 - p0.rho * a1, zero, None)[0]
     n5 = basis.project(2j * (a1[0] * p3.d1 + a1[1] * p3.d2 + a3[0] * p0.d1 + a3[1] * p0.d2)
                        + (a1[0] ** 2 + a1[1] ** 2) * p0.psi
                        + kappa**2 * (2 * p0.rho * p3.psi + p0.psi**2 * np.conj(p3.psi)))
@@ -452,7 +452,7 @@ def solve_alpha(psi, params):
     """Induced potential alpha(psi), solved on the grid of psi; mean-zero and
     divergence-free."""
     ps = _samples(psi)
-    return PeriodicVectorField(_alpha_fixed_point(ps.grid, ps.j0, ps.rho, None), psi.grid)
+    return PeriodicVectorField(_alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)[0], psi.grid)
 
 
 def alpha_equation_residual(psi, alpha):

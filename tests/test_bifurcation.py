@@ -77,7 +77,7 @@ def test_resolvent_inverse_property(setup_sq, rng):
 
 def test_resolvent_rejects_spectrum_collision(setup_sq):
     d = np.zeros((41, 1), complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(landau.SpectrumCollisionError):
         setup_sq.basis.resolvent_coeffs(d, 3.0)
 
 
@@ -263,6 +263,59 @@ def test_branch_points_are_gamma1_roots(branch_sq, setup_sq):
         assert abs(g) <= 1e-11
 
 
+def cold_points(branch, setup, kappa):
+    """Each nonzero point of a branch solved alone, from the first point's
+    cold start."""
+    slope = abrikosov.branch_slope(setup.beta, kappa)
+    return [bif._finish_point(bif.solve_w(1.0 + slope * p.s**2, p.s, setup, kappa,
+                                          _unknown="lam"), setup, kappa)
+            for p in branch.points]
+
+
+@pytest.mark.parametrize("tau", [1j, complex(TAU_TRIANGULAR), 0.3 + 1.2j],
+                         ids=["square", "triangular", "0.3+1.2i"])
+def test_predicted_points_are_their_cold_solves(tau):
+    # predictor = corrector: the prediction moves only where a point's solve
+    # starts, so each point is the cold solve at its s; on the default grid
+    # every point after the first converges in at most 3 sweeps (4-5 from
+    # the unscaled previous point)
+    shape, _ = normalize_tau(tau)
+    setup = bif.build_reduction(shape, K_lev=40)
+    branch = bif.solve_branch(np.linspace(0.02, 0.1, 5), KAPPA, shape, setup=setup)
+    for p, cold in zip(branch.points, cold_points(branch, setup, KAPPA)):
+        assert p.lam == pytest.approx(cold.lam, rel=1e-13, abs=0)
+        assert p.energy == pytest.approx(cold.energy, rel=1e-13, abs=0)
+    assert all(p.sweeps <= 3 for p in branch.points[1:])
+
+
+@pytest.mark.parametrize("s_grid", [np.linspace(0.2, 1.0, 5), [0.3, 0.31, 0.9]],
+                         ids=["even-wide", "uneven"])
+@pytest.mark.parametrize("kappa2", [2.0, 0.3])
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j], ids=["square", "0.3+1.2i"])
+def test_predictor_on_wide_and_uneven_grids(tau, kappa2, s_grid):
+    # far from the normal state, and across a short and a long step, every
+    # predicted point converges to its cold solve in no more sweeps
+    shape, _ = normalize_tau(tau)
+    setup = bif.build_reduction(shape, K_lev=40)
+    kappa = np.sqrt(kappa2)
+    branch = bif.solve_branch(s_grid, kappa, shape, setup=setup)
+    for p, cold in zip(branch.points, cold_points(branch, setup, kappa)):
+        assert p.lam == pytest.approx(cold.lam, rel=1e-12, abs=0)
+        assert p.energy == pytest.approx(cold.energy, rel=1e-12, abs=0)
+        assert p.sweeps <= cold.sweeps
+
+
+def test_predictor_holds_a_point_at_the_same_abs_s(setup_sq):
+    # two points at the same |s| give no line in s^2: the later point starts
+    # from the earlier one, scaled, and both are the same branch point
+    branch = bif.solve_branch([-0.05, 0.05, 0.05], KAPPA, setup_sq.basis.shape,
+                              setup=setup_sq)
+    lam = [p.lam for p in branch.points]
+    assert lam[1] == pytest.approx(lam[0], rel=1e-13)
+    assert lam[2] == pytest.approx(lam[1], rel=1e-13)
+    assert all(p.sweeps <= 2 for p in branch.points[1:])
+
+
 def test_field_points_are_gamma1_roots(shape_tri, setup_tri):
     # the joint (w, s) iteration against gamma1, in both sign regimes
     pt = bif.branch_by_field(1.95, KAPPA, shape_tri, setup=setup_tri)
@@ -352,12 +405,14 @@ def test_alpha_solves_the_second_sweep_of_a_far_target():
     s = np.sqrt((lam_t - 1) / ((KAPPA**2 - 0.5) * setup.beta + 0.5))
     psi_c = np.zeros((41, 1), complex)
     psi_c[0, 0] = s
-    ncoef, alpha1 = glcore.nonlinear_coeffs(basis, psi_c, KAPPA)
+    ps1 = glcore._coeff_samples(basis, psi_c, solve=True)
+    pair1 = glcore._alpha_fixed_point(ps1.grid, ps1.j0, ps1.rho, None)
+    ncoef = glcore._nonlinear(basis, ps1, KAPPA, pair1[0])
     psi_c = -basis.resolvent_coeffs(ncoef, lam_t)
     psi_c[0, 0] += s * np.sqrt((lam_t - 1) / np.real(ncoef[0, 0] / s))
     ps = glcore._coeff_samples(basis, psi_c, solve=True)
     assert ps.rho.max() > 10
-    alpha = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, alpha1)
+    alpha = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, pair1)[0]
     assert np.max(np.abs(helmholtz_project(ps.grid, ps.alpha_residual(alpha)))) <= 1e-10
     ref = alpha_damped_fixed_point(ps.grid, ps.j0, ps.rho, tol=1e-12)
     assert np.max(np.abs(alpha - ref)) <= 1e-11

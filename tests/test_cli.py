@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexlattice import bifurcation as bif, cli, gauge, glcore, landau, snapshot
-from vortexlattice.lattice import LatticeReductionError
+from vortexlattice import abrikosov, bifurcation as bif, cli, gauge, glcore, landau, snapshot
+from vortexlattice.lattice import LatticeReductionError, normalize_tau
 
 
 def run(argv):
@@ -70,14 +70,16 @@ def test_branch_command(tmp_path):
     assert run(["branch", "--kappa2", "2", "--tau", "0.5,0.8660254037844386",
                 "--s-max", "0.1", "--s-points", "5", "--outdir", str(tmp_path)]) == 0
     rows = np.loadtxt(tmp_path / "branch.csv", delimiter=",", skiprows=2)
-    assert rows.shape == (5, 10)
+    assert rows.shape == (5, 11)
     lines = (tmp_path / "branch.csv").read_text().splitlines()
     header = lines[1].split(",")
-    assert header[-2:] == ["coeff_tail", "grid_tail"]
-    assert np.all(rows[:, -2] < 1e-8)
+    assert header[-3:] == ["coeff_tail", "grid_tail", "sweeps"]
+    assert np.all(rows[:, -3] < 1e-8)
     # the solve grid is the basis's own, named in the header, and resolves |psi|^2
     assert json.loads(lines[0][2:])["solve_N"] == 32
-    assert np.all(rows[:, -1] < 1e-14)
+    assert np.all(rows[:, -2] < 1e-14)
+    # each point's sweep count: the first starts cold, the rest predicted
+    assert rows[0, -1] >= 1 and np.all((rows[1:, -1] >= 1) & (rows[1:, -1] <= 3))
     rep = json.loads((tmp_path / "branch_expansion.json").read_text())
     assert rep["solve_N"] == 32
     assert rep["g_lambda_prime0"] == pytest.approx(2.2393930, rel=1e-3)
@@ -109,11 +111,13 @@ def test_field_landscape_numeric_reports_truncation(tmp_path):
                 "--tau-grid", "square", "--outdir", str(tmp_path)]) == 0
     lines = (tmp_path / "field_landscape.csv").read_text().splitlines()
     header = lines[1].split(",")
-    assert header[-4:] == ["E_b_numeric", "residual_alpha", "coeff_tail", "grid_tail"]
+    assert header[-5:] == ["E_b_numeric", "residual_alpha", "coeff_tail", "grid_tail",
+                           "sweeps"]
     row = dict(zip(header, map(float, lines[2].split(","))))
     assert row["residual_alpha"] < 1e-9
     assert row["coeff_tail"] < 1e-8
     assert row["grid_tail"] < 1e-14
+    assert row["sweeps"] >= 1 and row["sweeps"] == int(row["sweeps"])
     assert json.loads(lines[0][2:])["solve_N"] == [32]
 
 
@@ -477,7 +481,8 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("exc", [glcore.AlphaSolveError, LatticeReductionError,
-                                 ZeroDivisionError])
+                                 abrikosov.AsymptoticValidityError,
+                                 landau.SpectrumCollisionError, bif.BranchSideError])
 def test_typed_solver_failures_exit_3(tmp_path, monkeypatch, exc):
     def fail(*a, **kw):
         raise exc("injected")
@@ -494,3 +499,24 @@ def test_programming_error_propagates(tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="bug"):
         run(["branch", "--outdir", str(tmp_path)])
     assert not (tmp_path / "FAILED.json").exists()
+
+
+def test_bare_value_error_propagates(tmp_path, monkeypatch):
+    # exit 3 is for typed solver failures alone: an untyped ValueError from
+    # inside a solve (a numpy shape error, say) is a bug and propagates
+    def fail(*a, **kw):
+        raise ValueError("untyped")
+    monkeypatch.setattr(bif, "solve_branch", fail)
+    with pytest.raises(ValueError, match="untyped"):
+        run(["branch", "--outdir", str(tmp_path)])
+    assert not (tmp_path / "FAILED.json").exists()
+
+
+def test_asymptotic_refusal_exits_3(tmp_path):
+    # kappa = kappa_c(i) zeroes the asymptotic E_b's denominator at the square
+    beta = abrikosov.beta_lattice_sum(normalize_tau(1j)[0])
+    kappa2 = (beta - 1) / (2 * beta)
+    assert run(["field-landscape", "--kappa2", repr(kappa2), "--tau-grid", "square",
+                "--outdir", str(tmp_path)]) == 3
+    marker = json.loads((tmp_path / "FAILED.json").read_text())
+    assert "degenerate denominator" in marker["error"]

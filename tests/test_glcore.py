@@ -132,7 +132,7 @@ def test_alpha_pcg_matches_damped_fixed_point(branch_point, scale):
     # psi raises max |psi|^2, where the damped vector fixed point slows down
     ps = branch_samples(branch_point)
     j0, rho = scale**2 * ps.j0, scale**2 * ps.rho
-    alpha = glcore._alpha_fixed_point(ps.grid, j0, rho, None)
+    alpha = glcore._alpha_fixed_point(ps.grid, j0, rho, None)[0]
     ref = alpha_damped_fixed_point(ps.grid, j0, rho)
     assert np.max(np.abs(alpha - ref)) <= 1e-14
 
@@ -153,15 +153,34 @@ def test_alpha_pcg_on_an_odd_grid(branch_point, branch_state, scale):
 
 
 def test_alpha_pcg_warm_start(branch_point):
-    # started from a perturbed solution through its stream function, and
-    # from a nonzero alpha0 on a zero source, PCG returns the cold solution
+    # started from a perturbed solution's (alpha, phi) pair, and from a
+    # nonzero pair on a zero source, PCG returns the cold solution
     ps = branch_samples(branch_point)
-    cold = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
-    start = 1.1 * cold
-    warm = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, start)
+    cold, phi = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
+    start = (1.1 * cold, 1.1 * phi)
+    warm = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, start)[0]
     assert np.max(np.abs(warm - cold)) <= 1e-15
-    zero = glcore._alpha_fixed_point(ps.grid, 0 * ps.j0, ps.rho, start)
+    zero = glcore._alpha_fixed_point(ps.grid, 0 * ps.j0, ps.rho, start)[0]
     assert np.max(np.abs(zero)) <= 1e-15
+
+
+def test_alpha_pcg_restarts_from_its_own_pair(branch_point, monkeypatch):
+    # from its own converged (alpha, phi), PCG transforms the residual once
+    # (one rfft2, no irfft2) before its first iteration, which opens with an
+    # irfft2, and stops in that iteration with alpha where it started
+    ps = branch_samples(branch_point)
+    pair = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
+    calls = []
+    for name in ("rfft2", "irfft2"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _fn=fn, _name=name, **kw: calls.append(_name)
+                            or _fn(*a, **kw))
+    monkeypatch.setattr(glcore, "ALPHA_MAX_ITER", 1)
+    alpha, phi = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, pair)
+    assert calls == ["rfft2", "irfft2", "rfft2"]
+    assert np.max(np.abs(alpha - pair[0])) <= 1e-15
+    assert np.max(np.abs(phi - pair[1])) <= 1e-15 * np.max(np.abs(pair[1]))
 
 
 def test_alpha_stall_is_reported(branch_point, monkeypatch):
