@@ -71,17 +71,17 @@ def beta_derivatives(tau: complex) -> tuple[np.ndarray, np.ndarray]:
 
 
 def beta_of_basis(basis: LandauBasis) -> float:
-    """<|psi0|^4> / <|psi0|^2>^2 of the basis's first lowest-level function,
+    """<|psi0|^4> / <|psi0|^2>^2 of the basis's lowest-level function psi0,
     by spectrally accurate quadrature on its solve grid (scale invariant)."""
-    c = np.zeros((basis.K_lev + 1, basis.n), dtype=complex)
-    c[0, 0] = 1.0
-    a2 = np.abs(basis.synth(c, solve=True)) ** 2
+    c = np.zeros(basis.K_lev + 1, dtype=complex)
+    c[0] = 1.0
+    a2 = np.abs(basis.synth(c)) ** 2
     return float(np.mean(a2**2) / np.mean(a2) ** 2)
 
 
 def beta_quadrature(shape: LatticeShape) -> float:
     """beta by quadrature of the lowest-level theta function (n = 1)."""
-    return beta_of_basis(LandauBasis(1, shape, K_lev=0))
+    return beta_of_basis(LandauBasis(shape, K_lev=0))
 
 
 def beta_of(tau: complex) -> float:

@@ -1,20 +1,22 @@
 """Lyapunov-Schmidt reduction and branch continuation for n = 1.
 
-The reduction splits psi = s psi0 + w along the rank-one spectral projection
-P psi = <psi0, psi> psi0 (cell-averaged inner product, <|psi0|^2> = 1), so
-on a coefficient table P is the entry [0, 0] and Q = 1 - P the levels
-k >= 1, the rows the resolvent acts on.  w solves the Q-projected equation
-by a resolvent-preconditioned fixed point.  The scalar P-equation
-gamma0 = (1 - lambda) s + <psi0, N(s psi0 + w)> = 0 gives lambda (or s)
-directly, so one iteration re-solves it after every w sweep: a branch point
-at given s, or at given field b = kappa^2 / lambda, is a single fixed point
-in (w, lambda) or (w, s), accelerated by Anderson mixing, with no fallback
-solver.  Branches are continued in s by a predictor from the reduction's own
-scaling: w = O(s^3), alpha = O(s^2) and lambda - 1 = O(s^2), so each point
-after the first starts from w / s^3, alpha / s^2 and (lambda - 1) / s^2
-extrapolated linearly in s^2 through the last two solved points (Allgower
-and Georg, Numerical Continuation Methods, 1990), and the w solve is the
-corrector.  gamma1(lambda, s) = gamma0 / s stays available as a diagnostic.
+The branch bifurcates from the simple lowest level of one flux quantum, the
+Landau basis's level 0.  The reduction splits psi = s psi0 + w along the
+rank-one spectral projection P psi = <psi0, psi> psi0 (cell-averaged inner
+product, <|psi0|^2> = 1), so on a coefficient vector P is the entry [0] and
+Q = 1 - P the levels k >= 1, the entries the resolvent acts on.  w solves
+the Q-projected equation by a resolvent-preconditioned fixed point.  The
+scalar P-equation gamma0 = (1 - lambda) s + <psi0, N(s psi0 + w)> = 0 gives
+lambda (or s) directly, so one iteration re-solves it after every w sweep:
+a branch point at given s, or at given field b = kappa^2 / lambda, is a
+single fixed point in (w, lambda) or (w, s), accelerated by Anderson
+mixing, with no fallback solver.  Branches are continued in s by a
+predictor from the reduction's own scaling: w = O(s^3), alpha = O(s^2) and
+lambda - 1 = O(s^2), so each point after the first starts from w / s^3,
+alpha / s^2 and (lambda - 1) / s^2 extrapolated linearly in s^2 through the
+last two solved points (Allgower and Georg, Numerical Continuation Methods,
+1990), and the w solve is the corrector.  gamma1(lambda, s) = gamma0 / s
+stays available as a diagnostic.
 
 Inner products and norms here are cell-averaged (plain L2 over the cell
 divided by its area); with that convention d(gamma1)/d(lambda) at (1, 0)
@@ -48,9 +50,9 @@ class BranchSideError(SolverError, ValueError):
 
 @dataclass
 class ReductionSetup:
-    """The n = 1 basis of the reduction and the shape's beta.  psi0 is the
-    basis coefficient [0, 0], the entry P reads; Q is the levels k >= 1
-    that the basis's resolvent acts on."""
+    """The basis of the reduction and the shape's beta.  psi0 is the basis
+    coefficient [0], the entry P reads; Q is the levels k >= 1 that the
+    basis's resolvent acts on."""
 
     basis: LandauBasis
     beta: float
@@ -58,15 +60,16 @@ class ReductionSetup:
 
 def build_reduction(shape: LatticeShape, N: int | None = None,
                     K_lev: int = 40) -> ReductionSetup:
-    """Reduction on a basis that samples fields on the solve grid, or at N
-    for a caller that needs them on a finer grid."""
-    basis = LandauBasis(1, shape, N, K_lev)
+    """Reduction on a basis that solves on its solve grid; an N gives its
+    fields (field_from_coeffs, BranchPoint.alpha) to a caller that needs
+    them on a finer grid."""
+    basis = LandauBasis(shape, N, K_lev)
     return ReductionSetup(basis=basis, beta=beta_of_basis(basis))
 
 
 @dataclass
 class WSolveResult:
-    w: np.ndarray                 # (K_lev+1, 1) coefficients, zeroth entry 0
+    w: np.ndarray                 # K_lev+1 level coefficients, zeroth entry 0
     alpha2: np.ndarray            # induced potential on the solve grid
     phi2: np.ndarray              # rfft2 half spectrum of its stream function
     ncoef: np.ndarray             # nonlinear term coefficients at the solution
@@ -101,12 +104,12 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
     """
     basis = setup.basis
     if start is None:
-        w, pair = np.zeros((basis.K_lev + 1, 1), dtype=complex), None
+        w, pair = np.zeros(basis.K_lev + 1, dtype=complex), None
     else:
         w, pair = start
     if s == 0:
         z = np.zeros_like(w)
-        ps = _coeff_samples(basis, z, solve=True)
+        ps = _coeff_samples(basis, z)
         return WSolveResult(z, *_alpha_fixed_point(ps.grid, ps.j0, ps.rho, None), z,
                             ps, 0, 0.0, s, lam)
 
@@ -114,8 +117,8 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
 
     def sweep(wc, sc, lc, pair):
         psi_c = wc.copy()
-        psi_c[0, 0] += sc
-        ps = _coeff_samples(basis, psi_c, solve=True)
+        psi_c[0] += sc
+        ps = _coeff_samples(basis, psi_c)
         pair = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, pair)
         ncoef = _nonlinear(basis, ps, kappa, pair[0])
         w_new = -basis.resolvent_coeffs(ncoef - sigma * wc, lc - sigma)
@@ -123,7 +126,7 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
 
     def p_solve(sc, lc, ncoef):
         """(s, lambda) with the unknown one re-solved from the P-equation."""
-        n1 = float(np.real(ncoef[0, 0] / sc))  # ~ c s^2 on the branch
+        n1 = float(np.real(ncoef[0] / sc))  # ~ c s^2 on the branch
         if _unknown == "lam":
             return sc, 1.0 + n1
         if _unknown == "s":
@@ -141,7 +144,7 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         if _unknown == "lam":
             lc = p_solve(sc, lc, ncoef)[1]
         res = F_coeffs(basis, wc, lc, ncoef)
-        res[0, 0] = 0.0
+        res[0] = 0.0
         return WSolveResult(wc, *pair, ncoef, ps, iterations, float(np.linalg.norm(res)),
                             sc, lc)
 
@@ -184,7 +187,7 @@ def gamma1(lam: float, s: complex, setup: ReductionSetup, kappa: float
     if s == 0:
         return (1.0 - lam), solve_w(lam, 0.0, setup, kappa)
     wres = solve_w(lam, s, setup, kappa)
-    gamma0 = (1.0 - lam) * s + wres.ncoef[0, 0]
+    gamma0 = (1.0 - lam) * s + wres.ncoef[0]
     return gamma0 / s, wres
 
 
@@ -201,7 +204,7 @@ class BranchPoint:
     curl_alpha: np.ndarray        # on the solve grid, not resampled: curl a = 1 + curl alpha
     max_curl_a: float
     min_abs_psi: float
-    coeff_tail: float             # max_j |c_{K_lev, j}| / max |c|: truncation tail
+    coeff_tail: float             # |c_{K_lev}| / max |c|: truncation tail
     grid_tail: float              # outer-ring |psi|^2 Fourier share on the solve grid
     dE_dtau: np.ndarray           # d energy / d(Re tau, Im tau) of the reduced shape, fixed b
     sweeps: int                   # sweeps of its w solve
@@ -231,7 +234,7 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     basis = setup.basis
     s, lam, ps = wres.s, wres.lam, wres.samples
     psi_c = wres.w.copy()
-    psi_c[0, 0] += s
+    psi_c[0] += s
     alpha = PeriodicVectorField(basis.solve_grid.resample(wres.alpha2, basis.N), basis.grid)
 
     fco = F_coeffs(basis, psi_c, lam, wres.ncoef)
@@ -245,7 +248,7 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
         residual_psi=res_psi, residual_alpha=ps.alpha_residual_rms(wres.alpha2),
         curl_alpha=curl_alpha, max_curl_a=1.0 + float(np.max(curl_alpha)),
         min_abs_psi=float(np.min(np.abs(ps.psi))),
-        coeff_tail=float(np.max(np.abs(psi_c[-1])) / max(np.max(np.abs(psi_c)), 1e-300)),
+        coeff_tail=float(np.max(np.abs(psi_c[-1:])) / max(np.max(np.abs(psi_c)), 1e-300)),
         grid_tail=ps.grid_tail(), dE_dtau=_shape_gradient(ps, wres.alpha2, params),
         sweeps=wres.iterations,
     )
@@ -367,9 +370,9 @@ def fit_expansion(branch: Branch) -> ExpansionReport:
 
     # second-order potential from the smallest-s point
     p0 = pts[0]
-    c0 = np.zeros((basis.K_lev + 1, 1), dtype=complex)
-    c0[0, 0] = 1.0
-    err = p0.curl_alpha / p0.s**2 - 0.5 * (1.0 - np.abs(basis.synth(c0, solve=True)) ** 2)
+    c0 = np.zeros(basis.K_lev + 1, dtype=complex)
+    c0[0] = 1.0
+    err = p0.curl_alpha / p0.s**2 - 0.5 * (1.0 - np.abs(basis.synth(c0)) ** 2)
     curl_err = float(np.max(np.abs(basis.solve_grid.resample(err, CURL_A1_SUP_N))))
 
     # energy defect slope against the quartic prediction

@@ -247,7 +247,7 @@ def verify_spectrum(cfg) -> list[dict]:
     err = float(np.max(np.abs(vals[:4] - target) / target))
     checks.append(_verdict("fd eigenvalues {1,3,5,7} relative error", err, 0.02))
     shape, _ = normalize_tau(parse_tau(cfg["tau"]))
-    psi0 = landau.theta_null_basis(1, shape)[0]
+    psi0 = landau.theta_field(shape)
     checks.append(_verdict("annihilator residual on theta field",
                            landau.annihilator_residual(psi0), 1e-10))
     return checks
@@ -293,8 +293,8 @@ def verify_symmetry(cfg) -> list[dict]:
     basis = setup.basis
     kappa = float(np.sqrt(cfg["kappa2"]))
     from .glcore import map_F
-    d = np.zeros((basis.K_lev + 1, 1), complex)
-    d[:8, 0] = 0.05 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    d = np.zeros(basis.K_lev + 1, complex)
+    d[:8] = 0.05 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
     delta = 0.7
     Fc = [map_F(basis, c, 1.05, kappa) for c in (d, np.exp(1j * delta) * d)]
     psi, F, F_rot = basis.synth(np.stack([d, *Fc]))

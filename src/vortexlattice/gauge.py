@@ -70,9 +70,6 @@ class RawLatticeState:
     def curl_a(self) -> np.ndarray:
         return self.b + self.grid.curl(self.a_p)
 
-    def flux(self) -> float:
-        return self.grid.flux(self.curl_a())
-
     def qp_field(self) -> QuasiPeriodicField:
         return QuasiPeriodicField(n=self.n, shape=self.shape, values=self.psi,
                                   bc_const=self.bc_const)

@@ -15,10 +15,11 @@ the branch predictor combines the pairs of solved points.
 
 Every solve, residual and energy reads psi, D psi (D = grad_{A0}), |psi|^2,
 j0 and the potential residual (M + |psi|^2) alpha - j0 from one kernel,
-_PsiSamples.  A Landau-level field (basis, coeffs) is sampled on the solve
-grid by _coeff_samples, D psi by the ladder algebra, for the nonlinearity,
-the alpha solve and every scalar of a branch point; a sampled field is read
-on its own grid by _samples.  F = (L - lambda) psi + N is F_coeffs.
+_PsiSamples.  A Landau-level field (basis, coeffs), coeffs its vector of
+K_lev + 1 level coefficients, is sampled on the solve grid by
+_coeff_samples, D psi by the ladder algebra, for the nonlinearity, the
+alpha solve and every scalar of a branch point; a sampled field is read on
+its own grid by _samples.  F = (L - lambda) psi + N is F_coeffs.
 """
 
 from __future__ import annotations
@@ -124,12 +125,12 @@ class _PsiSamples:
         return float(max(spec[ring].max(), spec[:, ring].max()) / max(spec.max(), 1e-300))
 
 
-def _coeff_samples(basis: LandauBasis, coeffs: np.ndarray, solve: bool) -> _PsiSamples:
-    """Samples of a coefficient field on the solve grid or the output grid,
-    psi, D1 psi and D2 psi from one synthesis of the stacked tables."""
+def _coeff_samples(basis: LandauBasis, coeffs: np.ndarray) -> _PsiSamples:
+    """Samples of a coefficient field on the solve grid, psi, D1 psi and
+    D2 psi from one synthesis of the stacked vectors."""
     psi, d1, d2 = basis.synth(np.stack([coeffs, basis.d1_coeffs(coeffs),
-                                        basis.d2_coeffs(coeffs)]), solve=solve)
-    return _PsiSamples(psi, d1, d2, basis.solve_grid if solve else basis.grid)
+                                        basis.d2_coeffs(coeffs)]))
+    return _PsiSamples(psi, d1, d2, basis.solve_grid)
 
 
 def _samples(psi: QuasiPeriodicField) -> _PsiSamples:
@@ -208,7 +209,7 @@ def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
     alpha2 is the potential on the solve grid; when it is None, alpha(psi)
     is solved there first.  Returns the coefficients and the alpha2 used.
     """
-    ps = _coeff_samples(basis, psi_coeffs, solve=True)
+    ps = _coeff_samples(basis, psi_coeffs)
     if alpha2 is None:
         alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)[0]
     return _nonlinear(basis, ps, kappa, alpha2), alpha2

@@ -2,44 +2,47 @@
 
 The constant-field covariant Laplacian L = -Laplacian_{A0} with
 A0(x) = (n/2) J x factorizes through annihilation/creation operators with
-commutator 2n, so its spectrum is {(2k+1) n} and the lowest level is the
-n-dimensional space of theta-series functions
+commutator 2n, so its spectrum is {(2k+1) n}, each level n-fold.  Sampled
+fields keep a general flux n: QuasiPeriodicField, the quotient derivatives,
+residuals and shifts, and fd_spectrum.  The Landau basis has one flux
+quantum, the simple lowest level that the branch bifurcates from: there the
+lowest level is spanned by the theta function
 
-    psi(x) = exp(i n x2 (x1 + i x2) / 2) * sum_k c_k exp(i k nu (x1 + i x2)),
+    psi0(x) = exp(i x2 (x1 + i x2) / 2) * sum_m c_m exp(i m nu (x1 + i x2)),
 
-nu = sqrt(2 pi Im tau), with the coefficient recursion
-c_{k+n} = exp(i n pi tau) exp(2 i k pi tau) c_k (re-derived from the two
-quasi-periodicity relations of the associated entire function and verified
-numerically through the annihilation residual).
+nu = sqrt(2 pi Im tau), with c_m = exp(i pi tau m^2) (the recursion
+c_{m+1} = exp(i pi tau) exp(2 i m pi tau) c_m follows from the two
+quasi-periodicity relations of the associated entire function and is
+verified numerically through the annihilation residual).
 
 Grid evaluation folds the Gaussian of the prefactor into the Hermite
 functions generated by the creation operator, which keeps every term at
-unit scale: level k of the j-th family is
+unit scale: level k is
 
-    u_kj(x) = (-i)^k sum_q e^{i pi tau1 (n q^2 + 2 j q)} e^{i m nu x1}
-              e^{i n x1 x2 / 2} h_k(sqrt(n) (x2 + m nu / n)),   m = j + q n,
+    u_k(x) = (-i)^k sum_m e^{i pi tau1 m^2} e^{i m nu x1} e^{i x1 x2 / 2}
+             h_k(x2 + m nu),
 
 with h_k the orthonormal Hermite functions.  Successive levels are exact
-ladder images of each other, so raising/lowering/L act diagonally on
-coefficient tables.
+ladder images of each other, so raising/lowering/L act diagonally on a
+field's coefficient vector, its K_lev + 1 level coefficients.
 
 On the logical grid x1 = r_tau (y1 + tau1 y2), x2 = r_tau tau2 y2, and
 nu r_tau = 2 pi, so e^{i m nu x1} = e^{2 pi i m y1} e^{2 pi i m tau1 y2}
-and each u_kj separates into the 2-D carrier e^{i n x1 x2 / 2}, the
-Fourier mode e^{2 pi i m y1} and a y2-only profile
+and each u_k separates into the 2-D carrier e^{i x1 x2 / 2}, the Fourier
+mode e^{2 pi i m y1} and a y2-only profile
 
-    p_mk(y2) = (-i)^k e^{i pi tau1 (n q^2 + 2 j q)} e^{2 pi i m tau1 y2}
-               h_k(sqrt(n) (x2 + m nu / n)).
+    p_mk(y2) = (-i)^k e^{i pi tau1 m^2} e^{2 pi i m tau1 y2} h_k(x2 + m nu).
 
 Synthesis on a G x G grid contracts the profiles with the coefficients over
 k, adds each term m into the Fourier bin m mod G, runs one inverse FFT along
 y1 and multiplies by the carrier; projection is its exact adjoint.  The fold
-is exact on any grid.  Products are formed and projected on the solve grid,
-whose side is set from (n, tau2) by _solve_grid_size, because on the lowest
+is exact on any grid.  synth samples and project reads on the solve grid,
+whose side is set from tau2 by _solve_grid_size, because on the lowest
 level the Fourier coefficient of |psi0|^2 at a reciprocal vector g is
-exp(-|g|^2 / (4n)), and on the logical grid the slowest direction has
-|g|^2 ~ 2 pi k^2 / tau2.  Fields are sampled there too, unless a caller
-that needs them on a finer grid, such as `verify gauge`, asks for an N.
+exp(-|g|^2 / 4), and on the logical grid the slowest direction has
+|g|^2 ~ 2 pi k^2 / tau2.  field_from_coeffs is the one route to a basis's
+output grid N, for a caller that needs a field on a finer grid, such as
+`verify gauge`.
 """
 
 from __future__ import annotations
@@ -83,13 +86,13 @@ def _hermite_functions(t: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
-def _solve_grid_size(n: int, tau2: float) -> int:
-    """Side of the solve grid: the even number at or above 16 sqrt(n tau2),
+def _solve_grid_size(tau2: float) -> int:
+    """Side of the solve grid: the even number at or above 16 sqrt(tau2),
     and at least 32.
 
     |psi|^2 has Gaussian Fourier decay on the logical grid, with exponent
-    about pi |k|^2 / (2 n tau2) on the lowest level, so the side grows like
-    sqrt(n tau2).  K_lev does not enter: levels a solution does not occupy
+    about pi |k|^2 / (2 tau2) on the lowest level, so the side grows like
+    sqrt(tau2).  K_lev does not enter: levels a solution does not occupy
     carry too little to move the tail.  Calibrated on grid_tail (kappa^2 = 2,
     tau up to 20i, b from 1.9 down to 0.3, K_lev up to 80): energies sit at
     roundoff, against a forced 256 grid, wherever grid_tail <= 1e-8; keeping
@@ -97,76 +100,72 @@ def _solve_grid_size(n: int, tau2: float) -> int:
     and a side of 21-24 on far targets (b = 0.5) near tau2 = 1, which the
     floor covers.
     """
-    return max(32, 2 * int(np.ceil(8.0 * np.sqrt(n * tau2))))
+    return max(32, 2 * int(np.ceil(8.0 * np.sqrt(tau2))))
 
 
 class LandauBasis:
-    """Orthonormal Landau levels on the normalized cell, as a separable transform.
+    """Orthonormal Landau levels 0..K_lev of one flux quantum on the
+    normalized cell, as a separable transform.
 
-    Levels 0..K_lev for each of the n lowest-level families, orthonormal in
-    the cell-averaged inner product (so <|psi_0|^2> = 1 for each family).
-    The basis stores the (M, K_lev+1, solve_N) y2 profiles of the terms m of
-    the theta series, the carrier on the solve grid and the Cholesky mix of
-    the seed families, all independent of N.  Without N fields are sampled
-    on the solve grid and the basis holds one table; with one, the profiles
-    and carrier of the N grid are built on the first synth there.
+    Orthonormal in the cell-averaged inner product, so <|psi0|^2> = 1.  A
+    field is its coefficient vector, of length K_lev + 1.  The basis stores
+    the (M, K_lev+1, solve_N) y2 profiles of the terms m of the theta series,
+    the carrier on the solve grid and the scalar that normalizes the seed,
+    all independent of N.  synth and project act on the solve grid; with an
+    N, field_from_coeffs builds the profiles and carrier of the N grid on
+    its first call there.
     """
 
-    def __init__(self, n: int, shape: LatticeShape, N: int | None = None,
-                 K_lev: int = 32):
+    def __init__(self, shape: LatticeShape, N: int | None = None, K_lev: int = 32):
         if shape.tau2 > TAU2_MAX:
             raise ConfigError(f"tau2={shape.tau2:.3g} above the supported {TAU2_MAX}")
-        self.n = int(n)
         self.shape = shape
         self.K_lev = int(K_lev)
-        self.solve_N = _solve_grid_size(self.n, shape.tau2)
+        self.solve_N = _solve_grid_size(shape.tau2)
         self.N = self.solve_N if N is None else int(N)
-        self.geom = cell_geometry(shape, n, b=float(n))  # sigma = 1
+        self.geom = cell_geometry(shape, 1, b=1.0)  # sigma = 1
         self.grid = CellGrid(self.geom.m_tau, self.N)
         self.solve_grid = CellGrid(self.geom.m_tau, self.solve_N)
         self.nu = float(np.sqrt(2 * np.pi * shape.tau2))
         self.levels = np.arange(self.K_lev + 1)
 
         # theta truncation: the terms m whose Hermite profile, centred at
-        # x2 = -m nu / n, can reach the cell's x2 span [0, nu); _table keeps
+        # x2 = -m nu, can reach the cell's x2 span [0, nu); _table keeps
         # those within sqrt(2 K_lev + 1) + 8.5 of a grid row, beyond which
         # every profile is below 1e-19 of its peak
-        reach = (np.sqrt(2 * self.K_lev + 1) + 8.0) / np.sqrt(n)
-        self._m_range = (int(np.floor(-(self.nu + reach) * n / self.nu)) - 1,
-                         int(np.ceil(reach * n / self.nu)) + 1)
+        reach = np.sqrt(2 * self.K_lev + 1) + 8.0
+        self._m_range = (int(np.floor(-(self.nu + reach) / self.nu)) - 1,
+                         int(np.ceil(reach / self.nu)) + 1)
 
-        self._m, self._family, self._profiles, self._carrier = self._table(self.solve_N)
-        # orthonormalize the n seed families (cell-averaged Gram, Cholesky mix)
-        d = np.zeros((n, self.K_lev + 1, n), dtype=complex)
-        d[np.arange(n), 0, np.arange(n)] = 1.0
-        seeds = self._raw_values(d, *self._solve_table)
-        gram = np.array([[inner_avg(a, b) for b in seeds] for a in seeds])
-        self._mix = np.linalg.inv(np.linalg.cholesky(gram))
+        self._m, self._profiles, self._carrier = self._table(self.solve_N)
+        # the scale that gives the seed u_0 the cell average <|psi0|^2> = 1
+        e0 = np.zeros(self.K_lev + 1, dtype=complex)
+        e0[0] = 1.0
+        u0 = self._raw_values(e0, *self._solve_table)
+        self._norm = 1 / np.sqrt(inner_avg(u0, u0).real)
 
     # ------------------------------------------------------------------
-    def _table(self, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Terms m that reach the cell, their families m mod n, their
-        (M, K_lev+1, G) y2 profiles and the G x G carrier, on the G grid."""
-        n, tau1 = self.n, self.shape.tau1
-        m_tau = self.geom.m_tau
+    def _table(self, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Terms m that reach the cell, their (M, K_lev+1, G) y2 profiles and
+        the G x G carrier, on the G grid."""
+        tau1, m_tau = self.shape.tau1, self.geom.m_tau
         y = np.arange(G) / G
         x2 = m_tau[1, 1] * y
         m = np.arange(self._m_range[0], self._m_range[1] + 1)
-        t = np.sqrt(n) * (x2[None, :] + m[:, None] * self.nu / n)
+        t = x2[None, :] + m[:, None] * self.nu
         keep = np.min(np.abs(t), axis=1) <= np.sqrt(2 * self.K_lev + 1) + 8.5
         m, t = m[keep], t[keep]
-        j, q = m % n, m // n
-        tilt = np.exp(1j * np.pi * tau1 * (n * q * q + 2 * j * q)[:, None]
+        tilt = np.exp(1j * np.pi * tau1 * (m * m)[:, None]
                       + 2j * np.pi * tau1 * m[:, None] * y[None, :])
         kphase = (-1j) ** self.levels
         h = _hermite_functions(t, self.K_lev).transpose(1, 0, 2)
         x1 = m_tau[0, 0] * y[:, None] + m_tau[0, 1] * y[None, :]
         profiles = kphase[None, :, None] * h * tilt[:, None, :]
-        return m, j, profiles, np.exp(0.5j * n * x1 * x2[None, :])
+        return m, profiles, np.exp(0.5j * x1 * x2[None, :])
 
     @property
     def _solve_table(self):
-        return self._m, self._family, self._profiles, self._carrier
+        return self._m, self._profiles, self._carrier
 
     @cached_property
     def _output_table(self):
@@ -174,14 +173,14 @@ class LandauBasis:
         return self._solve_table if self.N == self.solve_N else self._table(self.N)
 
     @staticmethod
-    def _raw_values(d: np.ndarray, m: np.ndarray, family: np.ndarray,
-                    profiles: np.ndarray, carrier: np.ndarray) -> np.ndarray:
-        """Samples of sum_kj d[k, j] u_kj on the grid of the given table, for
-        each table d[..., k, j] of a stack."""
+    def _raw_values(d: np.ndarray, m: np.ndarray, profiles: np.ndarray,
+                    carrier: np.ndarray) -> np.ndarray:
+        """Samples of sum_k d[k] u_k on the grid of the given table, for each
+        vector d[..., k] of a stack."""
         G = carrier.shape[0]
-        prof = (np.swapaxes(d[..., family], -1, -2)[..., None, :] @ profiles)[..., 0, :]
+        prof = (d[..., None, None, :] @ profiles)[..., 0, :]
         # exp(2 pi i m y1) depends on m mod G only: fold the terms into bins
-        bins = np.zeros((*d.shape[:-2], G, G), dtype=complex)
+        bins = np.zeros((*d.shape[:-1], G, G), dtype=complex)
         for c in range(0, len(m), G):
             bins[..., m[c:c + G] % G, :] += prof[..., c:c + G, :]
         return np.fft.ifft(bins, axis=-2, norm="forward") * carrier
@@ -189,48 +188,42 @@ class LandauBasis:
     # ------------------------------------------------------------------
     # coefficient <-> grid
     # ------------------------------------------------------------------
-    def synth(self, coeffs: np.ndarray, solve: bool = False) -> np.ndarray:
-        """Samples on the output N grid, or on the solve grid if solve; a stack
-        of coefficient tables (..., K_lev+1, n) gives a stack of fields."""
-        table = self._solve_table if solve else self._output_table
-        return self._raw_values(coeffs @ self._mix, *table)
+    def synth(self, coeffs: np.ndarray) -> np.ndarray:
+        """Samples on the solve grid; a stack of coefficient vectors
+        (..., K_lev+1) gives a stack of fields."""
+        return self._raw_values(coeffs * self._norm, *self._solve_table)
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Landau coefficients of values sampled on the solve grid (the exact
-        adjoint of synth(., solve=True) in the cell-averaged inner product)."""
+        adjoint of synth in the cell-averaged inner product)."""
         spec = np.fft.fft(values * np.conj(self._carrier), axis=0)
         # conj(profiles) . spec, without a conjugated copy of the table
         dm = np.conj(self._profiles @ np.conj(spec[self._m % self.solve_N])[:, :, None])[:, :, 0]
-        d = np.zeros((self.K_lev + 1, self.n), dtype=complex)
-        for j in range(self.n):
-            d[:, j] = dm[self._family == j].sum(axis=0)
-        return d @ np.conj(self._mix).T / values.size
+        return dm.sum(axis=0) * self._norm / values.size
 
     # ------------------------------------------------------------------
-    # exact ladder actions on coefficient tables (shape (K_lev+1, n))
+    # exact ladder actions on coefficient vectors (length K_lev+1)
     # ------------------------------------------------------------------
     def lower_coeffs(self, d: np.ndarray) -> np.ndarray:
         out = np.zeros_like(d)
-        k = np.arange(1, self.K_lev + 1)
-        out[:-1] = np.sqrt(2.0 * self.n * k)[:, None] * d[1:]
+        out[:-1] = np.sqrt(2.0 * self.levels[1:]) * d[1:]
         return out
 
     def raise_coeffs(self, d: np.ndarray) -> np.ndarray:
         out = np.zeros_like(d)
-        k = np.arange(1, self.K_lev + 1)
-        out[1:] = np.sqrt(2.0 * self.n * k)[:, None] * d[:-1]
+        out[1:] = np.sqrt(2.0 * self.levels[1:]) * d[:-1]
         return out
 
     def landau_coeffs(self, d: np.ndarray) -> np.ndarray:
-        return ((2 * self.levels + 1) * self.n)[:, None] * d
+        return (2 * self.levels + 1) * d
 
     def resolvent_coeffs(self, d: np.ndarray, lam: float) -> np.ndarray:
-        """(L - lam)^{-1} restricted to levels k >= 1 (zeroth row untouched -> 0)."""
-        eig = (2 * self.levels + 1) * self.n - lam
+        """(L - lam)^{-1} restricted to levels k >= 1 (zeroth entry untouched -> 0)."""
+        eig = 2 * self.levels + 1 - lam
         if np.min(np.abs(eig[1:])) < 1e-9:
             raise SpectrumCollisionError(f"lambda={lam} collides with a Landau eigenvalue")
         out = np.zeros_like(d)
-        out[1:] = d[1:] / eig[1:, None]
+        out[1:] = d[1:] / eig[1:]
         return out
 
     def d1_coeffs(self, d: np.ndarray) -> np.ndarray:
@@ -250,7 +243,7 @@ class QuasiPeriodicField:
     Boundary condition: psi(x + t) = exp(i (n/2) x . J t + i C_t) psi(x) for
     the two basis vectors; in logical coordinates the wrap phases are
     n pi y2 + C1 (t1 direction) and -n pi y1 + C2 (t2 direction).  A
-    Landau-level field is instead its coefficient table, passed as (basis,
+    Landau-level field is instead its coefficient vector, passed as (basis,
     coeffs); field_from_coeffs samples one.
     """
 
@@ -269,17 +262,18 @@ class QuasiPeriodicField:
 
 
 def field_from_coeffs(basis: LandauBasis, coeffs: np.ndarray) -> QuasiPeriodicField:
-    """The samples of a coefficient table on the basis's N grid."""
-    return QuasiPeriodicField(n=basis.n, shape=basis.shape, values=basis.synth(coeffs))
+    """The samples of a coefficient vector on the basis's N grid."""
+    return QuasiPeriodicField(n=1, shape=basis.shape,
+                              values=basis._raw_values(coeffs * basis._norm,
+                                                       *basis._output_table))
 
 
-def theta_null_basis(n: int, shape: LatticeShape, N: int | None = None
-                     ) -> list[QuasiPeriodicField]:
-    """The n orthonormal lowest-level fields, <|psi|^2> = 1 each, at N or the solve grid."""
-    basis = LandauBasis(n, shape, N, K_lev=4)
-    c = np.zeros((n, basis.K_lev + 1, n), dtype=complex)
-    c[np.arange(n), 0, np.arange(n)] = 1.0
-    return [QuasiPeriodicField(n=n, shape=shape, values=v) for v in basis.synth(c)]
+def theta_field(shape: LatticeShape, N: int | None = None) -> QuasiPeriodicField:
+    """The lowest-level field psi0, <|psi0|^2> = 1, at N or on the solve grid."""
+    basis = LandauBasis(shape, N, K_lev=4)
+    c = np.zeros(basis.K_lev + 1, dtype=complex)
+    c[0] = 1.0
+    return field_from_coeffs(basis, c)
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ class CellGrid:
             raise ValueError("grid too small")
         self.m = m
         self.N = int(N)
-        self.area = abs(np.linalg.det(m))
         self.minv_t = np.linalg.inv(m).T
 
     @cached_property
@@ -107,15 +106,6 @@ class CellGrid:
     # ------------------------------------------------------------------
     def grad(self, f: np.ndarray) -> np.ndarray:
         return self._field(self.half_spectrum.ig * self._spectrum(f))
-
-    def curl_star(self, f: np.ndarray) -> np.ndarray:
-        """curl* f = (d2 f, -d1 f) for scalar f."""
-        return self._curl_star_of(self._spectrum(f))
-
-    def flux(self, curl_a: np.ndarray) -> float:
-        """Flux of the magnetic field curl_a through the cell: its cell
-        average times the area."""
-        return float(np.mean(curl_a) * self.area)
 
     # ------------------------------------------------------------------
     # vector operations (v has shape (2, N, N))

@@ -19,7 +19,7 @@ magnetic_laplacian_fd, in the symmetric gauge, is the oracle of the Harper
 chains of landau.fd_spectrum.
 The field operations at the end (the alpha solve on a
 field, flux, supercurrent, the ladder-route covariant gradient and ladder
-actions on coefficient tables, the applied field h0, point-group rotation,
+actions on coefficient vectors, the applied field h0, point-group rotation,
 the physical energy density and sample rescaling) have no caller in the
 package and are kept here with their checks.  Like the package, they take a
 Landau-level field as (basis, coeffs) and a sampled one as a
@@ -36,11 +36,11 @@ from vortexlattice.abrikosov import (beta_derivatives, beta_lattice_sum, beta_of
 from vortexlattice.bifurcation import solve_w
 from vortexlattice.glcore import (AlphaSolveError, F_coeffs, GLParams, GLState,
                                   PeriodicVectorField, _alpha_fixed_point,
-                                  _coeff_samples, _samples, energy,
+                                  _coeff_samples, _PsiSamples, _samples, energy,
                                   nonlinear_coeffs)
 from vortexlattice.landau import (QuasiPeriodicField, _hermite_functions,
                                   covariant_gradient_grid, field_from_coeffs,
-                                  magnetic_shift_values)
+                                  magnetic_shift_values, theta_field)
 from vortexlattice.lattice import normalize_tau
 from vortexlattice.spectral import CellGrid
 
@@ -179,11 +179,11 @@ def alpha_damped_fixed_point(grid, j0, abspsi2, tol=1e-14, max_iter=400):
     raise AlphaSolveError(f"reference alpha fixed point stalled at step {last:.3e}")
 
 
-def normal_state(params, basis):
-    """psi = 0, alpha = 0: the normal state on a Landau basis."""
-    coeffs = np.zeros((basis.K_lev + 1, basis.n), dtype=complex)
-    psi = field_from_coeffs(basis, coeffs)
-    alpha = PeriodicVectorField(np.zeros((2, basis.N, basis.N)), basis.grid)
+def normal_state(params, shape, N):
+    """psi = 0, alpha = 0: the normal state with params.n flux quanta on an
+    N x N grid."""
+    psi = QuasiPeriodicField(n=params.n, shape=shape, values=np.zeros((N, N), complex))
+    alpha = PeriodicVectorField(np.zeros((2, N, N)), psi.grid)
     return GLState(psi=psi, alpha=alpha, params=params)
 
 
@@ -268,17 +268,16 @@ def descend_beta(tau0: complex, step0: float = 0.1, tol: float = 1e-10,
 
 
 def w_coeffs(wres):
-    """The coefficient table of psi = s psi0 + w of a w solve."""
+    """The coefficient vector of psi = s psi0 + w of a w solve."""
     psi_c = wres.w.copy()
-    psi_c[0, 0] += wres.s
+    psi_c[0] += wres.s
     return psi_c
 
 
 def w_state(basis, coeffs, wres, kappa):
-    """GLState of the table coeffs of a w solve, psi and its alpha2 both
+    """GLState of the vector coeffs of a w solve, psi and its alpha2 both
     sampled on the solve grid."""
-    psi = QuasiPeriodicField(n=basis.n, shape=basis.shape,
-                             values=basis.synth(coeffs, solve=True))
+    psi = QuasiPeriodicField(n=1, shape=basis.shape, values=basis.synth(coeffs))
     return GLState(psi=psi, alpha=PeriodicVectorField(wres.alpha2, basis.solve_grid),
                    params=GLParams(kappa=kappa, n=1, lam=wres.lam))
 
@@ -300,20 +299,20 @@ def branch_coefficients(setup, kappa):
     psi0) + |alpha1|^2 psi0 + kappa^2 (2 |psi0|^2 w3 + psi0^2 conj w3) and
     lambda2 = Re <psi0, N5>; w5 does not enter since w is orthogonal to psi0."""
     basis = setup.basis
-    c0 = np.zeros((basis.K_lev + 1, 1), dtype=complex)
-    c0[0, 0] = 1.0
-    p0 = _coeff_samples(basis, c0, solve=True)
+    c0 = np.zeros(basis.K_lev + 1, dtype=complex)
+    c0[0] = 1.0
+    p0 = _coeff_samples(basis, c0)
     zero = np.zeros_like(p0.rho)
     a1 = _alpha_fixed_point(p0.grid, p0.j0, zero, None)[0]
     n3 = basis.project(2j * (a1[0] * p0.d1 + a1[1] * p0.d2) + kappa**2 * p0.rho * p0.psi)
-    p3 = _coeff_samples(basis, -basis.resolvent_coeffs(n3, 1.0), solve=True)
+    p3 = _coeff_samples(basis, -basis.resolvent_coeffs(n3, 1.0))
     j3 = np.imag(np.conj(p0.psi) * np.stack([p3.d1, p3.d2])
                  + np.conj(p3.psi) * np.stack([p0.d1, p0.d2]))
     a3 = _alpha_fixed_point(p0.grid, j3 - p0.rho * a1, zero, None)[0]
     n5 = basis.project(2j * (a1[0] * p3.d1 + a1[1] * p3.d2 + a3[0] * p0.d1 + a3[1] * p0.d2)
                        + (a1[0] ** 2 + a1[1] ** 2) * p0.psi
                        + kappa**2 * (2 * p0.rho * p3.psi + p0.psi**2 * np.conj(p3.psi)))
-    return float(n3[0, 0].real), float(n5[0, 0].real)
+    return float(n3[0].real), float(n5[0].real)
 
 
 def residuals(basis, coeffs, alpha, params):
@@ -322,48 +321,65 @@ def residuals(basis, coeffs, alpha, params):
     a2 = alpha.grid.resample(alpha.values, basis.solve_N)
     ncoef, _ = nonlinear_coeffs(basis, coeffs, params.kappa, alpha2=a2)
     return (F_coeffs(basis, coeffs, params.lam, ncoef),
-            _coeff_samples(basis, coeffs, solve=False).alpha_residual(alpha.values))
+            output_samples(basis, coeffs).alpha_residual(alpha.values))
 
 
 # ----------------------------------------------------------------------
 # Landau basis
 # ----------------------------------------------------------------------
-def unit_field(basis, k, j, solve=False):
-    """Basis function phi_kj on the output (or solve) grid, through synth."""
-    c = np.zeros((basis.K_lev + 1, basis.n), dtype=complex)
-    c[k, j] = 1.0
-    return basis.synth(c, solve=solve)
+def output_samples(basis, coeffs):
+    """psi, D1 psi and D2 psi of a coefficient vector on the basis's N grid,
+    D psi by the ladder route, each sampled by field_from_coeffs."""
+    psi, d1, d2 = (field_from_coeffs(basis, c).values
+                   for c in (coeffs, basis.d1_coeffs(coeffs), basis.d2_coeffs(coeffs)))
+    return _PsiSamples(psi, d1, d2, basis.grid)
+
+
+def sample(basis, coeffs):
+    """Samples of a coefficient vector on the basis's N grid."""
+    return field_from_coeffs(basis, coeffs).values
+
+
+def unit_field(basis, k):
+    """Basis function phi_k on the basis's N grid."""
+    c = np.zeros(basis.K_lev + 1, dtype=complex)
+    c[k] = 1.0
+    return sample(basis, c)
+
+
+def lowest_level_field(shape, n, N):
+    """psi0^n: a lowest-level field with n flux quanta on the normalized cell,
+    sampled on an N x N grid (each factor's boundary phase and annihilator
+    equation add up)."""
+    return QuasiPeriodicField(n=n, shape=shape, values=theta_field(shape, N).values ** n)
 
 
 def evaluate_raw(basis, x1, x2):
-    """Un-mixed tables u[k, j] of a LandauBasis at arbitrary points, by direct
-    summation over the theta terms (the reference for the separable transform)."""
-    n, nu, tau1 = basis.n, basis.nu, basis.shape.tau1
-    out = np.zeros((basis.K_lev + 1, n, *x1.shape), dtype=complex)
-    carrier = np.exp(0.5j * n * x1 * x2)
+    """Unnormalized levels u[k] of a LandauBasis at arbitrary points, by
+    direct summation over the theta terms (the reference for the separable
+    transform)."""
+    nu, tau1 = basis.nu, basis.shape.tau1
+    out = np.zeros((basis.K_lev + 1, *x1.shape), dtype=complex)
+    carrier = np.exp(0.5j * x1 * x2)
     kphase = (-1j) ** np.arange(basis.K_lev + 1)
     for m in range(basis._m_range[0], basis._m_range[1] + 1):
-        j = m % n
-        q = (m - j) // n
-        seed = np.exp(1j * np.pi * tau1 * (n * q * q + 2 * j * q))
-        t = np.sqrt(n) * (x2 + m * nu / n)
+        t = x2 + m * nu
         if np.min(np.abs(t)) > np.sqrt(2 * basis.K_lev + 1) + 8.5:
             continue
         h = _hermite_functions(t, basis.K_lev)
-        term = seed * np.exp(1j * m * nu * x1) * carrier
-        out[:, j] += kphase[:, None, None] * h * term[None]
+        term = np.exp(1j * np.pi * tau1 * m * m) * np.exp(1j * m * nu * x1) * carrier
+        out += kphase[:, None, None] * h * term[None]
     return out
 
 
 def dense_tables(basis, x1, x2):
-    """Orthonormal tables phi[k, j] at the points (x1, x2), summed term by term."""
-    return np.einsum("ij,kjxy->kixy", basis._mix, evaluate_raw(basis, x1, x2))
+    """Orthonormal tables phi[k] at the points (x1, x2), summed term by term."""
+    return basis._norm * evaluate_raw(basis, x1, x2)
 
 
-def basis_evaluate(basis, k, j, x1, x2):
-    """Basis function phi_kj at arbitrary points."""
-    raw = evaluate_raw(basis, np.asarray(x1, float), np.asarray(x2, float))
-    return np.einsum("i,ixy->xy", basis._mix[j], raw[k])
+def basis_evaluate(basis, k, x1, x2):
+    """Basis function phi_k at arbitrary points."""
+    return dense_tables(basis, np.asarray(x1, float), np.asarray(x2, float))[k]
 
 
 def theta_extended(theta, k):
@@ -460,10 +476,21 @@ def alpha_equation_residual(psi, alpha):
     return _samples(psi).alpha_residual_rms(alpha.values)
 
 
+def cell_flux(grid, curl_a):
+    """Flux of the magnetic field curl_a through the cell of a grid: its cell
+    average times the area."""
+    return float(np.mean(curl_a) * abs(np.linalg.det(grid.m)))
+
+
+def raw_flux(raw):
+    """Flux of curl a = b + curl a_p through a raw state's cell."""
+    return cell_flux(raw.grid, raw.curl_a())
+
+
 def flux(state):
     """Quadrature of curl a over the cell; 2 pi n for any admissible state."""
     grid = state.alpha.grid
-    return grid.flux(state.params.n + grid.curl(state.alpha.values))
+    return cell_flux(grid, state.params.n + grid.curl(state.alpha.values))
 
 
 def supercurrent(state):
@@ -485,21 +512,19 @@ def cell_average(g):
 def padded_coeffs(basis, coeffs):
     """Landau coefficients zero-padded to the basis's K_lev + 1 levels."""
     d = np.asarray(coeffs, dtype=complex)
-    if d.shape[0] < basis.K_lev + 1:
-        d = np.vstack([d, np.zeros((basis.K_lev + 1 - d.shape[0], d.shape[1]), dtype=complex)])
-    return d
+    return np.concatenate([d, np.zeros(basis.K_lev + 1 - len(d), dtype=complex)])
 
 
 def covariant_gradient(basis, coeffs):
     """Samples of (D1 f, D2 f) on the basis's N grid, with
     D1 = (alpha - alpha*)/2, D2 = (alpha + alpha*)/(2i): the ladder route."""
     d = padded_coeffs(basis, coeffs)
-    return tuple(basis.synth(np.stack([basis.d1_coeffs(d), basis.d2_coeffs(d)])))
+    return sample(basis, basis.d1_coeffs(d)), sample(basis, basis.d2_coeffs(d))
 
 
 def ladder_apply(basis, coeffs, direction):
-    """Annihilation ('lower', level k -> k-1, factor sqrt(2nk)) or creation
-    ('raise', k -> k+1, factor sqrt(2n(k+1))) on the Landau coefficients."""
+    """Annihilation ('lower', level k -> k-1, factor sqrt(2k)) or creation
+    ('raise', k -> k+1, factor sqrt(2(k+1))) on the Landau coefficients."""
     d = padded_coeffs(basis, coeffs)
     if direction == "lower":
         return basis.lower_coeffs(d)
@@ -513,7 +538,7 @@ def ladder_apply(basis, coeffs, direction):
 
 
 def landau_apply(basis, coeffs):
-    """L f, i.e. coefficient d[k] -> (2k+1) n d[k]."""
+    """L f, i.e. coefficient d[k] -> (2k+1) d[k]."""
     return basis.landau_coeffs(padded_coeffs(basis, coeffs))
 
 

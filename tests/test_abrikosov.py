@@ -64,8 +64,8 @@ def test_quadrature_invariant_under_inversion():
 
 def test_beta_scale_invariance(shape_square):
     # homogeneity of degree zero in psi0
-    from vortexlattice.landau import theta_null_basis
-    psi0 = theta_null_basis(1, shape_square, N=64)[0]
+    from vortexlattice.landau import theta_field
+    psi0 = theta_field(shape_square, N=64)
     a2 = np.abs(7.0 * psi0.values) ** 2
     scaled = float(np.mean(a2**2) / np.mean(a2) ** 2)
     assert scaled == pytest.approx(abr.beta_quadrature(shape_square), abs=1e-13)

@@ -9,12 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from reference import covariant_gradient, descend_beta, unit_field
+from reference import (FullSpectrumGrid, cell_flux, covariant_gradient, descend_beta,
+                       unit_field)
 from vortexlattice import abrikosov as abr
 from vortexlattice import bifurcation as bif
 from vortexlattice import gauge, glcore, landau
 from vortexlattice.landau import (field_from_coeffs, norm_avg,
-                                  quasi_periodicity_residual, theta_null_basis)
+                                  quasi_periodicity_residual, theta_field)
 from vortexlattice.lattice import (TAU_TRIANGULAR, fundamental_domain_grid,
                                    normalize_tau)
 
@@ -113,7 +114,7 @@ def test_criterion_03_spectrum(shape_sq, shape_tr):
     ratios = [errors[(n, 64, k)] / errors[(n, 128, k)]
               for n in (1, 2, 3) for k in range(1, 4)]
     ok_order = all(2.5 < r < 6.0 for r in ratios)
-    resid = max(landau.annihilator_residual(theta_null_basis(1, s, 96)[0])
+    resid = max(landau.annihilator_residual(theta_field(s, 96))
                 for s in (shape_sq, shape_tr))
     ok = ok_order and resid < 1e-10
     report(3, ok, f"fd clusters at n(2k+1) with multiplicity n, convergence "
@@ -141,14 +142,14 @@ def test_criterion_05_leading_order_fields(branch_sq_128, shape_sq, setup_sq_128
     assert p0.s == pytest.approx(0.02)
     basis = setup_sq_128.basis
     curl_a1 = basis.grid.curl(p0.alpha.values) / p0.s**2
-    psi0 = unit_field(basis, 0, 0)
+    psi0 = unit_field(basis, 0)
     sup_err = float(np.max(np.abs(curl_a1 - 0.5 * (1.0 - np.abs(psi0) ** 2))))
-    e00 = np.zeros((basis.K_lev + 1, 1), complex)
-    e00[0, 0] = 1.0
-    D1, D2 = covariant_gradient(basis, e00)
+    e0 = np.zeros(basis.K_lev + 1, complex)
+    e0[0] = 1.0
+    D1, D2 = covariant_gradient(basis, e0)
     J = np.stack([np.imag(np.conj(psi0) * D1), np.imag(np.conj(psi0) * D2)])
     current_resid = float(np.max(np.abs(
-        J + 0.5 * basis.grid.curl_star(np.abs(psi0) ** 2))))
+        J + 0.5 * FullSpectrumGrid(basis.grid.m, basis.N).curl_star(np.abs(psi0) ** 2))))
     # the expansion report reads curl a1 off the point's own curl alpha
     assert bif.fit_expansion(branch_sq_128).curl_a1_sup_err == pytest.approx(sup_err, rel=1e-9)
     ok = sup_err < 1e-4 and current_resid < 1e-10
@@ -186,7 +187,7 @@ def test_criterion_07_branch_residuals_and_side(branch_sq_128, branch_tr_128,
                                                 shape_tr):
     worst_F = max(p.residual_psi for br in (branch_sq_128, branch_tr_128)
                   for p in br.points)
-    worst_flux = max(abs(br.basis.grid.flux(1 + p.curl_alpha) - 2 * np.pi)
+    worst_flux = max(abs(cell_flux(br.basis.grid, 1 + p.curl_alpha) - 2 * np.pi)
                      for br in (branch_sq_128, branch_tr_128) for p in br.points)
     # positive sign: branch at lambda > 1 (b < kappa^2); other side refused
     sides_ok = all(p.lam > 1 for br in (branch_sq_128, branch_tr_128)
@@ -253,8 +254,8 @@ def test_criterion_09_symmetry_suite(shape_sq, rng):
     basis = setup.basis
     worst = 0.0
     for _ in range(5):
-        d = np.zeros((basis.K_lev + 1, 1), complex)
-        d[:8, 0] = 0.05 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        d = np.zeros(basis.K_lev + 1, complex)
+        d[:8] = 0.05 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
         delta = rng.uniform(0.2, 2 * np.pi - 0.2)
         psi, F, F_rot = basis.synth(np.stack([
             d, glcore.map_F(basis, d, 1.05, KAPPA),

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from reference import (alpha_damped_fixed_point, branch_coefficients,
+from reference import (alpha_damped_fixed_point, branch_coefficients, cell_flux,
                        effective_energy, helmholtz_project, w_coeffs, w_state)
 from vortexlattice import abrikosov, bifurcation as bif, glcore, landau
 from vortexlattice.landau import field_from_coeffs, inner_avg, norm_avg
@@ -35,23 +35,23 @@ def branch_sq(shape_square, setup_sq):
 # ----------------------------------------------------------------------
 def test_resolvent_leaves_level_zero_at_zero(setup_sq):
     # the resolvent acts on the levels k >= 1 alone, so it applies Q: psi0,
-    # the coefficient [0, 0], maps to zero and level 1 is kept
+    # the coefficient [0], maps to zero and level 1 is kept
     basis = setup_sq.basis
-    d = np.zeros((41, 1), complex)
-    d[0, 0] = 1.0
+    d = np.zeros(41, complex)
+    d[0] = 1.0
     assert np.max(np.abs(basis.resolvent_coeffs(d, 1.5))) == 0.0
-    d[1, 0] = 1.0
+    d[1] = 1.0
     out = basis.resolvent_coeffs(d, 1.5)
-    assert out[0, 0] == 0.0 and out[1, 0] == 1.0 / (3.0 - 1.5)
+    assert out[0] == 0.0 and out[1] == 1.0 / (3.0 - 1.5)
 
 
 def test_solved_w_has_no_psi0_component(setup_sq, branch_sq):
     for unknown in (None, "lam"):
         wres = bif.solve_w(1.02, 0.06, setup_sq, KAPPA, _unknown=unknown)
-        assert wres.w[0, 0] == 0.0
+        assert wres.w[0] == 0.0
     # a branch point's psi0 coefficient is its s alone
     for p in branch_sq.points:
-        assert p.psi_coeffs[0, 0] == p.s
+        assert p.psi_coeffs[0] == p.s
 
 
 @pytest.mark.parametrize("tau", [1j, complex(TAU_TRIANGULAR), 0.3 + 1.2j],
@@ -67,8 +67,8 @@ def test_setup_samples_no_output_grid_and_its_beta_matches_both_routes(tau):
 
 def test_resolvent_inverse_property(setup_sq, rng):
     basis = setup_sq.basis
-    d = np.zeros((41, 1), complex)
-    d[1:9, 0] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    d = np.zeros(41, complex)
+    d[1:9] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     lam = 1.0
     Ld = basis.landau_coeffs(d) - lam * d
     back = basis.resolvent_coeffs(Ld, lam)
@@ -76,7 +76,7 @@ def test_resolvent_inverse_property(setup_sq, rng):
 
 
 def test_resolvent_rejects_spectrum_collision(setup_sq):
-    d = np.zeros((41, 1), complex)
+    d = np.zeros(41, complex)
     with pytest.raises(landau.SpectrumCollisionError):
         setup_sq.basis.resolvent_coeffs(d, 3.0)
 
@@ -163,7 +163,7 @@ def test_branch_residual_invariants(branch_sq):
     for p in branch_sq.points:
         assert p.residual_psi < 1e-8
         assert p.residual_alpha < 1e-10
-        assert abs(branch_sq.basis.grid.flux(1 + p.curl_alpha) - 2 * np.pi) < 1e-12
+        assert abs(cell_flux(branch_sq.basis.grid, 1 + p.curl_alpha) - 2 * np.pi) < 1e-12
 
 
 def test_branch_lambda_monotone(branch_sq):
@@ -189,7 +189,7 @@ def test_gauge_rotated_branch(setup_sq):
 
 def _full(w, s, setup):
     c = w.copy()
-    c[0, 0] += s
+    c[0] += s
     return c
 
 
@@ -250,7 +250,7 @@ def test_branch_coefficients_from_the_reduction(tau, kappa2):
     q = []
     for si in s:
         wres = bif.solve_w(1.0 + lam1 * si**2, si, setup, kappa, _unknown="lam")
-        q.append((np.real(wres.ncoef[0, 0] / si) - lam1 * si**2) / si**4)
+        q.append((np.real(wres.ncoef[0] / si) - lam1 * si**2) / si**4)
     dev = np.array(q) - lam2
     assert np.all(np.abs(dev[:-1] / dev[1:] - 4.0) < 0.3)
     assert abs((4 * q[-1] - q[-2]) / 3 - lam2) < 1e-6
@@ -383,7 +383,7 @@ def test_shifted_and_plain_maps_share_fixed_points(shape_generic):
     pt = bif.branch_by_field(0.5, KAPPA, shape_generic, setup=setup)
     basis = setup.basis
     w = pt.psi_coeffs.copy()
-    w[0, 0] = 0.0
+    w[0] = 0.0
     # the resolvent reads the levels k >= 1 only, so N needs no Q of its own
     qn = glcore.nonlinear_coeffs(basis, pt.psi_coeffs, KAPPA)[0]
     sigma = KAPPA**2 * pt.s**2
@@ -403,14 +403,14 @@ def test_alpha_solves_the_second_sweep_of_a_far_target():
     setup = bif.build_reduction(shape, 64, K_lev=40)
     basis, lam_t = setup.basis, KAPPA**2 / 0.3
     s = np.sqrt((lam_t - 1) / ((KAPPA**2 - 0.5) * setup.beta + 0.5))
-    psi_c = np.zeros((41, 1), complex)
-    psi_c[0, 0] = s
-    ps1 = glcore._coeff_samples(basis, psi_c, solve=True)
+    psi_c = np.zeros(41, complex)
+    psi_c[0] = s
+    ps1 = glcore._coeff_samples(basis, psi_c)
     pair1 = glcore._alpha_fixed_point(ps1.grid, ps1.j0, ps1.rho, None)
     ncoef = glcore._nonlinear(basis, ps1, KAPPA, pair1[0])
     psi_c = -basis.resolvent_coeffs(ncoef, lam_t)
-    psi_c[0, 0] += s * np.sqrt((lam_t - 1) / np.real(ncoef[0, 0] / s))
-    ps = glcore._coeff_samples(basis, psi_c, solve=True)
+    psi_c[0] += s * np.sqrt((lam_t - 1) / np.real(ncoef[0] / s))
+    ps = glcore._coeff_samples(basis, psi_c)
     assert ps.rho.max() > 10
     alpha = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, pair1)[0]
     assert np.max(np.abs(helmholtz_project(ps.grid, ps.alpha_residual(alpha)))) <= 1e-10
@@ -444,7 +444,7 @@ def test_finish_point_synthesizes_each_field_once(setup_sq, monkeypatch):
     pt = bif._finish_point(wres, setup_sq, KAPPA)
     assert len(calls) == 0
     monkeypatch.undo()
-    ps = glcore._coeff_samples(setup_sq.basis, w_coeffs(wres), solve=True)
+    ps = glcore._coeff_samples(setup_sq.basis, w_coeffs(wres))
     assert pt.energy == glcore._energy(ps, wres.alpha2, glcore.GLParams(KAPPA, 1, wres.lam))
     assert pt.min_abs_psi == np.min(np.abs(ps.psi))
     # the grid route on the same samples reads the same energy
@@ -500,7 +500,7 @@ def test_branch_occupies_the_levels_its_lattice_allows(tau, period):
     setup = bif.build_reduction(shape, K_lev=40)
     forbidden = np.arange(41) % period != 0
     for b in (1.9, 1.0, 0.5):
-        c = np.abs(bif.branch_by_field(b, KAPPA, shape, setup=setup).psi_coeffs[:, 0])
+        c = np.abs(bif.branch_by_field(b, KAPPA, shape, setup=setup).psi_coeffs)
         assert np.max(c[forbidden]) <= 1e-12 * np.max(c)
 
 
@@ -508,12 +508,12 @@ def test_branch_occupies_the_levels_its_lattice_allows(tau, period):
                                           (TAU_TRIANGULAR, 1.5, 64), (4j, 1.0, 40),
                                           (8j, 1.0, 80), (12j, 1.0, 64), (20j, 1.5, 40)])
 def test_sized_solve_grid_matches_a_fine_grid(monkeypatch, tau, b, K_lev):
-    # the solve grid the rule sizes from (n, tau2) gives the branch point of a
+    # the solve grid the rule sizes from tau2 gives the branch point of a
     # forced 256 grid, and resolves |psi|^2 to the rule's threshold
     shape = normalize_tau(tau)[0]
     pt = bif.branch_by_field(b, KAPPA, shape, K_lev=K_lev)
     assert pt.grid_tail < landau.GRID_TAIL_TOL
-    monkeypatch.setattr(landau, "_solve_grid_size", lambda n, tau2: 256)
+    monkeypatch.setattr(landau, "_solve_grid_size", lambda tau2: 256)
     ref = bif.branch_by_field(b, KAPPA, shape, K_lev=K_lev)
     for got, want in ((pt.lam, ref.lam), (pt.s, ref.s), (pt.energy, ref.energy)):
         assert abs(got - want) <= 1e-14 * abs(want)

@@ -156,7 +156,7 @@ print(json.dumps(landau.fd_spectrum(1, 16)[:4].tolist()))
 
 
 def test_commands_start_without_scipy(tmp_path, shape_generic):
-    psi = landau.theta_null_basis(1, shape_generic, 16)[0]
+    psi = landau.theta_field(shape_generic, 16)
     alpha = glcore.PeriodicVectorField(np.zeros((2, 16, 16)), psi.grid)
     raw = gauge.raw_from_state(glcore.GLState(psi, alpha, glcore.GLParams(1.0, 1, 1.0)))
     y1, _ = raw.grid.y
@@ -367,7 +367,7 @@ def test_shape_above_the_supported_tau2(tmp_path, argv, code):
 
 def _theta_snapshot(tmp_path, shape):
     """An 8 x 8 raw snapshot of the lowest-level field, without a potential."""
-    psi = landau.theta_null_basis(1, shape, 8)[0]
+    psi = landau.theta_field(shape, 8)
     alpha = glcore.PeriodicVectorField(np.zeros((2, 8, 8)), psi.grid)
     raw = gauge.raw_from_state(glcore.GLState(psi, alpha, glcore.GLParams(1.0, 1, 1.0)))
     path = tmp_path / "raw.csv"

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from vortexlattice import bifurcation as bif, gauge, glcore, landau
-from reference import PointGroupError, energy_density_mean, rotate_state
+from reference import (PointGroupError, energy_density_mean, lowest_level_field,
+                       raw_flux, rotate_state)
 from vortexlattice.gauge import (RawLatticeState, fix_gauge, gauge_transform,
                                  raw_from_state, translate_state)
 from vortexlattice.landau import quasi_periodicity_residual
-from vortexlattice.lattice import normalize_tau
+from vortexlattice.lattice import cell_geometry, normalize_tau
 
 KAPPA = np.sqrt(2.0)
 
@@ -62,7 +63,7 @@ def test_gauge_observables_invariant(raw_branch, rng):
     assert np.max(np.abs(np.abs(out.psi) - np.abs(raw_branch.psi))) < 1e-12
     assert np.max(np.abs(o1["curl_a"] - o2["curl_a"])) < 1e-8
     assert np.max(np.abs(o1["current"] - o2["current"])) < 1e-9
-    assert abs(out.flux() - raw_branch.flux()) < 1e-11
+    assert abs(raw_flux(out) - raw_flux(raw_branch)) < 1e-11
     assert quasi_periodicity_residual(out.qp_field()) < 1e-10
 
 
@@ -81,7 +82,7 @@ def test_translate_energy_invariant(raw_branch):
     out = translate_state(raw_branch, t)
     assert abs(energy_density_mean(out, KAPPA)
                - energy_density_mean(raw_branch, KAPPA)) < 1e-9
-    assert abs(out.flux() - raw_branch.flux()) < 1e-10
+    assert abs(raw_flux(out) - raw_flux(raw_branch)) < 1e-10
     assert quasi_periodicity_residual(out.qp_field()) < 1e-10
 
 
@@ -211,14 +212,27 @@ def test_fix_gauge_curl_free_difference(raw_branch, rng):
     assert np.max(np.abs(grid.curl(D))) < 1e-8
 
 
+def raw_lowest_level(shape, n, N):
+    """The raw state 0.1 psi0^n with n flux quanta, a_p = 0, at b = n."""
+    psi = lowest_level_field(shape, n, N)
+    return RawLatticeState(psi=0.1 * psi.values, a_p=np.zeros((2, N, N)), n=n,
+                           shape=shape, r=cell_geometry(shape, n, float(n)).r)
+
+
 def test_fix_gauge_zero_multiple_vortices(shape_square):
-    # n = 2 state: flux 4 pi, quantization check passes, constraints hold
-    basis = landau.LandauBasis(2, shape_square, 48, K_lev=4)
-    psi0 = landau.theta_null_basis(2, shape_square, 48)[0]
-    from vortexlattice.lattice import cell_geometry
-    geom = cell_geometry(shape_square, 2, 2.0)
-    raw = RawLatticeState(psi=0.1 * psi0.values, a_p=np.zeros((2, 48, 48)),
-                          n=2, shape=shape_square, r=geom.r)
-    assert abs(raw.flux() - 4 * np.pi) < 1e-10
-    fixed, _ = fix_gauge(raw)
-    assert quasi_periodicity_residual(fixed.psi) < 1e-8
+    # n = 2 and 3 states: flux 2 pi n, constraints hold
+    for n in (2, 3):
+        raw = raw_lowest_level(shape_square, n, 48)
+        assert abs(raw_flux(raw) - 2 * np.pi * n) < 1e-10
+        fixed, _ = fix_gauge(raw)
+        assert quasi_periodicity_residual(fixed.psi) < 1e-8
+
+
+@pytest.mark.parametrize("tau", [1j, np.exp(1j * np.pi / 3), 0.3 + 1.2j],
+                         ids=["square", "triangular", "0.3+1.2i"])
+def test_fix_gauge_keeps_the_boundary_phases_of_n_quanta(tau):
+    shape, _ = normalize_tau(tau)
+    for N in (48, 64):
+        for n in (2, 3):
+            fixed, _ = fix_gauge(raw_lowest_level(shape, n, N))
+            assert quasi_periodicity_residual(fixed.psi) < 1e-13

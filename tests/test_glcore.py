@@ -4,7 +4,8 @@ import pytest
 from reference import (alpha_damped_fixed_point, alpha_equation_residual,
                        covariant_gradient, flux, gauge_transform_state,
                        helmholtz_project, min_nonzero_gsq, normal_state,
-                       residuals, solve_alpha, supercurrent, unit_field)
+                       output_samples, residuals, sample, solve_alpha,
+                       supercurrent, unit_field)
 from vortexlattice import bifurcation, glcore
 from vortexlattice.glcore import (GLParams, GLState, PeriodicVectorField,
                                   energy, map_F)
@@ -14,7 +15,7 @@ from vortexlattice.spectral import CellGrid
 
 @pytest.fixture(scope="module")
 def basis_sq(shape_square):
-    return LandauBasis(1, shape_square, 64, K_lev=16)
+    return LandauBasis(shape_square, 64, K_lev=16)
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +34,12 @@ def branch_state(branch_point):
 def branch_samples(branch_point):
     """The branch point's psi on its solve grid, by the ladder route."""
     basis, pt = branch_point
-    return glcore._coeff_samples(basis, pt.psi_coeffs, solve=True)
+    return glcore._coeff_samples(basis, pt.psi_coeffs)
 
 
 def random_coeffs(basis, rng, scale=0.05, levels=6):
-    d = np.zeros((basis.K_lev + 1, 1), complex)
-    d[:levels, 0] = scale * (rng.standard_normal(levels)
+    d = np.zeros(basis.K_lev + 1, complex)
+    d[:levels] = scale * (rng.standard_normal(levels)
                              + 1j * rng.standard_normal(levels))
     return d
 
@@ -47,13 +48,13 @@ def random_coeffs(basis, rng, scale=0.05, levels=6):
 # energy
 # ----------------------------------------------------------------------
 def test_normal_state_energy_exact(basis_sq):
-    st = normal_state(GLParams(kappa=1.0, n=1, lam=1.0), basis_sq)
+    st = normal_state(GLParams(kappa=1.0, n=1, lam=1.0), basis_sq.shape, basis_sq.N)
     assert energy(st) == pytest.approx(1.5, abs=1e-14)
 
 
 @pytest.mark.parametrize("kappa,lam", [(1.3, 0.8), (0.6, 2.0)])
 def test_normal_state_energy_formula(basis_sq, kappa, lam):
-    st = normal_state(GLParams(kappa=kappa, n=1, lam=lam), basis_sq)
+    st = normal_state(GLParams(kappa=kappa, n=1, lam=lam), basis_sq.shape, basis_sq.N)
     assert energy(st) == pytest.approx(kappa**2 / 2 + kappa**4 / lam**2, rel=1e-14)
 
 
@@ -97,19 +98,19 @@ def test_helmholtz_wrapper(basis_sq, rng):
 # solve_alpha
 # ----------------------------------------------------------------------
 def test_alpha_of_zero_field(basis_sq):
-    st = normal_state(GLParams(1.0, 1, 1.0), basis_sq)
+    st = normal_state(GLParams(1.0, 1, 1.0), basis_sq.shape, basis_sq.N)
     al = solve_alpha(st.psi, st.params)
     assert np.max(np.abs(al.values)) < 1e-15
 
 
 def test_alpha_leading_order(basis_sq):
     eps = 1e-3
-    d = np.zeros((17, 1), complex)
-    d[0, 0] = eps
+    d = np.zeros(17, complex)
+    d[0] = eps
     psi = field_from_coeffs(basis_sq, d)
     al = solve_alpha(psi, GLParams(1.0, 1, 1.0))
     curl = al.grid.curl(al.values)
-    target = 0.5 * eps**2 * (1.0 - np.abs(unit_field(basis_sq, 0, 0)) ** 2)
+    target = 0.5 * eps**2 * (1.0 - np.abs(unit_field(basis_sq, 0)) ** 2)
     assert np.max(np.abs(curl - target)) < 5 * eps**4
     assert abs(np.mean(curl)) < 1e-16
 
@@ -143,7 +144,7 @@ def test_alpha_pcg_on_an_odd_grid(branch_point, branch_state, scale):
     # half spectrum has no Nyquist column, and every column but the first
     # stands for itself and its mirror
     basis, pt = branch_point
-    psi = field_from_coeffs(LandauBasis(1, basis.shape, 45, K_lev=basis.K_lev),
+    psi = field_from_coeffs(LandauBasis(basis.shape, 45, K_lev=basis.K_lev),
                             scale * pt.psi_coeffs)
     ps = glcore._samples(psi)
     assert ps.grid.N == 45
@@ -197,9 +198,9 @@ def test_alpha_stall_is_reported(branch_point, monkeypatch):
 # residuals / map_F
 # ----------------------------------------------------------------------
 def test_residuals_normal_state(basis_sq):
-    st = normal_state(GLParams(1.0, 1, 1.0), basis_sq)
-    rpsi, ralpha = residuals(basis_sq, np.zeros((17, 1), complex), st.alpha, st.params)
-    assert norm_avg(basis_sq.synth(rpsi)) < 1e-15
+    st = normal_state(GLParams(1.0, 1, 1.0), basis_sq.shape, basis_sq.N)
+    rpsi, ralpha = residuals(basis_sq, np.zeros(17, complex), st.alpha, st.params)
+    assert norm_avg(sample(basis_sq, rpsi)) < 1e-15
     assert np.max(np.abs(ralpha)) < 1e-15
 
 
@@ -207,13 +208,13 @@ def test_residuals_theta_state(basis_sq):
     # (psi0, 0, lam = n): psi residual = kappa^2 |psi0|^2 psi0,
     # alpha residual = -Im(conj(psi0) grad psi0)
     kappa = 1.3
-    d = np.zeros((17, 1), complex)
-    d[0, 0] = 1.0
-    psi = basis_sq.synth(d)
+    d = np.zeros(17, complex)
+    d[0] = 1.0
+    psi = sample(basis_sq, d)
     rpsi, ralpha = residuals(
         basis_sq, d, glcore.PeriodicVectorField(np.zeros((2, 64, 64)), basis_sq.grid),
         GLParams(kappa, 1, 1.0))
-    psi0_d = unit_field(basis_sq, 0, 0, solve=True)
+    psi0_d = basis_sq.synth(d)
     cubic = basis_sq.project(kappa**2 * np.abs(psi0_d) ** 2 * psi0_d)
     assert np.max(np.abs(rpsi - cubic)) < 1e-12
     D1, D2 = covariant_gradient(basis_sq, d)
@@ -224,23 +225,23 @@ def test_residuals_theta_state(basis_sq):
 def test_branch_point_residuals_small(branch_point, branch_state):
     basis, pt = branch_point
     rpsi, ralpha = residuals(basis, pt.psi_coeffs, branch_state.alpha, branch_state.params)
-    assert norm_avg(basis.synth(rpsi)) / norm_avg(branch_state.psi.values) < 1e-8
+    assert norm_avg(sample(basis, rpsi)) / norm_avg(branch_state.psi.values) < 1e-8
     assert np.sqrt(np.mean(ralpha**2)) < 1e-10
 
 
 def test_map_F_zero_and_realness(basis_sq, rng):
-    F0 = map_F(basis_sq, np.zeros((17, 1), complex), 1.1, 1.0)
-    assert norm_avg(basis_sq.synth(F0)) == 0.0
+    F0 = map_F(basis_sq, np.zeros(17, complex), 1.1, 1.0)
+    assert norm_avg(sample(basis_sq, F0)) == 0.0
     d = random_coeffs(basis_sq, rng)
     F = map_F(basis_sq, d, 1.05, 1.3)
-    assert abs(complex(inner_avg(basis_sq.synth(d), basis_sq.synth(F))).imag) < 1e-10
+    assert abs(complex(inner_avg(sample(basis_sq, d), sample(basis_sq, F))).imag) < 1e-10
 
 
 def test_map_F_gauge_equivariance(basis_sq, rng):
     d = random_coeffs(basis_sq, rng)
     delta = 0.7
-    F = basis_sq.synth(map_F(basis_sq, d, 1.05, 1.3))
-    F_rot = basis_sq.synth(map_F(basis_sq, np.exp(1j * delta) * d, 1.05, 1.3))
+    F = sample(basis_sq, map_F(basis_sq, d, 1.05, 1.3))
+    F_rot = sample(basis_sq, map_F(basis_sq, np.exp(1j * delta) * d, 1.05, 1.3))
     assert np.max(np.abs(F_rot - np.exp(1j * delta) * F)) < 1e-10
 
 
@@ -248,7 +249,7 @@ def test_map_F_gauge_equivariance(basis_sq, rng):
 # flux / supercurrent
 # ----------------------------------------------------------------------
 def test_flux_background_only(basis_sq):
-    st = normal_state(GLParams(1.0, 1, 1.0), basis_sq)
+    st = normal_state(GLParams(1.0, 1, 1.0), basis_sq.shape, basis_sq.N)
     assert flux(st) == pytest.approx(2 * np.pi, abs=1e-12)
 
 
@@ -257,13 +258,12 @@ def test_flux_with_alpha(branch_state):
 
 
 def test_flux_multiquantum(shape_square):
-    basis3 = LandauBasis(3, shape_square, 48, K_lev=2)
-    st = normal_state(GLParams(1.0, 3, 3.0), basis3)
+    st = normal_state(GLParams(1.0, 3, 3.0), shape_square, 48)
     assert flux(st) == pytest.approx(6 * np.pi, abs=1e-12)
 
 
 def test_supercurrent_zero_field(basis_sq):
-    st = normal_state(GLParams(1.0, 1, 1.0), basis_sq)
+    st = normal_state(GLParams(1.0, 1, 1.0), basis_sq.shape, basis_sq.N)
     assert np.max(np.abs(supercurrent(st))) == 0.0
 
 
@@ -292,11 +292,11 @@ def test_M_strictly_positive(basis_sq):
 
 
 def test_kernel_ladder_and_sample_routes_agree(branch_point, branch_state):
-    # D psi from the ladder algebra (the coefficient table) against the
+    # D psi from the ladder algebra (the coefficient vector) against the
     # qp_derivatives grid route (its samples), on the same N grid
     basis, pt = branch_point
     alpha = branch_state.alpha.values
-    ladder = glcore._coeff_samples(basis, pt.psi_coeffs, solve=False)
+    ladder = output_samples(basis, pt.psi_coeffs)
     grid = glcore._samples(branch_state.psi)
     assert np.array_equal(grid.psi, ladder.psi)
     J_ladder = ladder.j0 - ladder.rho[None] * alpha
@@ -330,7 +330,7 @@ def test_energy_stationary_at_branch_point(branch_point, branch_state, rng):
     worst = 0.0
     for _ in range(20):
         dpsi = np.zeros_like(pt.psi_coeffs)
-        dpsi[:8, 0] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        dpsi[:8] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         dpsi /= np.linalg.norm(dpsi)
         dal = helmholtz_project(st.alpha.grid, rng.standard_normal((2, 64, 64)))
         dal /= np.sqrt(np.mean(dal[0] ** 2 + dal[1] ** 2))

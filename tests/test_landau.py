@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
 
-from reference import (LadderTerm, basis_evaluate, cell_average,
+from reference import (FullSpectrumGrid, LadderTerm, basis_evaluate, cell_average,
                        covariant_gradient, dense_tables, ladder_apply,
-                       landau_apply, magnetic_laplacian_fd, magnetic_shift,
-                       theta_extended, unit_field)
+                       landau_apply, lowest_level_field, magnetic_laplacian_fd,
+                       magnetic_shift, sample, theta_extended, unit_field)
 from vortexlattice import landau
 from vortexlattice.landau import (LandauBasis, QuasiPeriodicField,
                                   covariant_gradient_grid, field_from_coeffs,
                                   inner_avg, magnetic_shift_values, norm_avg,
                                   qp_derivatives, quasi_periodicity_residual,
-                                  theta_null_basis)
+                                  theta_field)
 from vortexlattice.lattice import normalize_tau
 
 # frozen oracle values from the independent lattice sum (test_abrikosov
@@ -27,58 +27,59 @@ BETA_TRI = 1.1595952669639285
 
 
 def theta_series(basis):
-    """The (n, tau, seeds c_0..c_{n-1}) record of a basis's lowest-level theta
-    series, and the truncation K = max |m| of its term range."""
-    theta = SimpleNamespace(n=basis.n, tau=complex(basis.shape.tau),
-                            c=np.ones(basis.n, dtype=complex))
+    """The (n, tau, seed c_0) record of a basis's lowest-level theta series,
+    and the truncation K = max |m| of its term range."""
+    theta = SimpleNamespace(n=1, tau=complex(basis.shape.tau), c=np.ones(1, dtype=complex))
     return theta, max(-basis._m_range[0], basis._m_range[1])
 
 
 def random_coeffs(basis, rng, levels=8, scale=1.0):
-    d = np.zeros((basis.K_lev + 1, basis.n), dtype=complex)
-    d[:levels] = scale * (rng.standard_normal((levels, basis.n))
-                          + 1j * rng.standard_normal((levels, basis.n)))
+    d = np.zeros(basis.K_lev + 1, dtype=complex)
+    d[:levels] = scale * (rng.standard_normal(levels) + 1j * rng.standard_normal(levels))
     return d
 
 
 def theta_table(shape, N):
-    """The basis of theta_null_basis(1, shape, N) and the coefficient table
-    of its field."""
-    basis = LandauBasis(1, shape, N, K_lev=4)
-    c = np.zeros((5, 1), complex)
-    c[0, 0] = 1.0
+    """The basis of theta_field(shape, N) and the coefficient vector of its
+    field."""
+    basis = LandauBasis(shape, N, K_lev=4)
+    c = np.zeros(5, complex)
+    c[0] = 1.0
     return basis, c
 
 
 # ----------------------------------------------------------------------
-# theta null basis
+# theta field
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("tau", [1j, np.exp(1j * np.pi / 3), 0.3 + 1.3j])
 def test_theta_field_is_annihilated(tau):
     shape, _ = normalize_tau(tau)
-    psi0 = theta_null_basis(1, shape, N=64)[0]
+    psi0 = theta_field(shape, N=64)
     assert landau.annihilator_residual(psi0) < 1e-10
     assert quasi_periodicity_residual(psi0) < 1e-12
     assert abs(cell_average(np.abs(psi0.values) ** 2) - 1.0) < 1e-13
 
 
 def test_theta_quartic_average_square(shape_square):
-    psi0 = theta_null_basis(1, shape_square, N=64)[0]
+    psi0 = theta_field(shape_square, N=64)
     assert abs(cell_average(np.abs(psi0.values) ** 4) - BETA_SQUARE) < 1e-10
 
 
-def test_theta_basis_n2_gram(shape_square):
-    fields = theta_null_basis(2, shape_square, N=64)
-    assert len(fields) == 2
-    G = np.array([[inner_avg(f.values, g.values) for g in fields] for f in fields])
-    assert np.max(np.abs(G - np.eye(2))) < 1e-12
-    assert np.linalg.cond(G) < 1.0001
-    for f in fields:
-        assert landau.annihilator_residual(f) < 1e-10
+def test_powers_of_the_theta_field_carry_n_flux_quanta():
+    # psi0^n lies in the lowest level of n flux quanta: the grid route's
+    # annihilator and boundary phases take a general n
+    for tau in (1j, np.exp(1j * np.pi / 3), 0.3 + 1.2j):
+        shape, _ = normalize_tau(tau)
+        for N in (48, 64):
+            for n in (2, 3):
+                f = lowest_level_field(shape, n, N)
+                assert landau.annihilator_residual(f) < 1e-13
+                assert quasi_periodicity_residual(f) < 1e-13
+                assert quasi_periodicity_residual(replace(f, n=n - 1)) > 0.1
 
 
 def test_theta_coeff_recursion(shape_generic):
-    basis = LandauBasis(1, shape_generic, 64, K_lev=0)
+    basis = LandauBasis(shape_generic, 64, K_lev=0)
     th, K = theta_series(basis)
     for k in (-3, 0, 2, 5):
         lhs = theta_extended(th, k + th.n)
@@ -90,23 +91,23 @@ def test_theta_coeff_recursion(shape_generic):
 
 
 def test_grid_refinement_converged(shape_tri):
-    v1 = cell_average(np.abs(theta_null_basis(1, shape_tri, N=64)[0].values) ** 4)
-    v2 = cell_average(np.abs(theta_null_basis(1, shape_tri, N=128)[0].values) ** 4)
+    v1 = cell_average(np.abs(theta_field(shape_tri, N=64).values) ** 4)
+    v2 = cell_average(np.abs(theta_field(shape_tri, N=128).values) ** 4)
     assert abs(v1 - v2) < 1e-12
 
 
 def test_basis_rejects_extreme_shapes():
     shape, _ = normalize_tau(25j)
     with pytest.raises(ValueError, match="tau2=25 above the supported 20"):
-        LandauBasis(1, shape, K_lev=0)
+        LandauBasis(shape, K_lev=0)
 
 
 def test_coarse_output_grid_matches_dense_tables(shape_square):
     # terms fold exactly into the bins of any output grid, so an N = 8 grid
     # (coarser than four times the theta truncation) samples the basis exactly
-    basis = LandauBasis(1, shape_square, 8, K_lev=0)
-    ref = dense_tables(basis, *basis.grid.x)[0, 0]
-    assert np.max(np.abs(basis.synth(np.ones((1, 1))) - ref)) < 1e-14
+    basis = LandauBasis(shape_square, 8, K_lev=0)
+    ref = dense_tables(basis, *basis.grid.x)[0]
+    assert np.max(np.abs(sample(basis, np.ones(1)) - ref)) < 1e-14
 
 
 # ----------------------------------------------------------------------
@@ -114,70 +115,64 @@ def test_coarse_output_grid_matches_dense_tables(shape_square):
 # ----------------------------------------------------------------------
 def test_lower_annihilates_ground_level(shape_square):
     basis, c = theta_table(shape_square, 48)
-    low = basis.synth(ladder_apply(basis, c, "lower"))
+    low = sample(basis, ladder_apply(basis, c, "lower"))
     assert norm_avg(low) < 1e-14
 
 
 def test_lower_raise_commutator(shape_generic):
     basis, c = theta_table(shape_generic, 48)
-    f = basis.synth(ladder_apply(basis, ladder_apply(basis, c, "raise"), "lower"))
-    assert np.max(np.abs(f - 2 * basis.synth(c))) < 1e-12
+    f = sample(basis, ladder_apply(basis, ladder_apply(basis, c, "raise"), "lower"))
+    assert np.max(np.abs(f - 2 * sample(basis, c))) < 1e-12
 
 
 def test_raise_norm_factor(shape_generic):
     basis, c = theta_table(shape_generic, 48)
-    up = basis.synth(ladder_apply(basis, c, "raise"))
+    up = sample(basis, ladder_apply(basis, c, "raise"))
     val = inner_avg(up, up)
     assert abs(val - 2.0) < 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 2, 7])
 def test_ladder_coefficient_identities(shape_square, k):
-    basis = LandauBasis(1, shape_square, 48, K_lev=12)
-    d = np.zeros((13, 1), complex)
-    d[k, 0] = 1.0
-    n = 1
+    basis = LandauBasis(shape_square, 48, K_lev=12)
+    d = np.zeros(13, complex)
+    d[k] = 1.0
     down_up = basis.lower_coeffs(basis.raise_coeffs(d))
-    assert abs(down_up[k, 0] - 2 * n * (k + 1)) < 1e-12
+    assert abs(down_up[k] - 2 * (k + 1)) < 1e-12
     up_down = basis.raise_coeffs(basis.lower_coeffs(d))
-    assert abs(up_down[k, 0] - 2 * n * k) < 1e-12
+    assert abs(up_down[k] - 2 * k) < 1e-12
 
 
 def test_ladder_adjointness(shape_generic, rng):
-    basis = LandauBasis(1, shape_generic, 64, K_lev=12)
+    basis = LandauBasis(shape_generic, 64, K_lev=12)
     f = random_coeffs(basis, rng)
     g = random_coeffs(basis, rng)
-    lhs = inner_avg(basis.synth(basis.lower_coeffs(f)), basis.synth(g))
-    rhs = inner_avg(basis.synth(f), basis.synth(basis.raise_coeffs(g)))
+    lhs = inner_avg(sample(basis, basis.lower_coeffs(f)), sample(basis, g))
+    rhs = inner_avg(sample(basis, f), sample(basis, basis.raise_coeffs(g)))
     assert abs(lhs - rhs) < 1e-12
 
 
 def test_explicit_raise_operator_matches_grid(shape_generic):
-    # -d1 + i d2 + (n/2)(x1 - i x2) applied through independent spectral
-    # derivatives reproduces the ladder action with factor sqrt(2n(k+1))
-    basis = LandauBasis(1, shape_generic, 64, K_lev=12)
+    # -d1 + i d2 + (1/2)(x1 - i x2) applied through independent spectral
+    # derivatives reproduces the ladder action with factor sqrt(2(k+1))
+    basis = LandauBasis(shape_generic, 64, K_lev=12)
     for k in (0, 4):
-        d = np.zeros((13, 1), complex)
-        d[k, 0] = 1.0
+        d = np.zeros(13, complex)
+        d[k] = 1.0
         f = field_from_coeffs(basis, d)
         D1, D2 = covariant_gradient_grid(f)
         raised = -(D1 - 1j * D2)
-        target = np.sqrt(2.0 * (k + 1)) * unit_field(basis, k + 1, 0)
+        target = np.sqrt(2.0 * (k + 1)) * unit_field(basis, k + 1)
         assert np.max(np.abs(raised - target)) < 1e-11
 
 
 def test_landau_apply_spectrum(shape_square):
     basis, c = theta_table(shape_square, 48)
-    assert np.max(np.abs(basis.synth(landau_apply(basis, c)) - basis.synth(c))) < 1e-12
-    basis2 = LandauBasis(2, shape_square, 64, K_lev=4)
-    d = np.zeros((5, 2), complex)
-    d[1, 0] = 1.0  # level-1 for n = 2: eigenvalue (2*1+1)*2 = 6
-    f = basis2.synth(d)
-    assert np.max(np.abs(basis2.synth(landau_apply(basis2, d)) - 6 * f)) < 1e-11
+    assert np.max(np.abs(sample(basis, landau_apply(basis, c)) - sample(basis, c))) < 1e-12
 
 
 def test_landau_equals_raise_lower_plus_n(shape_generic, rng):
-    basis = LandauBasis(1, shape_generic, 64, K_lev=12)
+    basis = LandauBasis(shape_generic, 64, K_lev=12)
     f = random_coeffs(basis, rng)
     via_ladder = basis.raise_coeffs(basis.lower_coeffs(f)) + f
     assert np.max(np.abs(basis.landau_coeffs(f) - via_ladder)) < 1e-12
@@ -194,28 +189,28 @@ def test_first_order_equation(shape_tri):
 def test_current_identity(shape_tri):
     # Im(conj(psi0) grad_A psi0) = -(1/2) curl* |psi0|^2
     basis, c = theta_table(shape_tri, 64)
-    psi0 = basis.synth(c)
+    psi0 = sample(basis, c)
     D1, D2 = covariant_gradient(basis, c)
     J = np.stack([np.imag(np.conj(psi0) * D1), np.imag(np.conj(psi0) * D2)])
-    target = -0.5 * basis.grid.curl_star(np.abs(psi0) ** 2)
+    target = -0.5 * FullSpectrumGrid(basis.grid.m, basis.N).curl_star(np.abs(psi0) ** 2)
     assert np.max(np.abs(J - target)) < 1e-10
 
 
 def test_dirichlet_form_identity(shape_generic, rng):
     # <f, L f> = |D1 f|^2 + |D2 f|^2 + n <f, f> offsets by the zero-point term
-    basis = LandauBasis(1, shape_generic, 64, K_lev=10)
+    basis = LandauBasis(shape_generic, 64, K_lev=10)
     f = random_coeffs(basis, rng)
     D1, D2 = covariant_gradient(basis, f)
-    lhs = inner_avg(basis.synth(f), basis.synth(basis.landau_coeffs(f)))
+    lhs = inner_avg(sample(basis, f), sample(basis, basis.landau_coeffs(f)))
     rhs = inner_avg(D1, D1) + inner_avg(D2, D2)
     assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
 
 def test_gradient_reconstructs_annihilator(shape_generic, rng):
-    basis = LandauBasis(1, shape_generic, 48, K_lev=10)
+    basis = LandauBasis(shape_generic, 48, K_lev=10)
     f = random_coeffs(basis, rng)
     D1, D2 = covariant_gradient(basis, f)
-    alpha_f = basis.synth(basis.lower_coeffs(f))
+    alpha_f = sample(basis, basis.lower_coeffs(f))
     assert np.max(np.abs(D1 + 1j * D2 - alpha_f)) < 1e-11
 
 
@@ -227,39 +222,39 @@ def test_cell_average_constant():
 
 
 def test_cell_average_rejects_quasiperiodic(shape_square):
-    psi0 = theta_null_basis(1, shape_square, N=32)[0]
+    psi0 = theta_field(shape_square, N=32)
     with pytest.raises(TypeError):
         cell_average(psi0)
 
 
 def test_qp_residual_detects_wrong_flux(shape_square):
-    psi0 = theta_null_basis(1, shape_square, N=64)[0]
+    psi0 = theta_field(shape_square, N=64)
     wrong = replace(psi0, n=2)
     assert quasi_periodicity_residual(wrong) > 0.1
 
 
 def test_qp_residual_detects_noise(shape_square, rng):
-    psi0 = theta_null_basis(1, shape_square, N=64)[0]
+    psi0 = theta_field(shape_square, N=64)
     eps = 1e-6
     noisy = replace(psi0, values=psi0.values + eps * rng.standard_normal((64, 64)))
     assert quasi_periodicity_residual(noisy) >= eps / 2
 
 
 def test_magnetic_shift_matches_closed_form(shape_generic):
-    basis = LandauBasis(1, shape_generic, 48, K_lev=0)
-    psi0 = theta_null_basis(1, shape_generic, N=48)[0]
+    basis = LandauBasis(shape_generic, 48, K_lev=0)
+    psi0 = theta_field(shape_generic, N=48)
     dy = (0.237, -0.411)
     shifted = magnetic_shift(psi0, dy)
     y1, y2 = basis.grid.y
     m = basis.geom.m_tau
     x1 = m[0, 0] * (y1 + dy[0]) + m[0, 1] * (y2 + dy[1])
     x2 = m[1, 0] * (y1 + dy[0]) + m[1, 1] * (y2 + dy[1])
-    direct = basis_evaluate(basis, 0, 0, x1, x2)
+    direct = basis_evaluate(basis, 0, x1, x2)
     assert np.max(np.abs(shifted.values - direct)) < 1e-11
 
 
 def test_magnetic_shift_by_lattice_vector(shape_generic):
-    psi0 = theta_null_basis(1, shape_generic, N=48)[0]
+    psi0 = theta_field(shape_generic, N=48)
     shifted = magnetic_shift(psi0, (1.0, 0.0))
     y1, y2 = psi0.grid.y
     assert np.max(np.abs(shifted.values - np.exp(1j * np.pi * y2) * psi0.values)) < 1e-11
@@ -303,14 +298,14 @@ def test_magnetic_shift_with_boundary_constants(shape_generic, dy):
     assert np.allclose(bc, (C1 + np.pi * dy[1], C2 - np.pi * dy[0]), rtol=0, atol=1e-15)
     y1, y2 = psi0.grid.y[0] + dy[0], psi0.grid.y[1] + dy[1]
     m = basis.geom.m_tau
-    direct = basis_evaluate(basis, 0, 0, m[0, 0] * y1 + m[0, 1] * y2,
+    direct = basis_evaluate(basis, 0, m[0, 0] * y1 + m[0, 1] * y2,
                             m[1, 0] * y1 + m[1, 1] * y2)
     assert np.max(np.abs(vals - np.exp(1j * (C1 * y1 + C2 * y2)) * direct)) < 1e-11
     shifted = QuasiPeriodicField(n=1, shape=psi0.shape, values=vals, bc_const=bc)
     assert quasi_periodicity_residual(shifted) < 1e-12
 
 def test_qp_derivatives_match_ladder_route(shape_generic, rng):
-    basis = LandauBasis(1, shape_generic, 64, K_lev=10)
+    basis = LandauBasis(shape_generic, 64, K_lev=10)
     f = random_coeffs(basis, rng)
     D1c, D2c = covariant_gradient(basis, f)
     D1g, D2g = covariant_gradient_grid(field_from_coeffs(basis, f))
@@ -321,69 +316,70 @@ def test_qp_derivatives_match_ladder_route(shape_generic, rng):
 # ----------------------------------------------------------------------
 # separable transform against the dense tables
 # ----------------------------------------------------------------------
-# the last case folds 34 theta terms into the 24 bins of the output grid and
-# the 32 of the solve grid, with the terms that share a bin both visible on
-# the cell at high levels
-TRANSFORM_CASES = [(1, 1j, 32, 8), (1, 0.3 + 1.2j, 48, 12), (2, 0.45 + 0.95j, 32, 4),
-                   (3, 1j, 24, 100)]
+# the last two cases fold the theta terms into fewer bins of the output
+# grid (16 terms into 12, 19 into 16), with the terms that share a bin both
+# visible on the cell at high levels; a case is named by the basis's flux
+# number, 1, and its (tau, N, K_lev)
+TRANSFORM_CASES = [pytest.param(tau, N, K_lev, id=f"1-{tau}-{N}-{K_lev}")
+                   for tau, N, K_lev in [(1j, 32, 8), (0.3 + 1.2j, 48, 12),
+                                         (0.45 + 0.95j, 12, 40), (1j, 16, 100)]]
 
 
-@pytest.mark.parametrize("n, tau, N, K_lev", TRANSFORM_CASES)
-def test_transform_matches_dense_tables(n, tau, N, K_lev, rng):
-    # synth on both grids and project against the term-by-term tables
-    basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
+def random_vector(rng, K_lev):
+    return rng.standard_normal(K_lev + 1) + 1j * rng.standard_normal(K_lev + 1)
+
+
+@pytest.mark.parametrize("tau, N, K_lev", TRANSFORM_CASES)
+def test_transform_matches_dense_tables(tau, N, K_lev, rng):
+    # field_from_coeffs on the output grid, synth and project on the solve
+    # grid, against the term-by-term tables
+    basis = LandauBasis(normalize_tau(tau)[0], N, K_lev=K_lev)
     G = basis.solve_N
     phi = dense_tables(basis, *basis.grid.x)
     phi_s = dense_tables(basis, *basis.solve_grid.x)
-    c = rng.standard_normal((K_lev + 1, n)) + 1j * rng.standard_normal((K_lev + 1, n))
+    c = random_vector(rng, K_lev)
     v = rng.standard_normal((G, G)) + 1j * rng.standard_normal((G, G))
-    for got, ref in ((basis.synth(c), np.tensordot(c, phi, axes=([0, 1], [0, 1]))),
-                     (basis.synth(c, solve=True),
-                      np.tensordot(c, phi_s, axes=([0, 1], [0, 1]))),
-                     (basis.project(v),
-                      np.einsum("kjxy,xy->kj", np.conj(phi_s), v) / v.size)):
+    for got, ref in ((sample(basis, c), np.tensordot(c, phi, axes=1)),
+                     (basis.synth(c), np.tensordot(c, phi_s, axes=1)),
+                     (basis.project(v), np.einsum("kxy,xy->k", np.conj(phi_s), v) / v.size)):
         assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("n, tau, N, K_lev", TRANSFORM_CASES)
-def test_project_is_the_adjoint_of_synth(n, tau, N, K_lev, rng):
-    basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
+@pytest.mark.parametrize("tau, N, K_lev", TRANSFORM_CASES)
+def test_project_is_the_adjoint_of_synth(tau, N, K_lev, rng):
+    basis = LandauBasis(normalize_tau(tau)[0], N, K_lev=K_lev)
     G = basis.solve_N
-    c = rng.standard_normal((K_lev + 1, n)) + 1j * rng.standard_normal((K_lev + 1, n))
+    c = random_vector(rng, K_lev)
     v = rng.standard_normal((G, G)) + 1j * rng.standard_normal((G, G))
-    lhs = inner_avg(basis.synth(c, solve=True), v)
+    lhs = inner_avg(basis.synth(c), v)
     rhs = np.vdot(c, basis.project(v))
     assert abs(lhs - rhs) < 1e-14 * abs(lhs)
 
 
-@pytest.mark.parametrize("n, tau, N, K_lev", TRANSFORM_CASES)
-def test_stacked_synth_is_the_stack_of_synths(n, tau, N, K_lev, rng):
-    # a stack of coefficient tables synthesizes to the same bits as each
-    # table alone, on both grids
-    basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
-    c = rng.standard_normal((3, K_lev + 1, n)) + 1j * rng.standard_normal((3, K_lev + 1, n))
-    for solve in (False, True):
-        assert np.array_equal(basis.synth(c, solve=solve),
-                              np.stack([basis.synth(t, solve=solve) for t in c]))
+@pytest.mark.parametrize("tau, N, K_lev", TRANSFORM_CASES)
+def test_stacked_synth_is_the_stack_of_synths(tau, N, K_lev, rng):
+    # a stack of coefficient vectors synthesizes to the same bits as each
+    # vector alone
+    basis = LandauBasis(normalize_tau(tau)[0], N, K_lev=K_lev)
+    c = rng.standard_normal((3, K_lev + 1)) + 1j * rng.standard_normal((3, K_lev + 1))
+    assert np.array_equal(basis.synth(c), np.stack([basis.synth(t) for t in c]))
 
 
-@pytest.mark.parametrize("n, tau, N, K_lev", [(1, 1j, 32, 8), (1, 0.3 + 1.2j, 48, 12),
-                                              (2, 0.45 + 0.95j, 32, 4)])
-def test_output_and_solve_grid_synth_match_dense_tables(n, tau, N, K_lev, rng):
+@pytest.mark.parametrize("tau, N, K_lev", TRANSFORM_CASES[:3])
+def test_output_and_solve_grid_synth_match_dense_tables(tau, N, K_lev, rng):
     # the output grid N and the solve grid are sampled by separate tables
-    basis = LandauBasis(n, normalize_tau(tau)[0], N, K_lev=K_lev)
-    c = rng.standard_normal((K_lev + 1, n)) + 1j * rng.standard_normal((K_lev + 1, n))
-    for got, grid in ((basis.synth(c), basis.grid),
-                      (basis.synth(c, solve=True), basis.solve_grid)):
-        ref = np.tensordot(c, dense_tables(basis, *grid.x), axes=([0, 1], [0, 1]))
+    basis = LandauBasis(normalize_tau(tau)[0], N, K_lev=K_lev)
+    c = random_vector(rng, K_lev)
+    for got, grid in ((sample(basis, c), basis.grid), (basis.synth(c), basis.solve_grid)):
+        ref = np.tensordot(c, dense_tables(basis, *grid.x), axes=1)
         assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 def test_basis_memory_is_bounded(shape_generic):
-    # profiles, carriers and mix of the solve grid and the N=128 output grid at
-    # K_lev=40; the dense (K_lev+1, n, 2N, 2N) table they replace held 43 MB
-    basis = LandauBasis(1, shape_generic, 128, K_lev=40)
-    basis.synth(np.zeros((41, 1), complex))
+    # profiles and carriers of the solve grid and the N=128 output grid at
+    # K_lev=40; the dense (K_lev+1, 2N, 2N) table they replace held 43 MB
+    basis = LandauBasis(shape_generic, 128, K_lev=40)
+    field_from_coeffs(basis, np.zeros(41, complex))
     held = sum(v.nbytes for v in vars(basis).values() if isinstance(v, np.ndarray))
     held += sum(a.nbytes for a in basis._output_table)
     assert held <= 6e6
@@ -403,7 +399,7 @@ def test_ladderterm_degree_invariant():
 
 
 def test_ladderterm_matches_hermite_tables(shape_generic):
-    basis = LandauBasis(1, shape_generic, 48, K_lev=6)
+    basis = LandauBasis(shape_generic, 48, K_lev=6)
     lev = 5
     x1, x2 = basis.grid.x
     vals = np.zeros_like(x1, dtype=complex)
@@ -414,7 +410,7 @@ def test_ladderterm_matches_hermite_tables(shape_generic):
             term = term.raised(1, basis.nu)
         vals += term.evaluate(1, basis.nu, x1, x2)
     vals /= math.sqrt(2.0**lev * math.factorial(lev))
-    ref = unit_field(basis, lev, 0)
+    ref = unit_field(basis, lev)
     scale = norm_avg(vals) / norm_avg(ref)
     assert np.max(np.abs(vals / scale - ref)) < 1e-11
 
@@ -441,13 +437,13 @@ def test_fd_chains_match_the_link_matrix(n, N):
     assert np.max(np.abs(landau.fd_spectrum(n, N) - np.sort(ref))) < 1e-12
 
 
-@given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=3))
+@given(st.integers(min_value=0, max_value=10))
 @settings(max_examples=30, deadline=None)
-def test_ladder_factors_property(k, n):
-    # raise-then-lower on level k multiplies by 2n(k+1); reverse by 2nk
+def test_ladder_factors_property(k):
+    # raise-then-lower on level k multiplies by 2(k+1); reverse by 2k
     shape, _ = normalize_tau(1j)
-    basis = LandauBasis(n, shape, 64, K_lev=12)
-    d = np.zeros((13, n), complex)
-    d[k, 0] = 1.0
-    assert abs(basis.lower_coeffs(basis.raise_coeffs(d))[k, 0] - 2 * n * (k + 1)) < 1e-12
-    assert abs(basis.raise_coeffs(basis.lower_coeffs(d))[k, 0] - 2 * n * k) < 1e-12
+    basis = LandauBasis(shape, 64, K_lev=12)
+    d = np.zeros(13, complex)
+    d[k] = 1.0
+    assert abs(basis.lower_coeffs(basis.raise_coeffs(d))[k] - 2 * (k + 1)) < 1e-12
+    assert abs(basis.raise_coeffs(basis.lower_coeffs(d))[k] - 2 * k) < 1e-12

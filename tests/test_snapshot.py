@@ -18,7 +18,7 @@ def state(shape_tri):
 
 
 def test_field_round_trip(tmp_path, shape_tri):
-    psi0 = landau.theta_null_basis(1, shape_tri, 32)[0]
+    psi0 = landau.theta_field(shape_tri, 32)
     path = tmp_path / "field.csv"
     snapshot.save_field(path, psi0)
     back = snapshot.load_field(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import FullSpectrumGrid, helmholtz_project, min_nonzero_gsq
+from reference import FullSpectrumGrid, cell_flux, helmholtz_project, min_nonzero_gsq
 from vortexlattice import bifurcation as bif
 from vortexlattice.spectral import CellGrid
 
@@ -10,6 +10,14 @@ from vortexlattice.spectral import CellGrid
 def grid():
     m = np.array([[2.5, 0.8], [0.0, 2.1]])
     return CellGrid(m, 48)
+
+
+def half_op(grid, name):
+    """The CellGrid operator an oracle name stands for; curl* of a scalar is
+    the kernel _curl_star_of on the scalar's half spectrum."""
+    if name == "curl_star":
+        return lambda f: grid._curl_star_of(grid._spectrum(f))
+    return getattr(grid, name)
 
 
 def trig_field(grid, rng, modes=3):
@@ -40,7 +48,7 @@ def test_curl_of_gradient_vanishes(grid, rng):
 
 def test_div_of_curl_star_vanishes(grid, rng):
     f = trig_field(grid, rng)
-    assert np.max(np.abs(grid.div(grid.curl_star(f)))) < 1e-11
+    assert np.max(np.abs(grid.div(half_op(grid, "curl_star")(f)))) < 1e-11
 
 
 def test_helmholtz_output_constraints(grid, rng):
@@ -152,7 +160,7 @@ def test_operators_match_full_spectrum_oracle(grid, rng, N, name):
     # random fields carry every mode, the Nyquist ones of an even grid too
     half, full = CellGrid(grid.m, N), FullSpectrumGrid(grid.m, N)
     args = op_args(name, rng.standard_normal((N, N)), rng.standard_normal((2, N, N)))
-    got, ref = getattr(half, name)(*args), getattr(full, name)(*args)
+    got, ref = half_op(half, name)(*args), getattr(full, name)(*args)
     assert got.shape == ref.shape and not np.iscomplexobj(got)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -184,7 +192,7 @@ def test_complex_fields_are_refused(grid, rng, name):
     v = np.stack([f, f])
     args = (f, 32) if name == "resample" else op_args(name, f, v)
     with pytest.raises(TypeError):
-        getattr(grid, name)(*args)
+        half_op(grid, name)(*args)
 
 
 @pytest.mark.parametrize("N", [128, 96])
@@ -196,4 +204,5 @@ def test_point_curl_matches_output_grid_curl(shape_generic, N):
     grid = setup.basis.grid
     curl_a = 1.0 + grid.curl(pt.alpha.values)
     assert abs(pt.max_curl_a - np.max(curl_a)) <= 1e-13 * abs(np.max(curl_a))
-    assert abs(grid.flux(1 + pt.curl_alpha) - grid.flux(curl_a)) <= 1e-13 * abs(grid.flux(curl_a))
+    flux = cell_flux(grid, curl_a)
+    assert abs(cell_flux(grid, 1 + pt.curl_alpha) - flux) <= 1e-13 * abs(flux)
