@@ -31,7 +31,7 @@ import numpy as np
 
 from .abrikosov import beta_of_basis, branch_slope
 from .glcore import (F_coeffs, GLParams, PeriodicVectorField, _alpha_fixed_point,
-                     _coeff_samples, _energy, _nonlinear, _PsiSamples, _shape_gradient)
+                     _coeff_samples, _nonlinear, _observables, _PsiSamples)
 from .landau import LandauBasis
 from .lattice import LatticeShape, SolverError
 
@@ -45,7 +45,8 @@ CURL_A1_SUP_N = 128    # fit_expansion reads the curl a1 error's sup on this gri
 
 
 class BranchSideError(SolverError, ValueError):
-    """Requested field on the side of kappa^2 excluded by the sign condition."""
+    """A field target, or a solved branch point, on the side of kappa^2 (of
+    lambda = 1) that the sign condition of the a-priori slope excludes."""
 
 
 @dataclass
@@ -221,16 +222,13 @@ class Branch:
     points: list[BranchPoint] = field(default_factory=list)
     extrapolated: bool = False
 
-    @property
-    def lam(self) -> np.ndarray:
-        return np.array([p.lam for p in self.points])
-
 
 def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
-    """The branch point psi = s psi0 + w.  Its scalars, curl alpha and shape
-    gradient are read from the w solve's final solve-grid samples and alpha;
-    only alpha is resampled, to the basis's N grid, which is the solve grid
-    unless the setup was built with an N."""
+    """The branch point psi = s psi0 + w.  Its scalars are read from the w
+    solve's final solve-grid samples and alpha, its energy, shape gradient,
+    alpha residual and curl alpha in one pass over them (_observables); only
+    alpha is resampled, to the basis's N grid, which is the solve grid unless
+    the setup was built with an N."""
     basis = setup.basis
     s, lam, ps = wres.s, wres.lam, wres.samples
     psi_c = wres.w.copy()
@@ -240,17 +238,15 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
     fco = F_coeffs(basis, psi_c, lam, wres.ncoef)
     res_psi = float(np.linalg.norm(fco)) / max(float(np.linalg.norm(psi_c)), 1e-300)
 
-    curl_alpha = ps.grid.curl(wres.alpha2)
-    params = GLParams(kappa=kappa, n=1, lam=lam)
+    energy, dE_dtau, residual_alpha, curl_alpha = _observables(
+        ps, wres.alpha2, GLParams(kappa=kappa, n=1, lam=lam))
     return BranchPoint(
         s=float(np.real(s)), lam=float(lam), b=float(kappa**2 / lam), psi_coeffs=psi_c,
-        alpha=alpha, energy=_energy(ps, wres.alpha2, params),
-        residual_psi=res_psi, residual_alpha=ps.alpha_residual_rms(wres.alpha2),
+        alpha=alpha, energy=energy, residual_psi=res_psi, residual_alpha=residual_alpha,
         curl_alpha=curl_alpha, max_curl_a=1.0 + float(np.max(curl_alpha)),
         min_abs_psi=float(np.min(np.abs(ps.psi))),
         coeff_tail=float(np.max(np.abs(psi_c[-1:])) / max(np.max(np.abs(psi_c)), 1e-300)),
-        grid_tail=ps.grid_tail(), dE_dtau=_shape_gradient(ps, wres.alpha2, params),
-        sweeps=wres.iterations,
+        grid_tail=ps.grid_tail(), dE_dtau=dE_dtau, sweeps=wres.iterations,
     )
 
 
@@ -292,9 +288,12 @@ def solve_branch(s_grid, kappa: float, shape: LatticeShape, K_lev: int = 40,
             branch.extrapolated = True
         lam0, start = _predict(s, done) if done else (1.0 + c_apriori * s * s, None)
         wres = solve_w(lam0, s, setup, kappa, start, _unknown="lam")
-        if (wres.lam - 1.0) * c_apriori <= 0 or wres.lam <= 0:
-            raise SolverError(f"branch point s={s:.6g} has lambda={wres.lam:.6g}: not "
-                              "positive, or on the side the sign condition excludes")
+        if wres.lam <= 0:
+            raise SolverError(f"branch point s={s:.6g} has lambda={wres.lam:.6g} <= 0")
+        if (wres.lam - 1.0) * c_apriori <= 0:
+            raise BranchSideError(
+                f"branch point s={s:.6g} has lambda={wres.lam:.6g} on the side of 1 "
+                f"the a-priori slope c={c_apriori:.6g} excludes: (lambda - 1) c <= 0")
         branch.points.append(_finish_point(wres, setup, kappa))
         wres.samples = None  # a prediction reads w, the pair, s and lambda; free the rest
         done = [*done[-1:], wres]

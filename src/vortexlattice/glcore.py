@@ -13,13 +13,16 @@ pair (alpha, phi hat) and restarts from a pair, so a warm start transforms
 only its residual; the w solve passes each sweep's pair to the next, and
 the branch predictor combines the pairs of solved points.
 
-Every solve, residual and energy reads psi, D psi (D = grad_{A0}), |psi|^2,
-j0 and the potential residual (M + |psi|^2) alpha - j0 from one kernel,
-_PsiSamples.  A Landau-level field (basis, coeffs), coeffs its vector of
-K_lev + 1 level coefficients, is sampled on the solve grid by
-_coeff_samples, D psi by the ladder algebra, for the nonlinearity, the
-alpha solve and every scalar of a branch point; a sampled field is read on
-its own grid by _samples.  F = (L - lambda) psi + N is F_coeffs.
+Every solve, residual and energy reads psi, D psi (D = grad_{A0}), |psi|^2
+and j0 from one kernel, _PsiSamples.  A Landau-level field (basis, coeffs),
+coeffs its vector of K_lev + 1 level coefficients, is sampled on the solve
+grid by _coeff_samples, D psi by the ladder algebra, for the nonlinearity,
+the alpha solve and every scalar of a branch point; a sampled field is read
+on its own grid by _samples.  F = (L - lambda) psi + N is F_coeffs.
+_observables is the one reader of a state's energy, shape gradient dE/dtau,
+potential residual (M + |psi|^2) alpha - j0 and curl alpha: one pass that
+forms the covariant gradient (grad_{A0} - i alpha) psi once and transforms
+curl alpha once, for energy(state) and for each branch point.
 """
 
 from __future__ import annotations
@@ -102,18 +105,6 @@ class _PsiSamples:
         """Im(conj(psi) grad_{A0} psi), the source of the potential equation."""
         return np.stack([np.imag(np.conj(self.psi) * self.d1),
                          np.imag(np.conj(self.psi) * self.d2)])
-
-    def covariant(self, alpha: np.ndarray) -> np.ndarray:
-        """(D1 psi, D2 psi) with D = grad_{A0 + alpha}, for alpha on this grid."""
-        return np.stack([self.d1, self.d2]) - 1j * alpha * self.psi
-
-    def alpha_residual(self, alpha: np.ndarray) -> np.ndarray:
-        """(M + |psi|^2) alpha - j0 for alpha sampled on this grid."""
-        return self.grid.curl_star_curl(alpha) + self.rho[None] * alpha - self.j0
-
-    def alpha_residual_rms(self, alpha: np.ndarray) -> float:
-        r = self.alpha_residual(alpha)
-        return float(np.sqrt(np.mean(r[0] ** 2 + r[1] ** 2)))
 
     def grid_tail(self) -> float:
         """Largest Fourier coefficient of |psi|^2 on the outer ring of the grid
@@ -201,23 +192,10 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
     return alpha, phi
 
 
-def nonlinear_coeffs(basis: LandauBasis, psi_coeffs: np.ndarray, kappa: float,
-                     alpha2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Landau coefficients of N(psi) = 2i alpha . grad_{A0} psi + |alpha|^2 psi
-    + kappa^2 |psi|^2 psi, products evaluated on the solve grid.
-
-    alpha2 is the potential on the solve grid; when it is None, alpha(psi)
-    is solved there first.  Returns the coefficients and the alpha2 used.
-    """
-    ps = _coeff_samples(basis, psi_coeffs)
-    if alpha2 is None:
-        alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)[0]
-    return _nonlinear(basis, ps, kappa, alpha2), alpha2
-
-
 def _nonlinear(basis: LandauBasis, ps: _PsiSamples, kappa: float,
                alpha2: np.ndarray) -> np.ndarray:
-    """nonlinear_coeffs() from the solve-grid samples of psi and alpha2."""
+    """Landau coefficients of N(psi) = 2i alpha . grad_{A0} psi + |alpha|^2 psi
+    + kappa^2 |psi|^2 psi from the solve-grid samples of psi and alpha2."""
     nl = (2j * (alpha2[0] * ps.d1 + alpha2[1] * ps.d2)
           + (alpha2[0] ** 2 + alpha2[1] ** 2) * ps.psi
           + kappa**2 * ps.rho * ps.psi)
@@ -232,34 +210,43 @@ def F_coeffs(basis: LandauBasis, coeffs: np.ndarray, lam: float,
 
 def map_F(basis: LandauBasis, coeffs: np.ndarray, lam: float, kappa: float) -> np.ndarray:
     """Landau coefficients of F(lambda, psi) with alpha = alpha(psi)."""
-    ncoef, _ = nonlinear_coeffs(basis, coeffs, kappa)
-    return F_coeffs(basis, coeffs, lam, ncoef)
+    ps = _coeff_samples(basis, coeffs)
+    alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)[0]
+    return F_coeffs(basis, coeffs, lam, _nonlinear(basis, ps, kappa, alpha2))
 
 
 def energy(state: GLState) -> float:
     """Average rescaled energy per cell of psi and alpha sampled on one grid."""
-    return _energy(_samples(state.psi), state.alpha.values, state.params)
+    return _observables(_samples(state.psi), state.alpha.values, state.params)[0]
 
 
-def _energy(ps: _PsiSamples, alpha: np.ndarray, p: GLParams) -> float:
-    """energy() from samples of psi and alpha on one grid, for callers that
-    hold them."""
-    cov = ps.covariant(alpha)
-    curl = p.n + ps.grid.curl(alpha)
-    dens = (np.abs(cov[0]) ** 2 + np.abs(cov[1]) ** 2 + curl ** 2
+def _observables(ps: _PsiSamples, alpha: np.ndarray, p: GLParams
+                 ) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """(energy, dE/dtau, alpha residual, curl alpha) of samples of psi and
+    alpha on one grid, from one covariant gradient D psi = (grad_{A0} - i
+    alpha) psi and one curl transform of alpha.
+
+    The energy is kappa^4/lambda^2 <|D psi|^2 + (n + curl alpha)^2 +
+    kappa^2/2 (|psi|^2 - lambda/kappa^2)^2>.  dE/dtau = d energy / d(Re tau,
+    Im tau) at fixed lambda: in logical coordinates A0 and the boundary phase
+    see m_tau only through its fixed determinant, so by the envelope theorem
+    (the GL virial identity) only the metric of |D psi|^2 moves: -2
+    kappa^4/lambda^2 tr(S_k T) with T_ij = <Re conj(D_i psi) D_j psi> and
+    S_k = (d_k m_tau) m_tau^{-1} = [[0, 1], [0, 0]] / tau2, diag(-1, 1) /
+    (2 tau2).  The alpha residual is the rms of (M + |psi|^2) alpha - j0,
+    M alpha = curl* curl alpha read from the same curl transform.
+    """
+    grid = ps.grid
+    cov = np.stack([ps.d1, ps.d2]) - 1j * alpha * ps.psi
+    cov2 = np.abs(cov) ** 2
+    curl_hat = grid._curl_hat(alpha)
+    curl = grid._field(curl_hat)
+    dens = (cov2[0] + cov2[1] + (p.n + curl) ** 2
             + 0.5 * p.kappa**2 * (ps.rho - p.lam / p.kappa**2) ** 2)
-    return float(p.kappa**4 / p.lam**2 * np.mean(dens))
-
-
-def _shape_gradient(ps: _PsiSamples, alpha: np.ndarray, p: GLParams) -> np.ndarray:
-    """d _energy / d(Re tau, Im tau) of a solution (psi, alpha), at fixed
-    lambda.  In logical coordinates A0 and the boundary phase see m_tau only
-    through its fixed determinant, so by the envelope theorem (the GL virial
-    identity) only the metric of |D psi|^2 moves: -2 kappa^4/lambda^2
-    tr(S_k T) with T_ij = <Re conj(D_i psi) D_j psi> and S_k = (d_k m_tau)
-    m_tau^{-1} = [[0, 1], [0, 0]] / tau2, diag(-1, 1) / (2 tau2)."""
-    cov = ps.covariant(alpha)
-    t11, t22 = np.mean(np.abs(cov) ** 2, axis=(1, 2))
+    t11, t22 = np.mean(cov2, axis=(1, 2))
     t12 = np.mean(np.real(np.conj(cov[0]) * cov[1]))
-    tau2 = ps.grid.m[1, 1] / ps.grid.m[0, 0]
-    return p.kappa**4 / (p.lam**2 * tau2) * np.array([-2 * t12, t11 - t22])
+    tau2 = grid.m[1, 1] / grid.m[0, 0]
+    r = grid._curl_star_of(curl_hat) + ps.rho[None] * alpha - ps.j0
+    return (float(p.kappa**4 / p.lam**2 * np.mean(dens)),
+            p.kappa**4 / (p.lam**2 * tau2) * np.array([-2 * t12, t11 - t22]),
+            float(np.sqrt(np.mean(r[0] ** 2 + r[1] ** 2))), curl)

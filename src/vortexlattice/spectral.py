@@ -117,9 +117,6 @@ class CellGrid:
         """Scalar curl d1 v2 - d2 v1."""
         return self._field(self._curl_hat(v))
 
-    def curl_star_curl(self, v: np.ndarray) -> np.ndarray:
-        return self._curl_star_of(self._curl_hat(v))
-
     def antiderivative(self, v: np.ndarray) -> np.ndarray:
         """The mean-zero periodic potential p of the gradient part of v: in
         the Helmholtz split v = <v> + grad p + curl* phi, grad p is the

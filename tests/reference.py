@@ -12,7 +12,11 @@ beta's term-by-term derivatives and of the branch energy's shape gradient.
 The effective energy e_lambda(v) checks the reduction's variational
 structure, the closed-form coefficients lambda1 and lambda2 of
 branch_coefficients the solved branch lambda(s), and residuals the
-equations a state solves.  FullSpectrumGrid
+equations a state solves.  alpha_residual, alpha_residual_rms and
+separate_energy read a point's alpha residual and energy by the separate
+operators (grid.curl, curl* of its own curl transform, the covariant
+gradient formed again), the route glcore._observables replaces with one
+pass.  FullSpectrumGrid
 keeps the CellGrid operators on the full fft2 spectrum, the oracle of the
 half-spectrum ones.  The N^2 x N^2 link matrix
 magnetic_laplacian_fd, in the symmetric gauge, is the oracle of the Harper
@@ -36,8 +40,8 @@ from vortexlattice.abrikosov import (beta_derivatives, beta_lattice_sum, beta_of
 from vortexlattice.bifurcation import solve_w
 from vortexlattice.glcore import (AlphaSolveError, F_coeffs, GLParams, GLState,
                                   PeriodicVectorField, _alpha_fixed_point,
-                                  _coeff_samples, _PsiSamples, _samples, energy,
-                                  nonlinear_coeffs)
+                                  _coeff_samples, _nonlinear, _PsiSamples, _samples,
+                                  energy)
 from vortexlattice.landau import (QuasiPeriodicField, _hermite_functions,
                                   covariant_gradient_grid, field_from_coeffs,
                                   magnetic_shift_values, theta_field)
@@ -319,9 +323,34 @@ def residuals(basis, coeffs, alpha, params):
     """(psi-equation residual coefficients, alpha-equation residual grid) of
     the state (basis, coeffs) with alpha on the basis's N grid."""
     a2 = alpha.grid.resample(alpha.values, basis.solve_N)
-    ncoef, _ = nonlinear_coeffs(basis, coeffs, params.kappa, alpha2=a2)
+    ncoef = _nonlinear(basis, _coeff_samples(basis, coeffs), params.kappa, a2)
     return (F_coeffs(basis, coeffs, params.lam, ncoef),
-            output_samples(basis, coeffs).alpha_residual(alpha.values))
+            alpha_residual(output_samples(basis, coeffs), alpha.values))
+
+
+def curl_star_curl(grid, v):
+    """M v = curl* curl v on the half spectrum of a CellGrid."""
+    return grid._curl_star_of(grid._curl_hat(v))
+
+
+def alpha_residual(ps, alpha):
+    """(M + |psi|^2) alpha - j0 for alpha sampled on the grid of ps."""
+    return curl_star_curl(ps.grid, alpha) + ps.rho[None] * alpha - ps.j0
+
+
+def alpha_residual_rms(ps, alpha):
+    r = alpha_residual(ps, alpha)
+    return float(np.sqrt(np.mean(r[0] ** 2 + r[1] ** 2)))
+
+
+def separate_energy(ps, alpha, p):
+    """The energy of samples of psi and alpha on one grid, with curl alpha
+    from grid.curl and |D psi|^2 summed component by component."""
+    cov = np.stack([ps.d1, ps.d2]) - 1j * alpha * ps.psi
+    curl = p.n + ps.grid.curl(alpha)
+    dens = (np.abs(cov[0]) ** 2 + np.abs(cov[1]) ** 2 + curl ** 2
+            + 0.5 * p.kappa**2 * (ps.rho - p.lam / p.kappa**2) ** 2)
+    return float(p.kappa**4 / p.lam**2 * np.mean(dens))
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +502,7 @@ def solve_alpha(psi, params):
 
 def alpha_equation_residual(psi, alpha):
     """l2 norm of (M + |psi|^2) alpha - Im(conj(psi) grad_{A0} psi)."""
-    return _samples(psi).alpha_residual_rms(alpha.values)
+    return alpha_residual_rms(_samples(psi), alpha.values)
 
 
 def cell_flux(grid, curl_a):

@@ -5,8 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
-from reference import (alpha_damped_fixed_point, branch_coefficients, cell_flux,
-                       effective_energy, helmholtz_project, w_coeffs, w_state)
+from reference import (alpha_damped_fixed_point, alpha_residual, alpha_residual_rms,
+                       branch_coefficients, cell_flux, effective_energy,
+                       helmholtz_project, separate_energy, w_coeffs, w_state)
 from vortexlattice import abrikosov, bifurcation as bif, glcore, landau
 from vortexlattice.landau import field_from_coeffs, inner_avg, norm_avg
 from vortexlattice.lattice import TAU_TRIANGULAR, SolverError, normalize_tau
@@ -167,7 +168,7 @@ def test_branch_residual_invariants(branch_sq):
 
 
 def test_branch_lambda_monotone(branch_sq):
-    assert np.all(np.diff(branch_sq.lam) > 0)
+    assert np.all(np.diff([p.lam for p in branch_sq.points]) > 0)
 
 
 def test_branch_labels_extrapolated_regime(shape_square, setup_sq):
@@ -212,6 +213,20 @@ def test_branch_by_field_first_order(shape_tri, setup_tri):
 def test_branch_by_field_refuses_wrong_side(shape_tri, setup_tri):
     with pytest.raises(bif.BranchSideError):
         bif.branch_by_field(2.05, KAPPA, shape_tri, setup=setup_tri)
+
+
+def test_branch_refuses_a_point_on_the_excluded_side(shape_square):
+    # kappa^2 = 0.05 on the square lattice: c < 0, and lambda dips to 0.981
+    # near s = 1.2 before the converged point at s = 1.8 crosses back to 1.0018
+    # (branch --kappa2 0.05 --s-max 3 --s-points 30)
+    kappa, setup = np.sqrt(0.05), bif.build_reduction(shape_square, K_lev=40)
+    with pytest.raises(bif.BranchSideError) as err:
+        bif.solve_branch(np.linspace(0.1, 3.0, 30), kappa, shape_square, setup=setup)
+    c = abrikosov.branch_slope(setup.beta, kappa)
+    assert c < 0
+    assert str(err.value) == (
+        f"branch point s=1.8 has lambda=1.00177 on the side of 1 the a-priori "
+        f"slope c={c:.6g} excludes: (lambda - 1) c <= 0")
 
 
 def test_negative_sign_regime():
@@ -385,7 +400,9 @@ def test_shifted_and_plain_maps_share_fixed_points(shape_generic):
     w = pt.psi_coeffs.copy()
     w[0] = 0.0
     # the resolvent reads the levels k >= 1 only, so N needs no Q of its own
-    qn = glcore.nonlinear_coeffs(basis, pt.psi_coeffs, KAPPA)[0]
+    ps = glcore._coeff_samples(basis, pt.psi_coeffs)
+    alpha2 = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)[0]
+    qn = glcore._nonlinear(basis, ps, KAPPA, alpha2)
     sigma = KAPPA**2 * pt.s**2
     plain = -basis.resolvent_coeffs(qn, pt.lam)
     shifted = -basis.resolvent_coeffs(qn - sigma * w, pt.lam - sigma)
@@ -413,7 +430,7 @@ def test_alpha_solves_the_second_sweep_of_a_far_target():
     ps = glcore._coeff_samples(basis, psi_c)
     assert ps.rho.max() > 10
     alpha = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, pair1)[0]
-    assert np.max(np.abs(helmholtz_project(ps.grid, ps.alpha_residual(alpha)))) <= 1e-10
+    assert np.max(np.abs(helmholtz_project(ps.grid, alpha_residual(ps, alpha)))) <= 1e-10
     ref = alpha_damped_fixed_point(ps.grid, ps.j0, ps.rho, tol=1e-12)
     assert np.max(np.abs(alpha - ref)) <= 1e-11
 
@@ -435,7 +452,8 @@ def test_field_points_count_their_sweeps(monkeypatch, tau, kappa2, b, N, K_lev):
 def test_finish_point_synthesizes_each_field_once(setup_sq, monkeypatch):
     # each field is synthesized once, in the w solve: the point reads psi,
     # D1 psi and D2 psi on the solve grid, shared by all its scalars, from
-    # the solve's last sweep, and synthesizes nothing itself
+    # the solve's last sweep, and synthesizes nothing itself; the one pass
+    # over them gives the bits of the separate operators
     wres = bif.solve_w(1.01, 0.05, setup_sq, KAPPA)
     calls = []
     synth = landau.LandauBasis.synth
@@ -445,7 +463,9 @@ def test_finish_point_synthesizes_each_field_once(setup_sq, monkeypatch):
     assert len(calls) == 0
     monkeypatch.undo()
     ps = glcore._coeff_samples(setup_sq.basis, w_coeffs(wres))
-    assert pt.energy == glcore._energy(ps, wres.alpha2, glcore.GLParams(KAPPA, 1, wres.lam))
+    assert pt.energy == separate_energy(ps, wres.alpha2, glcore.GLParams(KAPPA, 1, wres.lam))
+    assert pt.residual_alpha == alpha_residual_rms(ps, wres.alpha2)
+    assert np.array_equal(pt.curl_alpha, ps.grid.curl(wres.alpha2))
     assert pt.min_abs_psi == np.min(np.abs(ps.psi))
     # the grid route on the same samples reads the same energy
     state = w_state(setup_sq.basis, w_coeffs(wres), wres, KAPPA)
@@ -604,7 +624,7 @@ def test_K_lev_convergence(shape_square):
     cs = []
     for K_lev in (32, 40):
         br = bif.solve_branch([0.03, 0.05], KAPPA, shape_square, K_lev=K_lev)
-        cs.append(br.lam)
+        cs.append(np.array([p.lam for p in br.points]))
     assert np.max(np.abs(cs[0] - cs[1])) < 1e-8
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from reference import FullSpectrumGrid, cell_flux, helmholtz_project, min_nonzero_gsq
+from reference import (FullSpectrumGrid, cell_flux, curl_star_curl, helmholtz_project,
+                       min_nonzero_gsq)
 from vortexlattice import bifurcation as bif
 from vortexlattice.spectral import CellGrid
 
@@ -14,9 +15,12 @@ def grid():
 
 def half_op(grid, name):
     """The CellGrid operator an oracle name stands for; curl* of a scalar is
-    the kernel _curl_star_of on the scalar's half spectrum."""
+    the kernel _curl_star_of on the scalar's half spectrum, and curl* curl
+    that kernel on the half spectrum of the curl."""
     if name == "curl_star":
         return lambda f: grid._curl_star_of(grid._spectrum(f))
+    if name == "curl_star_curl":
+        return lambda v: curl_star_curl(grid, v)
     return getattr(grid, name)
 
 
