@@ -84,12 +84,6 @@ def beta_quadrature(shape: LatticeShape) -> float:
     return beta_of_basis(LandauBasis(shape, K_lev=0))
 
 
-def beta_of(tau: complex) -> float:
-    """Lattice-sum beta after reduction into the fundamental domain."""
-    shape, _ = normalize_tau(tau)
-    return beta_lattice_sum(shape)
-
-
 def canonical_tau(tau: complex) -> complex:
     """Reduced tau with boundary representatives within 1e-5 snapped to the
     canonical side (tau1 = +1/2 edge, Re tau >= 0 half of the arc)."""

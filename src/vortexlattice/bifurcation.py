@@ -13,10 +13,10 @@ single fixed point in (w, lambda) or (w, s), accelerated by Anderson
 mixing, with no fallback solver.  Branches are continued in s by a
 predictor from the reduction's own scaling: w = O(s^3), alpha = O(s^2) and
 lambda - 1 = O(s^2), so each point after the first starts from w / s^3,
-alpha / s^2 and (lambda - 1) / s^2 extrapolated linearly in s^2 through the
-last two solved points (Allgower and Georg, Numerical Continuation Methods,
-1990), and the w solve is the corrector.  gamma1(lambda, s) = gamma0 / s
-stays available as a diagnostic.
+alpha / s^2 and (lambda - 1) / s^2 extrapolated in s^2 by the quadratic
+through the last three solved points (Allgower and Georg, Numerical
+Continuation Methods, 1990), and the w solve is the corrector.
+gamma1(lambda, s) = gamma0 / s stays available as a diagnostic.
 
 Inner products and norms here are cell-averaged (plain L2 over the cell
 divided by its area); with that convention d(gamma1)/d(lambda) at (1, 0)
@@ -25,6 +25,7 @@ equals -<|psi0|^2> = -1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,20 +253,23 @@ def _finish_point(wres: WSolveResult, setup, kappa) -> BranchPoint:
 
 def _predict(s: float, done: list[WSolveResult]) -> tuple[float, tuple]:
     """Start (lambda, (w, (alpha2, phi2))) of the point s from done, the one
-    or two points solved last, oldest first.  Along the branch w / s^3, alpha / s^2, phi / s^2 and
-    (lambda - 1) / s^2 tend to limits at s = 0; each is extrapolated linearly
-    in s^2 through the last two points, and a single point, or two at the
-    same |s|, is held.  The line is written as weights on the points' own
-    values, so no small s is cubed."""
-    old, new = done[0], done[-1]
-    f = (0.0 if abs(old.s) == abs(new.s)
-         else (s - new.s) / (new.s - old.s) * (s + new.s) / (new.s + old.s))
+    to three points solved last, oldest first.  Along the branch w / s^3,
+    alpha / s^2, phi / s^2 and (lambda - 1) / s^2 tend to limits at s = 0;
+    each is extrapolated in s^2 by the polynomial through the points at
+    distinct |s| (a quadratic through three, a line through two), and a
+    single point is held.  The polynomial is written as Lagrange weights on
+    the points' own values, each difference of squares as (s - s_i)(s + s_i),
+    so no small s is cubed."""
+    pts = [p for i, p in enumerate(done)
+           if all(abs(p.s) != abs(q.s) for q in done[i + 1:])]
+    weights = [math.prod((s - q.s) / (p.s - q.s) * (s + q.s) / (p.s + q.s)
+                         for q in pts if q is not p) for p in pts]
 
-    def line(power, x_new, x_old):
-        return (1.0 + f) * (s / new.s) ** power * x_new - f * (s / old.s) ** power * x_old
-    return (1.0 + line(2, new.lam - 1.0, old.lam - 1.0),
-            (line(3, new.w, old.w),
-             (line(2, new.alpha2, old.alpha2), line(2, new.phi2, old.phi2))))
+    def poly(power, value):
+        return sum(c * (s / p.s) ** power * value(p) for c, p in zip(weights, pts))
+    return (1.0 + poly(2, lambda p: p.lam - 1.0),
+            (poly(3, lambda p: p.w),
+             (poly(2, lambda p: p.alpha2), poly(2, lambda p: p.phi2))))
 
 
 def solve_branch(s_grid, kappa: float, shape: LatticeShape, K_lev: int = 40,
@@ -296,7 +300,7 @@ def solve_branch(s_grid, kappa: float, shape: LatticeShape, K_lev: int = 40,
                 f"the a-priori slope c={c_apriori:.6g} excludes: (lambda - 1) c <= 0")
         branch.points.append(_finish_point(wres, setup, kappa))
         wres.samples = None  # a prediction reads w, the pair, s and lambda; free the rest
-        done = [*done[-1:], wres]
+        done = [*done[-2:], wres]
     return branch
 
 

@@ -145,10 +145,10 @@ def _alpha_fixed_point(grid: CellGrid, j0: np.ndarray, abspsi2: np.ndarray,
 
     phi is real, so its spectrum is Hermitian and the iteration runs on the
     rfft2 half spectrum (N, N//2 + 1) of grid.half_spectrum: curl* is one
-    irfft2 (grid._curl_star_of) and curl one rfft2 of the stacked pair
-    (grid._curl_hat), and inner products weight column 0 and an even grid's
-    Nyquist column by 1, the others by 2, which gives np.vdot of the full
-    spectra.  alpha, phi, r and p are updated in place.
+    inverse transform (grid._curl_star_of) and curl one forward transform
+    of the stacked pair (grid._curl_hat), and inner products weight column
+    0 and an even grid's Nyquist column by 1, the others by 2, which gives
+    np.vdot of the full spectra.  alpha, phi, r and p are updated in place.
     """
     _, dead, gsq, weights = grid.half_spectrum
     precond = np.where(dead, np.inf, gsq * (gsq + np.mean(abspsi2)))

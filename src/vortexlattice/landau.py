@@ -34,12 +34,13 @@ mode e^{2 pi i m y1} and a y2-only profile
     p_mk(y2) = (-i)^k e^{i pi tau1 m^2} e^{2 pi i m tau1 y2} h_k(x2 + m nu).
 
 Synthesis on a G x G grid contracts the profiles with the coefficients over
-k, adds each term m into the Fourier bin m mod G, runs one inverse FFT along
-y1 and multiplies by the carrier; projection is its exact adjoint.  The fold
-is exact on any grid.  synth samples and project reads on the solve grid,
-whose side is set from tau2 by _solve_grid_size, because on the lowest
-level the Fourier coefficient of |psi0|^2 at a reciprocal vector g is
-exp(-|g|^2 / 4), and on the logical grid the slowest direction has
+k, sums the terms m against the G x M wave matrix E[j, m] = exp(2 pi i m
+j / G), its phases reduced mod G exactly, and multiplies by the carrier:
+two matrix products, exact on any grid.  Projection is the exact adjoint,
+two products in reverse order.  synth samples and project reads on the
+solve grid, whose side is set from tau2 by _solve_grid_size, because on the
+lowest level the Fourier coefficient of |psi0|^2 at a reciprocal vector g
+is exp(-|g|^2 / 4), and on the logical grid the slowest direction has
 |g|^2 ~ 2 pi k^2 / tau2.  field_from_coeffs is the one route to a basis's
 output grid N, for a caller that needs a field on a finer grid, such as
 `verify gauge`.
@@ -109,11 +110,12 @@ class LandauBasis:
 
     Orthonormal in the cell-averaged inner product, so <|psi0|^2> = 1.  A
     field is its coefficient vector, of length K_lev + 1.  The basis stores
-    the (M, K_lev+1, solve_N) y2 profiles of the terms m of the theta series,
-    the carrier on the solve grid and the scalar that normalizes the seed,
-    all independent of N.  synth and project act on the solve grid; with an
-    N, field_from_coeffs builds the profiles and carrier of the N grid on
-    its first call there.
+    the y2 profiles of the M terms m of the theta series, (K_lev+1, M
+    solve_N), the (solve_N, M) wave matrix, the carrier on the solve grid
+    and the scalar that normalizes the seed, all independent of N.  synth
+    and project act on the solve grid; with an N, field_from_coeffs builds
+    the wave matrix, profiles and carrier of the N grid on its first call
+    there.
     """
 
     def __init__(self, shape: LatticeShape, N: int | None = None, K_lev: int = 32):
@@ -137,7 +139,7 @@ class LandauBasis:
         self._m_range = (int(np.floor(-(self.nu + reach) / self.nu)) - 1,
                          int(np.ceil(reach / self.nu)) + 1)
 
-        self._m, self._profiles, self._carrier = self._table(self.solve_N)
+        self._waves, self._profiles, self._carrier = self._table(self.solve_N)
         # the scale that gives the seed u_0 the cell average <|psi0|^2> = 1
         e0 = np.zeros(self.K_lev + 1, dtype=complex)
         e0[0] = 1.0
@@ -146,8 +148,9 @@ class LandauBasis:
 
     # ------------------------------------------------------------------
     def _table(self, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Terms m that reach the cell, their (M, K_lev+1, G) y2 profiles and
-        the G x G carrier, on the G grid."""
+        """The G x M wave matrix exp(2 pi i m y1) of the terms m that reach
+        the cell, their y2 profiles as a (K_lev+1, M G) matrix and the G x G
+        carrier, on the G grid."""
         tau1, m_tau = self.shape.tau1, self.geom.m_tau
         y = np.arange(G) / G
         x2 = m_tau[1, 1] * y
@@ -158,14 +161,15 @@ class LandauBasis:
         tilt = np.exp(1j * np.pi * tau1 * (m * m)[:, None]
                       + 2j * np.pi * tau1 * m[:, None] * y[None, :])
         kphase = (-1j) ** self.levels
-        h = _hermite_functions(t, self.K_lev).transpose(1, 0, 2)
+        h = _hermite_functions(t, self.K_lev)
         x1 = m_tau[0, 0] * y[:, None] + m_tau[0, 1] * y[None, :]
-        profiles = kphase[None, :, None] * h * tilt[:, None, :]
-        return m, profiles, np.exp(0.5j * x1 * x2[None, :])
+        profiles = (kphase[:, None, None] * h * tilt[None]).reshape(self.K_lev + 1, -1)
+        waves = np.exp(2j * np.pi / G * (np.arange(G)[:, None] * m[None, :] % G))
+        return waves, profiles, np.exp(0.5j * x1 * x2[None, :])
 
     @property
     def _solve_table(self):
-        return self._m, self._profiles, self._carrier
+        return self._waves, self._profiles, self._carrier
 
     @cached_property
     def _output_table(self):
@@ -173,17 +177,13 @@ class LandauBasis:
         return self._solve_table if self.N == self.solve_N else self._table(self.N)
 
     @staticmethod
-    def _raw_values(d: np.ndarray, m: np.ndarray, profiles: np.ndarray,
+    def _raw_values(d: np.ndarray, waves: np.ndarray, profiles: np.ndarray,
                     carrier: np.ndarray) -> np.ndarray:
         """Samples of sum_k d[k] u_k on the grid of the given table, for each
-        vector d[..., k] of a stack."""
-        G = carrier.shape[0]
-        prof = (d[..., None, None, :] @ profiles)[..., 0, :]
-        # exp(2 pi i m y1) depends on m mod G only: fold the terms into bins
-        bins = np.zeros((*d.shape[:-1], G, G), dtype=complex)
-        for c in range(0, len(m), G):
-            bins[..., m[c:c + G] % G, :] += prof[..., c:c + G, :]
-        return np.fft.ifft(bins, axis=-2, norm="forward") * carrier
+        vector d[..., k] of a stack; each vector is its own row product, so a
+        stack gives the bits of its vectors alone."""
+        prof = (d[..., None, :] @ profiles).reshape(*d.shape[:-1], waves.shape[1], -1)
+        return waves @ prof * carrier
 
     # ------------------------------------------------------------------
     # coefficient <-> grid
@@ -196,10 +196,10 @@ class LandauBasis:
     def project(self, values: np.ndarray) -> np.ndarray:
         """Landau coefficients of values sampled on the solve grid (the exact
         adjoint of synth in the cell-averaged inner product)."""
-        spec = np.fft.fft(values * np.conj(self._carrier), axis=0)
-        # conj(profiles) . spec, without a conjugated copy of the table
-        dm = np.conj(self._profiles @ np.conj(spec[self._m % self.solve_N])[:, :, None])[:, :, 0]
-        return dm.sum(axis=0) * self._norm / values.size
+        # conj(profiles) . (E^H (conj(carrier) values)), without a conjugated
+        # copy of the table
+        spec = self._waves.T @ (np.conj(values) * self._carrier)
+        return np.conj(self._profiles @ spec.ravel()) * self._norm / values.size
 
     # ------------------------------------------------------------------
     # exact ladder actions on coefficient vectors (length K_lev+1)

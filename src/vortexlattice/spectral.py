@@ -1,4 +1,4 @@
-"""FFT machinery on an oblique periodic cell.
+"""Fourier transforms and spectral operators on an oblique periodic cell.
 
 All fields live on an N x N grid of logical coordinates y in [0,1)^2,
 mapped to the cell by x = m @ y where the columns of m are the cell basis
@@ -6,7 +6,10 @@ vectors.  Periodic scalar/vector fields are differentiated spectrally;
 cartesian derivatives are obtained from the logical ones with the inverse
 transpose of m.  The fields are real: every operator works on their rfft2
 half spectrum (N, N//2 + 1), a vector field's two components in one stacked
-transform, and a complex field raises TypeError.
+transform, and a complex field raises TypeError.  On a grid of side up to
+DFT_MATRIX_MAX_N the transforms are products with DFT matrices built once per
+grid, which at that size cost less than numpy's FFT calls; above it numpy's
+FFT runs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 GRID_MIN_N = 4      # the smallest grid side a CellGrid takes
+# the largest grid side transformed by DFT matrices: a stacked (2, N, N)
+# rfft2/irfft2 pair costs less as matrix products up to N = 48 and more from
+# N = 56 (one BLAS thread, numpy 2 pocketfft)
+DFT_MATRIX_MAX_N = 48
 
 
 class HalfSpectrum(NamedTuple):
@@ -90,16 +97,49 @@ class CellGrid:
         weights = np.where(2 * np.arange(N // 2 + 1) % N == 0, 1.0, 2.0)
         return HalfSpectrum(1j * g, dead, np.where(dead, 1.0, gsq), weights)
 
+    @cached_property
+    def _dft(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """DFT matrices of the grid, C = N//2 + 1, the phases k j reduced mod
+        N exactly: the full W[k, j] = exp(-2 pi i k j / N) and its inverse
+        conj(W), the real (N, 2 C) rfft along the last axis, whose columns
+        2k, 2k+1 give the real and imaginary parts of bin k, and the real
+        (2 C, N) irfft of an interleaved half spectrum with the 1/N^2 of
+        irfft2, which reads column k with its inner-product weight and only
+        the real part of the self-mirrored columns 0 and N/2, as irfft
+        does."""
+        N, C = self.N, self.N // 2 + 1
+        j = np.arange(N)
+        full = np.exp(-2j * np.pi / N * (j[:, None] * j[None, :] % N))
+        half = full[:, :C]
+        rfft = np.stack([half.real, half.imag], axis=-1).reshape(N, 2 * C)
+        irfft = (self.half_spectrum.weights[:, None, None] / N**2
+                 * np.stack([half.real.T, half.imag.T], axis=1))
+        irfft[2 * np.arange(C) % N == 0, 1] = 0.0
+        return full, np.conj(full), rfft, irfft.reshape(2 * C, N)
+
     def _spectrum(self, f: np.ndarray) -> np.ndarray:
-        """rfft2 of a real field over its last two axes."""
+        """rfft2 of a real field over its last two axes.  By matrices, the
+        mean goes through its own bin: f - sum/N^2 is transformed and the sum
+        added at bin 0, so a constant field has no other bin."""
         if np.iscomplexobj(f):
             raise TypeError("CellGrid operators take real fields; transform the "
                             "real and imaginary parts separately")
-        return np.fft.rfft2(f)
+        if self.N > DFT_MATRIX_MAX_N:
+            return np.fft.rfft2(f)
+        full, _, rfft, _ = self._dft
+        total = np.add.reduce(f, axis=(-2, -1), keepdims=True)
+        fh = full @ ((f - total / self.N**2) @ rfft).view(complex)
+        fh[..., :1, :1] += total
+        return fh
 
     def _field(self, fh: np.ndarray) -> np.ndarray:
-        """The real field on this grid of a half spectrum."""
-        return np.fft.irfft2(fh, s=(self.N, self.N))
+        """The real field on this grid of a half spectrum.  By matrices, bin
+        0 alone gives an exact constant: its column of conj(W) is 1 and its
+        irfft row 1/N^2."""
+        if self.N > DFT_MATRIX_MAX_N:
+            return np.fft.irfft2(fh, s=(self.N, self.N))
+        _, inverse, _, irfft = self._dft
+        return (inverse @ fh).view(float) @ irfft
 
     # ------------------------------------------------------------------
     # scalar operations (input periodic on the cell)

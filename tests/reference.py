@@ -6,9 +6,10 @@ of glcore._alpha_fixed_point.  The dense Landau tables summed term by term
 (evaluate_raw) are the second oracle for the separable
 transform behind LandauBasis.synth/project, and the polynomial ladder
 carrier LadderTerm a third route to the higher levels.  Gradient descent on
-beta is the second route to its minimum.  The Richardson-refined central
-difference gradient and the central difference Hessian are the oracles of
-beta's term-by-term derivatives and of the branch energy's shape gradient.
+beta, read at any tau by beta_of, is the second route to its minimum.  The
+Richardson-refined central difference gradient and the central difference
+Hessian are the oracles of beta's term-by-term derivatives and of the
+branch energy's shape gradient.
 The effective energy e_lambda(v) checks the reduction's variational
 structure, the closed-form coefficients lambda1 and lambda2 of
 branch_coefficients the solved branch lambda(s), and residuals the
@@ -35,8 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from vortexlattice.abrikosov import (beta_derivatives, beta_lattice_sum, beta_of,
-                                     canonical_tau)
+from vortexlattice.abrikosov import beta_derivatives, beta_lattice_sum, canonical_tau
 from vortexlattice.bifurcation import solve_w
 from vortexlattice.glcore import (AlphaSolveError, F_coeffs, GLParams, GLState,
                                   PeriodicVectorField, _alpha_fixed_point,
@@ -228,6 +228,12 @@ def _central_hessian(f, tau: complex, h: float) -> np.ndarray:
     d12 = (f(tau + h + 1j * h) - f(tau + h - 1j * h)
            - f(tau - h + 1j * h) + f(tau - h - 1j * h)) / (4 * h**2)
     return np.array([[d11, d12], [d12, d22]])
+
+
+def beta_of(tau: complex) -> float:
+    """Lattice-sum beta after reduction into the fundamental domain."""
+    shape, _ = normalize_tau(tau)
+    return beta_lattice_sum(shape)
 
 
 def descend_beta(tau0: complex, step0: float = 0.1, tol: float = 1e-10,

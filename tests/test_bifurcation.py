@@ -1,6 +1,7 @@
 import gc
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -318,6 +319,23 @@ def test_predictor_on_wide_and_uneven_grids(tau, kappa2, s_grid):
         assert p.lam == pytest.approx(cold.lam, rel=1e-12, abs=0)
         assert p.energy == pytest.approx(cold.energy, rel=1e-12, abs=0)
         assert p.sweeps <= cold.sweeps
+
+
+@pytest.mark.parametrize("degree, s_done", [(2, [0.2, 0.3, 0.4]), (1, [0.3, 0.4])],
+                         ids=["quadratic", "line"])
+def test_predictor_is_exact_on_its_polynomial_in_s2(degree, s_done):
+    # three points predict a quadratic in s^2 of the scaled unknowns w / s^3,
+    # alpha / s^2, phi / s^2 and (lambda - 1) / s^2 exactly, two a line
+    def point(s):
+        q = np.polyval([0.7, -0.4, 1.3][2 - degree:], s * s)
+        return SimpleNamespace(s=s, lam=1.0 + s * s * q, w=s**3 * q * np.array([1.0, 2j]),
+                               alpha2=s * s * q * np.ones((2, 3, 3)),
+                               phi2=s * s * q * np.full((3, 2), 1 - 1j))
+    ref = point(0.5)
+    lam, (w, (alpha2, phi2)) = bif._predict(0.5, [point(s) for s in s_done])
+    assert lam == pytest.approx(ref.lam, rel=1e-14)
+    for got, want in ((w, ref.w), (alpha2, ref.alpha2), (phi2, ref.phi2)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_predictor_holds_a_point_at_the_same_abs_s(setup_sq):

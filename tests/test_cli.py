@@ -175,6 +175,24 @@ def test_commands_start_without_scipy(tmp_path, shape_generic):
     assert np.max(np.abs(np.array(vals) - target) / target) < 0.02
 
 
+def test_branch_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the solve-grid transforms are BLAS matrix products: a branch run at one
+    # and at two BLAS threads writes the same bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from vortexlattice import cli; "
+                        "sys.exit(cli.main(sys.argv[1:]))",
+                        "branch", "--tau", "0.3,1.2", "--outdir", str(out)],
+                       env=env, capture_output=True, timeout=300, check=True)
+        outputs.append((out / "branch.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_spectrum(tmp_path):
     assert run(["verify", "spectrum", "--N-fd", "48",
                 "--outdir", str(tmp_path)]) == 0

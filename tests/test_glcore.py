@@ -167,19 +167,19 @@ def test_alpha_pcg_warm_start(branch_point):
 
 def test_alpha_pcg_restarts_from_its_own_pair(branch_point, monkeypatch):
     # from its own converged (alpha, phi), PCG transforms the residual once
-    # (one rfft2, no irfft2) before its first iteration, which opens with an
-    # irfft2, and stops in that iteration with alpha where it started
+    # (one spectrum, no field) before its first iteration, which opens with a
+    # field transform, and stops in that iteration with alpha where it started
     ps = branch_samples(branch_point)
     pair = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)
     calls = []
-    for name in ("rfft2", "irfft2"):
-        fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name,
+    for name in ("_spectrum", "_field"):
+        fn = getattr(CellGrid, name)
+        monkeypatch.setattr(CellGrid, name,
                             lambda *a, _fn=fn, _name=name, **kw: calls.append(_name)
                             or _fn(*a, **kw))
     monkeypatch.setattr(glcore, "ALPHA_MAX_ITER", 1)
     alpha, phi = glcore._alpha_fixed_point(ps.grid, ps.j0, ps.rho, pair)
-    assert calls == ["rfft2", "irfft2", "rfft2"]
+    assert calls == ["_spectrum", "_field", "_spectrum"]
     assert np.max(np.abs(alpha - pair[0])) <= 1e-15
     assert np.max(np.abs(phi - pair[1])) <= 1e-15 * np.max(np.abs(pair[1]))
 

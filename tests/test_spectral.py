@@ -4,7 +4,7 @@ import pytest
 from reference import (FullSpectrumGrid, cell_flux, curl_star_curl, helmholtz_project,
                        min_nonzero_gsq)
 from vortexlattice import bifurcation as bif
-from vortexlattice.spectral import CellGrid
+from vortexlattice.spectral import DFT_MATRIX_MAX_N, GRID_MIN_N, CellGrid
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +210,47 @@ def test_point_curl_matches_output_grid_curl(shape_generic, N):
     assert abs(pt.max_curl_a - np.max(curl_a)) <= 1e-13 * abs(np.max(curl_a))
     flux = cell_flux(grid, curl_a)
     assert abs(cell_flux(grid, 1 + pt.curl_alpha) - flux) <= 1e-13 * abs(flux)
+
+
+# ----------------------------------------------------------------------
+# the transforms: DFT matrices up to DFT_MATRIX_MAX_N, numpy's FFT above
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("N", range(GRID_MIN_N, DFT_MATRIX_MAX_N + 1))
+def test_matrix_transforms_match_numpy_fft(rng, N):
+    # every side the matrices serve, odd and even, on single and stacked
+    # fields: within 1e-14 of rfft2 and irfft2, relative to the largest
+    # entry (1.1e-15 measured), and irfft2's reading of any half spectrum,
+    # whose self-mirrored columns count by their real part alone
+    grid = CellGrid(np.array([[1.3, 0.4], [0.0, 0.9]]), N)
+    for lead in ((), (2,)):
+        f = rng.standard_normal((*lead, N, N))
+        ref = np.fft.rfft2(f)
+        assert np.max(np.abs(grid._spectrum(f) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        fh = (rng.standard_normal((*lead, N, N // 2 + 1))
+              + 1j * rng.standard_normal((*lead, N, N // 2 + 1)))
+        ref = np.fft.irfft2(fh, s=(N, N))
+        assert np.max(np.abs(grid._field(fh) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # a constant (here with an exact sum) has exactly nothing off the mean
+    # bin, and the mean bin alone gives back an exact constant
+    fh = grid._spectrum(np.full((2, N, N), 0.75))
+    assert np.all(fh[:, 0, 0] == 0.75 * N * N)
+    fh[:, 0, 0] = 0.0
+    assert not fh.any()
+    fh[:, 0, 0] = 0.75 * N * N
+    f = grid._field(fh)
+    assert np.all(f == f[:, :1, :1]) and np.max(np.abs(f - 0.75)) <= 2e-16
+    # as in irfft2, the imaginary part of the self-mirrored columns 0 and
+    # N/2 (even N) counts for nothing
+    fh = np.zeros((2, N, N // 2 + 1), complex)
+    fh[0, 0, 0] = 1j
+    fh[1, 0, N // 2] = 1j if N % 2 == 0 else 0.0
+    assert not grid._field(fh).any() and not np.fft.irfft2(fh, s=(N, N)).any()
+
+
+@pytest.mark.parametrize("N", [DFT_MATRIX_MAX_N + 1, DFT_MATRIX_MAX_N + 2, 96])
+def test_grids_above_the_size_rule_keep_numpy_fft(rng, N):
+    grid = CellGrid(np.eye(2), N)
+    f = rng.standard_normal((2, N, N))
+    assert np.array_equal(grid._spectrum(f), np.fft.rfft2(f))
+    fh = np.fft.rfft2(f)
+    assert np.array_equal(grid._field(fh), np.fft.irfft2(fh, s=(N, N)))
