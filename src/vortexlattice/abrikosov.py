@@ -73,9 +73,7 @@ def beta_derivatives(tau: complex) -> tuple[np.ndarray, np.ndarray]:
 def beta_of_basis(basis: LandauBasis) -> float:
     """<|psi0|^4> / <|psi0|^2>^2 of the basis's lowest-level function psi0,
     by spectrally accurate quadrature on its solve grid (scale invariant)."""
-    c = np.zeros(basis.K_lev + 1, dtype=complex)
-    c[0] = 1.0
-    a2 = np.abs(basis.synth(c)) ** 2
+    a2 = np.abs(basis.psi0) ** 2
     return float(np.mean(a2**2) / np.mean(a2) ** 2)
 
 
@@ -241,7 +239,7 @@ def minimize_Eb_numeric(kappa: float, b: float, K_lev: int = 40):
     """Minimizer tau_b of the numerically computed branch energy E_b(tau).
 
     A fixed coarse scan of the fundamental domain (the EB_COARSE_GRID
-    5 x 4 grid up to Im tau = EB_TAU2_MAX = 1.4, plus e^{i pi/3}) followed
+    5 x 4 grid up to Im tau = EB_TAU2_MAX = 1.4) followed
     by at most EB_DESCENT_STEPS = 60 steps of _descend on each point's exact
     gradient (BranchPoint.dE_dtau, one solve a step), until |grad E_b| is
     1e-12 of the start's condensation energy E_b - (kappa^2/2 + b^2).  Step
@@ -252,7 +250,6 @@ def minimize_Eb_numeric(kappa: float, b: float, K_lev: int = 40):
     """
     point = _Eb_point(kappa, b, K_lev)
     pts = fundamental_domain_grid(*EB_COARSE_GRID, tau2_max=EB_TAU2_MAX)
-    pts.append(complex(TAU_TRIANGULAR))
     tau0 = min(pts, key=lambda t: point(t)[0])
     tau = _descend(point, tau0, kappa**2 / 2 + b**2, EB_DESCENT_STEPS)
     return tau, point(tau)[0]

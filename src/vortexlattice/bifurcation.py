@@ -16,11 +16,9 @@ lambda - 1 = O(s^2), so each point after the first starts from w / s^3,
 alpha / s^2 and (lambda - 1) / s^2 extrapolated in s^2 by the quadratic
 through the last three solved points (Allgower and Georg, Numerical
 Continuation Methods, 1990), and the w solve is the corrector.
-gamma1(lambda, s) = gamma0 / s stays available as a diagnostic.
 
 Inner products and norms here are cell-averaged (plain L2 over the cell
-divided by its area); with that convention d(gamma1)/d(lambda) at (1, 0)
-equals -<|psi0|^2> = -1.
+divided by its area), so <|psi0|^2> = 1.
 """
 
 from __future__ import annotations
@@ -77,33 +75,35 @@ class WSolveResult:
     ncoef: np.ndarray             # nonlinear term coefficients at the solution
     samples: _PsiSamples | None   # s psi0 + w and its derivatives on the solve grid
     iterations: int               # sweeps
-    residual: float               # |Q F(lambda, s psi0 + w)| (averaged norm)
     s: complex                    # psi0 amplitude at the solution
     lam: float                    # spectral parameter at the solution
 
 
 def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
-            start: tuple | None = None, *,
-            _unknown: str | None = None) -> WSolveResult:
-    """Solve the Q-projected equation for w = w(lambda, s psi0).
+            start: tuple | None = None, *, unknown: str) -> WSolveResult:
+    """Solve the Q-projected equation for w = w(lambda, s psi0) together with
+    the P-equation for unknown = "lam" (a branch point at the given s) or
+    "s" (a point at the field b = kappa^2 / lambda); the unknown's argument
+    is only a start.
 
     One sweep G maps w to -R(lambda - sigma) (Q N(s psi0 + w) - sigma w), R
     the resolvent on the levels k >= 1, which applies Q: the fixed points
     are those of -R(lambda) Q N, and the shift sigma = kappa^2 |s|^2, set
     from the starting s, moves the near-constant part kappa^2 |psi|^2 of N
     to the left, which keeps lambda - sigma away from the Landau levels on
-    far field targets.  With
-    _unknown = "lam" or "s" that argument is only a start, and each sweep
-    also re-solves the P-equation gamma1 = (1 - lambda) + Re <psi0, N> / s = 0
-    for it, so the result carries the branch value.  The fixed point of G is
-    found by Anderson mixing (type II, Walker & Ni 2011) on the packed vector
-    x = (Re w, Im w, unknown scalar), lambda weighted by |s|; it stops when
-    max |G(x) - x| < W_TOL max(|s|, 1e-6) and returns the mapped point G(x).
+    far field targets.  Each sweep also re-solves the P-equation
+    (1 - lambda) + Re <psi0, N> / s = 0 for the unknown, so the result
+    carries the branch value.  The fixed point of G is found by Anderson
+    mixing (type II, Walker & Ni 2011) on the packed vector x = (Re w, Im w,
+    unknown scalar), lambda weighted by |s|; it stops when max |G(x) - x| <
+    W_TOL max(|s|, 1e-6) and returns the mapped point G(x).
 
     The iteration starts at w = 0 with a cold potential solve, or at start =
     (w, (alpha2, phi2)), a predicted w and potential pair (_predict); each
     sweep's potential solve starts from the pair of the sweep before.
     """
+    if unknown not in ("lam", "s"):
+        raise ValueError(f"unknown must be 'lam' or 's', not {unknown!r}")
     basis = setup.basis
     if start is None:
         w, pair = np.zeros(basis.K_lev + 1, dtype=complex), None
@@ -113,7 +113,7 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         z = np.zeros_like(w)
         ps = _coeff_samples(basis, z)
         return WSolveResult(z, *_alpha_fixed_point(ps.grid, ps.j0, ps.rho, None), z,
-                            ps, 0, 0.0, s, lam)
+                            ps, 0, s, lam)
 
     sigma = kappa**2 * abs(s) ** 2
 
@@ -129,40 +129,32 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
     def p_solve(sc, lc, ncoef):
         """(s, lambda) with the unknown one re-solved from the P-equation."""
         n1 = float(np.real(ncoef[0] / sc))  # ~ c s^2 on the branch
-        if _unknown == "lam":
+        if unknown == "lam":
             return sc, 1.0 + n1
-        if _unknown == "s":
-            ratio = (lc - 1.0) / n1
-            if not ratio > 0:
-                raise SolverError(f"field target b={kappa**2 / lc:.6g} not reached: "
-                                  f"P-equation ratio (lambda_t - 1)/(Re<psi0, N>/s) = "
-                                  f"{ratio:.3e} <= 0 at s={sc:.6g}, lambda_t={lc:.6g}")
-            return sc * np.sqrt(ratio), lc
-        return sc, lc
+        ratio = (lc - 1.0) / n1
+        if not ratio > 0:
+            raise SolverError(f"field target b={kappa**2 / lc:.6g} not reached: "
+                              f"P-equation ratio (lambda_t - 1)/(Re<psi0, N>/s) = "
+                              f"{ratio:.3e} <= 0 at s={sc:.6g}, lambda_t={lc:.6g}")
+        return sc * np.sqrt(ratio), lc
 
     def finish(wc, sc, lc, pair, iterations):
-        # samples, alpha and N at the returned iterate, and the Q-residual there
+        # samples, alpha and N at the returned iterate, and lambda from its N
         _, pair, ncoef, ps = sweep(wc, sc, lc, pair)
-        if _unknown == "lam":
+        if unknown == "lam":
             lc = p_solve(sc, lc, ncoef)[1]
-        res = F_coeffs(basis, wc, lc, ncoef)
-        res[0] = 0.0
-        return WSolveResult(wc, *pair, ncoef, ps, iterations, float(np.linalg.norm(res)),
-                            sc, lc)
+        return WSolveResult(wc, *pair, ncoef, ps, iterations, sc, lc)
 
     # Anderson mixing acts on x = (Re w, Im w, unknown scalar), lambda
     # weighted by |s| as in the stop test
     m = 2 * w.size
 
     def pack(wc, sc, lc):
-        extra = {"lam": [abs(s) * lc], "s": [sc], None: []}[_unknown]
-        return np.append(wc.ravel().view(float), extra)
+        return np.append(wc.ravel().view(float), abs(s) * lc if unknown == "lam" else sc)
 
     def unpack(x):
-        wc = x[:m].view(complex).reshape(w.shape)
-        if _unknown == "lam":
-            return wc, s, x[m] / abs(s)
-        return (wc, x[m], lam) if _unknown == "s" else (wc, s, lam)
+        wc = x[:m].view(complex)
+        return (wc, s, x[m] / abs(s)) if unknown == "lam" else (wc, x[m], lam)
 
     x, fs, gs, step = pack(w, s, lam), [], [], np.inf
     for it in range(1, W_MAX_SWEEPS + 1):
@@ -181,16 +173,6 @@ def solve_w(lam: float, s: complex, setup: ReductionSetup, kappa: float,
         x = g - np.diff(gs, axis=0).T @ gamma
     raise SolverError(f"w fixed point did not converge in {it} sweeps "
                       f"(last step {step:.2e})")
-
-
-def gamma1(lam: float, s: complex, setup: ReductionSetup, kappa: float
-           ) -> tuple[complex, WSolveResult]:
-    """gamma1(lambda, s) = <psi0, F(lambda, s psi0 + w)> / s (limit 1-lambda at 0)."""
-    if s == 0:
-        return (1.0 - lam), solve_w(lam, 0.0, setup, kappa)
-    wres = solve_w(lam, s, setup, kappa)
-    gamma0 = (1.0 - lam) * s + wres.ncoef[0]
-    return gamma0 / s, wres
 
 
 @dataclass
@@ -285,13 +267,13 @@ def solve_branch(s_grid, kappa: float, shape: LatticeShape, K_lev: int = 40,
     done = []
     for s in np.sort(np.atleast_1d(np.asarray(s_grid, dtype=float))):
         if s == 0:
-            wres = solve_w(1.0, 0.0, setup, kappa)
+            wres = solve_w(1.0, 0.0, setup, kappa, unknown="lam")
             branch.points.append(_finish_point(wres, setup, kappa))
             continue
         if s > S_MAX_DEFAULT:
             branch.extrapolated = True
         lam0, start = _predict(s, done) if done else (1.0 + c_apriori * s * s, None)
-        wres = solve_w(lam0, s, setup, kappa, start, _unknown="lam")
+        wres = solve_w(lam0, s, setup, kappa, start, unknown="lam")
         if wres.lam <= 0:
             raise SolverError(f"branch point s={s:.6g} has lambda={wres.lam:.6g} <= 0")
         if (wres.lam - 1.0) * c_apriori <= 0:
@@ -313,14 +295,14 @@ def branch_by_field(b_target: float, kappa: float, shape: LatticeShape,
     c_apriori = branch_slope(setup.beta, kappa)
     lam_t = kappa**2 / b_target
     if b_target == kappa**2:
-        return _finish_point(solve_w(1.0, 0.0, setup, kappa), setup, kappa)
+        return _finish_point(solve_w(1.0, 0.0, setup, kappa, unknown="s"), setup, kappa)
     if (lam_t - 1.0) * c_apriori <= 0:
         side = "b <= kappa^2" if c_apriori >= 0 else "b > kappa^2"
         raise BranchSideError(
             f"no branch at b={b_target}: sign((kappa^2-1/2) beta + 1/2) = "
             f"{np.sign(c_apriori):+.0f} admits only {side}")
     s_est = float(np.sqrt((lam_t - 1.0) / c_apriori))
-    wres = solve_w(lam_t, s_est, setup, kappa, _unknown="s")
+    wres = solve_w(lam_t, s_est, setup, kappa, unknown="s")
     return _finish_point(wres, setup, kappa)
 
 
@@ -373,9 +355,7 @@ def fit_expansion(branch: Branch) -> ExpansionReport:
 
     # second-order potential from the smallest-s point
     p0 = pts[0]
-    c0 = np.zeros(basis.K_lev + 1, dtype=complex)
-    c0[0] = 1.0
-    err = p0.curl_alpha / p0.s**2 - 0.5 * (1.0 - np.abs(basis.synth(c0)) ** 2)
+    err = p0.curl_alpha / p0.s**2 - 0.5 * (1.0 - np.abs(basis.psi0) ** 2)
     curl_err = float(np.max(np.abs(basis.solve_grid.resample(err, CURL_A1_SUP_N))))
 
     # energy defect slope against the quartic prediction

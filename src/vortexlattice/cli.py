@@ -300,15 +300,14 @@ def verify_symmetry(cfg) -> list[dict]:
     psi, F, F_rot = basis.synth(np.stack([d, *Fc]))
     equiv = float(np.max(np.abs(F_rot - np.exp(1j * delta) * F)))
     realness = abs(complex(landau.inner_avg(psi, F)).imag)
-    s = 0.06
-    g, wres = bifurcation.gamma1(1.02, s, setup, kappa)
-    g_rot, wres_rot = bifurcation.gamma1(1.02, s * np.exp(1j * delta), setup, kappa)
+    # the branch point at s and at s e^{i delta}: w rotates with s, lambda stays
+    wres, wres_rot = (bifurcation.solve_w(1.02, z, setup, kappa, unknown="lam")
+                      for z in (0.06, 0.06 * np.exp(1j * delta)))
     w_equiv = float(np.max(np.abs(wres_rot.w - np.exp(1j * delta) * wres.w)))
-    g_equiv = abs(complex(g_rot) - complex(g))  # gamma1 = gamma0/s is phase-free
     return [_verdict("F gauge equivariance", equiv, 1e-10),
             _verdict("Im<psi, F(psi)>", realness, 1e-10),
             _verdict("w equivariance", w_equiv, 1e-10),
-            _verdict("gamma1 phase invariance", g_equiv, 1e-10)]
+            _verdict("lambda phase invariance", abs(wres_rot.lam - wres.lam), 1e-10)]
 
 
 def verify_asymptotics(cfg) -> list[dict]:

@@ -119,8 +119,7 @@ class _PsiSamples:
 def _coeff_samples(basis: LandauBasis, coeffs: np.ndarray) -> _PsiSamples:
     """Samples of a coefficient field on the solve grid, psi, D1 psi and
     D2 psi from one synthesis of the stacked vectors."""
-    psi, d1, d2 = basis.synth(np.stack([coeffs, basis.d1_coeffs(coeffs),
-                                        basis.d2_coeffs(coeffs)]))
+    psi, d1, d2 = basis.synth(basis.gradient_coeffs(coeffs))
     return _PsiSamples(psi, d1, d2, basis.solve_grid)
 
 

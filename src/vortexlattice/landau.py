@@ -111,11 +111,11 @@ class LandauBasis:
     Orthonormal in the cell-averaged inner product, so <|psi0|^2> = 1.  A
     field is its coefficient vector, of length K_lev + 1.  The basis stores
     the y2 profiles of the M terms m of the theta series, (K_lev+1, M
-    solve_N), the (solve_N, M) wave matrix, the carrier on the solve grid
-    and the scalar that normalizes the seed, all independent of N.  synth
-    and project act on the solve grid; with an N, field_from_coeffs builds
-    the wave matrix, profiles and carrier of the N grid on its first call
-    there.
+    solve_N), the (solve_N, M) wave matrix, the carrier on the solve grid,
+    the scalar that normalizes the seed and the samples psi0 of level 0 on
+    the solve grid, all independent of N.  synth and project act on the
+    solve grid; with an N, field_from_coeffs builds the wave matrix,
+    profiles and carrier of the N grid on its first call there.
     """
 
     def __init__(self, shape: LatticeShape, N: int | None = None, K_lev: int = 32):
@@ -130,6 +130,7 @@ class LandauBasis:
         self.solve_grid = CellGrid(self.geom.m_tau, self.solve_N)
         self.nu = float(np.sqrt(2 * np.pi * shape.tau2))
         self.levels = np.arange(self.K_lev + 1)
+        self._ladder = np.sqrt(2.0 * self.levels[1:])  # sqrt(2k), k = 1..K_lev
 
         # theta truncation: the terms m whose Hermite profile, centred at
         # x2 = -m nu, can reach the cell's x2 span [0, nu); _table keeps
@@ -145,6 +146,7 @@ class LandauBasis:
         e0[0] = 1.0
         u0 = self._raw_values(e0, *self._solve_table)
         self._norm = 1 / np.sqrt(inner_avg(u0, u0).real)
+        self.psi0 = self.synth(e0)
 
     # ------------------------------------------------------------------
     def _table(self, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,12 +208,12 @@ class LandauBasis:
     # ------------------------------------------------------------------
     def lower_coeffs(self, d: np.ndarray) -> np.ndarray:
         out = np.zeros_like(d)
-        out[:-1] = np.sqrt(2.0 * self.levels[1:]) * d[1:]
+        out[:-1] = self._ladder * d[1:]
         return out
 
     def raise_coeffs(self, d: np.ndarray) -> np.ndarray:
         out = np.zeros_like(d)
-        out[1:] = np.sqrt(2.0 * self.levels[1:]) * d[:-1]
+        out[1:] = self._ladder * d[:-1]
         return out
 
     def landau_coeffs(self, d: np.ndarray) -> np.ndarray:
@@ -226,11 +228,11 @@ class LandauBasis:
         out[1:] = d[1:] / eig[1:]
         return out
 
-    def d1_coeffs(self, d: np.ndarray) -> np.ndarray:
-        return 0.5 * (self.lower_coeffs(d) - self.raise_coeffs(d))
-
-    def d2_coeffs(self, d: np.ndarray) -> np.ndarray:
-        return (self.lower_coeffs(d) + self.raise_coeffs(d)) / 2j
+    def gradient_coeffs(self, d: np.ndarray) -> np.ndarray:
+        """The stack (d, D1 d, D2 d), D = grad_{A0} by the ladder: D1 = (a -
+        a*)/2 and D2 = (a + a*)/(2i) from one lowering and one raising."""
+        lowered, raised = self.lower_coeffs(d), self.raise_coeffs(d)
+        return np.stack([d, 0.5 * (lowered - raised), (lowered + raised) / 2j])
 
 
 # ----------------------------------------------------------------------

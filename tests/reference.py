@@ -10,8 +10,11 @@ beta, read at any tau by beta_of, is the second route to its minimum.  The
 Richardson-refined central difference gradient and the central difference
 Hessian are the oracles of beta's term-by-term derivatives and of the
 branch energy's shape gradient.
-The effective energy e_lambda(v) checks the reduction's variational
-structure, the closed-form coefficients lambda1 and lambda2 of
+plain_w, the reduction's own contraction w <- -R(lambda) Q N(s psi0 + w)
+at fixed lambda (cold potential solves, no shift, no mixing), is the
+oracle of the package's joint (w, lambda) and (w, s) solves; gamma1, whose
+zeros are the branch, and the effective energy e_lambda(v), which checks
+the reduction's variational structure, are built on it.  The closed-form coefficients lambda1 and lambda2 of
 branch_coefficients the solved branch lambda(s), and residuals the
 equations a state solves.  alpha_residual, alpha_residual_rms and
 separate_energy read a point's alpha residual and energy by the separate
@@ -37,7 +40,6 @@ from functools import cached_property
 import numpy as np
 
 from vortexlattice.abrikosov import beta_derivatives, beta_lattice_sum, canonical_tau
-from vortexlattice.bifurcation import solve_w
 from vortexlattice.glcore import (AlphaSolveError, F_coeffs, GLParams, GLState,
                                   PeriodicVectorField, _alpha_fixed_point,
                                   _coeff_samples, _nonlinear, _PsiSamples, _samples,
@@ -45,7 +47,7 @@ from vortexlattice.glcore import (AlphaSolveError, F_coeffs, GLParams, GLState,
 from vortexlattice.landau import (QuasiPeriodicField, _hermite_functions,
                                   covariant_gradient_grid, field_from_coeffs,
                                   magnetic_shift_values, theta_field)
-from vortexlattice.lattice import normalize_tau
+from vortexlattice.lattice import SolverError, normalize_tau
 from vortexlattice.spectral import CellGrid
 
 
@@ -278,7 +280,7 @@ def descend_beta(tau0: complex, step0: float = 0.1, tol: float = 1e-10,
 
 
 def w_coeffs(wres):
-    """The coefficient vector of psi = s psi0 + w of a w solve."""
+    """The coefficient vector of psi = s psi0 + w of a w solve (or plain_w)."""
     psi_c = wres.w.copy()
     psi_c[0] += wres.s
     return psi_c
@@ -292,9 +294,57 @@ def w_state(basis, coeffs, wres, kappa):
                    params=GLParams(kappa=kappa, n=1, lam=wres.lam))
 
 
+@dataclass
+class PlainW:
+    """w(lambda, s) of the plain contraction, with the potential and the
+    nonlinear coefficients at it."""
+
+    w: np.ndarray
+    alpha2: np.ndarray
+    ncoef: np.ndarray
+    s: complex
+    lam: float
+    iterations: int
+
+
+def plain_w(lam, s, setup, kappa, tol=1e-15, max_iter=60):
+    """w(lambda, s) at fixed lambda by the reduction's own contraction
+    w <- -R(lambda) Q N(s psi0 + w) from w = 0: every potential solved cold,
+    no shift and no mixing.  Stops at the first iterate w with max
+    |G(w) - w| <= tol |s|, and returns it with the alpha and N at it;
+    SolverError at the first step that does not shrink, or after max_iter."""
+    basis = setup.basis
+    w, last = np.zeros(basis.K_lev + 1, dtype=complex), np.inf
+    for it in range(1, max_iter + 1):
+        psi_c = w.copy()
+        psi_c[0] += s
+        ps = _coeff_samples(basis, psi_c)
+        alpha2 = _alpha_fixed_point(ps.grid, ps.j0, ps.rho, None)[0]
+        ncoef = _nonlinear(basis, ps, kappa, alpha2)
+        w_new = -basis.resolvent_coeffs(ncoef, lam)
+        step = np.max(np.abs(w_new - w))
+        if step <= tol * abs(s):
+            return PlainW(w, alpha2, ncoef, s, lam, it)
+        if not step < last:
+            break
+        w, last = w_new, step
+    raise SolverError(f"plain w iteration at lambda={lam}, s={s} did not converge: "
+                      f"step {step:.2e} at sweep {it}")
+
+
+def gamma1(lam, s, setup, kappa):
+    """gamma1(lambda, s) = <psi0, F(lambda, s psi0 + w(lambda, s))> / s, the
+    scalar whose zeros are the branch, with w from plain_w; 1 - lambda at
+    s = 0."""
+    if s == 0:
+        return 1.0 - lam
+    return (1.0 - lam) + plain_w(lam, s, setup, kappa).ncoef[0] / s
+
+
 def effective_energy(lam, v, setup, kappa):
-    """e_lambda(v) = E_lambda(v psi0 + w(lambda, v)); gauge invariant in arg v."""
-    wres = solve_w(lam, v, setup, kappa)
+    """e_lambda(v) = E_lambda(v psi0 + w(lambda, v)), w from plain_w; gauge
+    invariant in arg v."""
+    wres = plain_w(lam, v, setup, kappa)
     return energy(w_state(setup.basis, w_coeffs(wres), wres, kappa))
 
 
@@ -365,8 +415,7 @@ def separate_energy(ps, alpha, p):
 def output_samples(basis, coeffs):
     """psi, D1 psi and D2 psi of a coefficient vector on the basis's N grid,
     D psi by the ladder route, each sampled by field_from_coeffs."""
-    psi, d1, d2 = (field_from_coeffs(basis, c).values
-                   for c in (coeffs, basis.d1_coeffs(coeffs), basis.d2_coeffs(coeffs)))
+    psi, d1, d2 = (field_from_coeffs(basis, c).values for c in basis.gradient_coeffs(coeffs))
     return _PsiSamples(psi, d1, d2, basis.grid)
 
 
@@ -553,8 +602,8 @@ def padded_coeffs(basis, coeffs):
 def covariant_gradient(basis, coeffs):
     """Samples of (D1 f, D2 f) on the basis's N grid, with
     D1 = (alpha - alpha*)/2, D2 = (alpha + alpha*)/(2i): the ladder route."""
-    d = padded_coeffs(basis, coeffs)
-    return sample(basis, basis.d1_coeffs(d)), sample(basis, basis.d2_coeffs(d))
+    _, d1, d2 = basis.gradient_coeffs(padded_coeffs(basis, coeffs))
+    return sample(basis, d1), sample(basis, d2)
 
 
 def ladder_apply(basis, coeffs, direction):

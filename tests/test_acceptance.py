@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from reference import (FullSpectrumGrid, cell_flux, covariant_gradient, descend_beta,
-                       unit_field)
+                       gamma1, plain_w, unit_field)
 from vortexlattice import abrikosov as abr
 from vortexlattice import bifurcation as bif
 from vortexlattice import gauge, glcore, landau
@@ -266,14 +266,20 @@ def test_criterion_09_symmetry_suite(shape_sq, rng):
         delta = rng.uniform(0.2, 2 * np.pi - 0.2)
         s = rng.uniform(0.02, 0.08)
         lam = 1 + rng.uniform(-0.01, 0.03)
-        r1 = bif.solve_w(lam, s, setup, KAPPA)
-        r2 = bif.solve_w(lam, s * np.exp(1j * delta), setup, KAPPA)
+        # w(lambda, s) and gamma1 at fixed lambda by the plain contraction
+        # (the oracle), and the package's branch point at s
+        r1 = plain_w(lam, s, setup, KAPPA)
+        r2 = plain_w(lam, s * np.exp(1j * delta), setup, KAPPA)
         worst = max(worst, float(np.max(np.abs(r2.w - np.exp(1j * delta) * r1.w))))
-        g1, _ = bif.gamma1(lam, s, setup, KAPPA)
-        g2, _ = bif.gamma1(lam, s * np.exp(1j * delta), setup, KAPPA)
+        g1 = gamma1(lam, s, setup, KAPPA)
+        g2 = gamma1(lam, s * np.exp(1j * delta), setup, KAPPA)
         worst = max(worst, abs(complex(g2) - complex(g1)))
+        b1 = bif.solve_w(lam, s, setup, KAPPA, unknown="lam")
+        b2 = bif.solve_w(lam, s * np.exp(1j * delta), setup, KAPPA, unknown="lam")
+        worst = max(worst, float(np.max(np.abs(b2.w - np.exp(1j * delta) * b1.w))),
+                    abs(b2.lam - b1.lam))
     ok = worst < 1e-10
-    report(9, ok, f"F / w / gamma equivariance and realness on randomized "
+    report(9, ok, f"F / w / gamma / lambda equivariance and realness on randomized "
            f"inputs: worst deviation {worst:.1e}")
     assert worst < 1e-10
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from reference import (alpha_damped_fixed_point, alpha_residual, alpha_residual_rms,
-                       branch_coefficients, cell_flux, effective_energy,
-                       helmholtz_project, separate_energy, w_coeffs, w_state)
+                       branch_coefficients, cell_flux, effective_energy, gamma1,
+                       helmholtz_project, plain_w, separate_energy, w_coeffs, w_state)
 from vortexlattice import abrikosov, bifurcation as bif, glcore, landau
 from vortexlattice.landau import field_from_coeffs, inner_avg, norm_avg
 from vortexlattice.lattice import TAU_TRIANGULAR, SolverError, normalize_tau
@@ -48,9 +48,10 @@ def test_resolvent_leaves_level_zero_at_zero(setup_sq):
 
 
 def test_solved_w_has_no_psi0_component(setup_sq, branch_sq):
-    for unknown in (None, "lam"):
-        wres = bif.solve_w(1.02, 0.06, setup_sq, KAPPA, _unknown=unknown)
+    for unknown in ("lam", "s"):
+        wres = bif.solve_w(1.02, 0.06, setup_sq, KAPPA, unknown=unknown)
         assert wres.w[0] == 0.0
+    assert plain_w(1.02, 0.06, setup_sq, KAPPA).w[0] == 0.0
     # a branch point's psi0 coefficient is its s alone
     for p in branch_sq.points:
         assert p.psi_coeffs[0] == p.s
@@ -87,14 +88,25 @@ def test_resolvent_rejects_spectrum_collision(setup_sq):
 # w solve
 # ----------------------------------------------------------------------
 def test_w_vanishes_at_zero(setup_sq):
-    res = bif.solve_w(1.0, 0.0, setup_sq, KAPPA)
-    assert np.max(np.abs(res.w)) == 0.0
+    for unknown in ("lam", "s"):
+        res = bif.solve_w(1.0, 0.0, setup_sq, KAPPA, unknown=unknown)
+        assert np.max(np.abs(res.w)) == 0.0
 
 
+def test_w_solve_takes_one_of_two_unknowns(setup_sq):
+    with pytest.raises(TypeError):
+        bif.solve_w(1.02, 0.06, setup_sq, KAPPA)
+    with pytest.raises(ValueError, match="'lam' or 's'"):
+        bif.solve_w(1.02, 0.06, setup_sq, KAPPA, unknown=None)
+
+
+# the fixed-lambda w and gamma1 of the reduction, read by the plain
+# contraction of tests/reference.py (plain_w), the oracle of the package's
+# joint solves
 def test_w_equivariance(setup_sq):
     delta = 0.9
-    r1 = bif.solve_w(1.01, 0.05, setup_sq, KAPPA)
-    r2 = bif.solve_w(1.01, 0.05 * np.exp(1j * delta), setup_sq, KAPPA)
+    r1 = plain_w(1.01, 0.05, setup_sq, KAPPA)
+    r2 = plain_w(1.01, 0.05 * np.exp(1j * delta), setup_sq, KAPPA)
     assert np.max(np.abs(r2.w - np.exp(1j * delta) * r1.w)) < 1e-10
 
 
@@ -102,29 +114,28 @@ def test_w_quadratic_smallness(setup_sq):
     ss = np.array([0.01, 0.02, 0.04, 0.07, 0.1])
     norms = []
     for s in ss:
-        res = bif.solve_w(1.0, s, setup_sq, KAPPA)
+        res = plain_w(1.0, s, setup_sq, KAPPA)
         norms.append(np.linalg.norm(res.w))
     slope = np.polyfit(np.log(ss), np.log(norms), 1)[0]
     assert slope >= 2.0 - 0.1
 
 
 def test_w_residual_below_tolerance(setup_sq):
-    res = bif.solve_w(1.02, 0.08, setup_sq, KAPPA)
-    assert res.residual < 1e-10
+    # the Q part of F at the returned w, with the N the solve returns there
+    for unknown in ("lam", "s"):
+        res = bif.solve_w(1.02, 0.08, setup_sq, KAPPA, unknown=unknown)
+        fco = glcore.F_coeffs(setup_sq.basis, w_coeffs(res), res.lam, res.ncoef)
+        assert np.linalg.norm(fco[1:]) < 1e-10
 
 
-# ----------------------------------------------------------------------
-# gamma1
-# ----------------------------------------------------------------------
 def test_gamma1_at_origin(setup_sq):
-    g, _ = bif.gamma1(1.0, 0.0, setup_sq, KAPPA)
-    assert g == 0.0
+    assert gamma1(1.0, 0.0, setup_sq, KAPPA) == 0.0
 
 
 def test_gamma1_lambda_derivative(setup_sq):
     h, s = 1e-5, 1e-3
-    gp, _ = bif.gamma1(1 + h, s, setup_sq, KAPPA)
-    gm, _ = bif.gamma1(1 - h, s, setup_sq, KAPPA)
+    gp = gamma1(1 + h, s, setup_sq, KAPPA)
+    gm = gamma1(1 - h, s, setup_sq, KAPPA)
     # cell-averaged norm convention: derivative is -<|psi0|^2> = -1
     assert (np.real(gp) - np.real(gm)) / (2 * h) == pytest.approx(-1.0, abs=1e-6)
 
@@ -133,14 +144,14 @@ def test_gamma1_real(setup_sq, rng):
     for _ in range(4):
         lam = 1 + rng.uniform(-0.02, 0.02)
         s = rng.uniform(0.01, 0.1)
-        g, _ = bif.gamma1(lam, s, setup_sq, KAPPA)
+        g = gamma1(lam, s, setup_sq, KAPPA)
         assert abs(complex(g).imag) < 1e-10
 
 
 def test_gamma1_even_in_s(setup_sq):
     # gamma0 is odd by gauge equivariance, so gamma1 = gamma0/s is even
-    gp, _ = bif.gamma1(1.01, 0.06, setup_sq, KAPPA)
-    gm, _ = bif.gamma1(1.01, -0.06, setup_sq, KAPPA)
+    gp = gamma1(1.01, 0.06, setup_sq, KAPPA)
+    gm = gamma1(1.01, -0.06, setup_sq, KAPPA)
     assert abs(complex(gp) - complex(gm)) < 1e-11
 
 
@@ -180,19 +191,15 @@ def test_branch_labels_extrapolated_regime(shape_square, setup_sq):
 
 
 def test_gauge_rotated_branch(setup_sq):
+    # the branch point at s e^{i delta} is the one at s rotated, at the same
+    # lambda
     delta = 1.3
-    r1 = bif.solve_w(1.01, 0.05, setup_sq, KAPPA)
-    r2 = bif.solve_w(1.01, 0.05 * np.exp(1j * delta), setup_sq, KAPPA)
-    psi1 = setup_sq.basis.synth(_full(r1.w, 0.05, setup_sq))
-    psi2 = setup_sq.basis.synth(_full(r2.w, 0.05 * np.exp(1j * delta), setup_sq))
+    r1 = bif.solve_w(1.01, 0.05, setup_sq, KAPPA, unknown="lam")
+    r2 = bif.solve_w(1.01, 0.05 * np.exp(1j * delta), setup_sq, KAPPA, unknown="lam")
+    psi1, psi2 = setup_sq.basis.synth(np.stack([w_coeffs(r1), w_coeffs(r2)]))
     assert np.max(np.abs(np.abs(psi1) - np.abs(psi2))) < 1e-10
     assert np.max(np.abs(psi2 - np.exp(1j * delta) * psi1)) < 1e-10
-
-
-def _full(w, s, setup):
-    c = w.copy()
-    c[0] += s
-    return c
+    assert abs(r2.lam - r1.lam) < 1e-10
 
 
 def test_branch_by_field_normal_limit(shape_square, setup_sq):
@@ -265,7 +272,7 @@ def test_branch_coefficients_from_the_reduction(tau, kappa2):
     s = np.array([0.04, 0.02, 0.01, 0.005])
     q = []
     for si in s:
-        wres = bif.solve_w(1.0 + lam1 * si**2, si, setup, kappa, _unknown="lam")
+        wres = bif.solve_w(1.0 + lam1 * si**2, si, setup, kappa, unknown="lam")
         q.append((np.real(wres.ncoef[0] / si) - lam1 * si**2) / si**4)
     dev = np.array(q) - lam2
     assert np.all(np.abs(dev[:-1] / dev[1:] - 4.0) < 0.3)
@@ -275,8 +282,17 @@ def test_branch_coefficients_from_the_reduction(tau, kappa2):
 def test_branch_points_are_gamma1_roots(branch_sq, setup_sq):
     # the joint (w, lambda) iteration against the fixed-lambda gamma1 oracle
     for p in branch_sq.points:
-        g, _ = bif.gamma1(p.lam, p.s, setup_sq, KAPPA)
-        assert abs(g) <= 1e-11
+        assert abs(gamma1(p.lam, p.s, setup_sq, KAPPA)) <= 1e-11
+
+
+def test_plain_contraction_reaches_the_branch_w(branch_sq, setup_sq):
+    # at each branch point's (lambda, s) the plain contraction, with no shift
+    # and no mixing, reaches the point's w: within 2.4e-16 (measured at
+    # s = 0.1; W_TOL allows about 1e-12 s) in 5-7 sweeps
+    for p in branch_sq.points:
+        ref = plain_w(p.lam, p.s, setup_sq, KAPPA)
+        assert np.max(np.abs(ref.w[1:] - p.psi_coeffs[1:])) <= 1e-14 * p.s
+        assert ref.iterations <= 8
 
 
 def cold_points(branch, setup, kappa):
@@ -284,7 +300,7 @@ def cold_points(branch, setup, kappa):
     cold start."""
     slope = abrikosov.branch_slope(setup.beta, kappa)
     return [bif._finish_point(bif.solve_w(1.0 + slope * p.s**2, p.s, setup, kappa,
-                                          _unknown="lam"), setup, kappa)
+                                          unknown="lam"), setup, kappa)
             for p in branch.points]
 
 
@@ -352,14 +368,12 @@ def test_predictor_holds_a_point_at_the_same_abs_s(setup_sq):
 def test_field_points_are_gamma1_roots(shape_tri, setup_tri):
     # the joint (w, s) iteration against gamma1, in both sign regimes
     pt = bif.branch_by_field(1.95, KAPPA, shape_tri, setup=setup_tri)
-    g, _ = bif.gamma1(KAPPA**2 / 1.95, pt.s, setup_tri, KAPPA)
-    assert abs(g) <= 1e-11
+    assert abs(gamma1(KAPPA**2 / 1.95, pt.s, setup_tri, KAPPA)) <= 1e-11
     shape, _ = normalize_tau(8j)
     setup = bif.build_reduction(shape, N=64, K_lev=40)
     kappa = np.sqrt(0.1)
     pt = bif.branch_by_field(0.102, kappa, shape, setup=setup)
-    g, _ = bif.gamma1(0.1 / 0.102, pt.s, setup, kappa)
-    assert abs(g) <= 1e-11
+    assert abs(gamma1(0.1 / 0.102, pt.s, setup, kappa)) <= 1e-11
 
 
 def test_branch_by_field_unreachable_target_is_reported():
@@ -383,13 +397,18 @@ def test_branch_by_field_far_target(shape_square):
 
 
 def test_branch_by_field_farther_target(shape_square):
-    # b = 0.3 (s ~ 1.63): the mixed sweep still converges, to a gamma1 root
+    # b = 0.3 (s ~ 1.63): the mixed sweep still converges, to a zero of F.
+    # The plain contraction of gamma1's oracle does not contract here (its
+    # second step is 6x its first), so the point is checked by its full F
+    # with the potential solved cold: measured 1.09e-11 relative, bound 1e-10
     setup = bif.build_reduction(shape_square, N=64, K_lev=32)
     pt = bif.branch_by_field(0.3, KAPPA, shape_square, setup=setup)
     assert abs(pt.s - 1.631236087) < 1e-8
     assert pt.residual_psi < 1e-8
-    g, _ = bif.gamma1(KAPPA**2 / 0.3, pt.s, setup, KAPPA)
-    assert abs(g) <= 1e-11
+    with pytest.raises(SolverError, match="did not converge"):
+        plain_w(KAPPA**2 / 0.3, pt.s, setup, KAPPA)
+    F = glcore.map_F(setup.basis, pt.psi_coeffs, pt.lam, KAPPA)
+    assert np.linalg.norm(F) <= 1e-10 * np.linalg.norm(pt.psi_coeffs)
 
 
 @pytest.mark.parametrize("K_lev", [40, 64, 80, 128])
@@ -472,7 +491,7 @@ def test_finish_point_synthesizes_each_field_once(setup_sq, monkeypatch):
     # D1 psi and D2 psi on the solve grid, shared by all its scalars, from
     # the solve's last sweep, and synthesizes nothing itself; the one pass
     # over them gives the bits of the separate operators
-    wres = bif.solve_w(1.01, 0.05, setup_sq, KAPPA)
+    wres = bif.solve_w(1.01, 0.05, setup_sq, KAPPA, unknown="lam")
     calls = []
     synth = landau.LandauBasis.synth
     monkeypatch.setattr(landau.LandauBasis, "synth",
@@ -589,7 +608,7 @@ def test_point_scalars_do_not_depend_on_N():
 def test_w_solve_out_of_sweeps_is_reported(setup_sq, monkeypatch):
     monkeypatch.setattr(bif, "W_MAX_SWEEPS", 2)
     with pytest.raises(SolverError, match="did not converge in 2 sweeps"):
-        bif.solve_w(1.02, 0.08, setup_sq, KAPPA)
+        bif.solve_w(1.02, 0.08, setup_sq, KAPPA, unknown="lam")
 
 
 # ----------------------------------------------------------------------
